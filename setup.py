@@ -1,25 +1,15 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    # No -ffast-math / -march=native: the compiled kernel must produce the
-    # same doubles as the pure-Python fallback (FMA contraction would not).
-    extensions = cythonize(
-        [
-            Extension(
-                "wiresplit._kernel",
-                ["src/wiresplit/_kernel.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-else:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "wiresplit._kernel",
+            ["src/wiresplit/_kernel.c"],
+            # GCC defaults to -ffp-contract=fast for GNU C, which fuses
+            # multiply-adds on FMA targets and breaks bitwise parity with
+            # the pure-Python kernel.
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

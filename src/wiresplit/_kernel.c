@@ -1,13477 +1,518 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "wiresplit._kernel",
-        "sources": [
-            "src/wiresplit/_kernel.pyx"
-        ]
-    },
-    "module_name": "wiresplit._kernel"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__wiresplit___kernel
-#define __PYX_HAVE_API__wiresplit___kernel
-/* Early includes */
-#include <math.h>
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/wiresplit/_kernel.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* pybytes_as_double.proto (used by pyunicode_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj);
-static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length);
-static CYTHON_INLINE double __Pyx_PyBytes_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyBytes_AS_STRING(obj);
-    size = PyBytes_GET_SIZE(obj);
-#else
-    if (PyBytes_AsStringAndSize(obj, &as_c_string, &size) < 0) {
-        return (double)-1;
-    }
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-static CYTHON_INLINE double __Pyx_PyByteArray_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyByteArray_AS_STRING(obj);
-    size = PyByteArray_GET_SIZE(obj);
-#else
-    as_c_string = PyByteArray_AsString(obj);
-    if (as_c_string == NULL) {
-        return (double)-1;
-    }
-    size = PyByteArray_Size(obj);
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-
-/* pyunicode_as_double.proto */
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-static const char* __Pyx__PyUnicode_AsDouble_Copy(const void* data, const int kind, char* buffer, Py_ssize_t start, Py_ssize_t end) {
-    int last_was_punctuation;
-    Py_ssize_t i;
-    last_was_punctuation = 1;
-    for (i=start; i <= end; i++) {
-        Py_UCS4 chr = PyUnicode_READ(kind, data, i);
-        int is_punctuation = (chr == '_') | (chr == '.');
-        *buffer = (char)chr;
-        buffer += (chr != '_');
-        if (unlikely(chr > 127)) goto parse_failure;
-        if (unlikely(last_was_punctuation & is_punctuation)) goto parse_failure;
-        last_was_punctuation = is_punctuation;
-    }
-    if (unlikely(last_was_punctuation)) goto parse_failure;
-    *buffer = '\0';
-    return buffer;
-parse_failure:
-    return NULL;
-}
-static double __Pyx__PyUnicode_AsDouble_inf_nan(const void* data, int kind, Py_ssize_t start, Py_ssize_t length) {
-    int matches = 1;
-    Py_UCS4 chr;
-    Py_UCS4 sign = PyUnicode_READ(kind, data, start);
-    int is_signed = (sign == '-') | (sign == '+');
-    start += is_signed;
-    length -= is_signed;
-    switch (PyUnicode_READ(kind, data, start)) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'a') | (chr == 'A');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'n') | (chr == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'f') | (chr == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+3);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+4);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+5);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+6);
-            matches &= (chr == 't') | (chr == 'T');
-            chr = PyUnicode_READ(kind, data, start+7);
-            matches &= (chr == 'y') | (chr == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
-            break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
-    return -1.0;
-}
-static double __Pyx_PyUnicode_AsDouble_WithSpaces(PyObject *obj) {
-    double value;
-    const char *last;
-    char *end;
-    Py_ssize_t start, length = PyUnicode_GET_LENGTH(obj);
-    const int kind = PyUnicode_KIND(obj);
-    const void* data = PyUnicode_DATA(obj);
-    start = 0;
-    while (Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, start)))
-        start++;
-    while (start < length - 1 && Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, length - 1)))
-        length--;
-    length -= start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyUnicode_AsDouble_inf_nan(data, kind, start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    if (length < 40) {
-        char number[40];
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((length + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
-        }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-#endif
-static CYTHON_INLINE double __Pyx_PyUnicode_AsDouble(PyObject *obj) {
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-    if (unlikely(__Pyx_PyUnicode_READY(obj) == -1))
-        return (double)-1;
-    if (likely(PyUnicode_IS_ASCII(obj))) {
-        const char *s;
-        Py_ssize_t length;
-        s = PyUnicode_AsUTF8AndSize(obj, &length);
-        return __Pyx__PyBytes_AsDouble(obj, s, length);
-    }
-    return __Pyx_PyUnicode_AsDouble_WithSpaces(obj);
-#else
-    return __Pyx_SlowPyString_AsDouble(obj);
-#endif
-}
-
-/* FloatExceptionCheck.proto */
-#define __PYX_CHECK_FLOAT_EXCEPTION(value, error_value)\
-    ((error_value) == (error_value) ?\
-     (value) == (error_value) :\
-     (value) != (value))
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.math" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "wiresplit._kernel" */
-static double __pyx_v_9wiresplit_7_kernel__C2;
-static double __pyx_v_9wiresplit_7_kernel__C3;
-static double __pyx_v_9wiresplit_7_kernel__C4;
-static double __pyx_v_9wiresplit_7_kernel__C5;
-static double __pyx_v_9wiresplit_7_kernel__A21;
-static double __pyx_v_9wiresplit_7_kernel__A31;
-static double __pyx_v_9wiresplit_7_kernel__A32;
-static double __pyx_v_9wiresplit_7_kernel__A41;
-static double __pyx_v_9wiresplit_7_kernel__A42;
-static double __pyx_v_9wiresplit_7_kernel__A43;
-static double __pyx_v_9wiresplit_7_kernel__A51;
-static double __pyx_v_9wiresplit_7_kernel__A52;
-static double __pyx_v_9wiresplit_7_kernel__A53;
-static double __pyx_v_9wiresplit_7_kernel__A54;
-static double __pyx_v_9wiresplit_7_kernel__A61;
-static double __pyx_v_9wiresplit_7_kernel__A62;
-static double __pyx_v_9wiresplit_7_kernel__A63;
-static double __pyx_v_9wiresplit_7_kernel__A64;
-static double __pyx_v_9wiresplit_7_kernel__A65;
-static double __pyx_v_9wiresplit_7_kernel__B1;
-static double __pyx_v_9wiresplit_7_kernel__B3;
-static double __pyx_v_9wiresplit_7_kernel__B4;
-static double __pyx_v_9wiresplit_7_kernel__B5;
-static double __pyx_v_9wiresplit_7_kernel__B6;
-static double __pyx_v_9wiresplit_7_kernel__E1;
-static double __pyx_v_9wiresplit_7_kernel__E3;
-static double __pyx_v_9wiresplit_7_kernel__E4;
-static double __pyx_v_9wiresplit_7_kernel__E5;
-static double __pyx_v_9wiresplit_7_kernel__E6;
-static double __pyx_v_9wiresplit_7_kernel__E7;
-static double __pyx_v_9wiresplit_7_kernel__SAFETY;
-static double __pyx_v_9wiresplit_7_kernel__MIN_FACTOR;
-static double __pyx_v_9wiresplit_7_kernel__MAX_FACTOR;
-static double __pyx_v_9wiresplit_7_kernel__EPS;
-static double __pyx_v_9wiresplit_7_kernel__NAN;
-static CYTHON_INLINE void __pyx_f_9wiresplit_7_kernel__accel(double, double, int, double *, double *, double *, double, double, double *); /*proto*/
-static CYTHON_INLINE void __pyx_f_9wiresplit_7_kernel__dense(double, double, double, double, double, double, double, double, double, double, double, double, double, double, double, double, double, double, double *); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "wiresplit._kernel"
-extern int __pyx_module_is_main_wiresplit___kernel;
-int __pyx_module_is_main_wiresplit___kernel = 0;
-
-/* Implementation of "wiresplit._kernel" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_integration_kernel_fast[] = "Compiled integration kernel (fast backend).\n\nSame algorithm as ``wiresplit._kernel_py``: Dormand-Prince 5(4) over the\nsuperposed single-wire repulsions, cubic Hermite dense output, bisection event\nrefinement, and a zero error scale (atol = 0) counting 0 in the initial-step\nnorms, 0/0 as 0 and err/0 as inf in the step error norm. Every operation is in\nthe same order, and no -ffast-math or FMA is used, so both give equal doubles.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_9wiresplit_7_kernel_integrate(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x0, double __pyx_v_z0, double __pyx_v_vx0, double __pyx_v_vz0, double __pyx_v_t0, double __pyx_v_duration, PyObject *__pyx_v_wires_x, PyObject *__pyx_v_wires_z, PyObject *__pyx_v_wires_current, double __pyx_v_alpha, double __pyx_v_rtol, double __pyx_v_atol, double __pyx_v_guard_radius, long __pyx_v_max_steps, double __pyx_v_x_plane, int __pyx_v_stop_at_closure, double __pyx_v_event_dt); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_codeobj_tab[1];
-  PyObject *__pyx_string_tab[183];
-  PyObject *__pyx_number_tab[4];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_src_wiresplit__kernel_pyx __pyx_string_tab[1]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[2]
-#define __pyx_n_u_STATUS_MAXSTEPS __pyx_string_tab[3]
-#define __pyx_n_u_STATUS_OK __pyx_string_tab[4]
-#define __pyx_n_u_STATUS_SINGULARITY __pyx_string_tab[5]
-#define __pyx_n_u_STATUS_UNDERFLOW __pyx_string_tab[6]
-#define __pyx_n_u_alpha __pyx_string_tab[7]
-#define __pyx_n_u_annotate __pyx_string_tab[8]
-#define __pyx_n_u_apex __pyx_string_tab[9]
-#define __pyx_n_u_apex_t __pyx_string_tab[10]
-#define __pyx_n_u_apex_vx __pyx_string_tab[11]
-#define __pyx_n_u_apex_vz __pyx_string_tab[12]
-#define __pyx_n_u_apex_x __pyx_string_tab[13]
-#define __pyx_n_u_apex_z __pyx_string_tab[14]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[15]
-#define __pyx_n_u_atol __pyx_string_tab[16]
-#define __pyx_n_u_best_apex_absz __pyx_string_tab[17]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[18]
-#define __pyx_n_u_clo_t __pyx_string_tab[19]
-#define __pyx_n_u_clo_vx __pyx_string_tab[20]
-#define __pyx_n_u_clo_vz __pyx_string_tab[21]
-#define __pyx_n_u_clo_x __pyx_string_tab[22]
-#define __pyx_n_u_clo_z __pyx_string_tab[23]
-#define __pyx_n_u_closure __pyx_string_tab[24]
-#define __pyx_n_u_d0 __pyx_string_tab[25]
-#define __pyx_n_u_d1 __pyx_string_tab[26]
-#define __pyx_n_u_d2 __pyx_string_tab[27]
-#define __pyx_n_u_d_end __pyx_string_tab[28]
-#define __pyx_n_u_dist __pyx_string_tab[29]
-#define __pyx_n_u_dm __pyx_string_tab[30]
-#define __pyx_n_u_duration __pyx_string_tab[31]
-#define __pyx_n_u_dx __pyx_string_tab[32]
-#define __pyx_n_u_dx0 __pyx_string_tab[33]
-#define __pyx_n_u_dx1 __pyx_string_tab[34]
-#define __pyx_n_u_dxp __pyx_string_tab[35]
-#define __pyx_n_u_dz __pyx_string_tab[36]
-#define __pyx_n_u_dz0 __pyx_string_tab[37]
-#define __pyx_n_u_dz1 __pyx_string_tab[38]
-#define __pyx_n_u_dzp __pyx_string_tab[39]
-#define __pyx_n_u_err_norm __pyx_string_tab[40]
-#define __pyx_n_u_err_vx __pyx_string_tab[41]
-#define __pyx_n_u_err_vz __pyx_string_tab[42]
-#define __pyx_n_u_err_x __pyx_string_tab[43]
-#define __pyx_n_u_err_z __pyx_string_tab[44]
-#define __pyx_n_u_event_dt __pyx_string_tab[45]
-#define __pyx_n_u_fac __pyx_string_tab[46]
-#define __pyx_n_u_fail_wire __pyx_string_tab[47]
-#define __pyx_n_u_func __pyx_string_tab[48]
-#define __pyx_n_u_g0 __pyx_string_tab[49]
-#define __pyx_n_u_g1 __pyx_string_tab[50]
-#define __pyx_n_u_g_lo __pyx_string_tab[51]
-#define __pyx_n_u_guard2 __pyx_string_tab[52]
-#define __pyx_n_u_guard_radius __pyx_string_tab[53]
-#define __pyx_n_u_gx0 __pyx_string_tab[54]
-#define __pyx_n_u_gx1 __pyx_string_tab[55]
-#define __pyx_n_u_h __pyx_string_tab[56]
-#define __pyx_n_u_h0 __pyx_string_tab[57]
-#define __pyx_n_u_h1 __pyx_string_tab[58]
-#define __pyx_n_u_h_floor __pyx_string_tab[59]
-#define __pyx_n_u_have_closure __pyx_string_tab[60]
-#define __pyx_n_u_hi __pyx_string_tab[61]
-#define __pyx_n_u_i __pyx_string_tab[62]
-#define __pyx_n_u_integrate __pyx_string_tab[63]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[64]
-#define __pyx_n_u_it __pyx_string_tab[65]
-#define __pyx_n_u_items __pyx_string_tab[66]
-#define __pyx_n_u_k1vx __pyx_string_tab[67]
-#define __pyx_n_u_k1vz __pyx_string_tab[68]
-#define __pyx_n_u_k1x __pyx_string_tab[69]
-#define __pyx_n_u_k1z __pyx_string_tab[70]
-#define __pyx_n_u_k2vx __pyx_string_tab[71]
-#define __pyx_n_u_k2vz __pyx_string_tab[72]
-#define __pyx_n_u_k2x __pyx_string_tab[73]
-#define __pyx_n_u_k2z __pyx_string_tab[74]
-#define __pyx_n_u_k3vx __pyx_string_tab[75]
-#define __pyx_n_u_k3vz __pyx_string_tab[76]
-#define __pyx_n_u_k3x __pyx_string_tab[77]
-#define __pyx_n_u_k3z __pyx_string_tab[78]
-#define __pyx_n_u_k4vx __pyx_string_tab[79]
-#define __pyx_n_u_k4vz __pyx_string_tab[80]
-#define __pyx_n_u_k4x __pyx_string_tab[81]
-#define __pyx_n_u_k4z __pyx_string_tab[82]
-#define __pyx_n_u_k5vx __pyx_string_tab[83]
-#define __pyx_n_u_k5vz __pyx_string_tab[84]
-#define __pyx_n_u_k5x __pyx_string_tab[85]
-#define __pyx_n_u_k5z __pyx_string_tab[86]
-#define __pyx_n_u_k6vx __pyx_string_tab[87]
-#define __pyx_n_u_k6vz __pyx_string_tab[88]
-#define __pyx_n_u_k6x __pyx_string_tab[89]
-#define __pyx_n_u_k6z __pyx_string_tab[90]
-#define __pyx_n_u_k7vx __pyx_string_tab[91]
-#define __pyx_n_u_k7vz __pyx_string_tab[92]
-#define __pyx_n_u_k7x __pyx_string_tab[93]
-#define __pyx_n_u_k7z __pyx_string_tab[94]
-#define __pyx_n_u_last __pyx_string_tab[95]
-#define __pyx_n_u_lo __pyx_string_tab[96]
-#define __pyx_n_u_main __pyx_string_tab[97]
-#define __pyx_n_u_max_steps __pyx_string_tab[98]
-#define __pyx_n_u_mid __pyx_string_tab[99]
-#define __pyx_n_u_min_step __pyx_string_tab[100]
-#define __pyx_n_u_module __pyx_string_tab[101]
-#define __pyx_n_u_n __pyx_string_tab[102]
-#define __pyx_n_u_n_rejected __pyx_string_tab[103]
-#define __pyx_n_u_n_rhs __pyx_string_tab[104]
-#define __pyx_n_u_n_steps __pyx_string_tab[105]
-#define __pyx_n_u_name __pyx_string_tab[106]
-#define __pyx_n_u_nan __pyx_string_tab[107]
-#define __pyx_n_u_out2 __pyx_string_tab[108]
-#define __pyx_n_u_out4 __pyx_string_tab[109]
-#define __pyx_n_u_peri_dist __pyx_string_tab[110]
-#define __pyx_n_u_peri_dist_list __pyx_string_tab[111]
-#define __pyx_n_u_peri_st __pyx_string_tab[112]
-#define __pyx_n_u_peri_state_list __pyx_string_tab[113]
-#define __pyx_n_u_periapsis_distance __pyx_string_tab[114]
-#define __pyx_n_u_periapsis_state __pyx_string_tab[115]
-#define __pyx_n_u_pop __pyx_string_tab[116]
-#define __pyx_n_u_q0 __pyx_string_tab[117]
-#define __pyx_n_u_q1 __pyx_string_tab[118]
-#define __pyx_n_u_q2 __pyx_string_tab[119]
-#define __pyx_n_u_q3 __pyx_string_tab[120]
-#define __pyx_n_u_qualname __pyx_string_tab[121]
-#define __pyx_n_u_rtol __pyx_string_tab[122]
-#define __pyx_n_u_sc_vx __pyx_string_tab[123]
-#define __pyx_n_u_sc_vz __pyx_string_tab[124]
-#define __pyx_n_u_sc_x __pyx_string_tab[125]
-#define __pyx_n_u_sc_z __pyx_string_tab[126]
-#define __pyx_n_u_set_name __pyx_string_tab[127]
-#define __pyx_n_u_setdefault __pyx_string_tab[128]
-#define __pyx_n_u_status __pyx_string_tab[129]
-#define __pyx_n_u_stop_at_closure __pyx_string_tab[130]
-#define __pyx_n_u_t __pyx_string_tab[131]
-#define __pyx_n_u_t0 __pyx_string_tab[132]
-#define __pyx_n_u_t_bound __pyx_string_tab[133]
-#define __pyx_n_u_t_end __pyx_string_tab[134]
-#define __pyx_n_u_t_fail __pyx_string_tab[135]
-#define __pyx_n_u_t_new __pyx_string_tab[136]
-#define __pyx_n_u_test __pyx_string_tab[137]
-#define __pyx_n_u_th __pyx_string_tab[138]
-#define __pyx_n_u_theta_end __pyx_string_tab[139]
-#define __pyx_n_u_tiny_r2 __pyx_string_tab[140]
-#define __pyx_n_u_truncated __pyx_string_tab[141]
-#define __pyx_n_u_ts __pyx_string_tab[142]
-#define __pyx_n_u_values __pyx_string_tab[143]
-#define __pyx_n_u_vx __pyx_string_tab[144]
-#define __pyx_n_u_vx0 __pyx_string_tab[145]
-#define __pyx_n_u_vx_end __pyx_string_tab[146]
-#define __pyx_n_u_vx_new __pyx_string_tab[147]
-#define __pyx_n_u_vxs __pyx_string_tab[148]
-#define __pyx_n_u_vz __pyx_string_tab[149]
-#define __pyx_n_u_vz0 __pyx_string_tab[150]
-#define __pyx_n_u_vz_end __pyx_string_tab[151]
-#define __pyx_n_u_vz_new __pyx_string_tab[152]
-#define __pyx_n_u_vzs __pyx_string_tab[153]
-#define __pyx_n_u_wi __pyx_string_tab[154]
-#define __pyx_n_u_wires_current __pyx_string_tab[155]
-#define __pyx_n_u_wires_x __pyx_string_tab[156]
-#define __pyx_n_u_wires_z __pyx_string_tab[157]
-#define __pyx_n_u_wiresplit__kernel __pyx_string_tab[158]
-#define __pyx_n_u_wx __pyx_string_tab[159]
-#define __pyx_n_u_wz __pyx_string_tab[160]
-#define __pyx_n_u_x __pyx_string_tab[161]
-#define __pyx_n_u_x0 __pyx_string_tab[162]
-#define __pyx_n_u_x_end __pyx_string_tab[163]
-#define __pyx_n_u_x_new __pyx_string_tab[164]
-#define __pyx_n_u_x_plane __pyx_string_tab[165]
-#define __pyx_n_u_xs __pyx_string_tab[166]
-#define __pyx_n_u_xs2 __pyx_string_tab[167]
-#define __pyx_n_u_xs3 __pyx_string_tab[168]
-#define __pyx_n_u_xs4 __pyx_string_tab[169]
-#define __pyx_n_u_xs5 __pyx_string_tab[170]
-#define __pyx_n_u_xs6 __pyx_string_tab[171]
-#define __pyx_n_u_z __pyx_string_tab[172]
-#define __pyx_n_u_z0 __pyx_string_tab[173]
-#define __pyx_n_u_z_end __pyx_string_tab[174]
-#define __pyx_n_u_z_new __pyx_string_tab[175]
-#define __pyx_n_u_zs __pyx_string_tab[176]
-#define __pyx_n_u_zs2 __pyx_string_tab[177]
-#define __pyx_n_u_zs3 __pyx_string_tab[178]
-#define __pyx_n_u_zs4 __pyx_string_tab[179]
-#define __pyx_n_u_zs5 __pyx_string_tab[180]
-#define __pyx_n_u_zs6 __pyx_string_tab[181]
-#define __pyx_kp_b_iso88591_AQ_j_ar_gQ_j_ar_gQ_j_ar_gQ_ZvQb __pyx_string_tab[182]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-#define __pyx_int_3 __pyx_number_tab[3]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<183; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<183; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "wiresplit/_kernel.pyx":57
- * 
- * 
- * cdef inline void _accel(double px, double pz, int n,             # <<<<<<<<<<<<<<
- *                         double* wx, double* wz, double* wi,
- *                         double tiny_r2, double alpha, double* out) noexcept:
-*/
-
-static CYTHON_INLINE void __pyx_f_9wiresplit_7_kernel__accel(double __pyx_v_px, double __pyx_v_pz, int __pyx_v_n, double *__pyx_v_wx, double *__pyx_v_wz, double *__pyx_v_wi, double __pyx_v_tiny_r2, double __pyx_v_alpha, double *__pyx_v_out) {
-  double __pyx_v_ax;
-  double __pyx_v_az;
-  double __pyx_v_cur;
-  double __pyx_v_dx;
-  double __pyx_v_dz;
-  double __pyx_v_r2;
-  double __pyx_v_c;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "wiresplit/_kernel.pyx":60
- *                         double* wx, double* wz, double* wi,
- *                         double tiny_r2, double alpha, double* out) noexcept:
- *     cdef double ax = 0.0             # <<<<<<<<<<<<<<
- *     cdef double az = 0.0
- *     cdef double cur, dx, dz, r2, c
-*/
-  __pyx_v_ax = 0.0;
-
-  /* "wiresplit/_kernel.pyx":61
- *                         double tiny_r2, double alpha, double* out) noexcept:
- *     cdef double ax = 0.0
- *     cdef double az = 0.0             # <<<<<<<<<<<<<<
- *     cdef double cur, dx, dz, r2, c
- *     cdef int i
-*/
-  __pyx_v_az = 0.0;
-
-  /* "wiresplit/_kernel.pyx":64
- *     cdef double cur, dx, dz, r2, c
- *     cdef int i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         cur = wi[i]
- *         if cur == 0.0:
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wiresplit/_kernel.pyx":65
- *     cdef int i
- *     for i in range(n):
- *         cur = wi[i]             # <<<<<<<<<<<<<<
- *         if cur == 0.0:
- *             continue
-*/
-    __pyx_v_cur = (__pyx_v_wi[__pyx_v_i]);
-
-    /* "wiresplit/_kernel.pyx":66
- *     for i in range(n):
- *         cur = wi[i]
- *         if cur == 0.0:             # <<<<<<<<<<<<<<
- *             continue
- *         dx = px - wx[i]
-*/
-    __pyx_t_4 = (__pyx_v_cur == 0.0);
-    if (__pyx_t_4) {
-
-      /* "wiresplit/_kernel.pyx":67
- *         cur = wi[i]
- *         if cur == 0.0:
- *             continue             # <<<<<<<<<<<<<<
- *         dx = px - wx[i]
- *         dz = pz - wz[i]
-*/
-      goto __pyx_L3_continue;
-
-      /* "wiresplit/_kernel.pyx":66
- *     for i in range(n):
- *         cur = wi[i]
- *         if cur == 0.0:             # <<<<<<<<<<<<<<
- *             continue
- *         dx = px - wx[i]
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":68
- *         if cur == 0.0:
- *             continue
- *         dx = px - wx[i]             # <<<<<<<<<<<<<<
- *         dz = pz - wz[i]
- *         r2 = dx * dx + dz * dz
-*/
-    __pyx_v_dx = (__pyx_v_px - (__pyx_v_wx[__pyx_v_i]));
-
-    /* "wiresplit/_kernel.pyx":69
- *             continue
- *         dx = px - wx[i]
- *         dz = pz - wz[i]             # <<<<<<<<<<<<<<
- *         r2 = dx * dx + dz * dz
- *         if r2 <= tiny_r2:
-*/
-    __pyx_v_dz = (__pyx_v_pz - (__pyx_v_wz[__pyx_v_i]));
-
-    /* "wiresplit/_kernel.pyx":70
- *         dx = px - wx[i]
- *         dz = pz - wz[i]
- *         r2 = dx * dx + dz * dz             # <<<<<<<<<<<<<<
- *         if r2 <= tiny_r2:
- *             out[0] = _NAN
-*/
-    __pyx_v_r2 = ((__pyx_v_dx * __pyx_v_dx) + (__pyx_v_dz * __pyx_v_dz));
-
-    /* "wiresplit/_kernel.pyx":71
- *         dz = pz - wz[i]
- *         r2 = dx * dx + dz * dz
- *         if r2 <= tiny_r2:             # <<<<<<<<<<<<<<
- *             out[0] = _NAN
- *             out[1] = _NAN
-*/
-    __pyx_t_4 = (__pyx_v_r2 <= __pyx_v_tiny_r2);
-    if (__pyx_t_4) {
-
-      /* "wiresplit/_kernel.pyx":72
- *         r2 = dx * dx + dz * dz
- *         if r2 <= tiny_r2:
- *             out[0] = _NAN             # <<<<<<<<<<<<<<
- *             out[1] = _NAN
- *             return
-*/
-      (__pyx_v_out[0]) = __pyx_v_9wiresplit_7_kernel__NAN;
-
-      /* "wiresplit/_kernel.pyx":73
- *         if r2 <= tiny_r2:
- *             out[0] = _NAN
- *             out[1] = _NAN             # <<<<<<<<<<<<<<
- *             return
- *         c = alpha * cur * cur / (r2 * r2)
-*/
-      (__pyx_v_out[1]) = __pyx_v_9wiresplit_7_kernel__NAN;
-
-      /* "wiresplit/_kernel.pyx":74
- *             out[0] = _NAN
- *             out[1] = _NAN
- *             return             # <<<<<<<<<<<<<<
- *         c = alpha * cur * cur / (r2 * r2)
- *         ax += c * dx
-*/
-      goto __pyx_L0;
-
-      /* "wiresplit/_kernel.pyx":71
- *         dz = pz - wz[i]
- *         r2 = dx * dx + dz * dz
- *         if r2 <= tiny_r2:             # <<<<<<<<<<<<<<
- *             out[0] = _NAN
- *             out[1] = _NAN
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":75
- *             out[1] = _NAN
- *             return
- *         c = alpha * cur * cur / (r2 * r2)             # <<<<<<<<<<<<<<
- *         ax += c * dx
- *         az += c * dz
-*/
-    __pyx_v_c = (((__pyx_v_alpha * __pyx_v_cur) * __pyx_v_cur) / (__pyx_v_r2 * __pyx_v_r2));
-
-    /* "wiresplit/_kernel.pyx":76
- *             return
- *         c = alpha * cur * cur / (r2 * r2)
- *         ax += c * dx             # <<<<<<<<<<<<<<
- *         az += c * dz
- *     out[0] = ax
-*/
-    __pyx_v_ax = (__pyx_v_ax + (__pyx_v_c * __pyx_v_dx));
-
-    /* "wiresplit/_kernel.pyx":77
- *         c = alpha * cur * cur / (r2 * r2)
- *         ax += c * dx
- *         az += c * dz             # <<<<<<<<<<<<<<
- *     out[0] = ax
- *     out[1] = az
-*/
-    __pyx_v_az = (__pyx_v_az + (__pyx_v_c * __pyx_v_dz));
-    __pyx_L3_continue:;
-  }
-
-  /* "wiresplit/_kernel.pyx":78
- *         ax += c * dx
- *         az += c * dz
- *     out[0] = ax             # <<<<<<<<<<<<<<
- *     out[1] = az
- * 
-*/
-  (__pyx_v_out[0]) = __pyx_v_ax;
-
-  /* "wiresplit/_kernel.pyx":79
- *         az += c * dz
- *     out[0] = ax
- *     out[1] = az             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_out[1]) = __pyx_v_az;
-
-  /* "wiresplit/_kernel.pyx":57
- * 
- * 
- * cdef inline void _accel(double px, double pz, int n,             # <<<<<<<<<<<<<<
- *                         double* wx, double* wz, double* wi,
- *                         double tiny_r2, double alpha, double* out) noexcept:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "wiresplit/_kernel.pyx":82
- * 
- * 
- * cdef inline void _dense(double theta, double h,             # <<<<<<<<<<<<<<
- *                         double x, double z, double vx, double vz,
- *                         double k1x, double k1z, double k1vx, double k1vz,
-*/
-
-static CYTHON_INLINE void __pyx_f_9wiresplit_7_kernel__dense(double __pyx_v_theta, double __pyx_v_h, double __pyx_v_x, double __pyx_v_z, double __pyx_v_vx, double __pyx_v_vz, double __pyx_v_k1x, double __pyx_v_k1z, double __pyx_v_k1vx, double __pyx_v_k1vz, double __pyx_v_xn, double __pyx_v_zn, double __pyx_v_vxn, double __pyx_v_vzn, double __pyx_v_k7x, double __pyx_v_k7z, double __pyx_v_k7vx, double __pyx_v_k7vz, double *__pyx_v_out) {
-  double __pyx_v_om;
-  double __pyx_v_h00;
-  double __pyx_v_h10;
-  double __pyx_v_h01;
-  double __pyx_v_h11;
-
-  /* "wiresplit/_kernel.pyx":88
- *                         double k7x, double k7z, double k7vx, double k7vz,
- *                         double* out) noexcept:
- *     cdef double om = 1.0 - theta             # <<<<<<<<<<<<<<
- *     cdef double h00 = (1.0 + 2.0 * theta) * om * om
- *     cdef double h10 = theta * om * om
-*/
-  __pyx_v_om = (1.0 - __pyx_v_theta);
-
-  /* "wiresplit/_kernel.pyx":89
- *                         double* out) noexcept:
- *     cdef double om = 1.0 - theta
- *     cdef double h00 = (1.0 + 2.0 * theta) * om * om             # <<<<<<<<<<<<<<
- *     cdef double h10 = theta * om * om
- *     cdef double h01 = theta * theta * (3.0 - 2.0 * theta)
-*/
-  __pyx_v_h00 = (((1.0 + (2.0 * __pyx_v_theta)) * __pyx_v_om) * __pyx_v_om);
-
-  /* "wiresplit/_kernel.pyx":90
- *     cdef double om = 1.0 - theta
- *     cdef double h00 = (1.0 + 2.0 * theta) * om * om
- *     cdef double h10 = theta * om * om             # <<<<<<<<<<<<<<
- *     cdef double h01 = theta * theta * (3.0 - 2.0 * theta)
- *     cdef double h11 = theta * theta * (theta - 1.0)
-*/
-  __pyx_v_h10 = ((__pyx_v_theta * __pyx_v_om) * __pyx_v_om);
-
-  /* "wiresplit/_kernel.pyx":91
- *     cdef double h00 = (1.0 + 2.0 * theta) * om * om
- *     cdef double h10 = theta * om * om
- *     cdef double h01 = theta * theta * (3.0 - 2.0 * theta)             # <<<<<<<<<<<<<<
- *     cdef double h11 = theta * theta * (theta - 1.0)
- *     out[0] = h00 * x + h10 * h * k1x + h01 * xn + h11 * h * k7x
-*/
-  __pyx_v_h01 = ((__pyx_v_theta * __pyx_v_theta) * (3.0 - (2.0 * __pyx_v_theta)));
-
-  /* "wiresplit/_kernel.pyx":92
- *     cdef double h10 = theta * om * om
- *     cdef double h01 = theta * theta * (3.0 - 2.0 * theta)
- *     cdef double h11 = theta * theta * (theta - 1.0)             # <<<<<<<<<<<<<<
- *     out[0] = h00 * x + h10 * h * k1x + h01 * xn + h11 * h * k7x
- *     out[1] = h00 * z + h10 * h * k1z + h01 * zn + h11 * h * k7z
-*/
-  __pyx_v_h11 = ((__pyx_v_theta * __pyx_v_theta) * (__pyx_v_theta - 1.0));
-
-  /* "wiresplit/_kernel.pyx":93
- *     cdef double h01 = theta * theta * (3.0 - 2.0 * theta)
- *     cdef double h11 = theta * theta * (theta - 1.0)
- *     out[0] = h00 * x + h10 * h * k1x + h01 * xn + h11 * h * k7x             # <<<<<<<<<<<<<<
- *     out[1] = h00 * z + h10 * h * k1z + h01 * zn + h11 * h * k7z
- *     out[2] = h00 * vx + h10 * h * k1vx + h01 * vxn + h11 * h * k7vx
-*/
-  (__pyx_v_out[0]) = ((((__pyx_v_h00 * __pyx_v_x) + ((__pyx_v_h10 * __pyx_v_h) * __pyx_v_k1x)) + (__pyx_v_h01 * __pyx_v_xn)) + ((__pyx_v_h11 * __pyx_v_h) * __pyx_v_k7x));
-
-  /* "wiresplit/_kernel.pyx":94
- *     cdef double h11 = theta * theta * (theta - 1.0)
- *     out[0] = h00 * x + h10 * h * k1x + h01 * xn + h11 * h * k7x
- *     out[1] = h00 * z + h10 * h * k1z + h01 * zn + h11 * h * k7z             # <<<<<<<<<<<<<<
- *     out[2] = h00 * vx + h10 * h * k1vx + h01 * vxn + h11 * h * k7vx
- *     out[3] = h00 * vz + h10 * h * k1vz + h01 * vzn + h11 * h * k7vz
-*/
-  (__pyx_v_out[1]) = ((((__pyx_v_h00 * __pyx_v_z) + ((__pyx_v_h10 * __pyx_v_h) * __pyx_v_k1z)) + (__pyx_v_h01 * __pyx_v_zn)) + ((__pyx_v_h11 * __pyx_v_h) * __pyx_v_k7z));
-
-  /* "wiresplit/_kernel.pyx":95
- *     out[0] = h00 * x + h10 * h * k1x + h01 * xn + h11 * h * k7x
- *     out[1] = h00 * z + h10 * h * k1z + h01 * zn + h11 * h * k7z
- *     out[2] = h00 * vx + h10 * h * k1vx + h01 * vxn + h11 * h * k7vx             # <<<<<<<<<<<<<<
- *     out[3] = h00 * vz + h10 * h * k1vz + h01 * vzn + h11 * h * k7vz
- * 
-*/
-  (__pyx_v_out[2]) = ((((__pyx_v_h00 * __pyx_v_vx) + ((__pyx_v_h10 * __pyx_v_h) * __pyx_v_k1vx)) + (__pyx_v_h01 * __pyx_v_vxn)) + ((__pyx_v_h11 * __pyx_v_h) * __pyx_v_k7vx));
-
-  /* "wiresplit/_kernel.pyx":96
- *     out[1] = h00 * z + h10 * h * k1z + h01 * zn + h11 * h * k7z
- *     out[2] = h00 * vx + h10 * h * k1vx + h01 * vxn + h11 * h * k7vx
- *     out[3] = h00 * vz + h10 * h * k1vz + h01 * vzn + h11 * h * k7vz             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_out[3]) = ((((__pyx_v_h00 * __pyx_v_vz) + ((__pyx_v_h10 * __pyx_v_h) * __pyx_v_k1vz)) + (__pyx_v_h01 * __pyx_v_vzn)) + ((__pyx_v_h11 * __pyx_v_h) * __pyx_v_k7vz));
-
-  /* "wiresplit/_kernel.pyx":82
- * 
- * 
- * cdef inline void _dense(double theta, double h,             # <<<<<<<<<<<<<<
- *                         double x, double z, double vx, double vz,
- *                         double k1x, double k1z, double k1vx, double k1vz,
-*/
-
-  /* function exit code */
-}
-
-/* "wiresplit/_kernel.pyx":99
- * 
- * 
- * def integrate(double x0, double z0, double vx0, double vz0,             # <<<<<<<<<<<<<<
- *               double t0, double duration,
- *               wires_x, wires_z, wires_current, double alpha,
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9wiresplit_7_kernel_1integrate(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9wiresplit_7_kernel_integrate, "Compiled twin of ``wiresplit._kernel_py.integrate``.");
-static PyMethodDef __pyx_mdef_9wiresplit_7_kernel_1integrate = {"integrate", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9wiresplit_7_kernel_1integrate, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9wiresplit_7_kernel_integrate};
-static PyObject *__pyx_pw_9wiresplit_7_kernel_1integrate(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x0;
-  double __pyx_v_z0;
-  double __pyx_v_vx0;
-  double __pyx_v_vz0;
-  double __pyx_v_t0;
-  double __pyx_v_duration;
-  PyObject *__pyx_v_wires_x = 0;
-  PyObject *__pyx_v_wires_z = 0;
-  PyObject *__pyx_v_wires_current = 0;
-  double __pyx_v_alpha;
-  double __pyx_v_rtol;
-  double __pyx_v_atol;
-  double __pyx_v_guard_radius;
-  long __pyx_v_max_steps;
-  double __pyx_v_x_plane;
-  int __pyx_v_stop_at_closure;
-  double __pyx_v_event_dt;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[17] = {0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("integrate (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x0,&__pyx_mstate_global->__pyx_n_u_z0,&__pyx_mstate_global->__pyx_n_u_vx0,&__pyx_mstate_global->__pyx_n_u_vz0,&__pyx_mstate_global->__pyx_n_u_t0,&__pyx_mstate_global->__pyx_n_u_duration,&__pyx_mstate_global->__pyx_n_u_wires_x,&__pyx_mstate_global->__pyx_n_u_wires_z,&__pyx_mstate_global->__pyx_n_u_wires_current,&__pyx_mstate_global->__pyx_n_u_alpha,&__pyx_mstate_global->__pyx_n_u_rtol,&__pyx_mstate_global->__pyx_n_u_atol,&__pyx_mstate_global->__pyx_n_u_guard_radius,&__pyx_mstate_global->__pyx_n_u_max_steps,&__pyx_mstate_global->__pyx_n_u_x_plane,&__pyx_mstate_global->__pyx_n_u_stop_at_closure,&__pyx_mstate_global->__pyx_n_u_event_dt,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 99, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case 17:
-        values[16] = __Pyx_ArgRef_FASTCALL(__pyx_args, 16);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[16])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 16:
-        values[15] = __Pyx_ArgRef_FASTCALL(__pyx_args, 15);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[15])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 15:
-        values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 14:
-        values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 13:
-        values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 12:
-        values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 11:
-        values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case 10:
-        values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 99, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "integrate", 0) < (0)) __PYX_ERR(0, 99, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 17; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("integrate", 1, 17, 17, i); __PYX_ERR(0, 99, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 17)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[9] = __Pyx_ArgRef_FASTCALL(__pyx_args, 9);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[9])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[10] = __Pyx_ArgRef_FASTCALL(__pyx_args, 10);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[10])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[11] = __Pyx_ArgRef_FASTCALL(__pyx_args, 11);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[11])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[12] = __Pyx_ArgRef_FASTCALL(__pyx_args, 12);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[12])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[13] = __Pyx_ArgRef_FASTCALL(__pyx_args, 13);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[13])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[14] = __Pyx_ArgRef_FASTCALL(__pyx_args, 14);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[14])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[15] = __Pyx_ArgRef_FASTCALL(__pyx_args, 15);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[15])) __PYX_ERR(0, 99, __pyx_L3_error)
-      values[16] = __Pyx_ArgRef_FASTCALL(__pyx_args, 16);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[16])) __PYX_ERR(0, 99, __pyx_L3_error)
-    }
-    __pyx_v_x0 = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 99, __pyx_L3_error)
-    __pyx_v_z0 = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_z0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 99, __pyx_L3_error)
-    __pyx_v_vx0 = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_vx0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 99, __pyx_L3_error)
-    __pyx_v_vz0 = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_vz0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 99, __pyx_L3_error)
-    __pyx_v_t0 = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_t0 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 100, __pyx_L3_error)
-    __pyx_v_duration = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_duration == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 100, __pyx_L3_error)
-    __pyx_v_wires_x = values[6];
-    __pyx_v_wires_z = values[7];
-    __pyx_v_wires_current = values[8];
-    __pyx_v_alpha = __Pyx_PyFloat_AsDouble(values[9]); if (unlikely((__pyx_v_alpha == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 101, __pyx_L3_error)
-    __pyx_v_rtol = __Pyx_PyFloat_AsDouble(values[10]); if (unlikely((__pyx_v_rtol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 102, __pyx_L3_error)
-    __pyx_v_atol = __Pyx_PyFloat_AsDouble(values[11]); if (unlikely((__pyx_v_atol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 102, __pyx_L3_error)
-    __pyx_v_guard_radius = __Pyx_PyFloat_AsDouble(values[12]); if (unlikely((__pyx_v_guard_radius == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 102, __pyx_L3_error)
-    __pyx_v_max_steps = __Pyx_PyLong_As_long(values[13]); if (unlikely((__pyx_v_max_steps == (long)-1) && PyErr_Occurred())) __PYX_ERR(0, 102, __pyx_L3_error)
-    __pyx_v_x_plane = __Pyx_PyFloat_AsDouble(values[14]); if (unlikely((__pyx_v_x_plane == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 103, __pyx_L3_error)
-    __pyx_v_stop_at_closure = __Pyx_PyObject_IsTrue(values[15]); if (unlikely((__pyx_v_stop_at_closure == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 103, __pyx_L3_error)
-    __pyx_v_event_dt = __Pyx_PyFloat_AsDouble(values[16]); if (unlikely((__pyx_v_event_dt == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 103, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("integrate", 1, 17, 17, __pyx_nargs); __PYX_ERR(0, 99, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("wiresplit._kernel.integrate", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9wiresplit_7_kernel_integrate(__pyx_self, __pyx_v_x0, __pyx_v_z0, __pyx_v_vx0, __pyx_v_vz0, __pyx_v_t0, __pyx_v_duration, __pyx_v_wires_x, __pyx_v_wires_z, __pyx_v_wires_current, __pyx_v_alpha, __pyx_v_rtol, __pyx_v_atol, __pyx_v_guard_radius, __pyx_v_max_steps, __pyx_v_x_plane, __pyx_v_stop_at_closure, __pyx_v_event_dt);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9wiresplit_7_kernel_integrate(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x0, double __pyx_v_z0, double __pyx_v_vx0, double __pyx_v_vz0, double __pyx_v_t0, double __pyx_v_duration, PyObject *__pyx_v_wires_x, PyObject *__pyx_v_wires_z, PyObject *__pyx_v_wires_current, double __pyx_v_alpha, double __pyx_v_rtol, double __pyx_v_atol, double __pyx_v_guard_radius, long __pyx_v_max_steps, double __pyx_v_x_plane, int __pyx_v_stop_at_closure, double __pyx_v_event_dt) {
-  int __pyx_v_n;
-  double *__pyx_v_wx;
-  double *__pyx_v_wz;
-  double *__pyx_v_wi;
-  double *__pyx_v_peri_dist;
-  double *__pyx_v_peri_st;
-  int __pyx_v_i;
-  double __pyx_v_guard2;
-  double __pyx_v_tiny_r2;
-  long __pyx_v_n_rhs;
-  double __pyx_v_t;
-  double __pyx_v_t_bound;
-  double __pyx_v_x;
-  double __pyx_v_z;
-  double __pyx_v_vx;
-  double __pyx_v_vz;
-  double __pyx_v_best_apex_absz;
-  double __pyx_v_apex_t;
-  double __pyx_v_apex_x;
-  double __pyx_v_apex_z;
-  double __pyx_v_apex_vx;
-  double __pyx_v_apex_vz;
-  double __pyx_v_dx;
-  double __pyx_v_dz;
-  int __pyx_v_have_closure;
-  double __pyx_v_clo_t;
-  double __pyx_v_clo_x;
-  double __pyx_v_clo_z;
-  double __pyx_v_clo_vx;
-  double __pyx_v_clo_vz;
-  PyObject *__pyx_v_ts = NULL;
-  PyObject *__pyx_v_xs = NULL;
-  PyObject *__pyx_v_zs = NULL;
-  PyObject *__pyx_v_vxs = NULL;
-  PyObject *__pyx_v_vzs = NULL;
-  int __pyx_v_status;
-  int __pyx_v_fail_wire;
-  double __pyx_v_t_fail;
-  long __pyx_v_n_steps;
-  long __pyx_v_n_rejected;
-  double __pyx_v_min_step;
-  double __pyx_v_out2[2];
-  double __pyx_v_out4[4];
-  double __pyx_v_k1x;
-  double __pyx_v_k1z;
-  double __pyx_v_k1vx;
-  double __pyx_v_k1vz;
-  double __pyx_v_sc_x;
-  double __pyx_v_sc_z;
-  double __pyx_v_sc_vx;
-  double __pyx_v_sc_vz;
-  double __pyx_v_q0;
-  double __pyx_v_q1;
-  double __pyx_v_q2;
-  double __pyx_v_q3;
-  double __pyx_v_d0;
-  double __pyx_v_d1;
-  double __pyx_v_h0;
-  double __pyx_v_d2;
-  double __pyx_v_dm;
-  double __pyx_v_h1;
-  double __pyx_v_h;
-  int __pyx_v_last;
-  int __pyx_v_truncated;
-  double __pyx_v_h_floor;
-  double __pyx_v_t_new;
-  double __pyx_v_err_norm;
-  double __pyx_v_fac;
-  double __pyx_v_xs2;
-  double __pyx_v_zs2;
-  double __pyx_v_k2x;
-  double __pyx_v_k2z;
-  double __pyx_v_k2vx;
-  double __pyx_v_k2vz;
-  double __pyx_v_xs3;
-  double __pyx_v_zs3;
-  double __pyx_v_k3x;
-  double __pyx_v_k3z;
-  double __pyx_v_k3vx;
-  double __pyx_v_k3vz;
-  double __pyx_v_xs4;
-  double __pyx_v_zs4;
-  double __pyx_v_k4x;
-  double __pyx_v_k4z;
-  double __pyx_v_k4vx;
-  double __pyx_v_k4vz;
-  double __pyx_v_xs5;
-  double __pyx_v_zs5;
-  double __pyx_v_k5x;
-  double __pyx_v_k5z;
-  double __pyx_v_k5vx;
-  double __pyx_v_k5vz;
-  double __pyx_v_xs6;
-  double __pyx_v_zs6;
-  double __pyx_v_k6x;
-  double __pyx_v_k6z;
-  double __pyx_v_k6vx;
-  double __pyx_v_k6vz;
-  double __pyx_v_x_new;
-  double __pyx_v_z_new;
-  double __pyx_v_vx_new;
-  double __pyx_v_vz_new;
-  double __pyx_v_k7x;
-  double __pyx_v_k7z;
-  double __pyx_v_k7vx;
-  double __pyx_v_k7vz;
-  double __pyx_v_err_x;
-  double __pyx_v_err_z;
-  double __pyx_v_err_vx;
-  double __pyx_v_err_vz;
-  double __pyx_v_theta_end;
-  double __pyx_v_x_end;
-  double __pyx_v_z_end;
-  double __pyx_v_vx_end;
-  double __pyx_v_vz_end;
-  double __pyx_v_t_end;
-  double __pyx_v_gx0;
-  double __pyx_v_gx1;
-  double __pyx_v_lo;
-  double __pyx_v_hi;
-  double __pyx_v_mid;
-  double __pyx_v_g_lo;
-  double __pyx_v_th;
-  double __pyx_v_dx0;
-  double __pyx_v_dz0;
-  double __pyx_v_g0;
-  double __pyx_v_dx1;
-  double __pyx_v_dz1;
-  double __pyx_v_g1;
-  double __pyx_v_dxp;
-  double __pyx_v_dzp;
-  double __pyx_v_dist;
-  double __pyx_v_d_end;
-  CYTHON_UNUSED int __pyx_v_it;
-  PyObject *__pyx_v_peri_dist_list = NULL;
-  PyObject *__pyx_v_peri_state_list = NULL;
-  int __pyx_7genexpr__pyx_v_i;
-  int __pyx_8genexpr1__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  double *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  double __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_t_10;
-  double __pyx_t_11;
-  double __pyx_t_12;
-  double __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("integrate", 0);
-
-  /* "wiresplit/_kernel.pyx":105
- *               double x_plane, bint stop_at_closure, double event_dt):
- *     """Compiled twin of ``wiresplit._kernel_py.integrate``."""
- *     cdef int n = len(wires_x)             # <<<<<<<<<<<<<<
- *     cdef double* wx = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wz = <double*> malloc(n * sizeof(double)) if n else NULL
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_wires_x); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 105, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "wiresplit/_kernel.pyx":106
- *     """Compiled twin of ``wiresplit._kernel_py.integrate``."""
- *     cdef int n = len(wires_x)
- *     cdef double* wx = <double*> malloc(n * sizeof(double)) if n else NULL             # <<<<<<<<<<<<<<
- *     cdef double* wz = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wi = <double*> malloc(n * sizeof(double)) if n else NULL
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-    __pyx_t_2 = ((double *)malloc((__pyx_v_n * (sizeof(double)))));
-  } else {
-    __pyx_t_2 = NULL;
-  }
-  __pyx_v_wx = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":107
- *     cdef int n = len(wires_x)
- *     cdef double* wx = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wz = <double*> malloc(n * sizeof(double)) if n else NULL             # <<<<<<<<<<<<<<
- *     cdef double* wi = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* peri_dist = <double*> malloc(n * sizeof(double)) if n else NULL
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-    __pyx_t_2 = ((double *)malloc((__pyx_v_n * (sizeof(double)))));
-  } else {
-    __pyx_t_2 = NULL;
-  }
-  __pyx_v_wz = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":108
- *     cdef double* wx = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wz = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wi = <double*> malloc(n * sizeof(double)) if n else NULL             # <<<<<<<<<<<<<<
- *     cdef double* peri_dist = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* peri_st = <double*> malloc(5 * n * sizeof(double)) if n else NULL
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-    __pyx_t_2 = ((double *)malloc((__pyx_v_n * (sizeof(double)))));
-  } else {
-    __pyx_t_2 = NULL;
-  }
-  __pyx_v_wi = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":109
- *     cdef double* wz = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* wi = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* peri_dist = <double*> malloc(n * sizeof(double)) if n else NULL             # <<<<<<<<<<<<<<
- *     cdef double* peri_st = <double*> malloc(5 * n * sizeof(double)) if n else NULL
- *     cdef int i
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-    __pyx_t_2 = ((double *)malloc((__pyx_v_n * (sizeof(double)))));
-  } else {
-    __pyx_t_2 = NULL;
-  }
-  __pyx_v_peri_dist = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":110
- *     cdef double* wi = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* peri_dist = <double*> malloc(n * sizeof(double)) if n else NULL
- *     cdef double* peri_st = <double*> malloc(5 * n * sizeof(double)) if n else NULL             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(n):
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-    __pyx_t_2 = ((double *)malloc(((5 * __pyx_v_n) * (sizeof(double)))));
-  } else {
-    __pyx_t_2 = NULL;
-  }
-  __pyx_v_peri_st = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":112
- *     cdef double* peri_st = <double*> malloc(5 * n * sizeof(double)) if n else NULL
- *     cdef int i
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         wx[i] = wires_x[i]
- *         wz[i] = wires_z[i]
-*/
-  __pyx_t_4 = __pyx_v_n;
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_i = __pyx_t_6;
-
-    /* "wiresplit/_kernel.pyx":113
- *     cdef int i
- *     for i in range(n):
- *         wx[i] = wires_x[i]             # <<<<<<<<<<<<<<
- *         wz[i] = wires_z[i]
- *         wi[i] = wires_current[i]
-*/
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_wires_x, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 113, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_7); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 113, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    (__pyx_v_wx[__pyx_v_i]) = __pyx_t_8;
-
-    /* "wiresplit/_kernel.pyx":114
- *     for i in range(n):
- *         wx[i] = wires_x[i]
- *         wz[i] = wires_z[i]             # <<<<<<<<<<<<<<
- *         wi[i] = wires_current[i]
- * 
-*/
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_wires_z, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 114, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_7); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 114, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    (__pyx_v_wz[__pyx_v_i]) = __pyx_t_8;
-
-    /* "wiresplit/_kernel.pyx":115
- *         wx[i] = wires_x[i]
- *         wz[i] = wires_z[i]
- *         wi[i] = wires_current[i]             # <<<<<<<<<<<<<<
- * 
- *     cdef double guard2 = guard_radius * guard_radius
-*/
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_wires_current, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 115, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyFloat_AsDouble(__pyx_t_7); if (unlikely((__pyx_t_8 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 115, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    (__pyx_v_wi[__pyx_v_i]) = __pyx_t_8;
-  }
-
-  /* "wiresplit/_kernel.pyx":117
- *         wi[i] = wires_current[i]
- * 
- *     cdef double guard2 = guard_radius * guard_radius             # <<<<<<<<<<<<<<
- *     cdef double tiny_r2 = guard2 * 1e-6
- * 
-*/
-  __pyx_v_guard2 = (__pyx_v_guard_radius * __pyx_v_guard_radius);
-
-  /* "wiresplit/_kernel.pyx":118
- * 
- *     cdef double guard2 = guard_radius * guard_radius
- *     cdef double tiny_r2 = guard2 * 1e-6             # <<<<<<<<<<<<<<
- * 
- *     cdef long n_rhs = 0
-*/
-  __pyx_v_tiny_r2 = (__pyx_v_guard2 * 1e-6);
-
-  /* "wiresplit/_kernel.pyx":120
- *     cdef double tiny_r2 = guard2 * 1e-6
- * 
- *     cdef long n_rhs = 0             # <<<<<<<<<<<<<<
- *     cdef double t = t0
- *     cdef double t_bound = t0 + duration
-*/
-  __pyx_v_n_rhs = 0;
-
-  /* "wiresplit/_kernel.pyx":121
- * 
- *     cdef long n_rhs = 0
- *     cdef double t = t0             # <<<<<<<<<<<<<<
- *     cdef double t_bound = t0 + duration
- *     cdef double x = x0
-*/
-  __pyx_v_t = __pyx_v_t0;
-
-  /* "wiresplit/_kernel.pyx":122
- *     cdef long n_rhs = 0
- *     cdef double t = t0
- *     cdef double t_bound = t0 + duration             # <<<<<<<<<<<<<<
- *     cdef double x = x0
- *     cdef double z = z0
-*/
-  __pyx_v_t_bound = (__pyx_v_t0 + __pyx_v_duration);
-
-  /* "wiresplit/_kernel.pyx":123
- *     cdef double t = t0
- *     cdef double t_bound = t0 + duration
- *     cdef double x = x0             # <<<<<<<<<<<<<<
- *     cdef double z = z0
- *     cdef double vx = vx0
-*/
-  __pyx_v_x = __pyx_v_x0;
-
-  /* "wiresplit/_kernel.pyx":124
- *     cdef double t_bound = t0 + duration
- *     cdef double x = x0
- *     cdef double z = z0             # <<<<<<<<<<<<<<
- *     cdef double vx = vx0
- *     cdef double vz = vz0
-*/
-  __pyx_v_z = __pyx_v_z0;
-
-  /* "wiresplit/_kernel.pyx":125
- *     cdef double x = x0
- *     cdef double z = z0
- *     cdef double vx = vx0             # <<<<<<<<<<<<<<
- *     cdef double vz = vz0
- * 
-*/
-  __pyx_v_vx = __pyx_v_vx0;
-
-  /* "wiresplit/_kernel.pyx":126
- *     cdef double z = z0
- *     cdef double vx = vx0
- *     cdef double vz = vz0             # <<<<<<<<<<<<<<
- * 
- *     cdef double best_apex_absz = fabs(z)
-*/
-  __pyx_v_vz = __pyx_v_vz0;
-
-  /* "wiresplit/_kernel.pyx":128
- *     cdef double vz = vz0
- * 
- *     cdef double best_apex_absz = fabs(z)             # <<<<<<<<<<<<<<
- *     cdef double apex_t = t, apex_x = x, apex_z = z, apex_vx = vx, apex_vz = vz
- *     cdef double dx, dz
-*/
-  __pyx_v_best_apex_absz = fabs(__pyx_v_z);
-
-  /* "wiresplit/_kernel.pyx":129
- * 
- *     cdef double best_apex_absz = fabs(z)
- *     cdef double apex_t = t, apex_x = x, apex_z = z, apex_vx = vx, apex_vz = vz             # <<<<<<<<<<<<<<
- *     cdef double dx, dz
- *     for i in range(n):
-*/
-  __pyx_v_apex_t = __pyx_v_t;
-  __pyx_v_apex_x = __pyx_v_x;
-  __pyx_v_apex_z = __pyx_v_z;
-  __pyx_v_apex_vx = __pyx_v_vx;
-  __pyx_v_apex_vz = __pyx_v_vz;
-
-  /* "wiresplit/_kernel.pyx":131
- *     cdef double apex_t = t, apex_x = x, apex_z = z, apex_vx = vx, apex_vz = vz
- *     cdef double dx, dz
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         dx = x - wx[i]
- *         dz = z - wz[i]
-*/
-  __pyx_t_4 = __pyx_v_n;
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_i = __pyx_t_6;
-
-    /* "wiresplit/_kernel.pyx":132
- *     cdef double dx, dz
- *     for i in range(n):
- *         dx = x - wx[i]             # <<<<<<<<<<<<<<
- *         dz = z - wz[i]
- *         peri_dist[i] = sqrt(dx * dx + dz * dz)
-*/
-    __pyx_v_dx = (__pyx_v_x - (__pyx_v_wx[__pyx_v_i]));
-
-    /* "wiresplit/_kernel.pyx":133
- *     for i in range(n):
- *         dx = x - wx[i]
- *         dz = z - wz[i]             # <<<<<<<<<<<<<<
- *         peri_dist[i] = sqrt(dx * dx + dz * dz)
- *         peri_st[5 * i + 0] = t
-*/
-    __pyx_v_dz = (__pyx_v_z - (__pyx_v_wz[__pyx_v_i]));
-
-    /* "wiresplit/_kernel.pyx":134
- *         dx = x - wx[i]
- *         dz = z - wz[i]
- *         peri_dist[i] = sqrt(dx * dx + dz * dz)             # <<<<<<<<<<<<<<
- *         peri_st[5 * i + 0] = t
- *         peri_st[5 * i + 1] = x
-*/
-    (__pyx_v_peri_dist[__pyx_v_i]) = sqrt(((__pyx_v_dx * __pyx_v_dx) + (__pyx_v_dz * __pyx_v_dz)));
-
-    /* "wiresplit/_kernel.pyx":135
- *         dz = z - wz[i]
- *         peri_dist[i] = sqrt(dx * dx + dz * dz)
- *         peri_st[5 * i + 0] = t             # <<<<<<<<<<<<<<
- *         peri_st[5 * i + 1] = x
- *         peri_st[5 * i + 2] = z
-*/
-    (__pyx_v_peri_st[((5 * __pyx_v_i) + 0)]) = __pyx_v_t;
-
-    /* "wiresplit/_kernel.pyx":136
- *         peri_dist[i] = sqrt(dx * dx + dz * dz)
- *         peri_st[5 * i + 0] = t
- *         peri_st[5 * i + 1] = x             # <<<<<<<<<<<<<<
- *         peri_st[5 * i + 2] = z
- *         peri_st[5 * i + 3] = vx
-*/
-    (__pyx_v_peri_st[((5 * __pyx_v_i) + 1)]) = __pyx_v_x;
-
-    /* "wiresplit/_kernel.pyx":137
- *         peri_st[5 * i + 0] = t
- *         peri_st[5 * i + 1] = x
- *         peri_st[5 * i + 2] = z             # <<<<<<<<<<<<<<
- *         peri_st[5 * i + 3] = vx
- *         peri_st[5 * i + 4] = vz
-*/
-    (__pyx_v_peri_st[((5 * __pyx_v_i) + 2)]) = __pyx_v_z;
-
-    /* "wiresplit/_kernel.pyx":138
- *         peri_st[5 * i + 1] = x
- *         peri_st[5 * i + 2] = z
- *         peri_st[5 * i + 3] = vx             # <<<<<<<<<<<<<<
- *         peri_st[5 * i + 4] = vz
- *     cdef bint have_closure = False
-*/
-    (__pyx_v_peri_st[((5 * __pyx_v_i) + 3)]) = __pyx_v_vx;
-
-    /* "wiresplit/_kernel.pyx":139
- *         peri_st[5 * i + 2] = z
- *         peri_st[5 * i + 3] = vx
- *         peri_st[5 * i + 4] = vz             # <<<<<<<<<<<<<<
- *     cdef bint have_closure = False
- *     cdef double clo_t = 0.0, clo_x = 0.0, clo_z = 0.0, clo_vx = 0.0, clo_vz = 0.0
-*/
-    (__pyx_v_peri_st[((5 * __pyx_v_i) + 4)]) = __pyx_v_vz;
-  }
-
-  /* "wiresplit/_kernel.pyx":140
- *         peri_st[5 * i + 3] = vx
- *         peri_st[5 * i + 4] = vz
- *     cdef bint have_closure = False             # <<<<<<<<<<<<<<
- *     cdef double clo_t = 0.0, clo_x = 0.0, clo_z = 0.0, clo_vx = 0.0, clo_vz = 0.0
- * 
-*/
-  __pyx_v_have_closure = 0;
-
-  /* "wiresplit/_kernel.pyx":141
- *         peri_st[5 * i + 4] = vz
- *     cdef bint have_closure = False
- *     cdef double clo_t = 0.0, clo_x = 0.0, clo_z = 0.0, clo_vx = 0.0, clo_vz = 0.0             # <<<<<<<<<<<<<<
- * 
- *     ts = [t]
-*/
-  __pyx_v_clo_t = 0.0;
-  __pyx_v_clo_x = 0.0;
-  __pyx_v_clo_z = 0.0;
-  __pyx_v_clo_vx = 0.0;
-  __pyx_v_clo_vz = 0.0;
-
-  /* "wiresplit/_kernel.pyx":143
- *     cdef double clo_t = 0.0, clo_x = 0.0, clo_z = 0.0, clo_vx = 0.0, clo_vz = 0.0
- * 
- *     ts = [t]             # <<<<<<<<<<<<<<
- *     xs = [x]
- *     zs = [z]
-*/
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_t); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 143, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_9 = PyList_New(1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 143, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 143, __pyx_L1_error);
-  __pyx_t_7 = 0;
-  __pyx_v_ts = ((PyObject*)__pyx_t_9);
-  __pyx_t_9 = 0;
-
-  /* "wiresplit/_kernel.pyx":144
- * 
- *     ts = [t]
- *     xs = [x]             # <<<<<<<<<<<<<<
- *     zs = [z]
- *     vxs = [vx]
-*/
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_x); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 144, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = PyList_New(1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 144, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_7, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 144, __pyx_L1_error);
-  __pyx_t_9 = 0;
-  __pyx_v_xs = ((PyObject*)__pyx_t_7);
-  __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":145
- *     ts = [t]
- *     xs = [x]
- *     zs = [z]             # <<<<<<<<<<<<<<
- *     vxs = [vx]
- *     vzs = [vz]
-*/
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_z); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 145, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_9 = PyList_New(1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 145, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 145, __pyx_L1_error);
-  __pyx_t_7 = 0;
-  __pyx_v_zs = ((PyObject*)__pyx_t_9);
-  __pyx_t_9 = 0;
-
-  /* "wiresplit/_kernel.pyx":146
- *     xs = [x]
- *     zs = [z]
- *     vxs = [vx]             # <<<<<<<<<<<<<<
- *     vzs = [vz]
- * 
-*/
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_vx); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 146, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = PyList_New(1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 146, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_7, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 146, __pyx_L1_error);
-  __pyx_t_9 = 0;
-  __pyx_v_vxs = ((PyObject*)__pyx_t_7);
-  __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":147
- *     zs = [z]
- *     vxs = [vx]
- *     vzs = [vz]             # <<<<<<<<<<<<<<
- * 
- *     cdef int status = STATUS_OK
-*/
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_vz); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 147, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_9 = PyList_New(1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 147, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 147, __pyx_L1_error);
-  __pyx_t_7 = 0;
-  __pyx_v_vzs = ((PyObject*)__pyx_t_9);
-  __pyx_t_9 = 0;
-
-  /* "wiresplit/_kernel.pyx":149
- *     vzs = [vz]
- * 
- *     cdef int status = STATUS_OK             # <<<<<<<<<<<<<<
- *     cdef int fail_wire = -1
- *     cdef double t_fail = 0.0
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_STATUS_OK); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 149, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 149, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __pyx_v_status = __pyx_t_4;
-
-  /* "wiresplit/_kernel.pyx":150
- * 
- *     cdef int status = STATUS_OK
- *     cdef int fail_wire = -1             # <<<<<<<<<<<<<<
- *     cdef double t_fail = 0.0
- *     cdef long n_steps = 0
-*/
-  __pyx_v_fail_wire = -1;
-
-  /* "wiresplit/_kernel.pyx":151
- *     cdef int status = STATUS_OK
- *     cdef int fail_wire = -1
- *     cdef double t_fail = 0.0             # <<<<<<<<<<<<<<
- *     cdef long n_steps = 0
- *     cdef long n_rejected = 0
-*/
-  __pyx_v_t_fail = 0.0;
-
-  /* "wiresplit/_kernel.pyx":152
- *     cdef int fail_wire = -1
- *     cdef double t_fail = 0.0
- *     cdef long n_steps = 0             # <<<<<<<<<<<<<<
- *     cdef long n_rejected = 0
- *     cdef double min_step = duration
-*/
-  __pyx_v_n_steps = 0;
-
-  /* "wiresplit/_kernel.pyx":153
- *     cdef double t_fail = 0.0
- *     cdef long n_steps = 0
- *     cdef long n_rejected = 0             # <<<<<<<<<<<<<<
- *     cdef double min_step = duration
- * 
-*/
-  __pyx_v_n_rejected = 0;
-
-  /* "wiresplit/_kernel.pyx":154
- *     cdef long n_steps = 0
- *     cdef long n_rejected = 0
- *     cdef double min_step = duration             # <<<<<<<<<<<<<<
- * 
- *     cdef double out2[2]
-*/
-  __pyx_v_min_step = __pyx_v_duration;
-
-  /* "wiresplit/_kernel.pyx":159
- *     cdef double out4[4]
- * 
- *     _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *     n_rhs += 1
- *     cdef double k1x = vx
-*/
-  __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_x, __pyx_v_z, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-  /* "wiresplit/_kernel.pyx":160
- * 
- *     _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *     n_rhs += 1             # <<<<<<<<<<<<<<
- *     cdef double k1x = vx
- *     cdef double k1z = vz
-*/
-  __pyx_v_n_rhs = (__pyx_v_n_rhs + 1);
-
-  /* "wiresplit/_kernel.pyx":161
- *     _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *     n_rhs += 1
- *     cdef double k1x = vx             # <<<<<<<<<<<<<<
- *     cdef double k1z = vz
- *     cdef double k1vx = out2[0]
-*/
-  __pyx_v_k1x = __pyx_v_vx;
-
-  /* "wiresplit/_kernel.pyx":162
- *     n_rhs += 1
- *     cdef double k1x = vx
- *     cdef double k1z = vz             # <<<<<<<<<<<<<<
- *     cdef double k1vx = out2[0]
- *     cdef double k1vz = out2[1]
-*/
-  __pyx_v_k1z = __pyx_v_vz;
-
-  /* "wiresplit/_kernel.pyx":163
- *     cdef double k1x = vx
- *     cdef double k1z = vz
- *     cdef double k1vx = out2[0]             # <<<<<<<<<<<<<<
- *     cdef double k1vz = out2[1]
- * 
-*/
-  __pyx_v_k1vx = (__pyx_v_out2[0]);
-
-  /* "wiresplit/_kernel.pyx":164
- *     cdef double k1z = vz
- *     cdef double k1vx = out2[0]
- *     cdef double k1vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *     cdef double sc_x = atol + rtol * fabs(x)
-*/
-  __pyx_v_k1vz = (__pyx_v_out2[1]);
-
-  /* "wiresplit/_kernel.pyx":166
- *     cdef double k1vz = out2[1]
- * 
- *     cdef double sc_x = atol + rtol * fabs(x)             # <<<<<<<<<<<<<<
- *     cdef double sc_z = atol + rtol * fabs(z)
- *     cdef double sc_vx = atol + rtol * fabs(vx)
-*/
-  __pyx_v_sc_x = (__pyx_v_atol + (__pyx_v_rtol * fabs(__pyx_v_x)));
-
-  /* "wiresplit/_kernel.pyx":167
- * 
- *     cdef double sc_x = atol + rtol * fabs(x)
- *     cdef double sc_z = atol + rtol * fabs(z)             # <<<<<<<<<<<<<<
- *     cdef double sc_vx = atol + rtol * fabs(vx)
- *     cdef double sc_vz = atol + rtol * fabs(vz)
-*/
-  __pyx_v_sc_z = (__pyx_v_atol + (__pyx_v_rtol * fabs(__pyx_v_z)));
-
-  /* "wiresplit/_kernel.pyx":168
- *     cdef double sc_x = atol + rtol * fabs(x)
- *     cdef double sc_z = atol + rtol * fabs(z)
- *     cdef double sc_vx = atol + rtol * fabs(vx)             # <<<<<<<<<<<<<<
- *     cdef double sc_vz = atol + rtol * fabs(vz)
- *     cdef double q0 = x / sc_x if sc_x != 0.0 else 0.0
-*/
-  __pyx_v_sc_vx = (__pyx_v_atol + (__pyx_v_rtol * fabs(__pyx_v_vx)));
-
-  /* "wiresplit/_kernel.pyx":169
- *     cdef double sc_z = atol + rtol * fabs(z)
- *     cdef double sc_vx = atol + rtol * fabs(vx)
- *     cdef double sc_vz = atol + rtol * fabs(vz)             # <<<<<<<<<<<<<<
- *     cdef double q0 = x / sc_x if sc_x != 0.0 else 0.0
- *     cdef double q1 = z / sc_z if sc_z != 0.0 else 0.0
-*/
-  __pyx_v_sc_vz = (__pyx_v_atol + (__pyx_v_rtol * fabs(__pyx_v_vz)));
-
-  /* "wiresplit/_kernel.pyx":170
- *     cdef double sc_vx = atol + rtol * fabs(vx)
- *     cdef double sc_vz = atol + rtol * fabs(vz)
- *     cdef double q0 = x / sc_x if sc_x != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double q1 = z / sc_z if sc_z != 0.0 else 0.0
- *     cdef double q2 = vx / sc_vx if sc_vx != 0.0 else 0.0
-*/
-  __pyx_v_q0 = ((__pyx_v_sc_x != 0.0) ? (__pyx_v_x / __pyx_v_sc_x) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":171
- *     cdef double sc_vz = atol + rtol * fabs(vz)
- *     cdef double q0 = x / sc_x if sc_x != 0.0 else 0.0
- *     cdef double q1 = z / sc_z if sc_z != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double q2 = vx / sc_vx if sc_vx != 0.0 else 0.0
- *     cdef double q3 = vz / sc_vz if sc_vz != 0.0 else 0.0
-*/
-  __pyx_v_q1 = ((__pyx_v_sc_z != 0.0) ? (__pyx_v_z / __pyx_v_sc_z) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":172
- *     cdef double q0 = x / sc_x if sc_x != 0.0 else 0.0
- *     cdef double q1 = z / sc_z if sc_z != 0.0 else 0.0
- *     cdef double q2 = vx / sc_vx if sc_vx != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double q3 = vz / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-*/
-  __pyx_v_q2 = ((__pyx_v_sc_vx != 0.0) ? (__pyx_v_vx / __pyx_v_sc_vx) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":173
- *     cdef double q1 = z / sc_z if sc_z != 0.0 else 0.0
- *     cdef double q2 = vx / sc_vx if sc_vx != 0.0 else 0.0
- *     cdef double q3 = vz / sc_vz if sc_vz != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     q0 = k1x / sc_x if sc_x != 0.0 else 0.0
-*/
-  __pyx_v_q3 = ((__pyx_v_sc_vz != 0.0) ? (__pyx_v_vz / __pyx_v_sc_vz) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":174
- *     cdef double q2 = vx / sc_vx if sc_vx != 0.0 else 0.0
- *     cdef double q3 = vz / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))             # <<<<<<<<<<<<<<
- *     q0 = k1x / sc_x if sc_x != 0.0 else 0.0
- *     q1 = k1z / sc_z if sc_z != 0.0 else 0.0
-*/
-  __pyx_v_d0 = sqrt((0.25 * ((((__pyx_v_q0 * __pyx_v_q0) + (__pyx_v_q1 * __pyx_v_q1)) + (__pyx_v_q2 * __pyx_v_q2)) + (__pyx_v_q3 * __pyx_v_q3))));
-
-  /* "wiresplit/_kernel.pyx":175
- *     cdef double q3 = vz / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     q0 = k1x / sc_x if sc_x != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q1 = k1z / sc_z if sc_z != 0.0 else 0.0
- *     q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0
-*/
-  __pyx_v_q0 = ((__pyx_v_sc_x != 0.0) ? (__pyx_v_k1x / __pyx_v_sc_x) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":176
- *     cdef double d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     q0 = k1x / sc_x if sc_x != 0.0 else 0.0
- *     q1 = k1z / sc_z if sc_z != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = k1vz / sc_vz if sc_vz != 0.0 else 0.0
-*/
-  __pyx_v_q1 = ((__pyx_v_sc_z != 0.0) ? (__pyx_v_k1z / __pyx_v_sc_z) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":177
- *     q0 = k1x / sc_x if sc_x != 0.0 else 0.0
- *     q1 = k1z / sc_z if sc_z != 0.0 else 0.0
- *     q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q3 = k1vz / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-*/
-  __pyx_v_q2 = ((__pyx_v_sc_vx != 0.0) ? (__pyx_v_k1vx / __pyx_v_sc_vx) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":178
- *     q1 = k1z / sc_z if sc_z != 0.0 else 0.0
- *     q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = k1vz / sc_vz if sc_vz != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     cdef double h0
-*/
-  __pyx_v_q3 = ((__pyx_v_sc_vz != 0.0) ? (__pyx_v_k1vz / __pyx_v_sc_vz) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":179
- *     q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = k1vz / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))             # <<<<<<<<<<<<<<
- *     cdef double h0
- *     if d0 < 1e-5 or d1 < 1e-5:
-*/
-  __pyx_v_d1 = sqrt((0.25 * ((((__pyx_v_q0 * __pyx_v_q0) + (__pyx_v_q1 * __pyx_v_q1)) + (__pyx_v_q2 * __pyx_v_q2)) + (__pyx_v_q3 * __pyx_v_q3))));
-
-  /* "wiresplit/_kernel.pyx":181
- *     cdef double d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     cdef double h0
- *     if d0 < 1e-5 or d1 < 1e-5:             # <<<<<<<<<<<<<<
- *         h0 = 1e-6
- *     else:
-*/
-  __pyx_t_10 = (__pyx_v_d0 < 1e-5);
-  if (!__pyx_t_10) {
-  } else {
-    __pyx_t_3 = __pyx_t_10;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_10 = (__pyx_v_d1 < 1e-5);
-  __pyx_t_3 = __pyx_t_10;
-  __pyx_L8_bool_binop_done:;
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":182
- *     cdef double h0
- *     if d0 < 1e-5 or d1 < 1e-5:
- *         h0 = 1e-6             # <<<<<<<<<<<<<<
- *     else:
- *         h0 = 0.01 * d0 / d1
-*/
-    __pyx_v_h0 = 1e-6;
-
-    /* "wiresplit/_kernel.pyx":181
- *     cdef double d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- *     cdef double h0
- *     if d0 < 1e-5 or d1 < 1e-5:             # <<<<<<<<<<<<<<
- *         h0 = 1e-6
- *     else:
-*/
-    goto __pyx_L7;
-  }
-
-  /* "wiresplit/_kernel.pyx":184
- *         h0 = 1e-6
- *     else:
- *         h0 = 0.01 * d0 / d1             # <<<<<<<<<<<<<<
- *     if h0 > duration:
- *         h0 = duration
-*/
-  /*else*/ {
-    __pyx_v_h0 = ((0.01 * __pyx_v_d0) / __pyx_v_d1);
-  }
-  __pyx_L7:;
-
-  /* "wiresplit/_kernel.pyx":185
- *     else:
- *         h0 = 0.01 * d0 / d1
- *     if h0 > duration:             # <<<<<<<<<<<<<<
- *         h0 = duration
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-  __pyx_t_3 = (__pyx_v_h0 > __pyx_v_duration);
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":186
- *         h0 = 0.01 * d0 / d1
- *     if h0 > duration:
- *         h0 = duration             # <<<<<<<<<<<<<<
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *     n_rhs += 1
-*/
-    __pyx_v_h0 = __pyx_v_duration;
-
-    /* "wiresplit/_kernel.pyx":185
- *     else:
- *         h0 = 0.01 * d0 / d1
- *     if h0 > duration:             # <<<<<<<<<<<<<<
- *         h0 = duration
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-  }
-
-  /* "wiresplit/_kernel.pyx":187
- *     if h0 > duration:
- *         h0 = duration
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *     n_rhs += 1
- *     q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0
-*/
-  __pyx_f_9wiresplit_7_kernel__accel((__pyx_v_x + (__pyx_v_h0 * __pyx_v_k1x)), (__pyx_v_z + (__pyx_v_h0 * __pyx_v_k1z)), __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-  /* "wiresplit/_kernel.pyx":188
- *         h0 = duration
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *     n_rhs += 1             # <<<<<<<<<<<<<<
- *     q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0
- *     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
-*/
-  __pyx_v_n_rhs = (__pyx_v_n_rhs + 1);
-
-  /* "wiresplit/_kernel.pyx":189
- *     _accel(x + h0 * k1x, z + h0 * k1z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *     n_rhs += 1
- *     q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
- *     q2 = (out2[0] - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
-*/
-  __pyx_v_q0 = ((__pyx_v_sc_x != 0.0) ? (((__pyx_v_vx + (__pyx_v_h0 * __pyx_v_k1vx)) - __pyx_v_k1x) / __pyx_v_sc_x) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":190
- *     n_rhs += 1
- *     q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0
- *     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q2 = (out2[0] - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = (out2[1] - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
-*/
-  __pyx_v_q1 = ((__pyx_v_sc_z != 0.0) ? (((__pyx_v_vz + (__pyx_v_h0 * __pyx_v_k1vz)) - __pyx_v_k1z) / __pyx_v_sc_z) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":191
- *     q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0
- *     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
- *     q2 = (out2[0] - k1vx) / sc_vx if sc_vx != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     q3 = (out2[1] - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d2 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)) / h0
-*/
-  __pyx_v_q2 = ((__pyx_v_sc_vx != 0.0) ? (((__pyx_v_out2[0]) - __pyx_v_k1vx) / __pyx_v_sc_vx) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":192
- *     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
- *     q2 = (out2[0] - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = (out2[1] - k1vz) / sc_vz if sc_vz != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef double d2 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)) / h0
- *     cdef double dm = d1 if d1 > d2 else d2
-*/
-  __pyx_v_q3 = ((__pyx_v_sc_vz != 0.0) ? (((__pyx_v_out2[1]) - __pyx_v_k1vz) / __pyx_v_sc_vz) : 0.0);
-
-  /* "wiresplit/_kernel.pyx":193
- *     q2 = (out2[0] - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
- *     q3 = (out2[1] - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d2 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)) / h0             # <<<<<<<<<<<<<<
- *     cdef double dm = d1 if d1 > d2 else d2
- *     cdef double h1
-*/
-  __pyx_v_d2 = (sqrt((0.25 * ((((__pyx_v_q0 * __pyx_v_q0) + (__pyx_v_q1 * __pyx_v_q1)) + (__pyx_v_q2 * __pyx_v_q2)) + (__pyx_v_q3 * __pyx_v_q3)))) / __pyx_v_h0);
-
-  /* "wiresplit/_kernel.pyx":194
- *     q3 = (out2[1] - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
- *     cdef double d2 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)) / h0
- *     cdef double dm = d1 if d1 > d2 else d2             # <<<<<<<<<<<<<<
- *     cdef double h1
- *     if dm <= 1e-15:
-*/
-  __pyx_t_3 = (__pyx_v_d1 > __pyx_v_d2);
-  if (__pyx_t_3) {
-    __pyx_t_8 = __pyx_v_d1;
-  } else {
-    __pyx_t_8 = __pyx_v_d2;
-  }
-  __pyx_v_dm = __pyx_t_8;
-
-  /* "wiresplit/_kernel.pyx":196
- *     cdef double dm = d1 if d1 > d2 else d2
- *     cdef double h1
- *     if dm <= 1e-15:             # <<<<<<<<<<<<<<
- *         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
- *     else:
-*/
-  __pyx_t_3 = (__pyx_v_dm <= 1e-15);
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":197
- *     cdef double h1
- *     if dm <= 1e-15:
- *         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6             # <<<<<<<<<<<<<<
- *     else:
- *         h1 = pow(0.01 / dm, 0.2)
-*/
-    __pyx_t_3 = ((__pyx_v_h0 * 1e-3) > 1e-6);
-    if (__pyx_t_3) {
-      __pyx_t_8 = (__pyx_v_h0 * 1e-3);
-    } else {
-      __pyx_t_8 = 1e-6;
-    }
-    __pyx_v_h1 = __pyx_t_8;
-
-    /* "wiresplit/_kernel.pyx":196
- *     cdef double dm = d1 if d1 > d2 else d2
- *     cdef double h1
- *     if dm <= 1e-15:             # <<<<<<<<<<<<<<
- *         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
- *     else:
-*/
-    goto __pyx_L11;
-  }
-
-  /* "wiresplit/_kernel.pyx":199
- *         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
- *     else:
- *         h1 = pow(0.01 / dm, 0.2)             # <<<<<<<<<<<<<<
- *     cdef double h = min(100.0 * h0, h1, duration)
- *     if not (h > 0.0) or h != h:
-*/
-  /*else*/ {
-    __pyx_v_h1 = pow((0.01 / __pyx_v_dm), 0.2);
-  }
-  __pyx_L11:;
-
-  /* "wiresplit/_kernel.pyx":200
- *     else:
- *         h1 = pow(0.01 / dm, 0.2)
- *     cdef double h = min(100.0 * h0, h1, duration)             # <<<<<<<<<<<<<<
- *     if not (h > 0.0) or h != h:
- *         h = duration * 1e-6
-*/
-  __pyx_t_8 = __pyx_v_h1;
-  __pyx_t_11 = __pyx_v_duration;
-  __pyx_t_12 = (100.0 * __pyx_v_h0);
-  __pyx_t_3 = (__pyx_t_8 < __pyx_t_12);
-  if (__pyx_t_3) {
-    __pyx_t_13 = __pyx_t_8;
-  } else {
-    __pyx_t_13 = __pyx_t_12;
-  }
-  __pyx_t_12 = __pyx_t_13;
-  __pyx_t_3 = (__pyx_t_11 < __pyx_t_12);
-  if (__pyx_t_3) {
-    __pyx_t_13 = __pyx_t_11;
-  } else {
-    __pyx_t_13 = __pyx_t_12;
-  }
-  __pyx_v_h = __pyx_t_13;
-
-  /* "wiresplit/_kernel.pyx":201
- *         h1 = pow(0.01 / dm, 0.2)
- *     cdef double h = min(100.0 * h0, h1, duration)
- *     if not (h > 0.0) or h != h:             # <<<<<<<<<<<<<<
- *         h = duration * 1e-6
- * 
-*/
-  __pyx_t_10 = (!(__pyx_v_h > 0.0));
-  if (!__pyx_t_10) {
-  } else {
-    __pyx_t_3 = __pyx_t_10;
-    goto __pyx_L13_bool_binop_done;
-  }
-  __pyx_t_10 = (__pyx_v_h != __pyx_v_h);
-  __pyx_t_3 = __pyx_t_10;
-  __pyx_L13_bool_binop_done:;
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":202
- *     cdef double h = min(100.0 * h0, h1, duration)
- *     if not (h > 0.0) or h != h:
- *         h = duration * 1e-6             # <<<<<<<<<<<<<<
- * 
- *     cdef bint last, truncated
-*/
-    __pyx_v_h = (__pyx_v_duration * 1e-6);
-
-    /* "wiresplit/_kernel.pyx":201
- *         h1 = pow(0.01 / dm, 0.2)
- *     cdef double h = min(100.0 * h0, h1, duration)
- *     if not (h > 0.0) or h != h:             # <<<<<<<<<<<<<<
- *         h = duration * 1e-6
- * 
-*/
-  }
-
-  /* "wiresplit/_kernel.pyx":219
- *     cdef int it
- * 
- *     while True:             # <<<<<<<<<<<<<<
- *         if t >= t_bound:
- *             break
-*/
-  while (1) {
-
-    /* "wiresplit/_kernel.pyx":220
- * 
- *     while True:
- *         if t >= t_bound:             # <<<<<<<<<<<<<<
- *             break
- *         if n_steps + n_rejected >= max_steps:
-*/
-    __pyx_t_3 = (__pyx_v_t >= __pyx_v_t_bound);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":221
- *     while True:
- *         if t >= t_bound:
- *             break             # <<<<<<<<<<<<<<
- *         if n_steps + n_rejected >= max_steps:
- *             status = STATUS_MAXSTEPS
-*/
-      goto __pyx_L16_break;
-
-      /* "wiresplit/_kernel.pyx":220
- * 
- *     while True:
- *         if t >= t_bound:             # <<<<<<<<<<<<<<
- *             break
- *         if n_steps + n_rejected >= max_steps:
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":222
- *         if t >= t_bound:
- *             break
- *         if n_steps + n_rejected >= max_steps:             # <<<<<<<<<<<<<<
- *             status = STATUS_MAXSTEPS
- *             t_fail = t
-*/
-    __pyx_t_3 = ((__pyx_v_n_steps + __pyx_v_n_rejected) >= __pyx_v_max_steps);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":223
- *             break
- *         if n_steps + n_rejected >= max_steps:
- *             status = STATUS_MAXSTEPS             # <<<<<<<<<<<<<<
- *             t_fail = t
- *             break
-*/
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_STATUS_MAXSTEPS); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 223, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 223, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_v_status = __pyx_t_4;
-
-      /* "wiresplit/_kernel.pyx":224
- *         if n_steps + n_rejected >= max_steps:
- *             status = STATUS_MAXSTEPS
- *             t_fail = t             # <<<<<<<<<<<<<<
- *             break
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))
-*/
-      __pyx_v_t_fail = __pyx_v_t;
-
-      /* "wiresplit/_kernel.pyx":225
- *             status = STATUS_MAXSTEPS
- *             t_fail = t
- *             break             # <<<<<<<<<<<<<<
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))
- *         if h < h_floor:
-*/
-      goto __pyx_L16_break;
-
-      /* "wiresplit/_kernel.pyx":222
- *         if t >= t_bound:
- *             break
- *         if n_steps + n_rejected >= max_steps:             # <<<<<<<<<<<<<<
- *             status = STATUS_MAXSTEPS
- *             t_fail = t
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":226
- *             t_fail = t
- *             break
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))             # <<<<<<<<<<<<<<
- *         if h < h_floor:
- *             status = STATUS_UNDERFLOW
-*/
-    __pyx_t_3 = (fabs(__pyx_v_t) > fabs(__pyx_v_t_bound));
-    if (__pyx_t_3) {
-      __pyx_t_13 = fabs(__pyx_v_t);
-    } else {
-      __pyx_t_13 = fabs(__pyx_v_t_bound);
-    }
-    __pyx_v_h_floor = ((16.0 * __pyx_v_9wiresplit_7_kernel__EPS) * __pyx_t_13);
-
-    /* "wiresplit/_kernel.pyx":227
- *             break
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))
- *         if h < h_floor:             # <<<<<<<<<<<<<<
- *             status = STATUS_UNDERFLOW
- *             t_fail = t
-*/
-    __pyx_t_3 = (__pyx_v_h < __pyx_v_h_floor);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":228
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))
- *         if h < h_floor:
- *             status = STATUS_UNDERFLOW             # <<<<<<<<<<<<<<
- *             t_fail = t
- *             break
-*/
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_STATUS_UNDERFLOW); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_v_status = __pyx_t_4;
-
-      /* "wiresplit/_kernel.pyx":229
- *         if h < h_floor:
- *             status = STATUS_UNDERFLOW
- *             t_fail = t             # <<<<<<<<<<<<<<
- *             break
- *         last = False
-*/
-      __pyx_v_t_fail = __pyx_v_t;
-
-      /* "wiresplit/_kernel.pyx":230
- *             status = STATUS_UNDERFLOW
- *             t_fail = t
- *             break             # <<<<<<<<<<<<<<
- *         last = False
- *         if t + h >= t_bound:
-*/
-      goto __pyx_L16_break;
-
-      /* "wiresplit/_kernel.pyx":227
- *             break
- *         h_floor = 16.0 * _EPS * (fabs(t) if fabs(t) > fabs(t_bound) else fabs(t_bound))
- *         if h < h_floor:             # <<<<<<<<<<<<<<
- *             status = STATUS_UNDERFLOW
- *             t_fail = t
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":231
- *             t_fail = t
- *             break
- *         last = False             # <<<<<<<<<<<<<<
- *         if t + h >= t_bound:
- *             h = t_bound - t
-*/
-    __pyx_v_last = 0;
-
-    /* "wiresplit/_kernel.pyx":232
- *             break
- *         last = False
- *         if t + h >= t_bound:             # <<<<<<<<<<<<<<
- *             h = t_bound - t
- *             last = True
-*/
-    __pyx_t_3 = ((__pyx_v_t + __pyx_v_h) >= __pyx_v_t_bound);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":233
- *         last = False
- *         if t + h >= t_bound:
- *             h = t_bound - t             # <<<<<<<<<<<<<<
- *             last = True
- * 
-*/
-      __pyx_v_h = (__pyx_v_t_bound - __pyx_v_t);
-
-      /* "wiresplit/_kernel.pyx":234
- *         if t + h >= t_bound:
- *             h = t_bound - t
- *             last = True             # <<<<<<<<<<<<<<
- * 
- *         xs2 = x + h * (_A21 * k1x)
-*/
-      __pyx_v_last = 1;
-
-      /* "wiresplit/_kernel.pyx":232
- *             break
- *         last = False
- *         if t + h >= t_bound:             # <<<<<<<<<<<<<<
- *             h = t_bound - t
- *             last = True
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":236
- *             last = True
- * 
- *         xs2 = x + h * (_A21 * k1x)             # <<<<<<<<<<<<<<
- *         zs2 = z + h * (_A21 * k1z)
- *         k2x = vx + h * (_A21 * k1vx)
-*/
-    __pyx_v_xs2 = (__pyx_v_x + (__pyx_v_h * (__pyx_v_9wiresplit_7_kernel__A21 * __pyx_v_k1x)));
-
-    /* "wiresplit/_kernel.pyx":237
- * 
- *         xs2 = x + h * (_A21 * k1x)
- *         zs2 = z + h * (_A21 * k1z)             # <<<<<<<<<<<<<<
- *         k2x = vx + h * (_A21 * k1vx)
- *         k2z = vz + h * (_A21 * k1vz)
-*/
-    __pyx_v_zs2 = (__pyx_v_z + (__pyx_v_h * (__pyx_v_9wiresplit_7_kernel__A21 * __pyx_v_k1z)));
-
-    /* "wiresplit/_kernel.pyx":238
- *         xs2 = x + h * (_A21 * k1x)
- *         zs2 = z + h * (_A21 * k1z)
- *         k2x = vx + h * (_A21 * k1vx)             # <<<<<<<<<<<<<<
- *         k2z = vz + h * (_A21 * k1vz)
- *         _accel(xs2, zs2, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k2x = (__pyx_v_vx + (__pyx_v_h * (__pyx_v_9wiresplit_7_kernel__A21 * __pyx_v_k1vx)));
-
-    /* "wiresplit/_kernel.pyx":239
- *         zs2 = z + h * (_A21 * k1z)
- *         k2x = vx + h * (_A21 * k1vx)
- *         k2z = vz + h * (_A21 * k1vz)             # <<<<<<<<<<<<<<
- *         _accel(xs2, zs2, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k2vx = out2[0]
-*/
-    __pyx_v_k2z = (__pyx_v_vz + (__pyx_v_h * (__pyx_v_9wiresplit_7_kernel__A21 * __pyx_v_k1vz)));
-
-    /* "wiresplit/_kernel.pyx":240
- *         k2x = vx + h * (_A21 * k1vx)
- *         k2z = vz + h * (_A21 * k1vz)
- *         _accel(xs2, zs2, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k2vx = out2[0]
- *         k2vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_xs2, __pyx_v_zs2, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":241
- *         k2z = vz + h * (_A21 * k1vz)
- *         _accel(xs2, zs2, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k2vx = out2[0]             # <<<<<<<<<<<<<<
- *         k2vz = out2[1]
- * 
-*/
-    __pyx_v_k2vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":242
- *         _accel(xs2, zs2, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k2vx = out2[0]
- *         k2vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         xs3 = x + h * (_A31 * k1x + _A32 * k2x)
-*/
-    __pyx_v_k2vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":244
- *         k2vz = out2[1]
- * 
- *         xs3 = x + h * (_A31 * k1x + _A32 * k2x)             # <<<<<<<<<<<<<<
- *         zs3 = z + h * (_A31 * k1z + _A32 * k2z)
- *         k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)
-*/
-    __pyx_v_xs3 = (__pyx_v_x + (__pyx_v_h * ((__pyx_v_9wiresplit_7_kernel__A31 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__A32 * __pyx_v_k2x))));
-
-    /* "wiresplit/_kernel.pyx":245
- * 
- *         xs3 = x + h * (_A31 * k1x + _A32 * k2x)
- *         zs3 = z + h * (_A31 * k1z + _A32 * k2z)             # <<<<<<<<<<<<<<
- *         k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)
- *         k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)
-*/
-    __pyx_v_zs3 = (__pyx_v_z + (__pyx_v_h * ((__pyx_v_9wiresplit_7_kernel__A31 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__A32 * __pyx_v_k2z))));
-
-    /* "wiresplit/_kernel.pyx":246
- *         xs3 = x + h * (_A31 * k1x + _A32 * k2x)
- *         zs3 = z + h * (_A31 * k1z + _A32 * k2z)
- *         k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)             # <<<<<<<<<<<<<<
- *         k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)
- *         _accel(xs3, zs3, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k3x = (__pyx_v_vx + (__pyx_v_h * ((__pyx_v_9wiresplit_7_kernel__A31 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__A32 * __pyx_v_k2vx))));
-
-    /* "wiresplit/_kernel.pyx":247
- *         zs3 = z + h * (_A31 * k1z + _A32 * k2z)
- *         k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)
- *         k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)             # <<<<<<<<<<<<<<
- *         _accel(xs3, zs3, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k3vx = out2[0]
-*/
-    __pyx_v_k3z = (__pyx_v_vz + (__pyx_v_h * ((__pyx_v_9wiresplit_7_kernel__A31 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__A32 * __pyx_v_k2vz))));
-
-    /* "wiresplit/_kernel.pyx":248
- *         k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)
- *         k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)
- *         _accel(xs3, zs3, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k3vx = out2[0]
- *         k3vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_xs3, __pyx_v_zs3, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":249
- *         k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)
- *         _accel(xs3, zs3, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k3vx = out2[0]             # <<<<<<<<<<<<<<
- *         k3vz = out2[1]
- * 
-*/
-    __pyx_v_k3vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":250
- *         _accel(xs3, zs3, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k3vx = out2[0]
- *         k3vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         xs4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-*/
-    __pyx_v_k3vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":252
- *         k3vz = out2[1]
- * 
- *         xs4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)             # <<<<<<<<<<<<<<
- *         zs4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
- *         k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)
-*/
-    __pyx_v_xs4 = (__pyx_v_x + (__pyx_v_h * (((__pyx_v_9wiresplit_7_kernel__A41 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__A42 * __pyx_v_k2x)) + (__pyx_v_9wiresplit_7_kernel__A43 * __pyx_v_k3x))));
-
-    /* "wiresplit/_kernel.pyx":253
- * 
- *         xs4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
- *         zs4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)             # <<<<<<<<<<<<<<
- *         k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)
- *         k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)
-*/
-    __pyx_v_zs4 = (__pyx_v_z + (__pyx_v_h * (((__pyx_v_9wiresplit_7_kernel__A41 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__A42 * __pyx_v_k2z)) + (__pyx_v_9wiresplit_7_kernel__A43 * __pyx_v_k3z))));
-
-    /* "wiresplit/_kernel.pyx":254
- *         xs4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
- *         zs4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
- *         k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)             # <<<<<<<<<<<<<<
- *         k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)
- *         _accel(xs4, zs4, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k4x = (__pyx_v_vx + (__pyx_v_h * (((__pyx_v_9wiresplit_7_kernel__A41 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__A42 * __pyx_v_k2vx)) + (__pyx_v_9wiresplit_7_kernel__A43 * __pyx_v_k3vx))));
-
-    /* "wiresplit/_kernel.pyx":255
- *         zs4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
- *         k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)
- *         k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)             # <<<<<<<<<<<<<<
- *         _accel(xs4, zs4, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k4vx = out2[0]
-*/
-    __pyx_v_k4z = (__pyx_v_vz + (__pyx_v_h * (((__pyx_v_9wiresplit_7_kernel__A41 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__A42 * __pyx_v_k2vz)) + (__pyx_v_9wiresplit_7_kernel__A43 * __pyx_v_k3vz))));
-
-    /* "wiresplit/_kernel.pyx":256
- *         k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)
- *         k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)
- *         _accel(xs4, zs4, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k4vx = out2[0]
- *         k4vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_xs4, __pyx_v_zs4, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":257
- *         k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)
- *         _accel(xs4, zs4, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k4vx = out2[0]             # <<<<<<<<<<<<<<
- *         k4vz = out2[1]
- * 
-*/
-    __pyx_v_k4vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":258
- *         _accel(xs4, zs4, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k4vx = out2[0]
- *         k4vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         xs5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-*/
-    __pyx_v_k4vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":260
- *         k4vz = out2[1]
- * 
- *         xs5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)             # <<<<<<<<<<<<<<
- *         zs5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
- *         k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)
-*/
-    __pyx_v_xs5 = (__pyx_v_x + (__pyx_v_h * ((((__pyx_v_9wiresplit_7_kernel__A51 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__A52 * __pyx_v_k2x)) + (__pyx_v_9wiresplit_7_kernel__A53 * __pyx_v_k3x)) + (__pyx_v_9wiresplit_7_kernel__A54 * __pyx_v_k4x))));
-
-    /* "wiresplit/_kernel.pyx":261
- * 
- *         xs5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
- *         zs5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)             # <<<<<<<<<<<<<<
- *         k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)
- *         k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)
-*/
-    __pyx_v_zs5 = (__pyx_v_z + (__pyx_v_h * ((((__pyx_v_9wiresplit_7_kernel__A51 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__A52 * __pyx_v_k2z)) + (__pyx_v_9wiresplit_7_kernel__A53 * __pyx_v_k3z)) + (__pyx_v_9wiresplit_7_kernel__A54 * __pyx_v_k4z))));
-
-    /* "wiresplit/_kernel.pyx":262
- *         xs5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
- *         zs5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
- *         k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)             # <<<<<<<<<<<<<<
- *         k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)
- *         _accel(xs5, zs5, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k5x = (__pyx_v_vx + (__pyx_v_h * ((((__pyx_v_9wiresplit_7_kernel__A51 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__A52 * __pyx_v_k2vx)) + (__pyx_v_9wiresplit_7_kernel__A53 * __pyx_v_k3vx)) + (__pyx_v_9wiresplit_7_kernel__A54 * __pyx_v_k4vx))));
-
-    /* "wiresplit/_kernel.pyx":263
- *         zs5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
- *         k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)
- *         k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)             # <<<<<<<<<<<<<<
- *         _accel(xs5, zs5, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k5vx = out2[0]
-*/
-    __pyx_v_k5z = (__pyx_v_vz + (__pyx_v_h * ((((__pyx_v_9wiresplit_7_kernel__A51 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__A52 * __pyx_v_k2vz)) + (__pyx_v_9wiresplit_7_kernel__A53 * __pyx_v_k3vz)) + (__pyx_v_9wiresplit_7_kernel__A54 * __pyx_v_k4vz))));
-
-    /* "wiresplit/_kernel.pyx":264
- *         k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)
- *         k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)
- *         _accel(xs5, zs5, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k5vx = out2[0]
- *         k5vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_xs5, __pyx_v_zs5, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":265
- *         k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)
- *         _accel(xs5, zs5, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k5vx = out2[0]             # <<<<<<<<<<<<<<
- *         k5vz = out2[1]
- * 
-*/
-    __pyx_v_k5vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":266
- *         _accel(xs5, zs5, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k5vx = out2[0]
- *         k5vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         xs6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-*/
-    __pyx_v_k5vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":268
- *         k5vz = out2[1]
- * 
- *         xs6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)             # <<<<<<<<<<<<<<
- *         zs6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
- *         k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)
-*/
-    __pyx_v_xs6 = (__pyx_v_x + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__A61 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__A62 * __pyx_v_k2x)) + (__pyx_v_9wiresplit_7_kernel__A63 * __pyx_v_k3x)) + (__pyx_v_9wiresplit_7_kernel__A64 * __pyx_v_k4x)) + (__pyx_v_9wiresplit_7_kernel__A65 * __pyx_v_k5x))));
-
-    /* "wiresplit/_kernel.pyx":269
- * 
- *         xs6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
- *         zs6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)             # <<<<<<<<<<<<<<
- *         k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)
- *         k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)
-*/
-    __pyx_v_zs6 = (__pyx_v_z + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__A61 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__A62 * __pyx_v_k2z)) + (__pyx_v_9wiresplit_7_kernel__A63 * __pyx_v_k3z)) + (__pyx_v_9wiresplit_7_kernel__A64 * __pyx_v_k4z)) + (__pyx_v_9wiresplit_7_kernel__A65 * __pyx_v_k5z))));
-
-    /* "wiresplit/_kernel.pyx":270
- *         xs6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
- *         zs6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
- *         k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)             # <<<<<<<<<<<<<<
- *         k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)
- *         _accel(xs6, zs6, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k6x = (__pyx_v_vx + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__A61 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__A62 * __pyx_v_k2vx)) + (__pyx_v_9wiresplit_7_kernel__A63 * __pyx_v_k3vx)) + (__pyx_v_9wiresplit_7_kernel__A64 * __pyx_v_k4vx)) + (__pyx_v_9wiresplit_7_kernel__A65 * __pyx_v_k5vx))));
-
-    /* "wiresplit/_kernel.pyx":271
- *         zs6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
- *         k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)
- *         k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)             # <<<<<<<<<<<<<<
- *         _accel(xs6, zs6, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k6vx = out2[0]
-*/
-    __pyx_v_k6z = (__pyx_v_vz + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__A61 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__A62 * __pyx_v_k2vz)) + (__pyx_v_9wiresplit_7_kernel__A63 * __pyx_v_k3vz)) + (__pyx_v_9wiresplit_7_kernel__A64 * __pyx_v_k4vz)) + (__pyx_v_9wiresplit_7_kernel__A65 * __pyx_v_k5vz))));
-
-    /* "wiresplit/_kernel.pyx":272
- *         k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)
- *         k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)
- *         _accel(xs6, zs6, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k6vx = out2[0]
- *         k6vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_xs6, __pyx_v_zs6, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":273
- *         k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)
- *         _accel(xs6, zs6, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k6vx = out2[0]             # <<<<<<<<<<<<<<
- *         k6vz = out2[1]
- * 
-*/
-    __pyx_v_k6vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":274
- *         _accel(xs6, zs6, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k6vx = out2[0]
- *         k6vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         n_rhs += 6
-*/
-    __pyx_v_k6vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":276
- *         k6vz = out2[1]
- * 
- *         n_rhs += 6             # <<<<<<<<<<<<<<
- * 
- *         x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-*/
-    __pyx_v_n_rhs = (__pyx_v_n_rhs + 6);
-
-    /* "wiresplit/_kernel.pyx":278
- *         n_rhs += 6
- * 
- *         x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)             # <<<<<<<<<<<<<<
- *         z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
- *         vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)
-*/
-    __pyx_v_x_new = (__pyx_v_x + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__B1 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__B3 * __pyx_v_k3x)) + (__pyx_v_9wiresplit_7_kernel__B4 * __pyx_v_k4x)) + (__pyx_v_9wiresplit_7_kernel__B5 * __pyx_v_k5x)) + (__pyx_v_9wiresplit_7_kernel__B6 * __pyx_v_k6x))));
-
-    /* "wiresplit/_kernel.pyx":279
- * 
- *         x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
- *         z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)             # <<<<<<<<<<<<<<
- *         vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)
- *         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
-*/
-    __pyx_v_z_new = (__pyx_v_z + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__B1 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__B3 * __pyx_v_k3z)) + (__pyx_v_9wiresplit_7_kernel__B4 * __pyx_v_k4z)) + (__pyx_v_9wiresplit_7_kernel__B5 * __pyx_v_k5z)) + (__pyx_v_9wiresplit_7_kernel__B6 * __pyx_v_k6z))));
-
-    /* "wiresplit/_kernel.pyx":280
- *         x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
- *         z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
- *         vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)             # <<<<<<<<<<<<<<
- *         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
- *         k7x = vx_new
-*/
-    __pyx_v_vx_new = (__pyx_v_vx + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__B1 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__B3 * __pyx_v_k3vx)) + (__pyx_v_9wiresplit_7_kernel__B4 * __pyx_v_k4vx)) + (__pyx_v_9wiresplit_7_kernel__B5 * __pyx_v_k5vx)) + (__pyx_v_9wiresplit_7_kernel__B6 * __pyx_v_k6vx))));
-
-    /* "wiresplit/_kernel.pyx":281
- *         z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
- *         vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)
- *         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)             # <<<<<<<<<<<<<<
- *         k7x = vx_new
- *         k7z = vz_new
-*/
-    __pyx_v_vz_new = (__pyx_v_vz + (__pyx_v_h * (((((__pyx_v_9wiresplit_7_kernel__B1 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__B3 * __pyx_v_k3vz)) + (__pyx_v_9wiresplit_7_kernel__B4 * __pyx_v_k4vz)) + (__pyx_v_9wiresplit_7_kernel__B5 * __pyx_v_k5vz)) + (__pyx_v_9wiresplit_7_kernel__B6 * __pyx_v_k6vz))));
-
-    /* "wiresplit/_kernel.pyx":282
- *         vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)
- *         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
- *         k7x = vx_new             # <<<<<<<<<<<<<<
- *         k7z = vz_new
- *         _accel(x_new, z_new, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_k7x = __pyx_v_vx_new;
-
-    /* "wiresplit/_kernel.pyx":283
- *         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
- *         k7x = vx_new
- *         k7z = vz_new             # <<<<<<<<<<<<<<
- *         _accel(x_new, z_new, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k7vx = out2[0]
-*/
-    __pyx_v_k7z = __pyx_v_vz_new;
-
-    /* "wiresplit/_kernel.pyx":284
- *         k7x = vx_new
- *         k7z = vz_new
- *         _accel(x_new, z_new, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *         k7vx = out2[0]
- *         k7vz = out2[1]
-*/
-    __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_x_new, __pyx_v_z_new, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-    /* "wiresplit/_kernel.pyx":285
- *         k7z = vz_new
- *         _accel(x_new, z_new, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k7vx = out2[0]             # <<<<<<<<<<<<<<
- *         k7vz = out2[1]
- * 
-*/
-    __pyx_v_k7vx = (__pyx_v_out2[0]);
-
-    /* "wiresplit/_kernel.pyx":286
- *         _accel(x_new, z_new, n, wx, wz, wi, tiny_r2, alpha, out2)
- *         k7vx = out2[0]
- *         k7vz = out2[1]             # <<<<<<<<<<<<<<
- * 
- *         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-*/
-    __pyx_v_k7vz = (__pyx_v_out2[1]);
-
-    /* "wiresplit/_kernel.pyx":288
- *         k7vz = out2[1]
- * 
- *         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)             # <<<<<<<<<<<<<<
- *         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
- *         err_vx = h * (_E1 * k1vx + _E3 * k3vx + _E4 * k4vx + _E5 * k5vx + _E6 * k6vx + _E7 * k7vx)
-*/
-    __pyx_v_err_x = (__pyx_v_h * ((((((__pyx_v_9wiresplit_7_kernel__E1 * __pyx_v_k1x) + (__pyx_v_9wiresplit_7_kernel__E3 * __pyx_v_k3x)) + (__pyx_v_9wiresplit_7_kernel__E4 * __pyx_v_k4x)) + (__pyx_v_9wiresplit_7_kernel__E5 * __pyx_v_k5x)) + (__pyx_v_9wiresplit_7_kernel__E6 * __pyx_v_k6x)) + (__pyx_v_9wiresplit_7_kernel__E7 * __pyx_v_k7x)));
-
-    /* "wiresplit/_kernel.pyx":289
- * 
- *         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
- *         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)             # <<<<<<<<<<<<<<
- *         err_vx = h * (_E1 * k1vx + _E3 * k3vx + _E4 * k4vx + _E5 * k5vx + _E6 * k6vx + _E7 * k7vx)
- *         err_vz = h * (_E1 * k1vz + _E3 * k3vz + _E4 * k4vz + _E5 * k5vz + _E6 * k6vz + _E7 * k7vz)
-*/
-    __pyx_v_err_z = (__pyx_v_h * ((((((__pyx_v_9wiresplit_7_kernel__E1 * __pyx_v_k1z) + (__pyx_v_9wiresplit_7_kernel__E3 * __pyx_v_k3z)) + (__pyx_v_9wiresplit_7_kernel__E4 * __pyx_v_k4z)) + (__pyx_v_9wiresplit_7_kernel__E5 * __pyx_v_k5z)) + (__pyx_v_9wiresplit_7_kernel__E6 * __pyx_v_k6z)) + (__pyx_v_9wiresplit_7_kernel__E7 * __pyx_v_k7z)));
-
-    /* "wiresplit/_kernel.pyx":290
- *         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
- *         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
- *         err_vx = h * (_E1 * k1vx + _E3 * k3vx + _E4 * k4vx + _E5 * k5vx + _E6 * k6vx + _E7 * k7vx)             # <<<<<<<<<<<<<<
- *         err_vz = h * (_E1 * k1vz + _E3 * k3vz + _E4 * k4vz + _E5 * k5vz + _E6 * k6vz + _E7 * k7vz)
- * 
-*/
-    __pyx_v_err_vx = (__pyx_v_h * ((((((__pyx_v_9wiresplit_7_kernel__E1 * __pyx_v_k1vx) + (__pyx_v_9wiresplit_7_kernel__E3 * __pyx_v_k3vx)) + (__pyx_v_9wiresplit_7_kernel__E4 * __pyx_v_k4vx)) + (__pyx_v_9wiresplit_7_kernel__E5 * __pyx_v_k5vx)) + (__pyx_v_9wiresplit_7_kernel__E6 * __pyx_v_k6vx)) + (__pyx_v_9wiresplit_7_kernel__E7 * __pyx_v_k7vx)));
-
-    /* "wiresplit/_kernel.pyx":291
- *         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
- *         err_vx = h * (_E1 * k1vx + _E3 * k3vx + _E4 * k4vx + _E5 * k5vx + _E6 * k6vx + _E7 * k7vx)
- *         err_vz = h * (_E1 * k1vz + _E3 * k3vz + _E4 * k4vz + _E5 * k5vz + _E6 * k6vz + _E7 * k7vz)             # <<<<<<<<<<<<<<
- * 
- *         sc_x = atol + rtol * (fabs(x) if fabs(x) > fabs(x_new) else fabs(x_new))
-*/
-    __pyx_v_err_vz = (__pyx_v_h * ((((((__pyx_v_9wiresplit_7_kernel__E1 * __pyx_v_k1vz) + (__pyx_v_9wiresplit_7_kernel__E3 * __pyx_v_k3vz)) + (__pyx_v_9wiresplit_7_kernel__E4 * __pyx_v_k4vz)) + (__pyx_v_9wiresplit_7_kernel__E5 * __pyx_v_k5vz)) + (__pyx_v_9wiresplit_7_kernel__E6 * __pyx_v_k6vz)) + (__pyx_v_9wiresplit_7_kernel__E7 * __pyx_v_k7vz)));
-
-    /* "wiresplit/_kernel.pyx":293
- *         err_vz = h * (_E1 * k1vz + _E3 * k3vz + _E4 * k4vz + _E5 * k5vz + _E6 * k6vz + _E7 * k7vz)
- * 
- *         sc_x = atol + rtol * (fabs(x) if fabs(x) > fabs(x_new) else fabs(x_new))             # <<<<<<<<<<<<<<
- *         sc_z = atol + rtol * (fabs(z) if fabs(z) > fabs(z_new) else fabs(z_new))
- *         sc_vx = atol + rtol * (fabs(vx) if fabs(vx) > fabs(vx_new) else fabs(vx_new))
-*/
-    __pyx_t_3 = (fabs(__pyx_v_x) > fabs(__pyx_v_x_new));
-    if (__pyx_t_3) {
-      __pyx_t_13 = fabs(__pyx_v_x);
-    } else {
-      __pyx_t_13 = fabs(__pyx_v_x_new);
-    }
-    __pyx_v_sc_x = (__pyx_v_atol + (__pyx_v_rtol * __pyx_t_13));
-
-    /* "wiresplit/_kernel.pyx":294
- * 
- *         sc_x = atol + rtol * (fabs(x) if fabs(x) > fabs(x_new) else fabs(x_new))
- *         sc_z = atol + rtol * (fabs(z) if fabs(z) > fabs(z_new) else fabs(z_new))             # <<<<<<<<<<<<<<
- *         sc_vx = atol + rtol * (fabs(vx) if fabs(vx) > fabs(vx_new) else fabs(vx_new))
- *         sc_vz = atol + rtol * (fabs(vz) if fabs(vz) > fabs(vz_new) else fabs(vz_new))
-*/
-    __pyx_t_3 = (fabs(__pyx_v_z) > fabs(__pyx_v_z_new));
-    if (__pyx_t_3) {
-      __pyx_t_13 = fabs(__pyx_v_z);
-    } else {
-      __pyx_t_13 = fabs(__pyx_v_z_new);
-    }
-    __pyx_v_sc_z = (__pyx_v_atol + (__pyx_v_rtol * __pyx_t_13));
-
-    /* "wiresplit/_kernel.pyx":295
- *         sc_x = atol + rtol * (fabs(x) if fabs(x) > fabs(x_new) else fabs(x_new))
- *         sc_z = atol + rtol * (fabs(z) if fabs(z) > fabs(z_new) else fabs(z_new))
- *         sc_vx = atol + rtol * (fabs(vx) if fabs(vx) > fabs(vx_new) else fabs(vx_new))             # <<<<<<<<<<<<<<
- *         sc_vz = atol + rtol * (fabs(vz) if fabs(vz) > fabs(vz_new) else fabs(vz_new))
- *         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * INFINITY)
-*/
-    __pyx_t_3 = (fabs(__pyx_v_vx) > fabs(__pyx_v_vx_new));
-    if (__pyx_t_3) {
-      __pyx_t_13 = fabs(__pyx_v_vx);
-    } else {
-      __pyx_t_13 = fabs(__pyx_v_vx_new);
-    }
-    __pyx_v_sc_vx = (__pyx_v_atol + (__pyx_v_rtol * __pyx_t_13));
-
-    /* "wiresplit/_kernel.pyx":296
- *         sc_z = atol + rtol * (fabs(z) if fabs(z) > fabs(z_new) else fabs(z_new))
- *         sc_vx = atol + rtol * (fabs(vx) if fabs(vx) > fabs(vx_new) else fabs(vx_new))
- *         sc_vz = atol + rtol * (fabs(vz) if fabs(vz) > fabs(vz_new) else fabs(vz_new))             # <<<<<<<<<<<<<<
- *         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * INFINITY)
- *         q1 = err_z / sc_z if sc_z != 0.0 else (0.0 if err_z == 0.0 else err_z * INFINITY)
-*/
-    __pyx_t_3 = (fabs(__pyx_v_vz) > fabs(__pyx_v_vz_new));
-    if (__pyx_t_3) {
-      __pyx_t_13 = fabs(__pyx_v_vz);
-    } else {
-      __pyx_t_13 = fabs(__pyx_v_vz_new);
-    }
-    __pyx_v_sc_vz = (__pyx_v_atol + (__pyx_v_rtol * __pyx_t_13));
-
-    /* "wiresplit/_kernel.pyx":297
- *         sc_vx = atol + rtol * (fabs(vx) if fabs(vx) > fabs(vx_new) else fabs(vx_new))
- *         sc_vz = atol + rtol * (fabs(vz) if fabs(vz) > fabs(vz_new) else fabs(vz_new))
- *         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * INFINITY)             # <<<<<<<<<<<<<<
- *         q1 = err_z / sc_z if sc_z != 0.0 else (0.0 if err_z == 0.0 else err_z * INFINITY)
- *         q2 = err_vx / sc_vx if sc_vx != 0.0 else (0.0 if err_vx == 0.0 else err_vx * INFINITY)
-*/
-    __pyx_v_q0 = ((__pyx_v_sc_x != 0.0) ? (__pyx_v_err_x / __pyx_v_sc_x) : (((__pyx_v_err_x == 0.0)) ? 0.0 : (__pyx_v_err_x * INFINITY)));
-
-    /* "wiresplit/_kernel.pyx":298
- *         sc_vz = atol + rtol * (fabs(vz) if fabs(vz) > fabs(vz_new) else fabs(vz_new))
- *         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * INFINITY)
- *         q1 = err_z / sc_z if sc_z != 0.0 else (0.0 if err_z == 0.0 else err_z * INFINITY)             # <<<<<<<<<<<<<<
- *         q2 = err_vx / sc_vx if sc_vx != 0.0 else (0.0 if err_vx == 0.0 else err_vx * INFINITY)
- *         q3 = err_vz / sc_vz if sc_vz != 0.0 else (0.0 if err_vz == 0.0 else err_vz * INFINITY)
-*/
-    __pyx_v_q1 = ((__pyx_v_sc_z != 0.0) ? (__pyx_v_err_z / __pyx_v_sc_z) : (((__pyx_v_err_z == 0.0)) ? 0.0 : (__pyx_v_err_z * INFINITY)));
-
-    /* "wiresplit/_kernel.pyx":299
- *         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * INFINITY)
- *         q1 = err_z / sc_z if sc_z != 0.0 else (0.0 if err_z == 0.0 else err_z * INFINITY)
- *         q2 = err_vx / sc_vx if sc_vx != 0.0 else (0.0 if err_vx == 0.0 else err_vx * INFINITY)             # <<<<<<<<<<<<<<
- *         q3 = err_vz / sc_vz if sc_vz != 0.0 else (0.0 if err_vz == 0.0 else err_vz * INFINITY)
- *         err_norm = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-*/
-    __pyx_v_q2 = ((__pyx_v_sc_vx != 0.0) ? (__pyx_v_err_vx / __pyx_v_sc_vx) : (((__pyx_v_err_vx == 0.0)) ? 0.0 : (__pyx_v_err_vx * INFINITY)));
-
-    /* "wiresplit/_kernel.pyx":300
- *         q1 = err_z / sc_z if sc_z != 0.0 else (0.0 if err_z == 0.0 else err_z * INFINITY)
- *         q2 = err_vx / sc_vx if sc_vx != 0.0 else (0.0 if err_vx == 0.0 else err_vx * INFINITY)
- *         q3 = err_vz / sc_vz if sc_vz != 0.0 else (0.0 if err_vz == 0.0 else err_vz * INFINITY)             # <<<<<<<<<<<<<<
- *         err_norm = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- * 
-*/
-    __pyx_v_q3 = ((__pyx_v_sc_vz != 0.0) ? (__pyx_v_err_vz / __pyx_v_sc_vz) : (((__pyx_v_err_vz == 0.0)) ? 0.0 : (__pyx_v_err_vz * INFINITY)));
-
-    /* "wiresplit/_kernel.pyx":301
- *         q2 = err_vx / sc_vx if sc_vx != 0.0 else (0.0 if err_vx == 0.0 else err_vx * INFINITY)
- *         q3 = err_vz / sc_vz if sc_vz != 0.0 else (0.0 if err_vz == 0.0 else err_vz * INFINITY)
- *         err_norm = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))             # <<<<<<<<<<<<<<
- * 
- *         if not (err_norm <= 1.0):
-*/
-    __pyx_v_err_norm = sqrt((0.25 * ((((__pyx_v_q0 * __pyx_v_q0) + (__pyx_v_q1 * __pyx_v_q1)) + (__pyx_v_q2 * __pyx_v_q2)) + (__pyx_v_q3 * __pyx_v_q3))));
-
-    /* "wiresplit/_kernel.pyx":303
- *         err_norm = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- * 
- *         if not (err_norm <= 1.0):             # <<<<<<<<<<<<<<
- *             n_rejected += 1
- *             if err_norm != err_norm:
-*/
-    __pyx_t_3 = (!(__pyx_v_err_norm <= 1.0));
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":304
- * 
- *         if not (err_norm <= 1.0):
- *             n_rejected += 1             # <<<<<<<<<<<<<<
- *             if err_norm != err_norm:
- *                 fac = 0.1
-*/
-      __pyx_v_n_rejected = (__pyx_v_n_rejected + 1);
-
-      /* "wiresplit/_kernel.pyx":305
- *         if not (err_norm <= 1.0):
- *             n_rejected += 1
- *             if err_norm != err_norm:             # <<<<<<<<<<<<<<
- *                 fac = 0.1
- *             else:
-*/
-      __pyx_t_3 = (__pyx_v_err_norm != __pyx_v_err_norm);
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":306
- *             n_rejected += 1
- *             if err_norm != err_norm:
- *                 fac = 0.1             # <<<<<<<<<<<<<<
- *             else:
- *                 fac = _SAFETY * pow(err_norm, -0.2)
-*/
-        __pyx_v_fac = 0.1;
-
-        /* "wiresplit/_kernel.pyx":305
- *         if not (err_norm <= 1.0):
- *             n_rejected += 1
- *             if err_norm != err_norm:             # <<<<<<<<<<<<<<
- *                 fac = 0.1
- *             else:
-*/
-        goto __pyx_L22;
-      }
-
-      /* "wiresplit/_kernel.pyx":308
- *                 fac = 0.1
- *             else:
- *                 fac = _SAFETY * pow(err_norm, -0.2)             # <<<<<<<<<<<<<<
- *                 if fac < _MIN_FACTOR:
- *                     fac = _MIN_FACTOR
-*/
-      /*else*/ {
-        __pyx_v_fac = (__pyx_v_9wiresplit_7_kernel__SAFETY * pow(__pyx_v_err_norm, -0.2));
-
-        /* "wiresplit/_kernel.pyx":309
- *             else:
- *                 fac = _SAFETY * pow(err_norm, -0.2)
- *                 if fac < _MIN_FACTOR:             # <<<<<<<<<<<<<<
- *                     fac = _MIN_FACTOR
- *             h = h * fac
-*/
-        __pyx_t_3 = (__pyx_v_fac < __pyx_v_9wiresplit_7_kernel__MIN_FACTOR);
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":310
- *                 fac = _SAFETY * pow(err_norm, -0.2)
- *                 if fac < _MIN_FACTOR:
- *                     fac = _MIN_FACTOR             # <<<<<<<<<<<<<<
- *             h = h * fac
- *             continue
-*/
-          __pyx_v_fac = __pyx_v_9wiresplit_7_kernel__MIN_FACTOR;
-
-          /* "wiresplit/_kernel.pyx":309
- *             else:
- *                 fac = _SAFETY * pow(err_norm, -0.2)
- *                 if fac < _MIN_FACTOR:             # <<<<<<<<<<<<<<
- *                     fac = _MIN_FACTOR
- *             h = h * fac
-*/
-        }
-      }
-      __pyx_L22:;
-
-      /* "wiresplit/_kernel.pyx":311
- *                 if fac < _MIN_FACTOR:
- *                     fac = _MIN_FACTOR
- *             h = h * fac             # <<<<<<<<<<<<<<
- *             continue
- * 
-*/
-      __pyx_v_h = (__pyx_v_h * __pyx_v_fac);
-
-      /* "wiresplit/_kernel.pyx":312
- *                     fac = _MIN_FACTOR
- *             h = h * fac
- *             continue             # <<<<<<<<<<<<<<
- * 
- *         t_new = t_bound if last else t + h
-*/
-      goto __pyx_L15_continue;
-
-      /* "wiresplit/_kernel.pyx":303
- *         err_norm = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
- * 
- *         if not (err_norm <= 1.0):             # <<<<<<<<<<<<<<
- *             n_rejected += 1
- *             if err_norm != err_norm:
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":314
- *             continue
- * 
- *         t_new = t_bound if last else t + h             # <<<<<<<<<<<<<<
- * 
- *         theta_end = 1.0
-*/
-    if (__pyx_v_last) {
-      __pyx_t_13 = __pyx_v_t_bound;
-    } else {
-      __pyx_t_13 = (__pyx_v_t + __pyx_v_h);
-    }
-    __pyx_v_t_new = __pyx_t_13;
-
-    /* "wiresplit/_kernel.pyx":316
- *         t_new = t_bound if last else t + h
- * 
- *         theta_end = 1.0             # <<<<<<<<<<<<<<
- *         x_end = x_new
- *         z_end = z_new
-*/
-    __pyx_v_theta_end = 1.0;
-
-    /* "wiresplit/_kernel.pyx":317
- * 
- *         theta_end = 1.0
- *         x_end = x_new             # <<<<<<<<<<<<<<
- *         z_end = z_new
- *         vx_end = vx_new
-*/
-    __pyx_v_x_end = __pyx_v_x_new;
-
-    /* "wiresplit/_kernel.pyx":318
- *         theta_end = 1.0
- *         x_end = x_new
- *         z_end = z_new             # <<<<<<<<<<<<<<
- *         vx_end = vx_new
- *         vz_end = vz_new
-*/
-    __pyx_v_z_end = __pyx_v_z_new;
-
-    /* "wiresplit/_kernel.pyx":319
- *         x_end = x_new
- *         z_end = z_new
- *         vx_end = vx_new             # <<<<<<<<<<<<<<
- *         vz_end = vz_new
- *         t_end = t_new
-*/
-    __pyx_v_vx_end = __pyx_v_vx_new;
-
-    /* "wiresplit/_kernel.pyx":320
- *         z_end = z_new
- *         vx_end = vx_new
- *         vz_end = vz_new             # <<<<<<<<<<<<<<
- *         t_end = t_new
- *         truncated = False
-*/
-    __pyx_v_vz_end = __pyx_v_vz_new;
-
-    /* "wiresplit/_kernel.pyx":321
- *         vx_end = vx_new
- *         vz_end = vz_new
- *         t_end = t_new             # <<<<<<<<<<<<<<
- *         truncated = False
- * 
-*/
-    __pyx_v_t_end = __pyx_v_t_new;
-
-    /* "wiresplit/_kernel.pyx":322
- *         vz_end = vz_new
- *         t_end = t_new
- *         truncated = False             # <<<<<<<<<<<<<<
- * 
- *         if not have_closure:
-*/
-    __pyx_v_truncated = 0;
-
-    /* "wiresplit/_kernel.pyx":324
- *         truncated = False
- * 
- *         if not have_closure:             # <<<<<<<<<<<<<<
- *             gx0 = x - x_plane
- *             gx1 = x_end - x_plane
-*/
-    __pyx_t_3 = (!__pyx_v_have_closure);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":325
- * 
- *         if not have_closure:
- *             gx0 = x - x_plane             # <<<<<<<<<<<<<<
- *             gx1 = x_end - x_plane
- *             if gx0 > 0.0 and gx1 <= 0.0:
-*/
-      __pyx_v_gx0 = (__pyx_v_x - __pyx_v_x_plane);
-
-      /* "wiresplit/_kernel.pyx":326
- *         if not have_closure:
- *             gx0 = x - x_plane
- *             gx1 = x_end - x_plane             # <<<<<<<<<<<<<<
- *             if gx0 > 0.0 and gx1 <= 0.0:
- *                 lo = 0.0
-*/
-      __pyx_v_gx1 = (__pyx_v_x_end - __pyx_v_x_plane);
-
-      /* "wiresplit/_kernel.pyx":327
- *             gx0 = x - x_plane
- *             gx1 = x_end - x_plane
- *             if gx0 > 0.0 and gx1 <= 0.0:             # <<<<<<<<<<<<<<
- *                 lo = 0.0
- *                 hi = 1.0
-*/
-      __pyx_t_10 = (__pyx_v_gx0 > 0.0);
-      if (__pyx_t_10) {
-      } else {
-        __pyx_t_3 = __pyx_t_10;
-        goto __pyx_L26_bool_binop_done;
-      }
-      __pyx_t_10 = (__pyx_v_gx1 <= 0.0);
-      __pyx_t_3 = __pyx_t_10;
-      __pyx_L26_bool_binop_done:;
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":328
- *             gx1 = x_end - x_plane
- *             if gx0 > 0.0 and gx1 <= 0.0:
- *                 lo = 0.0             # <<<<<<<<<<<<<<
- *                 hi = 1.0
- *                 for it in range(80):
-*/
-        __pyx_v_lo = 0.0;
-
-        /* "wiresplit/_kernel.pyx":329
- *             if gx0 > 0.0 and gx1 <= 0.0:
- *                 lo = 0.0
- *                 hi = 1.0             # <<<<<<<<<<<<<<
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:
-*/
-        __pyx_v_hi = 1.0;
-
-        /* "wiresplit/_kernel.pyx":330
- *                 lo = 0.0
- *                 hi = 1.0
- *                 for it in range(80):             # <<<<<<<<<<<<<<
- *                     if (hi - lo) * h <= event_dt:
- *                         break
-*/
-        for (__pyx_t_4 = 0; __pyx_t_4 < 80; __pyx_t_4+=1) {
-          __pyx_v_it = __pyx_t_4;
-
-          /* "wiresplit/_kernel.pyx":331
- *                 hi = 1.0
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                         break
- *                     mid = 0.5 * (lo + hi)
-*/
-          __pyx_t_3 = (((__pyx_v_hi - __pyx_v_lo) * __pyx_v_h) <= __pyx_v_event_dt);
-          if (__pyx_t_3) {
-
-            /* "wiresplit/_kernel.pyx":332
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:
- *                         break             # <<<<<<<<<<<<<<
- *                     mid = 0.5 * (lo + hi)
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
-*/
-            goto __pyx_L29_break;
-
-            /* "wiresplit/_kernel.pyx":331
- *                 hi = 1.0
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                         break
- *                     mid = 0.5 * (lo + hi)
-*/
-          }
-
-          /* "wiresplit/_kernel.pyx":333
- *                     if (hi - lo) * h <= event_dt:
- *                         break
- *                     mid = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                            x_new, z_new, vx_new, vz_new,
-*/
-          __pyx_v_mid = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-          /* "wiresplit/_kernel.pyx":334
- *                         break
- *                     mid = 0.5 * (lo + hi)
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
-*/
-          __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_mid, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-          /* "wiresplit/_kernel.pyx":337
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if out4[0] - x_plane > 0.0:             # <<<<<<<<<<<<<<
- *                         lo = mid
- *                     else:
-*/
-          __pyx_t_3 = (((__pyx_v_out4[0]) - __pyx_v_x_plane) > 0.0);
-          if (__pyx_t_3) {
-
-            /* "wiresplit/_kernel.pyx":338
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if out4[0] - x_plane > 0.0:
- *                         lo = mid             # <<<<<<<<<<<<<<
- *                     else:
- *                         hi = mid
-*/
-            __pyx_v_lo = __pyx_v_mid;
-
-            /* "wiresplit/_kernel.pyx":337
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if out4[0] - x_plane > 0.0:             # <<<<<<<<<<<<<<
- *                         lo = mid
- *                     else:
-*/
-            goto __pyx_L31;
-          }
-
-          /* "wiresplit/_kernel.pyx":340
- *                         lo = mid
- *                     else:
- *                         hi = mid             # <<<<<<<<<<<<<<
- *                 _dense(hi, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                        x_new, z_new, vx_new, vz_new,
-*/
-          /*else*/ {
-            __pyx_v_hi = __pyx_v_mid;
-          }
-          __pyx_L31:;
-        }
-        __pyx_L29_break:;
-
-        /* "wiresplit/_kernel.pyx":341
- *                     else:
- *                         hi = mid
- *                 _dense(hi, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
-*/
-        __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_hi, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-        /* "wiresplit/_kernel.pyx":344
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if out4[2] < 0.0:             # <<<<<<<<<<<<<<
- *                     have_closure = True
- *                     clo_t = t + hi * h
-*/
-        __pyx_t_3 = ((__pyx_v_out4[2]) < 0.0);
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":345
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if out4[2] < 0.0:
- *                     have_closure = True             # <<<<<<<<<<<<<<
- *                     clo_t = t + hi * h
- *                     clo_x = out4[0]
-*/
-          __pyx_v_have_closure = 1;
-
-          /* "wiresplit/_kernel.pyx":346
- *                 if out4[2] < 0.0:
- *                     have_closure = True
- *                     clo_t = t + hi * h             # <<<<<<<<<<<<<<
- *                     clo_x = out4[0]
- *                     clo_z = out4[1]
-*/
-          __pyx_v_clo_t = (__pyx_v_t + (__pyx_v_hi * __pyx_v_h));
-
-          /* "wiresplit/_kernel.pyx":347
- *                     have_closure = True
- *                     clo_t = t + hi * h
- *                     clo_x = out4[0]             # <<<<<<<<<<<<<<
- *                     clo_z = out4[1]
- *                     clo_vx = out4[2]
-*/
-          __pyx_v_clo_x = (__pyx_v_out4[0]);
-
-          /* "wiresplit/_kernel.pyx":348
- *                     clo_t = t + hi * h
- *                     clo_x = out4[0]
- *                     clo_z = out4[1]             # <<<<<<<<<<<<<<
- *                     clo_vx = out4[2]
- *                     clo_vz = out4[3]
-*/
-          __pyx_v_clo_z = (__pyx_v_out4[1]);
-
-          /* "wiresplit/_kernel.pyx":349
- *                     clo_x = out4[0]
- *                     clo_z = out4[1]
- *                     clo_vx = out4[2]             # <<<<<<<<<<<<<<
- *                     clo_vz = out4[3]
- *                     if stop_at_closure:
-*/
-          __pyx_v_clo_vx = (__pyx_v_out4[2]);
-
-          /* "wiresplit/_kernel.pyx":350
- *                     clo_z = out4[1]
- *                     clo_vx = out4[2]
- *                     clo_vz = out4[3]             # <<<<<<<<<<<<<<
- *                     if stop_at_closure:
- *                         theta_end = hi
-*/
-          __pyx_v_clo_vz = (__pyx_v_out4[3]);
-
-          /* "wiresplit/_kernel.pyx":351
- *                     clo_vx = out4[2]
- *                     clo_vz = out4[3]
- *                     if stop_at_closure:             # <<<<<<<<<<<<<<
- *                         theta_end = hi
- *                         x_end = clo_x
-*/
-          if (__pyx_v_stop_at_closure) {
-
-            /* "wiresplit/_kernel.pyx":352
- *                     clo_vz = out4[3]
- *                     if stop_at_closure:
- *                         theta_end = hi             # <<<<<<<<<<<<<<
- *                         x_end = clo_x
- *                         z_end = clo_z
-*/
-            __pyx_v_theta_end = __pyx_v_hi;
-
-            /* "wiresplit/_kernel.pyx":353
- *                     if stop_at_closure:
- *                         theta_end = hi
- *                         x_end = clo_x             # <<<<<<<<<<<<<<
- *                         z_end = clo_z
- *                         vx_end = clo_vx
-*/
-            __pyx_v_x_end = __pyx_v_clo_x;
-
-            /* "wiresplit/_kernel.pyx":354
- *                         theta_end = hi
- *                         x_end = clo_x
- *                         z_end = clo_z             # <<<<<<<<<<<<<<
- *                         vx_end = clo_vx
- *                         vz_end = clo_vz
-*/
-            __pyx_v_z_end = __pyx_v_clo_z;
-
-            /* "wiresplit/_kernel.pyx":355
- *                         x_end = clo_x
- *                         z_end = clo_z
- *                         vx_end = clo_vx             # <<<<<<<<<<<<<<
- *                         vz_end = clo_vz
- *                         t_end = clo_t
-*/
-            __pyx_v_vx_end = __pyx_v_clo_vx;
-
-            /* "wiresplit/_kernel.pyx":356
- *                         z_end = clo_z
- *                         vx_end = clo_vx
- *                         vz_end = clo_vz             # <<<<<<<<<<<<<<
- *                         t_end = clo_t
- *                         truncated = True
-*/
-            __pyx_v_vz_end = __pyx_v_clo_vz;
-
-            /* "wiresplit/_kernel.pyx":357
- *                         vx_end = clo_vx
- *                         vz_end = clo_vz
- *                         t_end = clo_t             # <<<<<<<<<<<<<<
- *                         truncated = True
- * 
-*/
-            __pyx_v_t_end = __pyx_v_clo_t;
-
-            /* "wiresplit/_kernel.pyx":358
- *                         vz_end = clo_vz
- *                         t_end = clo_t
- *                         truncated = True             # <<<<<<<<<<<<<<
- * 
- *         if vz * vz_end < 0.0:
-*/
-            __pyx_v_truncated = 1;
-
-            /* "wiresplit/_kernel.pyx":351
- *                     clo_vx = out4[2]
- *                     clo_vz = out4[3]
- *                     if stop_at_closure:             # <<<<<<<<<<<<<<
- *                         theta_end = hi
- *                         x_end = clo_x
-*/
-          }
-
-          /* "wiresplit/_kernel.pyx":344
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if out4[2] < 0.0:             # <<<<<<<<<<<<<<
- *                     have_closure = True
- *                     clo_t = t + hi * h
-*/
-        }
-
-        /* "wiresplit/_kernel.pyx":327
- *             gx0 = x - x_plane
- *             gx1 = x_end - x_plane
- *             if gx0 > 0.0 and gx1 <= 0.0:             # <<<<<<<<<<<<<<
- *                 lo = 0.0
- *                 hi = 1.0
-*/
-      }
-
-      /* "wiresplit/_kernel.pyx":324
- *         truncated = False
- * 
- *         if not have_closure:             # <<<<<<<<<<<<<<
- *             gx0 = x - x_plane
- *             gx1 = x_end - x_plane
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":360
- *                         truncated = True
- * 
- *         if vz * vz_end < 0.0:             # <<<<<<<<<<<<<<
- *             lo = 0.0
- *             hi = theta_end
-*/
-    __pyx_t_3 = ((__pyx_v_vz * __pyx_v_vz_end) < 0.0);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":361
- * 
- *         if vz * vz_end < 0.0:
- *             lo = 0.0             # <<<<<<<<<<<<<<
- *             hi = theta_end
- *             g_lo = vz
-*/
-      __pyx_v_lo = 0.0;
-
-      /* "wiresplit/_kernel.pyx":362
- *         if vz * vz_end < 0.0:
- *             lo = 0.0
- *             hi = theta_end             # <<<<<<<<<<<<<<
- *             g_lo = vz
- *             for it in range(80):
-*/
-      __pyx_v_hi = __pyx_v_theta_end;
-
-      /* "wiresplit/_kernel.pyx":363
- *             lo = 0.0
- *             hi = theta_end
- *             g_lo = vz             # <<<<<<<<<<<<<<
- *             for it in range(80):
- *                 if (hi - lo) * h <= event_dt:
-*/
-      __pyx_v_g_lo = __pyx_v_vz;
-
-      /* "wiresplit/_kernel.pyx":364
- *             hi = theta_end
- *             g_lo = vz
- *             for it in range(80):             # <<<<<<<<<<<<<<
- *                 if (hi - lo) * h <= event_dt:
- *                     break
-*/
-      for (__pyx_t_4 = 0; __pyx_t_4 < 80; __pyx_t_4+=1) {
-        __pyx_v_it = __pyx_t_4;
-
-        /* "wiresplit/_kernel.pyx":365
- *             g_lo = vz
- *             for it in range(80):
- *                 if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                     break
- *                 mid = 0.5 * (lo + hi)
-*/
-        __pyx_t_3 = (((__pyx_v_hi - __pyx_v_lo) * __pyx_v_h) <= __pyx_v_event_dt);
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":366
- *             for it in range(80):
- *                 if (hi - lo) * h <= event_dt:
- *                     break             # <<<<<<<<<<<<<<
- *                 mid = 0.5 * (lo + hi)
- *                 _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
-*/
-          goto __pyx_L36_break;
-
-          /* "wiresplit/_kernel.pyx":365
- *             g_lo = vz
- *             for it in range(80):
- *                 if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                     break
- *                 mid = 0.5 * (lo + hi)
-*/
-        }
-
-        /* "wiresplit/_kernel.pyx":367
- *                 if (hi - lo) * h <= event_dt:
- *                     break
- *                 mid = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *                 _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                        x_new, z_new, vx_new, vz_new,
-*/
-        __pyx_v_mid = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-        /* "wiresplit/_kernel.pyx":368
- *                     break
- *                 mid = 0.5 * (lo + hi)
- *                 _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
-*/
-        __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_mid, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-        /* "wiresplit/_kernel.pyx":371
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if (g_lo > 0.0) == (out4[3] > 0.0):             # <<<<<<<<<<<<<<
- *                     lo = mid
- *                     g_lo = out4[3]
-*/
-        __pyx_t_3 = ((__pyx_v_g_lo > 0.0) == ((__pyx_v_out4[3]) > 0.0));
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":372
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if (g_lo > 0.0) == (out4[3] > 0.0):
- *                     lo = mid             # <<<<<<<<<<<<<<
- *                     g_lo = out4[3]
- *                 else:
-*/
-          __pyx_v_lo = __pyx_v_mid;
-
-          /* "wiresplit/_kernel.pyx":373
- *                 if (g_lo > 0.0) == (out4[3] > 0.0):
- *                     lo = mid
- *                     g_lo = out4[3]             # <<<<<<<<<<<<<<
- *                 else:
- *                     hi = mid
-*/
-          __pyx_v_g_lo = (__pyx_v_out4[3]);
-
-          /* "wiresplit/_kernel.pyx":371
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 if (g_lo > 0.0) == (out4[3] > 0.0):             # <<<<<<<<<<<<<<
- *                     lo = mid
- *                     g_lo = out4[3]
-*/
-          goto __pyx_L38;
-        }
-
-        /* "wiresplit/_kernel.pyx":375
- *                     g_lo = out4[3]
- *                 else:
- *                     hi = mid             # <<<<<<<<<<<<<<
- *             th = 0.5 * (lo + hi)
- *             _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
-*/
-        /*else*/ {
-          __pyx_v_hi = __pyx_v_mid;
-        }
-        __pyx_L38:;
-      }
-      __pyx_L36_break:;
-
-      /* "wiresplit/_kernel.pyx":376
- *                 else:
- *                     hi = mid
- *             th = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *             _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                    x_new, z_new, vx_new, vz_new,
-*/
-      __pyx_v_th = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-      /* "wiresplit/_kernel.pyx":377
- *                     hi = mid
- *             th = 0.5 * (lo + hi)
- *             _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                    x_new, z_new, vx_new, vz_new,
- *                    k7x, k7z, k7vx, k7vz, out4)
-*/
-      __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_th, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-      /* "wiresplit/_kernel.pyx":380
- *                    x_new, z_new, vx_new, vz_new,
- *                    k7x, k7z, k7vx, k7vz, out4)
- *             if fabs(out4[1]) > best_apex_absz:             # <<<<<<<<<<<<<<
- *                 best_apex_absz = fabs(out4[1])
- *                 apex_t = t + th * h
-*/
-      __pyx_t_3 = (fabs((__pyx_v_out4[1])) > __pyx_v_best_apex_absz);
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":381
- *                    k7x, k7z, k7vx, k7vz, out4)
- *             if fabs(out4[1]) > best_apex_absz:
- *                 best_apex_absz = fabs(out4[1])             # <<<<<<<<<<<<<<
- *                 apex_t = t + th * h
- *                 apex_x = out4[0]
-*/
-        __pyx_v_best_apex_absz = fabs((__pyx_v_out4[1]));
-
-        /* "wiresplit/_kernel.pyx":382
- *             if fabs(out4[1]) > best_apex_absz:
- *                 best_apex_absz = fabs(out4[1])
- *                 apex_t = t + th * h             # <<<<<<<<<<<<<<
- *                 apex_x = out4[0]
- *                 apex_z = out4[1]
-*/
-        __pyx_v_apex_t = (__pyx_v_t + (__pyx_v_th * __pyx_v_h));
-
-        /* "wiresplit/_kernel.pyx":383
- *                 best_apex_absz = fabs(out4[1])
- *                 apex_t = t + th * h
- *                 apex_x = out4[0]             # <<<<<<<<<<<<<<
- *                 apex_z = out4[1]
- *                 apex_vx = out4[2]
-*/
-        __pyx_v_apex_x = (__pyx_v_out4[0]);
-
-        /* "wiresplit/_kernel.pyx":384
- *                 apex_t = t + th * h
- *                 apex_x = out4[0]
- *                 apex_z = out4[1]             # <<<<<<<<<<<<<<
- *                 apex_vx = out4[2]
- *                 apex_vz = out4[3]
-*/
-        __pyx_v_apex_z = (__pyx_v_out4[1]);
-
-        /* "wiresplit/_kernel.pyx":385
- *                 apex_x = out4[0]
- *                 apex_z = out4[1]
- *                 apex_vx = out4[2]             # <<<<<<<<<<<<<<
- *                 apex_vz = out4[3]
- * 
-*/
-        __pyx_v_apex_vx = (__pyx_v_out4[2]);
-
-        /* "wiresplit/_kernel.pyx":386
- *                 apex_z = out4[1]
- *                 apex_vx = out4[2]
- *                 apex_vz = out4[3]             # <<<<<<<<<<<<<<
- * 
- *         for i in range(n):
-*/
-        __pyx_v_apex_vz = (__pyx_v_out4[3]);
-
-        /* "wiresplit/_kernel.pyx":380
- *                    x_new, z_new, vx_new, vz_new,
- *                    k7x, k7z, k7vx, k7vz, out4)
- *             if fabs(out4[1]) > best_apex_absz:             # <<<<<<<<<<<<<<
- *                 best_apex_absz = fabs(out4[1])
- *                 apex_t = t + th * h
-*/
-      }
-
-      /* "wiresplit/_kernel.pyx":360
- *                         truncated = True
- * 
- *         if vz * vz_end < 0.0:             # <<<<<<<<<<<<<<
- *             lo = 0.0
- *             hi = theta_end
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":388
- *                 apex_vz = out4[3]
- * 
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             dx0 = x - wx[i]
- *             dz0 = z - wz[i]
-*/
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "wiresplit/_kernel.pyx":389
- * 
- *         for i in range(n):
- *             dx0 = x - wx[i]             # <<<<<<<<<<<<<<
- *             dz0 = z - wz[i]
- *             g0 = dx0 * vx + dz0 * vz
-*/
-      __pyx_v_dx0 = (__pyx_v_x - (__pyx_v_wx[__pyx_v_i]));
-
-      /* "wiresplit/_kernel.pyx":390
- *         for i in range(n):
- *             dx0 = x - wx[i]
- *             dz0 = z - wz[i]             # <<<<<<<<<<<<<<
- *             g0 = dx0 * vx + dz0 * vz
- *             dx1 = x_end - wx[i]
-*/
-      __pyx_v_dz0 = (__pyx_v_z - (__pyx_v_wz[__pyx_v_i]));
-
-      /* "wiresplit/_kernel.pyx":391
- *             dx0 = x - wx[i]
- *             dz0 = z - wz[i]
- *             g0 = dx0 * vx + dz0 * vz             # <<<<<<<<<<<<<<
- *             dx1 = x_end - wx[i]
- *             dz1 = z_end - wz[i]
-*/
-      __pyx_v_g0 = ((__pyx_v_dx0 * __pyx_v_vx) + (__pyx_v_dz0 * __pyx_v_vz));
-
-      /* "wiresplit/_kernel.pyx":392
- *             dz0 = z - wz[i]
- *             g0 = dx0 * vx + dz0 * vz
- *             dx1 = x_end - wx[i]             # <<<<<<<<<<<<<<
- *             dz1 = z_end - wz[i]
- *             g1 = dx1 * vx_end + dz1 * vz_end
-*/
-      __pyx_v_dx1 = (__pyx_v_x_end - (__pyx_v_wx[__pyx_v_i]));
-
-      /* "wiresplit/_kernel.pyx":393
- *             g0 = dx0 * vx + dz0 * vz
- *             dx1 = x_end - wx[i]
- *             dz1 = z_end - wz[i]             # <<<<<<<<<<<<<<
- *             g1 = dx1 * vx_end + dz1 * vz_end
- *             if g0 < 0.0 and g1 >= 0.0:
-*/
-      __pyx_v_dz1 = (__pyx_v_z_end - (__pyx_v_wz[__pyx_v_i]));
-
-      /* "wiresplit/_kernel.pyx":394
- *             dx1 = x_end - wx[i]
- *             dz1 = z_end - wz[i]
- *             g1 = dx1 * vx_end + dz1 * vz_end             # <<<<<<<<<<<<<<
- *             if g0 < 0.0 and g1 >= 0.0:
- *                 lo = 0.0
-*/
-      __pyx_v_g1 = ((__pyx_v_dx1 * __pyx_v_vx_end) + (__pyx_v_dz1 * __pyx_v_vz_end));
-
-      /* "wiresplit/_kernel.pyx":395
- *             dz1 = z_end - wz[i]
- *             g1 = dx1 * vx_end + dz1 * vz_end
- *             if g0 < 0.0 and g1 >= 0.0:             # <<<<<<<<<<<<<<
- *                 lo = 0.0
- *                 hi = theta_end
-*/
-      __pyx_t_10 = (__pyx_v_g0 < 0.0);
-      if (__pyx_t_10) {
-      } else {
-        __pyx_t_3 = __pyx_t_10;
-        goto __pyx_L43_bool_binop_done;
-      }
-      __pyx_t_10 = (__pyx_v_g1 >= 0.0);
-      __pyx_t_3 = __pyx_t_10;
-      __pyx_L43_bool_binop_done:;
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":396
- *             g1 = dx1 * vx_end + dz1 * vz_end
- *             if g0 < 0.0 and g1 >= 0.0:
- *                 lo = 0.0             # <<<<<<<<<<<<<<
- *                 hi = theta_end
- *                 for it in range(80):
-*/
-        __pyx_v_lo = 0.0;
-
-        /* "wiresplit/_kernel.pyx":397
- *             if g0 < 0.0 and g1 >= 0.0:
- *                 lo = 0.0
- *                 hi = theta_end             # <<<<<<<<<<<<<<
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:
-*/
-        __pyx_v_hi = __pyx_v_theta_end;
-
-        /* "wiresplit/_kernel.pyx":398
- *                 lo = 0.0
- *                 hi = theta_end
- *                 for it in range(80):             # <<<<<<<<<<<<<<
- *                     if (hi - lo) * h <= event_dt:
- *                         break
-*/
-        for (__pyx_t_14 = 0; __pyx_t_14 < 80; __pyx_t_14+=1) {
-          __pyx_v_it = __pyx_t_14;
-
-          /* "wiresplit/_kernel.pyx":399
- *                 hi = theta_end
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                         break
- *                     mid = 0.5 * (lo + hi)
-*/
-          __pyx_t_3 = (((__pyx_v_hi - __pyx_v_lo) * __pyx_v_h) <= __pyx_v_event_dt);
-          if (__pyx_t_3) {
-
-            /* "wiresplit/_kernel.pyx":400
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:
- *                         break             # <<<<<<<<<<<<<<
- *                     mid = 0.5 * (lo + hi)
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
-*/
-            goto __pyx_L46_break;
-
-            /* "wiresplit/_kernel.pyx":399
- *                 hi = theta_end
- *                 for it in range(80):
- *                     if (hi - lo) * h <= event_dt:             # <<<<<<<<<<<<<<
- *                         break
- *                     mid = 0.5 * (lo + hi)
-*/
-          }
-
-          /* "wiresplit/_kernel.pyx":401
- *                     if (hi - lo) * h <= event_dt:
- *                         break
- *                     mid = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                            x_new, z_new, vx_new, vz_new,
-*/
-          __pyx_v_mid = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-          /* "wiresplit/_kernel.pyx":402
- *                         break
- *                     mid = 0.5 * (lo + hi)
- *                     _dense(mid, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
-*/
-          __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_mid, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-          /* "wiresplit/_kernel.pyx":405
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if (out4[0] - wx[i]) * out4[2] + (out4[1] - wz[i]) * out4[3] < 0.0:             # <<<<<<<<<<<<<<
- *                         lo = mid
- *                     else:
-*/
-          __pyx_t_3 = (((((__pyx_v_out4[0]) - (__pyx_v_wx[__pyx_v_i])) * (__pyx_v_out4[2])) + (((__pyx_v_out4[1]) - (__pyx_v_wz[__pyx_v_i])) * (__pyx_v_out4[3]))) < 0.0);
-          if (__pyx_t_3) {
-
-            /* "wiresplit/_kernel.pyx":406
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if (out4[0] - wx[i]) * out4[2] + (out4[1] - wz[i]) * out4[3] < 0.0:
- *                         lo = mid             # <<<<<<<<<<<<<<
- *                     else:
- *                         hi = mid
-*/
-            __pyx_v_lo = __pyx_v_mid;
-
-            /* "wiresplit/_kernel.pyx":405
- *                            x_new, z_new, vx_new, vz_new,
- *                            k7x, k7z, k7vx, k7vz, out4)
- *                     if (out4[0] - wx[i]) * out4[2] + (out4[1] - wz[i]) * out4[3] < 0.0:             # <<<<<<<<<<<<<<
- *                         lo = mid
- *                     else:
-*/
-            goto __pyx_L48;
-          }
-
-          /* "wiresplit/_kernel.pyx":408
- *                         lo = mid
- *                     else:
- *                         hi = mid             # <<<<<<<<<<<<<<
- *                 th = 0.5 * (lo + hi)
- *                 _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
-*/
-          /*else*/ {
-            __pyx_v_hi = __pyx_v_mid;
-          }
-          __pyx_L48:;
-        }
-        __pyx_L46_break:;
-
-        /* "wiresplit/_kernel.pyx":409
- *                     else:
- *                         hi = mid
- *                 th = 0.5 * (lo + hi)             # <<<<<<<<<<<<<<
- *                 _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,
- *                        x_new, z_new, vx_new, vz_new,
-*/
-        __pyx_v_th = (0.5 * (__pyx_v_lo + __pyx_v_hi));
-
-        /* "wiresplit/_kernel.pyx":410
- *                         hi = mid
- *                 th = 0.5 * (lo + hi)
- *                 _dense(th, h, x, z, vx, vz, k1x, k1z, k1vx, k1vz,             # <<<<<<<<<<<<<<
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
-*/
-        __pyx_f_9wiresplit_7_kernel__dense(__pyx_v_th, __pyx_v_h, __pyx_v_x, __pyx_v_z, __pyx_v_vx, __pyx_v_vz, __pyx_v_k1x, __pyx_v_k1z, __pyx_v_k1vx, __pyx_v_k1vz, __pyx_v_x_new, __pyx_v_z_new, __pyx_v_vx_new, __pyx_v_vz_new, __pyx_v_k7x, __pyx_v_k7z, __pyx_v_k7vx, __pyx_v_k7vz, __pyx_v_out4);
-
-        /* "wiresplit/_kernel.pyx":413
- *                        x_new, z_new, vx_new, vz_new,
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 dxp = out4[0] - wx[i]             # <<<<<<<<<<<<<<
- *                 dzp = out4[1] - wz[i]
- *                 dist = sqrt(dxp * dxp + dzp * dzp)
-*/
-        __pyx_v_dxp = ((__pyx_v_out4[0]) - (__pyx_v_wx[__pyx_v_i]));
-
-        /* "wiresplit/_kernel.pyx":414
- *                        k7x, k7z, k7vx, k7vz, out4)
- *                 dxp = out4[0] - wx[i]
- *                 dzp = out4[1] - wz[i]             # <<<<<<<<<<<<<<
- *                 dist = sqrt(dxp * dxp + dzp * dzp)
- *                 if dist < peri_dist[i]:
-*/
-        __pyx_v_dzp = ((__pyx_v_out4[1]) - (__pyx_v_wz[__pyx_v_i]));
-
-        /* "wiresplit/_kernel.pyx":415
- *                 dxp = out4[0] - wx[i]
- *                 dzp = out4[1] - wz[i]
- *                 dist = sqrt(dxp * dxp + dzp * dzp)             # <<<<<<<<<<<<<<
- *                 if dist < peri_dist[i]:
- *                     peri_dist[i] = dist
-*/
-        __pyx_v_dist = sqrt(((__pyx_v_dxp * __pyx_v_dxp) + (__pyx_v_dzp * __pyx_v_dzp)));
-
-        /* "wiresplit/_kernel.pyx":416
- *                 dzp = out4[1] - wz[i]
- *                 dist = sqrt(dxp * dxp + dzp * dzp)
- *                 if dist < peri_dist[i]:             # <<<<<<<<<<<<<<
- *                     peri_dist[i] = dist
- *                     peri_st[5 * i + 0] = t + th * h
-*/
-        __pyx_t_3 = (__pyx_v_dist < (__pyx_v_peri_dist[__pyx_v_i]));
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":417
- *                 dist = sqrt(dxp * dxp + dzp * dzp)
- *                 if dist < peri_dist[i]:
- *                     peri_dist[i] = dist             # <<<<<<<<<<<<<<
- *                     peri_st[5 * i + 0] = t + th * h
- *                     peri_st[5 * i + 1] = out4[0]
-*/
-          (__pyx_v_peri_dist[__pyx_v_i]) = __pyx_v_dist;
-
-          /* "wiresplit/_kernel.pyx":418
- *                 if dist < peri_dist[i]:
- *                     peri_dist[i] = dist
- *                     peri_st[5 * i + 0] = t + th * h             # <<<<<<<<<<<<<<
- *                     peri_st[5 * i + 1] = out4[0]
- *                     peri_st[5 * i + 2] = out4[1]
-*/
-          (__pyx_v_peri_st[((5 * __pyx_v_i) + 0)]) = (__pyx_v_t + (__pyx_v_th * __pyx_v_h));
-
-          /* "wiresplit/_kernel.pyx":419
- *                     peri_dist[i] = dist
- *                     peri_st[5 * i + 0] = t + th * h
- *                     peri_st[5 * i + 1] = out4[0]             # <<<<<<<<<<<<<<
- *                     peri_st[5 * i + 2] = out4[1]
- *                     peri_st[5 * i + 3] = out4[2]
-*/
-          (__pyx_v_peri_st[((5 * __pyx_v_i) + 1)]) = (__pyx_v_out4[0]);
-
-          /* "wiresplit/_kernel.pyx":420
- *                     peri_st[5 * i + 0] = t + th * h
- *                     peri_st[5 * i + 1] = out4[0]
- *                     peri_st[5 * i + 2] = out4[1]             # <<<<<<<<<<<<<<
- *                     peri_st[5 * i + 3] = out4[2]
- *                     peri_st[5 * i + 4] = out4[3]
-*/
-          (__pyx_v_peri_st[((5 * __pyx_v_i) + 2)]) = (__pyx_v_out4[1]);
-
-          /* "wiresplit/_kernel.pyx":421
- *                     peri_st[5 * i + 1] = out4[0]
- *                     peri_st[5 * i + 2] = out4[1]
- *                     peri_st[5 * i + 3] = out4[2]             # <<<<<<<<<<<<<<
- *                     peri_st[5 * i + 4] = out4[3]
- *                 if wi[i] != 0.0 and dist * dist <= guard2:
-*/
-          (__pyx_v_peri_st[((5 * __pyx_v_i) + 3)]) = (__pyx_v_out4[2]);
-
-          /* "wiresplit/_kernel.pyx":422
- *                     peri_st[5 * i + 2] = out4[1]
- *                     peri_st[5 * i + 3] = out4[2]
- *                     peri_st[5 * i + 4] = out4[3]             # <<<<<<<<<<<<<<
- *                 if wi[i] != 0.0 and dist * dist <= guard2:
- *                     status = STATUS_SINGULARITY
-*/
-          (__pyx_v_peri_st[((5 * __pyx_v_i) + 4)]) = (__pyx_v_out4[3]);
-
-          /* "wiresplit/_kernel.pyx":416
- *                 dzp = out4[1] - wz[i]
- *                 dist = sqrt(dxp * dxp + dzp * dzp)
- *                 if dist < peri_dist[i]:             # <<<<<<<<<<<<<<
- *                     peri_dist[i] = dist
- *                     peri_st[5 * i + 0] = t + th * h
-*/
-        }
-
-        /* "wiresplit/_kernel.pyx":423
- *                     peri_st[5 * i + 3] = out4[2]
- *                     peri_st[5 * i + 4] = out4[3]
- *                 if wi[i] != 0.0 and dist * dist <= guard2:             # <<<<<<<<<<<<<<
- *                     status = STATUS_SINGULARITY
- *                     fail_wire = i
-*/
-        __pyx_t_10 = ((__pyx_v_wi[__pyx_v_i]) != 0.0);
-        if (__pyx_t_10) {
-        } else {
-          __pyx_t_3 = __pyx_t_10;
-          goto __pyx_L51_bool_binop_done;
-        }
-        __pyx_t_10 = ((__pyx_v_dist * __pyx_v_dist) <= __pyx_v_guard2);
-        __pyx_t_3 = __pyx_t_10;
-        __pyx_L51_bool_binop_done:;
-        if (__pyx_t_3) {
-
-          /* "wiresplit/_kernel.pyx":424
- *                     peri_st[5 * i + 4] = out4[3]
- *                 if wi[i] != 0.0 and dist * dist <= guard2:
- *                     status = STATUS_SINGULARITY             # <<<<<<<<<<<<<<
- *                     fail_wire = i
- *                     t_fail = t + th * h
-*/
-          __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_STATUS_SINGULARITY); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 424, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 424, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_v_status = __pyx_t_14;
-
-          /* "wiresplit/_kernel.pyx":425
- *                 if wi[i] != 0.0 and dist * dist <= guard2:
- *                     status = STATUS_SINGULARITY
- *                     fail_wire = i             # <<<<<<<<<<<<<<
- *                     t_fail = t + th * h
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)
-*/
-          __pyx_v_fail_wire = __pyx_v_i;
-
-          /* "wiresplit/_kernel.pyx":426
- *                     status = STATUS_SINGULARITY
- *                     fail_wire = i
- *                     t_fail = t + th * h             # <<<<<<<<<<<<<<
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)
- *             if d_end < peri_dist[i]:
-*/
-          __pyx_v_t_fail = (__pyx_v_t + (__pyx_v_th * __pyx_v_h));
-
-          /* "wiresplit/_kernel.pyx":423
- *                     peri_st[5 * i + 3] = out4[2]
- *                     peri_st[5 * i + 4] = out4[3]
- *                 if wi[i] != 0.0 and dist * dist <= guard2:             # <<<<<<<<<<<<<<
- *                     status = STATUS_SINGULARITY
- *                     fail_wire = i
-*/
-        }
-
-        /* "wiresplit/_kernel.pyx":395
- *             dz1 = z_end - wz[i]
- *             g1 = dx1 * vx_end + dz1 * vz_end
- *             if g0 < 0.0 and g1 >= 0.0:             # <<<<<<<<<<<<<<
- *                 lo = 0.0
- *                 hi = theta_end
-*/
-      }
-
-      /* "wiresplit/_kernel.pyx":427
- *                     fail_wire = i
- *                     t_fail = t + th * h
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)             # <<<<<<<<<<<<<<
- *             if d_end < peri_dist[i]:
- *                 peri_dist[i] = d_end
-*/
-      __pyx_v_d_end = sqrt(((__pyx_v_dx1 * __pyx_v_dx1) + (__pyx_v_dz1 * __pyx_v_dz1)));
-
-      /* "wiresplit/_kernel.pyx":428
- *                     t_fail = t + th * h
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)
- *             if d_end < peri_dist[i]:             # <<<<<<<<<<<<<<
- *                 peri_dist[i] = d_end
- *                 peri_st[5 * i + 0] = t_end
-*/
-      __pyx_t_3 = (__pyx_v_d_end < (__pyx_v_peri_dist[__pyx_v_i]));
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":429
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)
- *             if d_end < peri_dist[i]:
- *                 peri_dist[i] = d_end             # <<<<<<<<<<<<<<
- *                 peri_st[5 * i + 0] = t_end
- *                 peri_st[5 * i + 1] = x_end
-*/
-        (__pyx_v_peri_dist[__pyx_v_i]) = __pyx_v_d_end;
-
-        /* "wiresplit/_kernel.pyx":430
- *             if d_end < peri_dist[i]:
- *                 peri_dist[i] = d_end
- *                 peri_st[5 * i + 0] = t_end             # <<<<<<<<<<<<<<
- *                 peri_st[5 * i + 1] = x_end
- *                 peri_st[5 * i + 2] = z_end
-*/
-        (__pyx_v_peri_st[((5 * __pyx_v_i) + 0)]) = __pyx_v_t_end;
-
-        /* "wiresplit/_kernel.pyx":431
- *                 peri_dist[i] = d_end
- *                 peri_st[5 * i + 0] = t_end
- *                 peri_st[5 * i + 1] = x_end             # <<<<<<<<<<<<<<
- *                 peri_st[5 * i + 2] = z_end
- *                 peri_st[5 * i + 3] = vx_end
-*/
-        (__pyx_v_peri_st[((5 * __pyx_v_i) + 1)]) = __pyx_v_x_end;
-
-        /* "wiresplit/_kernel.pyx":432
- *                 peri_st[5 * i + 0] = t_end
- *                 peri_st[5 * i + 1] = x_end
- *                 peri_st[5 * i + 2] = z_end             # <<<<<<<<<<<<<<
- *                 peri_st[5 * i + 3] = vx_end
- *                 peri_st[5 * i + 4] = vz_end
-*/
-        (__pyx_v_peri_st[((5 * __pyx_v_i) + 2)]) = __pyx_v_z_end;
-
-        /* "wiresplit/_kernel.pyx":433
- *                 peri_st[5 * i + 1] = x_end
- *                 peri_st[5 * i + 2] = z_end
- *                 peri_st[5 * i + 3] = vx_end             # <<<<<<<<<<<<<<
- *                 peri_st[5 * i + 4] = vz_end
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:
-*/
-        (__pyx_v_peri_st[((5 * __pyx_v_i) + 3)]) = __pyx_v_vx_end;
-
-        /* "wiresplit/_kernel.pyx":434
- *                 peri_st[5 * i + 2] = z_end
- *                 peri_st[5 * i + 3] = vx_end
- *                 peri_st[5 * i + 4] = vz_end             # <<<<<<<<<<<<<<
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:
- *                 status = STATUS_SINGULARITY
-*/
-        (__pyx_v_peri_st[((5 * __pyx_v_i) + 4)]) = __pyx_v_vz_end;
-
-        /* "wiresplit/_kernel.pyx":428
- *                     t_fail = t + th * h
- *             d_end = sqrt(dx1 * dx1 + dz1 * dz1)
- *             if d_end < peri_dist[i]:             # <<<<<<<<<<<<<<
- *                 peri_dist[i] = d_end
- *                 peri_st[5 * i + 0] = t_end
-*/
-      }
-
-      /* "wiresplit/_kernel.pyx":435
- *                 peri_st[5 * i + 3] = vx_end
- *                 peri_st[5 * i + 4] = vz_end
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:             # <<<<<<<<<<<<<<
- *                 status = STATUS_SINGULARITY
- *                 fail_wire = i
-*/
-      __pyx_t_10 = ((__pyx_v_wi[__pyx_v_i]) != 0.0);
-      if (__pyx_t_10) {
-      } else {
-        __pyx_t_3 = __pyx_t_10;
-        goto __pyx_L55_bool_binop_done;
-      }
-      __pyx_t_10 = ((__pyx_v_d_end * __pyx_v_d_end) <= __pyx_v_guard2);
-      __pyx_t_3 = __pyx_t_10;
-      __pyx_L55_bool_binop_done:;
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":436
- *                 peri_st[5 * i + 4] = vz_end
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:
- *                 status = STATUS_SINGULARITY             # <<<<<<<<<<<<<<
- *                 fail_wire = i
- *                 t_fail = t_end
-*/
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_STATUS_SINGULARITY); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 436, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 436, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __pyx_v_status = __pyx_t_14;
-
-        /* "wiresplit/_kernel.pyx":437
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:
- *                 status = STATUS_SINGULARITY
- *                 fail_wire = i             # <<<<<<<<<<<<<<
- *                 t_fail = t_end
- * 
-*/
-        __pyx_v_fail_wire = __pyx_v_i;
-
-        /* "wiresplit/_kernel.pyx":438
- *                 status = STATUS_SINGULARITY
- *                 fail_wire = i
- *                 t_fail = t_end             # <<<<<<<<<<<<<<
- * 
- *         ts.append(t_end)
-*/
-        __pyx_v_t_fail = __pyx_v_t_end;
-
-        /* "wiresplit/_kernel.pyx":435
- *                 peri_st[5 * i + 3] = vx_end
- *                 peri_st[5 * i + 4] = vz_end
- *             if wi[i] != 0.0 and d_end * d_end <= guard2:             # <<<<<<<<<<<<<<
- *                 status = STATUS_SINGULARITY
- *                 fail_wire = i
-*/
-      }
-    }
-
-    /* "wiresplit/_kernel.pyx":440
- *                 t_fail = t_end
- * 
- *         ts.append(t_end)             # <<<<<<<<<<<<<<
- *         xs.append(x_end)
- *         zs.append(z_end)
-*/
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_t_end); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 440, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_15 = __Pyx_PyList_Append(__pyx_v_ts, __pyx_t_9); if (unlikely(__pyx_t_15 == ((int)-1))) __PYX_ERR(0, 440, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "wiresplit/_kernel.pyx":441
- * 
- *         ts.append(t_end)
- *         xs.append(x_end)             # <<<<<<<<<<<<<<
- *         zs.append(z_end)
- *         vxs.append(vx_end)
-*/
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_x_end); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 441, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_15 = __Pyx_PyList_Append(__pyx_v_xs, __pyx_t_9); if (unlikely(__pyx_t_15 == ((int)-1))) __PYX_ERR(0, 441, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "wiresplit/_kernel.pyx":442
- *         ts.append(t_end)
- *         xs.append(x_end)
- *         zs.append(z_end)             # <<<<<<<<<<<<<<
- *         vxs.append(vx_end)
- *         vzs.append(vz_end)
-*/
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_z_end); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_15 = __Pyx_PyList_Append(__pyx_v_zs, __pyx_t_9); if (unlikely(__pyx_t_15 == ((int)-1))) __PYX_ERR(0, 442, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "wiresplit/_kernel.pyx":443
- *         xs.append(x_end)
- *         zs.append(z_end)
- *         vxs.append(vx_end)             # <<<<<<<<<<<<<<
- *         vzs.append(vz_end)
- *         n_steps += 1
-*/
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_vx_end); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 443, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_15 = __Pyx_PyList_Append(__pyx_v_vxs, __pyx_t_9); if (unlikely(__pyx_t_15 == ((int)-1))) __PYX_ERR(0, 443, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "wiresplit/_kernel.pyx":444
- *         zs.append(z_end)
- *         vxs.append(vx_end)
- *         vzs.append(vz_end)             # <<<<<<<<<<<<<<
- *         n_steps += 1
- *         if h < min_step:
-*/
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_vz_end); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 444, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_15 = __Pyx_PyList_Append(__pyx_v_vzs, __pyx_t_9); if (unlikely(__pyx_t_15 == ((int)-1))) __PYX_ERR(0, 444, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "wiresplit/_kernel.pyx":445
- *         vxs.append(vx_end)
- *         vzs.append(vz_end)
- *         n_steps += 1             # <<<<<<<<<<<<<<
- *         if h < min_step:
- *             min_step = h
-*/
-    __pyx_v_n_steps = (__pyx_v_n_steps + 1);
-
-    /* "wiresplit/_kernel.pyx":446
- *         vzs.append(vz_end)
- *         n_steps += 1
- *         if h < min_step:             # <<<<<<<<<<<<<<
- *             min_step = h
- * 
-*/
-    __pyx_t_3 = (__pyx_v_h < __pyx_v_min_step);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":447
- *         n_steps += 1
- *         if h < min_step:
- *             min_step = h             # <<<<<<<<<<<<<<
- * 
- *         if status == STATUS_SINGULARITY:
-*/
-      __pyx_v_min_step = __pyx_v_h;
-
-      /* "wiresplit/_kernel.pyx":446
- *         vzs.append(vz_end)
- *         n_steps += 1
- *         if h < min_step:             # <<<<<<<<<<<<<<
- *             min_step = h
- * 
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":449
- *             min_step = h
- * 
- *         if status == STATUS_SINGULARITY:             # <<<<<<<<<<<<<<
- *             break
- * 
-*/
-    __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 449, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_GetModuleGlobalName(__pyx_t_7, __pyx_mstate_global->__pyx_n_u_STATUS_SINGULARITY); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 449, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_16 = PyObject_RichCompare(__pyx_t_9, __pyx_t_7, Py_EQ); __Pyx_XGOTREF(__pyx_t_16); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 449, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_16); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 449, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_16); __pyx_t_16 = 0;
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":450
- * 
- *         if status == STATUS_SINGULARITY:
- *             break             # <<<<<<<<<<<<<<
- * 
- *         t = t_end
-*/
-      goto __pyx_L16_break;
-
-      /* "wiresplit/_kernel.pyx":449
- *             min_step = h
- * 
- *         if status == STATUS_SINGULARITY:             # <<<<<<<<<<<<<<
- *             break
- * 
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":452
- *             break
- * 
- *         t = t_end             # <<<<<<<<<<<<<<
- *         x = x_end
- *         z = z_end
-*/
-    __pyx_v_t = __pyx_v_t_end;
-
-    /* "wiresplit/_kernel.pyx":453
- * 
- *         t = t_end
- *         x = x_end             # <<<<<<<<<<<<<<
- *         z = z_end
- *         vx = vx_end
-*/
-    __pyx_v_x = __pyx_v_x_end;
-
-    /* "wiresplit/_kernel.pyx":454
- *         t = t_end
- *         x = x_end
- *         z = z_end             # <<<<<<<<<<<<<<
- *         vx = vx_end
- *         vz = vz_end
-*/
-    __pyx_v_z = __pyx_v_z_end;
-
-    /* "wiresplit/_kernel.pyx":455
- *         x = x_end
- *         z = z_end
- *         vx = vx_end             # <<<<<<<<<<<<<<
- *         vz = vz_end
- *         if truncated:
-*/
-    __pyx_v_vx = __pyx_v_vx_end;
-
-    /* "wiresplit/_kernel.pyx":456
- *         z = z_end
- *         vx = vx_end
- *         vz = vz_end             # <<<<<<<<<<<<<<
- *         if truncated:
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
-*/
-    __pyx_v_vz = __pyx_v_vz_end;
-
-    /* "wiresplit/_kernel.pyx":457
- *         vx = vx_end
- *         vz = vz_end
- *         if truncated:             # <<<<<<<<<<<<<<
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *             n_rhs += 1
-*/
-    if (__pyx_v_truncated) {
-
-      /* "wiresplit/_kernel.pyx":458
- *         vz = vz_end
- *         if truncated:
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)             # <<<<<<<<<<<<<<
- *             n_rhs += 1
- *             k1x = vx
-*/
-      __pyx_f_9wiresplit_7_kernel__accel(__pyx_v_x, __pyx_v_z, __pyx_v_n, __pyx_v_wx, __pyx_v_wz, __pyx_v_wi, __pyx_v_tiny_r2, __pyx_v_alpha, __pyx_v_out2);
-
-      /* "wiresplit/_kernel.pyx":459
- *         if truncated:
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *             n_rhs += 1             # <<<<<<<<<<<<<<
- *             k1x = vx
- *             k1z = vz
-*/
-      __pyx_v_n_rhs = (__pyx_v_n_rhs + 1);
-
-      /* "wiresplit/_kernel.pyx":460
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *             n_rhs += 1
- *             k1x = vx             # <<<<<<<<<<<<<<
- *             k1z = vz
- *             k1vx = out2[0]
-*/
-      __pyx_v_k1x = __pyx_v_vx;
-
-      /* "wiresplit/_kernel.pyx":461
- *             n_rhs += 1
- *             k1x = vx
- *             k1z = vz             # <<<<<<<<<<<<<<
- *             k1vx = out2[0]
- *             k1vz = out2[1]
-*/
-      __pyx_v_k1z = __pyx_v_vz;
-
-      /* "wiresplit/_kernel.pyx":462
- *             k1x = vx
- *             k1z = vz
- *             k1vx = out2[0]             # <<<<<<<<<<<<<<
- *             k1vz = out2[1]
- *             break
-*/
-      __pyx_v_k1vx = (__pyx_v_out2[0]);
-
-      /* "wiresplit/_kernel.pyx":463
- *             k1z = vz
- *             k1vx = out2[0]
- *             k1vz = out2[1]             # <<<<<<<<<<<<<<
- *             break
- *         k1x = k7x
-*/
-      __pyx_v_k1vz = (__pyx_v_out2[1]);
-
-      /* "wiresplit/_kernel.pyx":464
- *             k1vx = out2[0]
- *             k1vz = out2[1]
- *             break             # <<<<<<<<<<<<<<
- *         k1x = k7x
- *         k1z = k7z
-*/
-      goto __pyx_L16_break;
-
-      /* "wiresplit/_kernel.pyx":457
- *         vx = vx_end
- *         vz = vz_end
- *         if truncated:             # <<<<<<<<<<<<<<
- *             _accel(x, z, n, wx, wz, wi, tiny_r2, alpha, out2)
- *             n_rhs += 1
-*/
-    }
-
-    /* "wiresplit/_kernel.pyx":465
- *             k1vz = out2[1]
- *             break
- *         k1x = k7x             # <<<<<<<<<<<<<<
- *         k1z = k7z
- *         k1vx = k7vx
-*/
-    __pyx_v_k1x = __pyx_v_k7x;
-
-    /* "wiresplit/_kernel.pyx":466
- *             break
- *         k1x = k7x
- *         k1z = k7z             # <<<<<<<<<<<<<<
- *         k1vx = k7vx
- *         k1vz = k7vz
-*/
-    __pyx_v_k1z = __pyx_v_k7z;
-
-    /* "wiresplit/_kernel.pyx":467
- *         k1x = k7x
- *         k1z = k7z
- *         k1vx = k7vx             # <<<<<<<<<<<<<<
- *         k1vz = k7vz
- * 
-*/
-    __pyx_v_k1vx = __pyx_v_k7vx;
-
-    /* "wiresplit/_kernel.pyx":468
- *         k1z = k7z
- *         k1vx = k7vx
- *         k1vz = k7vz             # <<<<<<<<<<<<<<
- * 
- *         if err_norm == 0.0:
-*/
-    __pyx_v_k1vz = __pyx_v_k7vz;
-
-    /* "wiresplit/_kernel.pyx":470
- *         k1vz = k7vz
- * 
- *         if err_norm == 0.0:             # <<<<<<<<<<<<<<
- *             fac = _MAX_FACTOR
- *         else:
-*/
-    __pyx_t_3 = (__pyx_v_err_norm == 0.0);
-    if (__pyx_t_3) {
-
-      /* "wiresplit/_kernel.pyx":471
- * 
- *         if err_norm == 0.0:
- *             fac = _MAX_FACTOR             # <<<<<<<<<<<<<<
- *         else:
- *             fac = _SAFETY * pow(err_norm, -0.2)
-*/
-      __pyx_v_fac = __pyx_v_9wiresplit_7_kernel__MAX_FACTOR;
-
-      /* "wiresplit/_kernel.pyx":470
- *         k1vz = k7vz
- * 
- *         if err_norm == 0.0:             # <<<<<<<<<<<<<<
- *             fac = _MAX_FACTOR
- *         else:
-*/
-      goto __pyx_L60;
-    }
-
-    /* "wiresplit/_kernel.pyx":473
- *             fac = _MAX_FACTOR
- *         else:
- *             fac = _SAFETY * pow(err_norm, -0.2)             # <<<<<<<<<<<<<<
- *             if fac > _MAX_FACTOR:
- *                 fac = _MAX_FACTOR
-*/
-    /*else*/ {
-      __pyx_v_fac = (__pyx_v_9wiresplit_7_kernel__SAFETY * pow(__pyx_v_err_norm, -0.2));
-
-      /* "wiresplit/_kernel.pyx":474
- *         else:
- *             fac = _SAFETY * pow(err_norm, -0.2)
- *             if fac > _MAX_FACTOR:             # <<<<<<<<<<<<<<
- *                 fac = _MAX_FACTOR
- *             elif fac < _MIN_FACTOR:
-*/
-      __pyx_t_3 = (__pyx_v_fac > __pyx_v_9wiresplit_7_kernel__MAX_FACTOR);
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":475
- *             fac = _SAFETY * pow(err_norm, -0.2)
- *             if fac > _MAX_FACTOR:
- *                 fac = _MAX_FACTOR             # <<<<<<<<<<<<<<
- *             elif fac < _MIN_FACTOR:
- *                 fac = _MIN_FACTOR
-*/
-        __pyx_v_fac = __pyx_v_9wiresplit_7_kernel__MAX_FACTOR;
-
-        /* "wiresplit/_kernel.pyx":474
- *         else:
- *             fac = _SAFETY * pow(err_norm, -0.2)
- *             if fac > _MAX_FACTOR:             # <<<<<<<<<<<<<<
- *                 fac = _MAX_FACTOR
- *             elif fac < _MIN_FACTOR:
-*/
-        goto __pyx_L61;
-      }
-
-      /* "wiresplit/_kernel.pyx":476
- *             if fac > _MAX_FACTOR:
- *                 fac = _MAX_FACTOR
- *             elif fac < _MIN_FACTOR:             # <<<<<<<<<<<<<<
- *                 fac = _MIN_FACTOR
- *         h = h * fac
-*/
-      __pyx_t_3 = (__pyx_v_fac < __pyx_v_9wiresplit_7_kernel__MIN_FACTOR);
-      if (__pyx_t_3) {
-
-        /* "wiresplit/_kernel.pyx":477
- *                 fac = _MAX_FACTOR
- *             elif fac < _MIN_FACTOR:
- *                 fac = _MIN_FACTOR             # <<<<<<<<<<<<<<
- *         h = h * fac
- * 
-*/
-        __pyx_v_fac = __pyx_v_9wiresplit_7_kernel__MIN_FACTOR;
-
-        /* "wiresplit/_kernel.pyx":476
- *             if fac > _MAX_FACTOR:
- *                 fac = _MAX_FACTOR
- *             elif fac < _MIN_FACTOR:             # <<<<<<<<<<<<<<
- *                 fac = _MIN_FACTOR
- *         h = h * fac
-*/
-      }
-      __pyx_L61:;
-    }
-    __pyx_L60:;
-
-    /* "wiresplit/_kernel.pyx":478
- *             elif fac < _MIN_FACTOR:
- *                 fac = _MIN_FACTOR
- *         h = h * fac             # <<<<<<<<<<<<<<
- * 
- *     if fabs(z) > best_apex_absz:
-*/
-    __pyx_v_h = (__pyx_v_h * __pyx_v_fac);
-    __pyx_L15_continue:;
-  }
-  __pyx_L16_break:;
-
-  /* "wiresplit/_kernel.pyx":480
- *         h = h * fac
- * 
- *     if fabs(z) > best_apex_absz:             # <<<<<<<<<<<<<<
- *         best_apex_absz = fabs(z)
- *         apex_t = t
-*/
-  __pyx_t_3 = (fabs(__pyx_v_z) > __pyx_v_best_apex_absz);
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":481
- * 
- *     if fabs(z) > best_apex_absz:
- *         best_apex_absz = fabs(z)             # <<<<<<<<<<<<<<
- *         apex_t = t
- *         apex_x = x
-*/
-    __pyx_v_best_apex_absz = fabs(__pyx_v_z);
-
-    /* "wiresplit/_kernel.pyx":482
- *     if fabs(z) > best_apex_absz:
- *         best_apex_absz = fabs(z)
- *         apex_t = t             # <<<<<<<<<<<<<<
- *         apex_x = x
- *         apex_z = z
-*/
-    __pyx_v_apex_t = __pyx_v_t;
-
-    /* "wiresplit/_kernel.pyx":483
- *         best_apex_absz = fabs(z)
- *         apex_t = t
- *         apex_x = x             # <<<<<<<<<<<<<<
- *         apex_z = z
- *         apex_vx = vx
-*/
-    __pyx_v_apex_x = __pyx_v_x;
-
-    /* "wiresplit/_kernel.pyx":484
- *         apex_t = t
- *         apex_x = x
- *         apex_z = z             # <<<<<<<<<<<<<<
- *         apex_vx = vx
- *         apex_vz = vz
-*/
-    __pyx_v_apex_z = __pyx_v_z;
-
-    /* "wiresplit/_kernel.pyx":485
- *         apex_x = x
- *         apex_z = z
- *         apex_vx = vx             # <<<<<<<<<<<<<<
- *         apex_vz = vz
- * 
-*/
-    __pyx_v_apex_vx = __pyx_v_vx;
-
-    /* "wiresplit/_kernel.pyx":486
- *         apex_z = z
- *         apex_vx = vx
- *         apex_vz = vz             # <<<<<<<<<<<<<<
- * 
- *     peri_dist_list = [peri_dist[i] for i in range(n)]
-*/
-    __pyx_v_apex_vz = __pyx_v_vz;
-
-    /* "wiresplit/_kernel.pyx":480
- *         h = h * fac
- * 
- *     if fabs(z) > best_apex_absz:             # <<<<<<<<<<<<<<
- *         best_apex_absz = fabs(z)
- *         apex_t = t
-*/
-  }
-
-  /* "wiresplit/_kernel.pyx":488
- *         apex_vz = vz
- * 
- *     peri_dist_list = [peri_dist[i] for i in range(n)]             # <<<<<<<<<<<<<<
- *     peri_state_list = [
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],
-*/
-  { /* enter inner scope */
-    __pyx_t_16 = PyList_New(0); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 488, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_16);
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_7genexpr__pyx_v_i = __pyx_t_6;
-      __pyx_t_7 = PyFloat_FromDouble((__pyx_v_peri_dist[__pyx_7genexpr__pyx_v_i])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 488, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_16, (PyObject*)__pyx_t_7))) __PYX_ERR(0, 488, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_v_peri_dist_list = ((PyObject*)__pyx_t_16);
-  __pyx_t_16 = 0;
-
-  /* "wiresplit/_kernel.pyx":489
- * 
- *     peri_dist_list = [peri_dist[i] for i in range(n)]
- *     peri_state_list = [             # <<<<<<<<<<<<<<
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],
- *          peri_st[5 * i + 3], peri_st[5 * i + 4])
-*/
-  { /* enter inner scope */
-    __pyx_t_16 = PyList_New(0); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 489, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_16);
-
-    /* "wiresplit/_kernel.pyx":492
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],
- *          peri_st[5 * i + 3], peri_st[5 * i + 4])
- *         for i in range(n)             # <<<<<<<<<<<<<<
- *     ]
- *     if n:
-*/
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_8genexpr1__pyx_v_i = __pyx_t_6;
-
-      /* "wiresplit/_kernel.pyx":490
- *     peri_dist_list = [peri_dist[i] for i in range(n)]
- *     peri_state_list = [
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],             # <<<<<<<<<<<<<<
- *          peri_st[5 * i + 3], peri_st[5 * i + 4])
- *         for i in range(n)
-*/
-      __pyx_t_7 = PyFloat_FromDouble((__pyx_v_peri_st[((5 * __pyx_8genexpr1__pyx_v_i) + 0)])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 490, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_9 = PyFloat_FromDouble((__pyx_v_peri_st[((5 * __pyx_8genexpr1__pyx_v_i) + 1)])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 490, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_17 = PyFloat_FromDouble((__pyx_v_peri_st[((5 * __pyx_8genexpr1__pyx_v_i) + 2)])); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 490, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_17);
-
-      /* "wiresplit/_kernel.pyx":491
- *     peri_state_list = [
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],
- *          peri_st[5 * i + 3], peri_st[5 * i + 4])             # <<<<<<<<<<<<<<
- *         for i in range(n)
- *     ]
-*/
-      __pyx_t_18 = PyFloat_FromDouble((__pyx_v_peri_st[((5 * __pyx_8genexpr1__pyx_v_i) + 3)])); if (unlikely(!__pyx_t_18)) __PYX_ERR(0, 491, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_18);
-      __pyx_t_19 = PyFloat_FromDouble((__pyx_v_peri_st[((5 * __pyx_8genexpr1__pyx_v_i) + 4)])); if (unlikely(!__pyx_t_19)) __PYX_ERR(0, 491, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_19);
-
-      /* "wiresplit/_kernel.pyx":490
- *     peri_dist_list = [peri_dist[i] for i in range(n)]
- *     peri_state_list = [
- *         (peri_st[5 * i + 0], peri_st[5 * i + 1], peri_st[5 * i + 2],             # <<<<<<<<<<<<<<
- *          peri_st[5 * i + 3], peri_st[5 * i + 4])
- *         for i in range(n)
-*/
-      __pyx_t_20 = PyTuple_New(5); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 490, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_20);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_20, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 490, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_20, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 490, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_17);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_20, 2, __pyx_t_17) != (0)) __PYX_ERR(0, 490, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_18);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_20, 3, __pyx_t_18) != (0)) __PYX_ERR(0, 490, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_19);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_20, 4, __pyx_t_19) != (0)) __PYX_ERR(0, 490, __pyx_L1_error);
-      __pyx_t_7 = 0;
-      __pyx_t_9 = 0;
-      __pyx_t_17 = 0;
-      __pyx_t_18 = 0;
-      __pyx_t_19 = 0;
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_16, (PyObject*)__pyx_t_20))) __PYX_ERR(0, 489, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_20); __pyx_t_20 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_v_peri_state_list = ((PyObject*)__pyx_t_16);
-  __pyx_t_16 = 0;
-
-  /* "wiresplit/_kernel.pyx":494
- *         for i in range(n)
- *     ]
- *     if n:             # <<<<<<<<<<<<<<
- *         free(wx)
- *         free(wz)
-*/
-  __pyx_t_3 = (__pyx_v_n != 0);
-  if (__pyx_t_3) {
-
-    /* "wiresplit/_kernel.pyx":495
- *     ]
- *     if n:
- *         free(wx)             # <<<<<<<<<<<<<<
- *         free(wz)
- *         free(wi)
-*/
-    free(__pyx_v_wx);
-
-    /* "wiresplit/_kernel.pyx":496
- *     if n:
- *         free(wx)
- *         free(wz)             # <<<<<<<<<<<<<<
- *         free(wi)
- *         free(peri_dist)
-*/
-    free(__pyx_v_wz);
-
-    /* "wiresplit/_kernel.pyx":497
- *         free(wx)
- *         free(wz)
- *         free(wi)             # <<<<<<<<<<<<<<
- *         free(peri_dist)
- *         free(peri_st)
-*/
-    free(__pyx_v_wi);
-
-    /* "wiresplit/_kernel.pyx":498
- *         free(wz)
- *         free(wi)
- *         free(peri_dist)             # <<<<<<<<<<<<<<
- *         free(peri_st)
- * 
-*/
-    free(__pyx_v_peri_dist);
-
-    /* "wiresplit/_kernel.pyx":499
- *         free(wi)
- *         free(peri_dist)
- *         free(peri_st)             # <<<<<<<<<<<<<<
- * 
- *     return {
-*/
-    free(__pyx_v_peri_st);
-
-    /* "wiresplit/_kernel.pyx":494
- *         for i in range(n)
- *     ]
- *     if n:             # <<<<<<<<<<<<<<
- *         free(wx)
- *         free(wz)
-*/
-  }
-
-  /* "wiresplit/_kernel.pyx":501
- *         free(peri_st)
- * 
- *     return {             # <<<<<<<<<<<<<<
- *         "status": status,
- *         "fail_wire": fail_wire,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "wiresplit/_kernel.pyx":502
- * 
- *     return {
- *         "status": status,             # <<<<<<<<<<<<<<
- *         "fail_wire": fail_wire,
- *         "t_fail": t_fail,
-*/
-  __pyx_t_16 = __Pyx_PyDict_NewPresized(16); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_16);
-  __pyx_t_20 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_20);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_status, __pyx_t_20) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_20); __pyx_t_20 = 0;
-
-  /* "wiresplit/_kernel.pyx":503
- *     return {
- *         "status": status,
- *         "fail_wire": fail_wire,             # <<<<<<<<<<<<<<
- *         "t_fail": t_fail,
- *         "t": ts,
-*/
-  __pyx_t_20 = __Pyx_PyLong_From_int(__pyx_v_fail_wire); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 503, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_20);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_fail_wire, __pyx_t_20) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_20); __pyx_t_20 = 0;
-
-  /* "wiresplit/_kernel.pyx":504
- *         "status": status,
- *         "fail_wire": fail_wire,
- *         "t_fail": t_fail,             # <<<<<<<<<<<<<<
- *         "t": ts,
- *         "x": xs,
-*/
-  __pyx_t_20 = PyFloat_FromDouble(__pyx_v_t_fail); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 504, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_20);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_t_fail, __pyx_t_20) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_20); __pyx_t_20 = 0;
-
-  /* "wiresplit/_kernel.pyx":505
- *         "fail_wire": fail_wire,
- *         "t_fail": t_fail,
- *         "t": ts,             # <<<<<<<<<<<<<<
- *         "x": xs,
- *         "z": zs,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_t, __pyx_v_ts) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":506
- *         "t_fail": t_fail,
- *         "t": ts,
- *         "x": xs,             # <<<<<<<<<<<<<<
- *         "z": zs,
- *         "vx": vxs,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_x, __pyx_v_xs) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":507
- *         "t": ts,
- *         "x": xs,
- *         "z": zs,             # <<<<<<<<<<<<<<
- *         "vx": vxs,
- *         "vz": vzs,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_z, __pyx_v_zs) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":508
- *         "x": xs,
- *         "z": zs,
- *         "vx": vxs,             # <<<<<<<<<<<<<<
- *         "vz": vzs,
- *         "apex": (apex_t, apex_x, apex_z, apex_vx, apex_vz),
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_vx, __pyx_v_vxs) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":509
- *         "z": zs,
- *         "vx": vxs,
- *         "vz": vzs,             # <<<<<<<<<<<<<<
- *         "apex": (apex_t, apex_x, apex_z, apex_vx, apex_vz),
- *         "periapsis_distance": peri_dist_list,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_vz, __pyx_v_vzs) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":510
- *         "vx": vxs,
- *         "vz": vzs,
- *         "apex": (apex_t, apex_x, apex_z, apex_vx, apex_vz),             # <<<<<<<<<<<<<<
- *         "periapsis_distance": peri_dist_list,
- *         "periapsis_state": peri_state_list,
-*/
-  __pyx_t_20 = PyFloat_FromDouble(__pyx_v_apex_t); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_20);
-  __pyx_t_19 = PyFloat_FromDouble(__pyx_v_apex_x); if (unlikely(!__pyx_t_19)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_19);
-  __pyx_t_18 = PyFloat_FromDouble(__pyx_v_apex_z); if (unlikely(!__pyx_t_18)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_18);
-  __pyx_t_17 = PyFloat_FromDouble(__pyx_v_apex_vx); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_17);
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_apex_vz); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = PyTuple_New(5); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 510, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_GIVEREF(__pyx_t_20);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 0, __pyx_t_20) != (0)) __PYX_ERR(0, 510, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_19);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 1, __pyx_t_19) != (0)) __PYX_ERR(0, 510, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_18);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 2, __pyx_t_18) != (0)) __PYX_ERR(0, 510, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_17);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 3, __pyx_t_17) != (0)) __PYX_ERR(0, 510, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 4, __pyx_t_9) != (0)) __PYX_ERR(0, 510, __pyx_L1_error);
-  __pyx_t_20 = 0;
-  __pyx_t_19 = 0;
-  __pyx_t_18 = 0;
-  __pyx_t_17 = 0;
-  __pyx_t_9 = 0;
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_apex, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":511
- *         "vz": vzs,
- *         "apex": (apex_t, apex_x, apex_z, apex_vx, apex_vz),
- *         "periapsis_distance": peri_dist_list,             # <<<<<<<<<<<<<<
- *         "periapsis_state": peri_state_list,
- *         "closure": (clo_t, clo_x, clo_z, clo_vx, clo_vz) if have_closure else None,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_periapsis_distance, __pyx_v_peri_dist_list) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":512
- *         "apex": (apex_t, apex_x, apex_z, apex_vx, apex_vz),
- *         "periapsis_distance": peri_dist_list,
- *         "periapsis_state": peri_state_list,             # <<<<<<<<<<<<<<
- *         "closure": (clo_t, clo_x, clo_z, clo_vx, clo_vz) if have_closure else None,
- *         "n_steps": n_steps,
-*/
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_periapsis_state, __pyx_v_peri_state_list) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":513
- *         "periapsis_distance": peri_dist_list,
- *         "periapsis_state": peri_state_list,
- *         "closure": (clo_t, clo_x, clo_z, clo_vx, clo_vz) if have_closure else None,             # <<<<<<<<<<<<<<
- *         "n_steps": n_steps,
- *         "n_rejected": n_rejected,
-*/
-  if (__pyx_v_have_closure) {
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_clo_t); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_17 = PyFloat_FromDouble(__pyx_v_clo_x); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_17);
-    __pyx_t_18 = PyFloat_FromDouble(__pyx_v_clo_z); if (unlikely(!__pyx_t_18)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_18);
-    __pyx_t_19 = PyFloat_FromDouble(__pyx_v_clo_vx); if (unlikely(!__pyx_t_19)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_19);
-    __pyx_t_20 = PyFloat_FromDouble(__pyx_v_clo_vz); if (unlikely(!__pyx_t_20)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_20);
-    __pyx_t_21 = PyTuple_New(5); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_21);
-    __Pyx_GIVEREF(__pyx_t_9);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_21, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_17);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_21, 1, __pyx_t_17) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_18);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_21, 2, __pyx_t_18) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_19);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_21, 3, __pyx_t_19) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_20);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_21, 4, __pyx_t_20) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __pyx_t_9 = 0;
-    __pyx_t_17 = 0;
-    __pyx_t_18 = 0;
-    __pyx_t_19 = 0;
-    __pyx_t_20 = 0;
-    __pyx_t_7 = __pyx_t_21;
-    __pyx_t_21 = 0;
-  } else {
-    __Pyx_INCREF(Py_None);
-    __pyx_t_7 = Py_None;
-  }
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_closure, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":514
- *         "periapsis_state": peri_state_list,
- *         "closure": (clo_t, clo_x, clo_z, clo_vx, clo_vz) if have_closure else None,
- *         "n_steps": n_steps,             # <<<<<<<<<<<<<<
- *         "n_rejected": n_rejected,
- *         "n_rhs": n_rhs,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_long(__pyx_v_n_steps); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 514, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_n_steps, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":515
- *         "closure": (clo_t, clo_x, clo_z, clo_vx, clo_vz) if have_closure else None,
- *         "n_steps": n_steps,
- *         "n_rejected": n_rejected,             # <<<<<<<<<<<<<<
- *         "n_rhs": n_rhs,
- *         "min_step": min_step,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_long(__pyx_v_n_rejected); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 515, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_n_rejected, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":516
- *         "n_steps": n_steps,
- *         "n_rejected": n_rejected,
- *         "n_rhs": n_rhs,             # <<<<<<<<<<<<<<
- *         "min_step": min_step,
- *     }
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_long(__pyx_v_n_rhs); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 516, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_n_rhs, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "wiresplit/_kernel.pyx":517
- *         "n_rejected": n_rejected,
- *         "n_rhs": n_rhs,
- *         "min_step": min_step,             # <<<<<<<<<<<<<<
- *     }
-*/
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_min_step); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 517, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_16, __pyx_mstate_global->__pyx_n_u_min_step, __pyx_t_7) < (0)) __PYX_ERR(0, 502, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_r = __pyx_t_16;
-  __pyx_t_16 = 0;
-  goto __pyx_L0;
-
-  /* "wiresplit/_kernel.pyx":99
- * 
- * 
- * def integrate(double x0, double z0, double vx0, double vz0,             # <<<<<<<<<<<<<<
- *               double t0, double duration,
- *               wires_x, wires_z, wires_current, double alpha,
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_16);
-  __Pyx_XDECREF(__pyx_t_17);
-  __Pyx_XDECREF(__pyx_t_18);
-  __Pyx_XDECREF(__pyx_t_19);
-  __Pyx_XDECREF(__pyx_t_20);
-  __Pyx_XDECREF(__pyx_t_21);
-  __Pyx_AddTraceback("wiresplit._kernel.integrate", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_ts);
-  __Pyx_XDECREF(__pyx_v_xs);
-  __Pyx_XDECREF(__pyx_v_zs);
-  __Pyx_XDECREF(__pyx_v_vxs);
-  __Pyx_XDECREF(__pyx_v_vzs);
-  __Pyx_XDECREF(__pyx_v_peri_dist_list);
-  __Pyx_XDECREF(__pyx_v_peri_state_list);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__kernel(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__kernel},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_kernel",
-      __pyx_k_Compiled_integration_kernel_fast, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__kernel(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  double __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_kernel' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_kernel" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__kernel", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_wiresplit___kernel) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "wiresplit._kernel")) {
-      if (unlikely((PyDict_SetItemString(modules, "wiresplit._kernel", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "wiresplit/_kernel.pyx":14
- * from libc.stdlib cimport free, malloc
- * 
- * STATUS_OK = 0             # <<<<<<<<<<<<<<
- * STATUS_SINGULARITY = 1
- * STATUS_UNDERFLOW = 2
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_STATUS_OK, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 14, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":15
- * 
- * STATUS_OK = 0
- * STATUS_SINGULARITY = 1             # <<<<<<<<<<<<<<
- * STATUS_UNDERFLOW = 2
- * STATUS_MAXSTEPS = 3
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_STATUS_SINGULARITY, __pyx_mstate_global->__pyx_int_1) < (0)) __PYX_ERR(0, 15, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":16
- * STATUS_OK = 0
- * STATUS_SINGULARITY = 1
- * STATUS_UNDERFLOW = 2             # <<<<<<<<<<<<<<
- * STATUS_MAXSTEPS = 3
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_STATUS_UNDERFLOW, __pyx_mstate_global->__pyx_int_2) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":17
- * STATUS_SINGULARITY = 1
- * STATUS_UNDERFLOW = 2
- * STATUS_MAXSTEPS = 3             # <<<<<<<<<<<<<<
- * 
- * cdef double _C2 = 0.2
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_STATUS_MAXSTEPS, __pyx_mstate_global->__pyx_int_3) < (0)) __PYX_ERR(0, 17, __pyx_L1_error)
-
-  /* "wiresplit/_kernel.pyx":19
- * STATUS_MAXSTEPS = 3
- * 
- * cdef double _C2 = 0.2             # <<<<<<<<<<<<<<
- * cdef double _C3 = 0.3
- * cdef double _C4 = 0.8
-*/
-  __pyx_v_9wiresplit_7_kernel__C2 = 0.2;
-
-  /* "wiresplit/_kernel.pyx":20
- * 
- * cdef double _C2 = 0.2
- * cdef double _C3 = 0.3             # <<<<<<<<<<<<<<
- * cdef double _C4 = 0.8
- * cdef double _C5 = 8.0 / 9.0
-*/
-  __pyx_v_9wiresplit_7_kernel__C3 = 0.3;
-
-  /* "wiresplit/_kernel.pyx":21
- * cdef double _C2 = 0.2
- * cdef double _C3 = 0.3
- * cdef double _C4 = 0.8             # <<<<<<<<<<<<<<
- * cdef double _C5 = 8.0 / 9.0
- * cdef double _A21 = 0.2
-*/
-  __pyx_v_9wiresplit_7_kernel__C4 = 0.8;
-
-  /* "wiresplit/_kernel.pyx":22
- * cdef double _C3 = 0.3
- * cdef double _C4 = 0.8
- * cdef double _C5 = 8.0 / 9.0             # <<<<<<<<<<<<<<
- * cdef double _A21 = 0.2
- * cdef double _A31 = 3.0 / 40.0
-*/
-  __pyx_v_9wiresplit_7_kernel__C5 = (8.0 / 9.0);
-
-  /* "wiresplit/_kernel.pyx":23
- * cdef double _C4 = 0.8
- * cdef double _C5 = 8.0 / 9.0
- * cdef double _A21 = 0.2             # <<<<<<<<<<<<<<
- * cdef double _A31 = 3.0 / 40.0
- * cdef double _A32 = 9.0 / 40.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A21 = 0.2;
-
-  /* "wiresplit/_kernel.pyx":24
- * cdef double _C5 = 8.0 / 9.0
- * cdef double _A21 = 0.2
- * cdef double _A31 = 3.0 / 40.0             # <<<<<<<<<<<<<<
- * cdef double _A32 = 9.0 / 40.0
- * cdef double _A41 = 44.0 / 45.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A31 = (3.0 / 40.0);
-
-  /* "wiresplit/_kernel.pyx":25
- * cdef double _A21 = 0.2
- * cdef double _A31 = 3.0 / 40.0
- * cdef double _A32 = 9.0 / 40.0             # <<<<<<<<<<<<<<
- * cdef double _A41 = 44.0 / 45.0
- * cdef double _A42 = -56.0 / 15.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A32 = (9.0 / 40.0);
-
-  /* "wiresplit/_kernel.pyx":26
- * cdef double _A31 = 3.0 / 40.0
- * cdef double _A32 = 9.0 / 40.0
- * cdef double _A41 = 44.0 / 45.0             # <<<<<<<<<<<<<<
- * cdef double _A42 = -56.0 / 15.0
- * cdef double _A43 = 32.0 / 9.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A41 = (44.0 / 45.0);
-
-  /* "wiresplit/_kernel.pyx":27
- * cdef double _A32 = 9.0 / 40.0
- * cdef double _A41 = 44.0 / 45.0
- * cdef double _A42 = -56.0 / 15.0             # <<<<<<<<<<<<<<
- * cdef double _A43 = 32.0 / 9.0
- * cdef double _A51 = 19372.0 / 6561.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A42 = (-56.0 / 15.0);
-
-  /* "wiresplit/_kernel.pyx":28
- * cdef double _A41 = 44.0 / 45.0
- * cdef double _A42 = -56.0 / 15.0
- * cdef double _A43 = 32.0 / 9.0             # <<<<<<<<<<<<<<
- * cdef double _A51 = 19372.0 / 6561.0
- * cdef double _A52 = -25360.0 / 2187.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A43 = (32.0 / 9.0);
-
-  /* "wiresplit/_kernel.pyx":29
- * cdef double _A42 = -56.0 / 15.0
- * cdef double _A43 = 32.0 / 9.0
- * cdef double _A51 = 19372.0 / 6561.0             # <<<<<<<<<<<<<<
- * cdef double _A52 = -25360.0 / 2187.0
- * cdef double _A53 = 64448.0 / 6561.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A51 = (19372.0 / 6561.0);
-
-  /* "wiresplit/_kernel.pyx":30
- * cdef double _A43 = 32.0 / 9.0
- * cdef double _A51 = 19372.0 / 6561.0
- * cdef double _A52 = -25360.0 / 2187.0             # <<<<<<<<<<<<<<
- * cdef double _A53 = 64448.0 / 6561.0
- * cdef double _A54 = -212.0 / 729.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A52 = (-25360.0 / 2187.0);
-
-  /* "wiresplit/_kernel.pyx":31
- * cdef double _A51 = 19372.0 / 6561.0
- * cdef double _A52 = -25360.0 / 2187.0
- * cdef double _A53 = 64448.0 / 6561.0             # <<<<<<<<<<<<<<
- * cdef double _A54 = -212.0 / 729.0
- * cdef double _A61 = 9017.0 / 3168.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A53 = (64448.0 / 6561.0);
-
-  /* "wiresplit/_kernel.pyx":32
- * cdef double _A52 = -25360.0 / 2187.0
- * cdef double _A53 = 64448.0 / 6561.0
- * cdef double _A54 = -212.0 / 729.0             # <<<<<<<<<<<<<<
- * cdef double _A61 = 9017.0 / 3168.0
- * cdef double _A62 = -355.0 / 33.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A54 = (-212.0 / 729.0);
-
-  /* "wiresplit/_kernel.pyx":33
- * cdef double _A53 = 64448.0 / 6561.0
- * cdef double _A54 = -212.0 / 729.0
- * cdef double _A61 = 9017.0 / 3168.0             # <<<<<<<<<<<<<<
- * cdef double _A62 = -355.0 / 33.0
- * cdef double _A63 = 46732.0 / 5247.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A61 = (9017.0 / 3168.0);
-
-  /* "wiresplit/_kernel.pyx":34
- * cdef double _A54 = -212.0 / 729.0
- * cdef double _A61 = 9017.0 / 3168.0
- * cdef double _A62 = -355.0 / 33.0             # <<<<<<<<<<<<<<
- * cdef double _A63 = 46732.0 / 5247.0
- * cdef double _A64 = 49.0 / 176.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A62 = (-355.0 / 33.0);
-
-  /* "wiresplit/_kernel.pyx":35
- * cdef double _A61 = 9017.0 / 3168.0
- * cdef double _A62 = -355.0 / 33.0
- * cdef double _A63 = 46732.0 / 5247.0             # <<<<<<<<<<<<<<
- * cdef double _A64 = 49.0 / 176.0
- * cdef double _A65 = -5103.0 / 18656.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A63 = (46732.0 / 5247.0);
-
-  /* "wiresplit/_kernel.pyx":36
- * cdef double _A62 = -355.0 / 33.0
- * cdef double _A63 = 46732.0 / 5247.0
- * cdef double _A64 = 49.0 / 176.0             # <<<<<<<<<<<<<<
- * cdef double _A65 = -5103.0 / 18656.0
- * cdef double _B1 = 35.0 / 384.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A64 = (49.0 / 176.0);
-
-  /* "wiresplit/_kernel.pyx":37
- * cdef double _A63 = 46732.0 / 5247.0
- * cdef double _A64 = 49.0 / 176.0
- * cdef double _A65 = -5103.0 / 18656.0             # <<<<<<<<<<<<<<
- * cdef double _B1 = 35.0 / 384.0
- * cdef double _B3 = 500.0 / 1113.0
-*/
-  __pyx_v_9wiresplit_7_kernel__A65 = (-5103.0 / 18656.0);
-
-  /* "wiresplit/_kernel.pyx":38
- * cdef double _A64 = 49.0 / 176.0
- * cdef double _A65 = -5103.0 / 18656.0
- * cdef double _B1 = 35.0 / 384.0             # <<<<<<<<<<<<<<
- * cdef double _B3 = 500.0 / 1113.0
- * cdef double _B4 = 125.0 / 192.0
-*/
-  __pyx_v_9wiresplit_7_kernel__B1 = (35.0 / 384.0);
-
-  /* "wiresplit/_kernel.pyx":39
- * cdef double _A65 = -5103.0 / 18656.0
- * cdef double _B1 = 35.0 / 384.0
- * cdef double _B3 = 500.0 / 1113.0             # <<<<<<<<<<<<<<
- * cdef double _B4 = 125.0 / 192.0
- * cdef double _B5 = -2187.0 / 6784.0
-*/
-  __pyx_v_9wiresplit_7_kernel__B3 = (500.0 / 1113.0);
-
-  /* "wiresplit/_kernel.pyx":40
- * cdef double _B1 = 35.0 / 384.0
- * cdef double _B3 = 500.0 / 1113.0
- * cdef double _B4 = 125.0 / 192.0             # <<<<<<<<<<<<<<
- * cdef double _B5 = -2187.0 / 6784.0
- * cdef double _B6 = 11.0 / 84.0
-*/
-  __pyx_v_9wiresplit_7_kernel__B4 = (125.0 / 192.0);
-
-  /* "wiresplit/_kernel.pyx":41
- * cdef double _B3 = 500.0 / 1113.0
- * cdef double _B4 = 125.0 / 192.0
- * cdef double _B5 = -2187.0 / 6784.0             # <<<<<<<<<<<<<<
- * cdef double _B6 = 11.0 / 84.0
- * cdef double _E1 = 71.0 / 57600.0
-*/
-  __pyx_v_9wiresplit_7_kernel__B5 = (-2187.0 / 6784.0);
-
-  /* "wiresplit/_kernel.pyx":42
- * cdef double _B4 = 125.0 / 192.0
- * cdef double _B5 = -2187.0 / 6784.0
- * cdef double _B6 = 11.0 / 84.0             # <<<<<<<<<<<<<<
- * cdef double _E1 = 71.0 / 57600.0
- * cdef double _E3 = -71.0 / 16695.0
-*/
-  __pyx_v_9wiresplit_7_kernel__B6 = (11.0 / 84.0);
-
-  /* "wiresplit/_kernel.pyx":43
- * cdef double _B5 = -2187.0 / 6784.0
- * cdef double _B6 = 11.0 / 84.0
- * cdef double _E1 = 71.0 / 57600.0             # <<<<<<<<<<<<<<
- * cdef double _E3 = -71.0 / 16695.0
- * cdef double _E4 = 71.0 / 1920.0
-*/
-  __pyx_v_9wiresplit_7_kernel__E1 = (71.0 / 57600.0);
-
-  /* "wiresplit/_kernel.pyx":44
- * cdef double _B6 = 11.0 / 84.0
- * cdef double _E1 = 71.0 / 57600.0
- * cdef double _E3 = -71.0 / 16695.0             # <<<<<<<<<<<<<<
- * cdef double _E4 = 71.0 / 1920.0
- * cdef double _E5 = -17253.0 / 339200.0
-*/
-  __pyx_v_9wiresplit_7_kernel__E3 = (-71.0 / 16695.0);
-
-  /* "wiresplit/_kernel.pyx":45
- * cdef double _E1 = 71.0 / 57600.0
- * cdef double _E3 = -71.0 / 16695.0
- * cdef double _E4 = 71.0 / 1920.0             # <<<<<<<<<<<<<<
- * cdef double _E5 = -17253.0 / 339200.0
- * cdef double _E6 = 22.0 / 525.0
-*/
-  __pyx_v_9wiresplit_7_kernel__E4 = (71.0 / 1920.0);
-
-  /* "wiresplit/_kernel.pyx":46
- * cdef double _E3 = -71.0 / 16695.0
- * cdef double _E4 = 71.0 / 1920.0
- * cdef double _E5 = -17253.0 / 339200.0             # <<<<<<<<<<<<<<
- * cdef double _E6 = 22.0 / 525.0
- * cdef double _E7 = -1.0 / 40.0
-*/
-  __pyx_v_9wiresplit_7_kernel__E5 = (-17253.0 / 339200.0);
-
-  /* "wiresplit/_kernel.pyx":47
- * cdef double _E4 = 71.0 / 1920.0
- * cdef double _E5 = -17253.0 / 339200.0
- * cdef double _E6 = 22.0 / 525.0             # <<<<<<<<<<<<<<
- * cdef double _E7 = -1.0 / 40.0
- * 
-*/
-  __pyx_v_9wiresplit_7_kernel__E6 = (22.0 / 525.0);
-
-  /* "wiresplit/_kernel.pyx":48
- * cdef double _E5 = -17253.0 / 339200.0
- * cdef double _E6 = 22.0 / 525.0
- * cdef double _E7 = -1.0 / 40.0             # <<<<<<<<<<<<<<
- * 
- * cdef double _SAFETY = 0.9
-*/
-  __pyx_v_9wiresplit_7_kernel__E7 = (-1.0 / 40.0);
-
-  /* "wiresplit/_kernel.pyx":50
- * cdef double _E7 = -1.0 / 40.0
- * 
- * cdef double _SAFETY = 0.9             # <<<<<<<<<<<<<<
- * cdef double _MIN_FACTOR = 0.2
- * cdef double _MAX_FACTOR = 5.0
-*/
-  __pyx_v_9wiresplit_7_kernel__SAFETY = 0.9;
-
-  /* "wiresplit/_kernel.pyx":51
- * 
- * cdef double _SAFETY = 0.9
- * cdef double _MIN_FACTOR = 0.2             # <<<<<<<<<<<<<<
- * cdef double _MAX_FACTOR = 5.0
- * cdef double _EPS = 2.220446049250313e-16
-*/
-  __pyx_v_9wiresplit_7_kernel__MIN_FACTOR = 0.2;
-
-  /* "wiresplit/_kernel.pyx":52
- * cdef double _SAFETY = 0.9
- * cdef double _MIN_FACTOR = 0.2
- * cdef double _MAX_FACTOR = 5.0             # <<<<<<<<<<<<<<
- * cdef double _EPS = 2.220446049250313e-16
- * cdef double _NAN = float("nan")
-*/
-  __pyx_v_9wiresplit_7_kernel__MAX_FACTOR = 5.0;
-
-  /* "wiresplit/_kernel.pyx":53
- * cdef double _MIN_FACTOR = 0.2
- * cdef double _MAX_FACTOR = 5.0
- * cdef double _EPS = 2.220446049250313e-16             # <<<<<<<<<<<<<<
- * cdef double _NAN = float("nan")
- * 
-*/
-  __pyx_v_9wiresplit_7_kernel__EPS = 2.220446049250313e-16;
-
-  /* "wiresplit/_kernel.pyx":54
- * cdef double _MAX_FACTOR = 5.0
- * cdef double _EPS = 2.220446049250313e-16
- * cdef double _NAN = float("nan")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = __Pyx_PyUnicode_AsDouble(__pyx_mstate_global->__pyx_n_u_nan); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_2, ((double)((double)-1))) && PyErr_Occurred())) __PYX_ERR(0, 54, __pyx_L1_error)
-  __pyx_v_9wiresplit_7_kernel__NAN = __pyx_t_2;
-
-  /* "wiresplit/_kernel.pyx":99
- * 
- * 
- * def integrate(double x0, double z0, double vx0, double vz0,             # <<<<<<<<<<<<<<
- *               double t0, double duration,
- *               wires_x, wires_z, wires_current, double alpha,
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_9wiresplit_7_kernel_1integrate, 0, __pyx_mstate_global->__pyx_n_u_integrate, NULL, __pyx_mstate_global->__pyx_n_u_wiresplit__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 99, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_integrate, __pyx_t_3) < (0)) __PYX_ERR(0, 99, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "wiresplit/_kernel.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled integration kernel (fast backend).
- * 
-*/
-  __pyx_t_3 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_3) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init wiresplit._kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init wiresplit._kernel");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 13; } index[] = {{1},{25},{20},{15},{9},{18},{16},{5},{12},{4},{6},{7},{7},{6},{6},{18},{4},{14},{18},{5},{6},{6},{5},{5},{7},{2},{2},{2},{5},{4},{2},{8},{2},{3},{3},{3},{2},{3},{3},{3},{8},{6},{6},{5},{5},{8},{3},{9},{8},{2},{2},{4},{6},{12},{3},{3},{1},{2},{2},{7},{12},{2},{1},{9},{13},{2},{5},{4},{4},{3},{3},{4},{4},{3},{3},{4},{4},{3},{3},{4},{4},{3},{3},{4},{4},{3},{3},{4},{4},{3},{3},{4},{4},{3},{3},{4},{2},{8},{9},{3},{8},{10},{1},{10},{5},{7},{8},{3},{4},{4},{9},{14},{7},{15},{18},{15},{3},{2},{2},{2},{2},{12},{4},{5},{5},{4},{4},{12},{10},{6},{15},{1},{2},{7},{5},{6},{5},{8},{2},{9},{7},{9},{2},{6},{2},{3},{6},{6},{3},{2},{3},{6},{6},{3},{2},{13},{7},{7},{17},{2},{2},{1},{2},{5},{5},{7},{2},{3},{3},{3},{3},{3},{1},{2},{5},{5},{2},{3},{3},{3},{3},{3},{4809}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2567 bytes) */
-const char* const cstring = "BZh91AY&SYQV\352\203\000\003I\177\377\377\377\377\377\177\351\377\367\277\277\377\377\277\377\377\360@@@@@@@@@@@@@\000@\000`\n\277z\225p\323\"\t\335\356\364z\364\326\232\255\320%\000\340\007\201\341$\221\244\"\215\265M\372S\364\322\233\365)\352y3Q57\264'\242MO\324M\251\246\001\032\032z@d\001\221\2201\r\003M\240I\"\032d\320&\"ji==5\023&\231\000\000\r\000\000\000\000\000\003M\000\000\006\251\346\232B\251\372Hh\000\032\032\000\000\000\006\200\320\000\000\000\000\000\000\000I\251&\223U<\311M\244\320z\230\2314m\252z 4\321\352\032\031\000\000\0322d\321\240\032z\201\240\014\215\031\020`\000\000\000\000\000\000\000\0010\000\000\000\021\200\000\230\000\022\"i!\001\0102hh\0006\223&\233\030\212\003A\240\000\000\321\240`\215\r3#SM4\360\3644\272\353p7Wc\263\275\332&\366quIHA\005\325\206\235\252w\245\010\272%\244\227\271\326\223\"\257%\344\243\t\327:\354X\220\024\202\212F\300l\007H\240X\n\341\2201\032k\266h,I\006$\261\\\340UP_yr^g\231\331\030\212\260X\262\n\240\n\252\253$\212\n\261dY\"\222\305\261\261i-lI\330\302w\021\005[\024!^\260\00010V\005\244<CI_&\370R\000j\260 B1\0231!\222\001\260a0H\215\2739RX`\307(b\r#L\337J5U6-\032\264\264\356^m\004\022\020Q5Z\270\314i\214\300\314\024\000R\225h\250AX^\n(\220P\246IH\342a\234\305\202\261\005\200B\300\262\"\275\204\213\211`\230\262l\246\246\2214M\004\311\226\205\205\205\226\"\300\177)\222sMNd\311\210\260\337Z\254\032\3078L\240\256\023\321L\351\034\367\021\212U\027\214\202\212\223\033\330\266\333\024T\251\203\224\316\2260\331.[EU\312+ST-\013d\323\243\033M\231\236\257\250R1\317\252\025*j\\\363RW\212\260\240\214\257\013\326A\234U\005e\325\016\220\236\367\247\320\3478(g\033*\034\tR\2052\221((%\233A@ \213\240\020\244\260i\226\266\032\0063\031\200\257T\026Q\211QJ\304w\026\366\347[\024\376\337\277o\271\325\217\357{\t\246\357\021{\315\367CWP\003Q#T8\026d\3308272C\265Y\2241{\235FUU\225\346\023\376m_\3234\221\021\004Eb\t\241Z\\\213\220Y%&i\022RJDb\027[\025\026h\304QDT\322$\023Z\310\250\263D#\024W1VVV\025\222U\025\024\004Ul1:\017\0217\255?\203\350""\017\213\032-\215h\2552$p\310\213\004cb,Sd\216\246,\225\014\002RD\200i#T\014\021{\211\\\nU\371w()\013\020+\357\315\036nE\202\014\021\200\226\013 \276\036\205\303E\334\371:5\223\035s\372_\237Z9\361\370>\017\014\375XH\326\241\300F\202\321K\204w\272\205\333\202\343\224T\300U\026\232\207AT\027\222\033(a\003\211D\220\270Xax\243'\017!\304\241\027H\270# \022\340,S\017\250\271\277m\237_S\251\202\330\030,\022X%\202\303\247\302M\031\206\332\322\255\025\245Z33\r\201\037\267N0\304\014\024@\204\rf#\024\227]r\324HWd\036Y\325\220\\Z\353\304\032\325\265\rX\307\3047\220\376\0130lv\234;\313\375\225h\363\177\371^n;ocF\256\212r\253\271\035e\255\267[-E\267\221\250vF\346\345\355\310\270Yr\311m\310/\267\301\224\006\354\216H\211-\225B\t\256X\222w\221\021\025h\210\214<+F\277\364\356?\237\334O\372\365\033\344\366\272\206\311\237\211\022\024\321T\333\026v\016\273\013\372\3007\243\226o\\\347\2477j\305\005\r\304LK\263z\312I\211\032\261kw\373\355^&4\225\010\272\003\032\"\035h\273\000\2310\325\301\2204\331\231\264\3604\332\366lW\037#G\346\221\230f\214\326k5\236Q\351\375\332w\355\246W\233\333[\365J\242\226v\376\027\233-qn\307\277\233F\264k\021\255k\326\030eo%\2169\322n\377\240\363\267\340s\352f\035\255*\350}l\261\027\020\326i\243Aj1[\026\033\373\014\372\365\221\250\223o\316\247S\20198_\013\266mM\023\025\244\035\010>\356\354\251\272\345j\316\210\352\317\007\315\357\213\205\322\333\035\334i\370\361\304\245\264n\200\251\324n\010\005:\326\307[\266\302\247o\227u\276UUUUUUs\3473h\336c\261\277\315\230\271\253\n\021G9\312\210F\267\312\006/Z\356}\024\303\212\207R\324\346\304H\363\342\366E\215\002\301\240\21035\216\246\206n\026\220\2666\003\334\354l\216\005)\333\233\212\342p\322]&Tk\301-_Z\320\373\014\361\266\254\336\275\255ci\020H\276\214\n\361\031\023v\334;\224H\346a\242L\234\347CZ3wG\213<\216K\312`\364?J4\023\230a\220\367\306h\260D\320p\200\327\220\327\234\016,\233\263}\275UU\330\327\335#7\267\273\2725\363\034\027\207\221\325\245\304\210\031\271\313g\003\336\306\305MS\265\253\343\177\n\332-\246\324m\r""\266\223\300\236\374NU\373\371\205\032\266\263\264\321\311\317t\024Z\273h{\025Gc\255\037MU;\211\310\253u\260\234,\3272Jd\246D\305\342\361\310:w\316'\023\325\242Y\343\264\247\233]\341,\251J\222\225\"[\026\351\303\303v\325\313\344v<\337\303\361\374\241\320\273\2319\322\2479\316s\234'<\261\r\330\325\301\301\226]\244\240\272\246\247V{\373v\3719kE\0262\303\365\331\366\240\361G+3\334\346\203A\240\320h4\032\026&\257^\275z\322k\006u\274\035\3576\307tv\355\276U\272O\315\236\317\213\234\3679\262l[\026\305\261l\233(\312\272\362\3131\273ukP\350\223\336>)9\363\346g:kJ\223\205\370\335b\212\212\303\235\027\334\316Gy2\277\020\345\203]G\017\3468$\014\261\020\371\243G\360~\200\272\006\364\020w\364A\373a\351\t\300\242\217\362\2453\212T\001\202\275\023\327\363\312\225U\311\202Q\004\262S\303*\251\177y\311\340\310\261:G(\205\217\277\n9\370T\242\365\313\360W1h\311\270\306L\022\032I{\330\275!N\311\026N\226\225\210\177\245\260\010\365/b\360\247\274Y\246E\323kX\234\263\t\200\311\264uj\330\321\014j\254\312\274(\243\r=\351\265EM\246JN\202Q\217\020x\370\026\2667!\204\241\245N\230\034ETB\230mt(\300\260\364\354x\366\2739F\261\323C8\332\334kC\211c\252\2117\034\321,\271B \212\016)\364\035\0368q\315\334\314\224O#\330\211\271\210o\025\234\"\t\030\026\205\325\347.J\206r!i\234l\006y\225P\343\230Lql^\3235\316Q\373\034aQ\237p\303\251\267rj\323i\n5\302\013\362\275\307\324CL\3536l\014\3302\321r\367.2\343\350r\353\\\376\231\261\031c\256\363\r\021H\221\016\326*\312\212\265%D\226Z\353\327\3342\345a\265\231\331C-b\344\265\002$\2659\370\355r\305\351\223\354\231M\235\326\266\211G9\355m\302-\200\317E\222\006\014\304\263\233_^\336um\250s\003\240e\223R%\227)\260v\001\3463\226\316\245\021\021\323qb\246\034\224\224\"\347IL\273\3452\347Z\307\267cltm\215\2248\013*\215\275s8\326vf\034\215\211\204\2035\216gg1\224\3233q\263Y\216JPH\363\334\346\0316\r\236)\263!\225\"\010\030\024\201\260\245\311^\2029[\333&\375QaK&\324o-:y\213F\200\323\305\336\037\036\360\304\214\0036\342\335[\243\226\353\016\363\365\226S6s\250\316Q\0030""\263\034\024\344\314n>8\343h\223\222r\251\301! \367\235L\352\275K9\301\241hl\231\014\300\314T5C8M\321\031\003\314\271\262\270\314\273\365D\252\017u\212\223\227\215g\211F2MW\257\347\345\216L\331\014\2162\306r\327A0\024\362\273<\374x\317k}8\247\035&\330\342\222\225\221\200q \331\005'\r=\232i\340\023\2638\361\3642\215\220)[c1\215-\223h\370vE\205sY\016\n1\0241A\246\214\003\013\264\340\302rL\033\013\001\020l(\004\353A\256n\304\201\303\227G9v\350U\013\243\004\002\010\341[\374u\330\237\030\231x\270\324\227.\006\322V\350\234k\203\207\\\214>r\327M0\027}\352\014&$\307?A1\302[&1\034`\204H\246\331(`1\321\367a;\003\034\343O\222\177\243p\343\217\3315\3065\225\235n\335\302p\3051\\\347PN\005\261v\216a\247\221\262K\234\212.\224c\213\276\343\344%\224\320PQ\0050\3679*\\\247@\310N\203\220\201QLdyQ TQ\303\263K\213R\010\n^\027\021\0165\244\3357\234;\"\202\261\265\034\005ZV\240d\031\205\326gsj\224\312\\2\377_X\254\350\360\257\300$+\324\030.\360)v\0060\204\260dnL\\E\2044\304CQ\242\001R\324I\203\275\301\245\305\035\031f\304p\tB^h\022gz\312$4\\\330\302\206\345\006\257CE\n\340\231\240j$\224\032\314\340Ib*\232\264\004\252\021\024\027\265f\020.\203\240\316\214k\254\255\321\377\305\334\221N\024$\024U\272\240\300";
-    PyObject *data = __Pyx_DecompressString(cstring, 2567, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2585 bytes) */
-const char* const cstring = "x\332\275XKs\333\326\025\016%R\226,)\021I(\242c;\023RR\234Ng\034\201\244\344\266\323\246C=\342q\233:\346C\226[\327\305\200\004$\321\242H\021\000)\030+/\261\304\022K,\261\304\222K.\271\344\022K\376\004\377\204~\347\002\242h[\365\310\216\247\013\236{\316}\340\236\3679\227\177U\225\332\217\347uEV\317\032u\355G\341DV\232r\343\376\331+]\020\236\000<y\265[\257i\302cY\327J\362a\271R\250\354\227\205\177\024\236\225+{O\312!\371\353\337C\244\374\350\361\303\375_\n\245G\225\177\2063\373\217w\367J?\377\362\353\201\3308;\026\005Al6[\232\250\311\300\316d\235~\202\306`7 \272\006\033\002\302\020\325W\315Z\275u\277\326RZ\035\255\336\224UQk5\252\262\252\261\343\202XU\215Z\003\363B\275)h\212X\223\253b\355\244\326h\t\032\201\256\316\240A\220\241\204\251\035E\2266$^\312J\202\334\224\244\272\252I\247RG\021\265z\253)\351\222\276!\351\274\244\237I\206dlH\006/\031g\262\242\010\315\226rJcWg\320 \310PC\356\312MM\220\264C\261v(\326\033\002)S\020\016;\315\232 \034m\034\361GB\243u\324\021\025)\313\240\240\210R\275\243\036\351\033G:\177|\274q\314\037\013\207\215VK9\026\273\262\0202x\\\257\327\233\232|\244\220\252\352\2520V@]\253k\362\251z\302wu\374\214\023\036\203q\222\005\225\005\225\305`\234\344@\345@\3450\030'yPyPy\014\306\311&\250MP\233\030\214\223-P[\240\2660\030'\017@=\000\365\000\203\321\020U\r\032\023NE\250\026P\027TM>SO\353\322)&\010\307lK\3524 k\263)(\362K\271\246\311\022\260c5XW\261 \236\322\262\330\004\363Y\374\362Pe] \225\217\021\241qA\215\007\222\371bV<S!>m\024\2335\371r\206\355:k\235\2657\332|;\333\316\tB\273#6\202\373\024\370\210Z\203\245\010\030\000\204\030\202\240\312Z\310\0210I>\024;\r\215\276\323QU\255u&\210\332\205\3665mC\023\252\255NS\322\310E4\201\354\212\263\362\271 h\344|\202v\254\035\313\232\310V\353\315W\202\222\325\024\030\034<I\232\332\025\033\035Y\355\352]}\243\253\323\026@\234\005?]\243klt\r6g\2609C=\257\263\350\023j\035E\201#\005\204\036\014\30680\357\207\201y\256\237\033\272\276\301>\313\276\252\013g\r\261)\353\252\256fu5\247\253y]\335\324\325-\303\330`\367\260k""\014\325P\263\206\2323\324\274\241n\032\352\326\353\310\233\205/b\t+i\025\254\242\037\375\332z\351\3148\242\243\270\211\341\357\177\352\035\365?b\356\256\375/\247\353\026\335\25275\314\356\365\017\006\005?z\333\376\223\363\324\345\335m\232\3652\303\374\303\376\371@\034Eg\315\230\271o\245-\336\237\275i\246\315M\353\206\325\266#W\022\213v\321\306\211[\366]\247\352F\374\3507\366='\341\360#\360 \372Q\316*\320\324\252]\262\333!\305\3002I\0030\212\246\035\316):\330z\313\276\343\374\333\273\333k\016\no1\260h\226L\305JX<\316\275M\304\255\270\265ni6o\357\330\212\223t\266\235\232\233pq\344+\263mMY\031k\333\252\3321\273\370Y&\240?\200\224\275\350\274\360\356\367\277$-\315\231q3\355\2773\220V\370p\010\225\360\215\235&\361\342t<BJ\347\031xs\363\213\330<\266\345\314\032\354\273kG\355]g\316]\361\260e\321dF\024C\260\302\204,\214\221\021\220\216\275m\313N\326\251\270q7\355\277?\221\002\327%\273\003\245Hn\032Jy\177b\331*Y\nq5\201\224\355)bv\002\251\330q{\335V\235U\247\344\250n\306\335q\025/\351m{\265^\242\227\353U\373\323\375,y\327\234\311\3014\355\267\220e\263jE&\220k~l\024\275\361Z53\346\036\264\262\303\030\203\331\213#\200}\330#\230\t\2670\217(\006\332\316\342Z\025\033\366\354\204\235\265\313\316\224\263\216;\326\\\311[\363\352\275\363\276\030\252\365\246\271:\261s\023\373\322\377sr\315\024\331\344\317v\206\324\377\336\304\365$\332\037d\006l\363S;gW\235Y7\022\210\270\nv\300\177\031~\366\003\013\0212\316K/2b\223\021k\031\256\027\245kR\366\014\316E\235]\n\260\033\257;\3466\024\032c6Z%_]0\037\301\204\3557\231/b3\376\354<T\201\343\376\302\"\341\177\260\262\326sg\332\341\375\005\n\272\000`%\201\320Q\354e\273\306\342\357\320\335\365\"\214q\251\227\356\3754\340\006\305\201\030|\212\214\371\366Q\204\306\305\222B\231\311_X\262f\231\277,$-~4\373%\270\233b\246\"\237\304g\256\230\250!\210\263\220 \3062\303U\023\242\331\2011\222\010\n\022|\316[\351E\350j-\210\375\020y\3672\311\3118{A\022\370\300\302\344]\244s\331\315\272\305\017.\374&f\362\360\211e\257JG\256\261\341*\036\366\275\214\267\007""\217\342\257\265\341\2630\033\355m\367d\026\333\037\263\361C\274m\366\247\372\353}e\020\377\250\215\237U\230\312 1\330\034>)\rKe\377\323\216\\\207\357\345Au\370d\177\270\1770<x\366\251g\256)6J\340hv),T5\233\303\r\032\253\001\201 \234W\362\264^\266W\351'\372y\334\302\rJ\003\004\327G\037\210#\314\251\020N\333yT\332eT\372(z\006\331\313z\225P\206\265~u\020\303fmX\206\024O?\351\010\244\276\004\346\271u\204,N\322G\335G\336A\257p\225\374$\311*\222p\202\335\302!\tkPn\305KxyO\351q\275RO\013m\230\037(\303\342X\301\237z.\016S\346,\t\331\177\017]N\036\r\3262Z\247(\362\246\034jms05X\2734\346\363\341\363\027\303\027\377\371\364\223#\010\333\201&e\324\016\311I;[.\207&\256\3068m\367\026\372\273\203\010\005\312\2656-\241h\224\340\355;\2609\357<\204\305\333\214\003\312\371\177\031D\007\205A\361\232\233\026\315\247p\351\267\221\0030 N I+\217F1\006#N\303\303\312\356\224\273\352\226\\\025\216\277\003\035'\021_5H\215z1\2176r\016\276\216BB\255\322\302W\346+\270\r\357/\241\371\031\001\034\243\370\241\2009\177sE\177\211\276J\035\000\307\266\006\236\214\203\213\344\013\363hgK\320,b\202\272L\314DB\2008\t\001#9\362\235y3O\245-\301BA$\344\373\240\210\221we\341\034\234]AWY\360\227\250\360\005\200C\345_\267\333N\304\347R\3401\213\035\t&\\\304O\335\"\236\326PP\251\023\025\031\203\350$\246\235\034\332R\016\276\265\014Ko\365\343\376\355\214s\317My@\276sbh\277\267\200r+\343>6\305\252T\n\355\346\210\000\323\002\026s\354\303\024\014{\370\322!\302a\345[\373\310y\206\372\264r\007>\36555\367\201z\332\214\263\242\317\255\242\352sw\220\334\252\314\004E\"v\235\210\023\237@\356B\2048\272\235Kd\305j\373\2515\310\235\372\016r\006 \215\255\001`$VI\1779d\320\033\314\032\013\244\333\000\240\005 \273\314\300\031\251g\205\312\250e\243D\2430mr\313$\222\204\316\245\314\332,&\037\271\0335Q\025hj\337[\367\272\275\342\325\362qa\203\306\232!7\211\224\002MSo\315\335F(\3030#F\201\025\016\0317\320\003,\233\206ZTv%\035\214\341\216\357\221P\223\364XI\271q?I\315\361S\204M<\260>\217v<\302xn\373K\301\013%h\232\227n\215\273\3134""\021\034\275~&\020r\000\221\016\205\310\010\275\331\036\0329\321\032{Z\025_\216\277C\020\267%0\230\201U\350\313\241/\242\307\014\330\237 \202\255\347\254\037$7\003\277\324\220\322\363\201T\230\376\277xk\212\372R\246\205\214S\010\213G\333\233\366r,KP\337;\325O\207\005\2448\250\r\213\345a\2712\351\323\3248'\231\273\307?\322\301\311u\322\254\217\206\242\034\376\212\211 \224H\221ka\325aic\023:\374\035\262H\201\\\275\210\247\022O>\303\263\350\230\n\213\177\326-\343\035\234~w\201\222\251\370['\301\002\022%jnP\324\351\272M\250\214g\354\370\034\305\025\260R\370\222\205a\271\261\023^Th\236\254\335\205\371_\261\330\205\333\321\343\243M\"\267\231\207\320\2351\304\371\347\230\300U\n\036\330\253\010#z\231\316@\2273()\301\265\376\322\035\212m`\243\331\233\346=\354K\373W \363\346\203\340\021?F\222\001\025>+p\347\210\255\255\262\247\005EK\301\237\000\213\301\013\251HG\370 \216sc\r^\264E\301\273\004k!\010R`d\002Y\234\354-\330\353\005\200.\376#r\023\013\314\364\010\340\007H\277\203p\271\351\216\213@\220~\3758=\221\333\001\016\316\350\371\305\336p\232\311\233;\244&\177\366\"\005L\224\032\006\210%\002#\372\273\303\252\343\363\323\250\376\0358y\034\216\306\336\367s\250I\254E,\261Dy\200\220\242*\226`\035\t$D\277\224EG\242 \032?\260\225\275\003\303\\C\274\265\231\016\315\342\207\206Q4\026rH:\014\260K\2353p\251\270\270\225\262SH\227\267\300\367\354\267$*\375\223A\026\265\036\332\017X\226\270=\374\363\343\201\030Z\231)\213\351\000\345\366\277\322C\036{";
-    PyObject *data = __Pyx_DecompressString(cstring, 2585, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (5823 bytes) */
-const char* const bytes = "?src/wiresplit/_kernel.pyx__Pyx_PyDict_NextRefSTATUS_MAXSTEPSSTATUS_OKSTATUS_SINGULARITYSTATUS_UNDERFLOWalpha__annotate__apexapex_tapex_vxapex_vzapex_xapex_zasyncio.coroutinesatolbest_apex_abszcline_in_tracebackclo_tclo_vxclo_vzclo_xclo_zclosured0d1d2d_enddistdmdurationdxdx0dx1dxpdzdz0dz1dzperr_normerr_vxerr_vzerr_xerr_zevent_dtfacfail_wire__func__g0g1g_loguard2guard_radiusgx0gx1hh0h1h_floorhave_closurehiiintegrate_is_coroutineititemsk1vxk1vzk1xk1zk2vxk2vzk2xk2zk3vxk3vzk3xk3zk4vxk4vzk4xk4zk5vxk5vzk5xk5zk6vxk6vzk6xk6zk7vxk7vzk7xk7zlastlo__main__max_stepsmidmin_step__module__nn_rejectedn_rhsn_steps__name__nanout2out4peri_distperi_dist_listperi_stperi_state_listperiapsis_distanceperiapsis_statepopq0q1q2q3__qualname__rtolsc_vxsc_vzsc_xsc_z__set_name__setdefaultstatusstop_at_closurett0t_boundt_endt_failt_new__test__ththeta_endtiny_r2truncatedtsvaluesvxvx0vx_endvx_newvxsvzvz0vz_endvz_newvzswiwires_currentwires_xwires_zwiresplit._kernelwxwzxx0x_endx_newx_planexsxs2xs3xs4xs5xs6zz0z_endz_newzszs2zs3zs4zs5zs6\200\001\360\014\000\005\022\220\023\220A\220Q\330\004\026\220j\240\006\240a\240r\250\022\320+>\270g\300Q\330\004\026\220j\240\006\240a\240r\250\022\320+>\270g\300Q\330\004\026\220j\240\006\240a\240r\250\022\320+>\270g\300Q\330\004\035\230Z\240v\250Q\250b\260\002\3202E\300W\310A\330\004\033\230:\240V\2501\250B\250b\260\002\260\"\3204G\300w\310a\340\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\007\220q\230\001\330\010\n\210!\2105\220\007\220q\230\001\330\010\n\210!\2105\220\r\230Q\230a\340\004\031\230\035\240b\250\001\330\004\032\230'\240\022\2401\340\004\026\220a\330\004\024\220A\330\004\032\230#\230R\230q\330\004\024\220A\330\004\024\220A\330\004\025\220Q\330\004\025\220Q\340\004!\240\024\240Q\240a\330\004\031\230\034\240\\\260\035\270n\310A\340\004\010\210\005\210U\220!\2201\330\010\r\210R\210r\220\022\2201\220A\330\010\r\210R\210r\220\022\2201\220A\330\010\021\220\021\220%\220t\2301\230C\230r\240\023\240B\240c\250\022\2501\330\010\017\210q\220\002\220\"\220B""\220b\230\005\230Q\330\010\017\210q\220\002\220\"\220B\220b\230\005\230Q\330\010\017\210q\220\002\220\"\220B\220b\230\005\230Q\330\010\017\210q\220\002\220\"\220B\220b\230\005\230Q\330\010\017\210q\220\002\220\"\220B\220b\230\005\230Q\330\004\035\230Q\330\004\030\230\r\240]\260.\300\016\310a\340\004\t\210\021\210!\330\004\t\210\021\210!\330\004\t\210\021\210!\330\004\n\210!\2101\330\004\n\210!\2101\340\004\026\220a\330\004\032\230!\330\004\031\230\021\330\004\030\230\001\330\004\033\2301\330\004\033\2301\360\n\000\005\013\210!\2103\210c\220\023\220D\230\004\230D\240\t\250\027\260\001\330\004\r\210Q\330\004\026\220a\330\004\026\220a\330\004\027\220t\2301\230A\330\004\027\220t\2301\230A\340\004\027\220u\230B\230e\2402\240T\250\021\250!\330\004\027\220u\230B\230e\2402\240T\250\021\250!\330\004\030\230\005\230R\230u\240B\240d\250!\2501\330\004\030\230\005\230R\230u\240B\240d\250!\2501\330\004\025\220R\220r\230\021\330\004\025\220R\220r\230\021\330\004\025\220S\230\002\230!\330\004\025\220S\230\002\230!\330\004\025\220T\230\021\230%\230s\240#\240R\240s\250\"\250C\250r\260\023\260B\260c\270\022\2703\270b\300\003\3002\300Q\330\004\t\210\024\210R\210q\330\004\t\210\024\210R\210q\330\004\t\210\025\210b\220\001\330\004\t\210\025\210b\220\001\330\004\025\220T\230\021\230%\230s\240#\240R\240s\250\"\250C\250r\260\023\260B\260c\270\022\2703\270b\300\003\3002\300Q\340\004\007\200s\210\"\210E\220\023\220C\220r\230\021\330\010\r\210Q\340\010\r\210U\220\"\220C\220r\230\021\330\004\007\200s\210\"\210A\330\010\r\210Q\330\004\n\210!\2102\210R\210s\220\"\220E\230\022\2302\230S\240\002\240%\240s\250$\250d\260$\260i\270w\300a\330\004\r\210Q\330\004\n\210#\210R\210s\220\"\220E\230\022\2305\240\002\240!\330\004\n\210#\210R\210s\220\"\220E\230\022\2305\240\002\240!\330\004\n\210$\210a\210s\220\"\220F\230\"\230A\330\004\n\210$\210a\210s\220\"\220F\230\"\230A\330\004\025\220T\230\021\230%\230s\240#\240R\240s\250\"\250C\250r\260\023\260B\260c\270\022\2703\270b\300\003\3002\300U\310\"\310A\330""\004\025\220V\2303\230b\240\010\250\001\340\004\007\200s\210#\210Q\330\010\r\210S\220\002\220(\230#\230R\230u\240B\240j\260\001\340\010\r\210S\220\001\220\025\220b\230\004\230A\330\004\030\230\006\230b\240\004\240D\250\001\330\004\007\200u\210B\210b\220\005\220S\230\002\230#\230Q\330\010\014\210I\220R\220q\360\"\000\005\006\330\010\013\2102\210S\220\001\330\014\r\330\010\013\2108\2202\220[\240\003\2401\330\014\025\220Q\330\014\025\220Q\330\014\r\330\010\022\220%\220r\230\025\230c\240\024\240Q\240f\250D\260\001\260\023\260B\260d\270!\270>\310\024\310Q\310a\330\010\013\2102\210R\210q\330\014\025\220Q\330\014\025\220Q\330\014\r\330\010\017\210q\330\010\013\2102\210R\210r\220\023\220A\330\014\020\220\010\230\002\230!\330\014\023\2201\340\010\016\210b\220\002\220\"\220C\220u\230B\230a\330\010\016\210b\220\002\220\"\220C\220u\230B\230a\330\010\016\210c\220\022\2202\220S\230\005\230R\230q\330\010\016\210c\220\022\2202\220S\230\005\230R\230q\330\010\016\210a\210u\220E\230\023\230D\240\004\240D\250\t\260\027\270\001\330\010\017\210t\2201\220A\330\010\017\210t\2201\220A\340\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2501\330\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2501\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250Q\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250Q\330\010\016\210a\210u\220E\230\023\230D\240\004\240D\250\t\260\027\270\001\330\010\017\210t\2201\220A\330\010\017\210t\2201\220A\340\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\001\330\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\001\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2701\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2701\330\010\016\210a\210u\220E\230\023\230D\240\004\240D\250\t\260\027\270\001\330\010\017\210t\2201\220A""\330\010\017\210t\2201\220A\340\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\004\270B\270e\3002\300Q\330\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\004\270B\270e\3002\300Q\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2705\300\002\300%\300r\310\021\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2705\300\002\300%\300r\310\021\330\010\016\210a\210u\220E\230\023\230D\240\004\240D\250\t\260\027\270\001\330\010\017\210t\2201\220A\330\010\017\210t\2201\220A\340\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\004\270B\270e\3002\300T\310\022\3105\320PR\320RS\330\010\016\210b\220\002\220\"\220C\220u\230B\230d\240\"\240E\250\022\2504\250r\260\025\260b\270\004\270B\270e\3002\300T\310\022\3105\320PR\320RS\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2705\300\002\300%\300r\310\025\310b\320PU\320UW\320WX\330\010\016\210c\220\022\2202\220S\230\005\230R\230u\240B\240e\2502\250U\260\"\260E\270\022\2705\300\002\300%\300r\310\025\310b\320PU\320UW\320WX\330\010\016\210a\210u\220E\230\023\230D\240\004\240D\250\t\260\027\270\001\330\010\017\210t\2201\220A\330\010\017\210t\2201\220A\340\010\021\220\021\340\010\020\220\002\220\"\220B\220c\230\024\230R\230t\2402\240T\250\022\2504\250r\260\024\260R\260t\2702\270T\300\022\3004\300r\310\024\310R\310q\330\010\020\220\002\220\"\220B\220c\230\024\230R\230t\2402\240T\250\022\2504\250r\260\024\260R\260t\2702\270T\300\022\3004\300r\310\024\310R\310q\330\010\021\220\023\220B\220b\230\003\2304\230r\240\025\240b\250\004\250B\250e\2602\260T\270\022\2705\300\002\300$\300b\310\005\310R\310t\320SU\320UV\330\010\021\220\023\220B\220b\230\003\2304\230r\240\025\240b\250\004\250B\250e\2602\260T\270\022\2705\300\002\300$\300b\310\005\310R\310t\320SU\320UV\330\010\016\210a\330\010\016""\210a\330\010\016\210a\210w\220g\230S\240\004\240D\250\004\250I\260W\270A\330\010\017\210t\2201\220A\330\010\017\210t\2201\220A\340\010\020\220\002\220#\220T\230\022\2304\230r\240\024\240R\240t\2502\250T\260\022\2604\260r\270\024\270R\270t\3002\300T\310\022\3104\310r\320QU\320UW\320WX\330\010\020\220\002\220#\220T\230\022\2304\230r\240\024\240R\240t\2502\250T\260\022\2604\260r\270\024\270R\270t\3002\300T\310\022\3104\310r\320QU\320UW\320WX\330\010\021\220\022\2203\220d\230\"\230E\240\022\2404\240r\250\025\250b\260\004\260B\260e\2702\270T\300\022\3005\310\002\310$\310b\320PU\320UW\320W[\320[]\320]^\330\010\021\220\022\2203\220d\230\"\230E\240\022\2404\240r\250\025\250b\260\004\260B\260e\2702\270T\300\022\3005\310\002\310$\310b\320PU\320UW\320W[\320[]\320]^\340\010\017\210u\220B\220e\2303\230d\240!\2406\250\024\250Q\250c\260\022\2604\260q\270\014\300D\310\001\310\021\330\010\017\210u\220B\220e\2303\230d\240!\2406\250\024\250Q\250c\260\022\2604\260q\270\014\300D\310\001\310\021\330\010\020\220\005\220R\220u\230C\230t\2401\240G\2504\250q\260\004\260B\260d\270!\270=\310\004\310A\310Q\330\010\020\220\005\220R\220u\230C\230t\2401\240G\2504\250q\260\004\260B\260d\270!\270=\310\004\310A\310Q\330\010\r\210V\2202\220Q\330\010\r\210V\2202\220Q\330\010\r\210W\220B\220a\330\010\r\210W\220B\220a\330\010\023\2204\220q\230\005\230S\240\003\2402\240S\250\002\250#\250R\250s\260\"\260C\260r\270\023\270B\270c\300\022\3001\340\010\013\2105\220\t\230\023\230A\330\014\032\230!\330\014\017\210y\230\003\2301\330\020\026\220a\340\020\026\220h\230b\240\003\2401\240J\250a\330\020\023\2204\220r\230\021\330\024\032\230!\330\014\020\220\002\220\"\220A\330\014\r\340\010\020\220\013\230:\240R\240r\250\021\340\010\024\220A\330\010\020\220\001\330\010\020\220\001\330\010\021\220\021\330\010\021\220\021\330\010\020\220\001\330\010\024\220A\340\010\013\2104\210q\330\014\022\220\"\220B\220a\330\014\022\220&\230\002\230!\330\014\017\210t\2202\220T\230\024\230T\240\023\240A\330\020\025\220Q\330\020\025""\220Q\330\020\024\220F\230%\230q\240\001\330\024\030\230\003\2302\230T\240\022\2402\240S\250\001\330\030\031\330\024\032\230$\230c\240\023\240B\240a\330\024\032\230!\2305\240\003\2403\240c\250\024\250T\260\025\260e\2706\300\021\330\033\"\240'\250\030\260\021\330\033 \240\005\240V\2506\260\021\330\024\027\220t\2301\230C\230r\240\030\250\022\2501\330\030\035\230Q\340\030\035\230Q\330\020\026\220a\220t\2303\230c\240\023\240D\250\004\250E\260\025\260f\270A\330\027\036\230g\240X\250Q\330\027\034\230E\240\026\240v\250Q\330\020\023\2204\220q\230\003\2302\230Q\330\024#\2401\330\024\034\230B\230b\240\003\2402\240Q\330\024\034\230D\240\001\240\021\330\024\034\230D\240\001\240\021\330\024\035\230T\240\021\240!\330\024\035\230T\240\021\240!\330\024\027\220q\330\030$\240A\330\030 \240\001\330\030 \240\001\330\030!\240\021\330\030!\240\021\330\030 \240\001\330\030$\240A\340\010\013\2103\210b\220\007\220r\230\021\330\014\021\220\021\330\014\021\220\021\330\014\023\2201\330\014\020\220\006\220e\2301\230A\330\020\024\220C\220r\230\024\230R\230r\240\023\240A\330\024\025\330\020\026\220d\230#\230S\240\002\240!\330\020\026\220a\220u\230C\230s\240#\240T\250\024\250U\260%\260v\270Q\330\027\036\230g\240X\250Q\330\027\034\230E\240\026\240v\250Q\330\020\024\220E\230\022\2305\240\004\240D\250\001\250\023\250B\250a\330\024\031\230\021\330\024\033\2304\230q\240\001\340\024\031\230\021\330\014\021\220\024\220S\230\003\2302\230Q\330\014\022\220!\2204\220s\230#\230S\240\004\240D\250\005\250U\260&\270\001\330\023\032\230'\240\030\250\021\330\023\030\230\005\230V\2406\250\021\330\014\017\210t\2201\220D\230\001\230\024\230R\230q\330\020!\240\024\240Q\240d\250!\2501\330\020\031\230\022\2302\230S\240\002\240!\330\020\031\230\024\230Q\230a\330\020\031\230\024\230Q\230a\330\020\032\230$\230a\230q\330\020\032\230$\230a\230q\340\010\014\210E\220\025\220a\220q\330\014\022\220\"\220B\220b\230\001\230\021\330\014\022\220\"\220B\220b\230\001\230\021\330\014\021\220\024\220R\220s\230\"\230D\240\002\240!\330""\014\022\220&\230\002\230\"\230A\230Q\330\014\022\220&\230\002\230\"\230A\230Q\330\014\021\220\024\220R\220w\230b\240\004\240B\240a\330\014\017\210s\220\"\220D\230\004\230C\230s\240!\330\020\025\220Q\330\020\025\220Q\330\020\024\220F\230%\230q\240\001\330\024\030\230\003\2302\230T\240\022\2402\240S\250\001\330\030\031\330\024\032\230$\230c\240\023\240B\240a\330\024\032\230!\2305\240\003\2403\240c\250\024\250T\260\025\260e\2706\300\021\330\033\"\240'\250\030\260\021\330\033 \240\005\240V\2506\260\021\330\024\030\230\004\230A\230S\240\002\240\"\240A\240T\250\022\2504\250q\260\003\2603\260d\270!\2703\270b\300\002\300!\3004\300r\310\024\310Q\310c\320QS\320ST\330\030\035\230Q\340\030\035\230Q\330\020\025\220T\230\023\230C\230r\240\021\330\020\026\220a\220t\2303\230c\240\023\240D\250\004\250E\260\025\260f\270A\330\027\036\230g\240X\250Q\330\027\034\230E\240\026\240v\250Q\330\020\026\220d\230!\2303\230b\240\002\240!\2401\330\020\026\220d\230!\2303\230b\240\002\240!\2401\330\020\027\220t\2301\230D\240\002\240$\240b\250\004\250B\250a\330\020\023\2205\230\002\230)\2401\240A\330\024\035\230Q\230e\2401\330\024\033\2301\230B\230b\240\002\240\"\240E\250\022\2502\250S\260\002\260!\330\024\033\2301\230B\230b\240\002\240\"\240E\250\024\250Q\250a\330\024\033\2301\230B\230b\240\002\240\"\240E\250\024\250Q\250a\330\024\033\2301\230B\230b\240\002\240\"\240E\250\024\250Q\250a\330\024\033\2301\230B\230b\240\002\240\"\240E\250\024\250Q\250a\330\020\023\2202\220Q\220c\230\023\230D\240\004\240E\250\022\2505\260\003\2601\330\024\035\230Q\330\024 \240\001\330\024\035\230R\230r\240\023\240B\240a\330\014\024\220D\230\001\230\024\230R\230t\2402\240T\250\022\2501\330\014\017\210v\220R\220y\240\001\240\021\330\020\031\230\021\230%\230q\330\020\027\220q\230\002\230\"\230B\230b\240\005\240Q\330\020\027\220q\230\002\230\"\230B\230b\240\005\240Q\330\020\027\220q\230\002\230\"\230B\230b\240\005\240Q\330\020\027\220q\230\002\230\"\230B\230b\240\005\240Q\330\020\027\220q\230\002\230\"\230B\230b\240\005""\240Q\330\014\017\210r\220\021\220#\220S\230\004\230D\240\006\240b\250\006\250c\260\021\330\020\031\230\021\330\020\034\230A\330\020\031\230\021\340\010\n\210'\220\021\220!\330\010\n\210'\220\021\220!\330\010\n\210'\220\021\220!\330\010\013\2107\220!\2201\330\010\013\2107\220!\2201\330\010\023\2201\330\010\013\2102\210R\210q\330\014\027\220q\340\010\013\2107\220#\220Q\330\014\r\340\010\014\210A\330\010\014\210A\330\010\014\210A\330\010\r\210Q\330\010\r\210Q\330\010\013\2101\330\014\022\220!\2203\220c\230\023\230D\240\004\240D\250\t\260\027\270\001\330\014\025\220Q\330\014\022\220!\330\014\022\220!\330\014\023\2204\220q\230\001\330\014\023\2204\220q\230\001\330\014\r\330\010\016\210a\330\010\016\210a\330\010\017\210q\330\010\017\210q\340\010\013\2109\220C\220q\330\014\022\220!\340\014\022\220(\230\"\230C\230q\240\n\250!\330\014\017\210t\2202\220Q\330\020\026\220a\330\021\025\220R\220q\330\020\026\220a\330\010\014\210B\210b\220\001\340\004\007\200t\2101\210C\210r\220\021\330\010\031\230\024\230Q\230a\330\010\021\220\021\330\010\021\220\021\330\010\021\220\021\330\010\022\220!\330\010\022\220!\340\004\025\220Q\220i\230q\240\003\2404\240u\250E\260\021\260!\330\004\026\220a\330\t\020\220\001\220\022\2202\220R\220r\230\024\230W\240A\240R\240r\250\022\2502\250T\260\027\270\001\270\022\2702\270R\270r\300\021\330\t\020\220\001\220\022\2202\220R\220r\230\024\230W\240A\240R\240r\250\022\2502\250Q\330\010\014\210E\220\025\220a\220q\340\004\007\200q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\340\004\005\330\010\022\220!\330\010\025\220Q\330\010\022\220!\330\010\r\210Q\330\010\r\210Q\330\010\r\210Q\330\010\016\210a\330\010\016\210a\330\010\021\220\030\230\030\240\030\250\031\260!\330\010\036\230a\330\010\033\2301\330\010\023\2201\220G\2307\240'\250\030\260\033\320<N\310a\330\010\023\2201\330\010\026\220a\330\010\021\220\021\330\010\024\220A";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 182; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 2) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 182; i < 183; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 183; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 182;
-      for (Py_ssize_t i=0; i<1; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2,3};
-    for (int i = 0; i < 4; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<4; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 5;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 8;
-    unsigned int flags : 10;
-    unsigned int first_line : 7;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {17, 0, 0, 155, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 99};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x0, __pyx_mstate->__pyx_n_u_z0, __pyx_mstate->__pyx_n_u_vx0, __pyx_mstate->__pyx_n_u_vz0, __pyx_mstate->__pyx_n_u_t0, __pyx_mstate->__pyx_n_u_duration, __pyx_mstate->__pyx_n_u_wires_x, __pyx_mstate->__pyx_n_u_wires_z, __pyx_mstate->__pyx_n_u_wires_current, __pyx_mstate->__pyx_n_u_alpha, __pyx_mstate->__pyx_n_u_rtol, __pyx_mstate->__pyx_n_u_atol, __pyx_mstate->__pyx_n_u_guard_radius, __pyx_mstate->__pyx_n_u_max_steps, __pyx_mstate->__pyx_n_u_x_plane, __pyx_mstate->__pyx_n_u_stop_at_closure, __pyx_mstate->__pyx_n_u_event_dt, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_wx, __pyx_mstate->__pyx_n_u_wz, __pyx_mstate->__pyx_n_u_wi, __pyx_mstate->__pyx_n_u_peri_dist, __pyx_mstate->__pyx_n_u_peri_st, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_guard2, __pyx_mstate->__pyx_n_u_tiny_r2, __pyx_mstate->__pyx_n_u_n_rhs, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_t_bound, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_vx, __pyx_mstate->__pyx_n_u_vz, __pyx_mstate->__pyx_n_u_best_apex_absz, __pyx_mstate->__pyx_n_u_apex_t, __pyx_mstate->__pyx_n_u_apex_x, __pyx_mstate->__pyx_n_u_apex_z, __pyx_mstate->__pyx_n_u_apex_vx, __pyx_mstate->__pyx_n_u_apex_vz, __pyx_mstate->__pyx_n_u_dx, __pyx_mstate->__pyx_n_u_dz, __pyx_mstate->__pyx_n_u_have_closure, __pyx_mstate->__pyx_n_u_clo_t, __pyx_mstate->__pyx_n_u_clo_x, __pyx_mstate->__pyx_n_u_clo_z, __pyx_mstate->__pyx_n_u_clo_vx, __pyx_mstate->__pyx_n_u_clo_vz, __pyx_mstate->__pyx_n_u_ts, __pyx_mstate->__pyx_n_u_xs, __pyx_mstate->__pyx_n_u_zs, __pyx_mstate->__pyx_n_u_vxs, __pyx_mstate->__pyx_n_u_vzs, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_fail_wire, __pyx_mstate->__pyx_n_u_t_fail, __pyx_mstate->__pyx_n_u_n_steps, __pyx_mstate->__pyx_n_u_n_rejected, __pyx_mstate->__pyx_n_u_min_step, __pyx_mstate->__pyx_n_u_out2, __pyx_mstate->__pyx_n_u_out4, __pyx_mstate->__pyx_n_u_k1x, __pyx_mstate->__pyx_n_u_k1z, __pyx_mstate->__pyx_n_u_k1vx, __pyx_mstate->__pyx_n_u_k1vz, __pyx_mstate->__pyx_n_u_sc_x, __pyx_mstate->__pyx_n_u_sc_z, __pyx_mstate->__pyx_n_u_sc_vx, __pyx_mstate->__pyx_n_u_sc_vz, __pyx_mstate->__pyx_n_u_q0, __pyx_mstate->__pyx_n_u_q1, __pyx_mstate->__pyx_n_u_q2, __pyx_mstate->__pyx_n_u_q3, __pyx_mstate->__pyx_n_u_d0, __pyx_mstate->__pyx_n_u_d1, __pyx_mstate->__pyx_n_u_h0, __pyx_mstate->__pyx_n_u_d2, __pyx_mstate->__pyx_n_u_dm, __pyx_mstate->__pyx_n_u_h1, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_last, __pyx_mstate->__pyx_n_u_truncated, __pyx_mstate->__pyx_n_u_h_floor, __pyx_mstate->__pyx_n_u_t_new, __pyx_mstate->__pyx_n_u_err_norm, __pyx_mstate->__pyx_n_u_fac, __pyx_mstate->__pyx_n_u_xs2, __pyx_mstate->__pyx_n_u_zs2, __pyx_mstate->__pyx_n_u_k2x, __pyx_mstate->__pyx_n_u_k2z, __pyx_mstate->__pyx_n_u_k2vx, __pyx_mstate->__pyx_n_u_k2vz, __pyx_mstate->__pyx_n_u_xs3, __pyx_mstate->__pyx_n_u_zs3, __pyx_mstate->__pyx_n_u_k3x, __pyx_mstate->__pyx_n_u_k3z, __pyx_mstate->__pyx_n_u_k3vx, __pyx_mstate->__pyx_n_u_k3vz, __pyx_mstate->__pyx_n_u_xs4, __pyx_mstate->__pyx_n_u_zs4, __pyx_mstate->__pyx_n_u_k4x, __pyx_mstate->__pyx_n_u_k4z, __pyx_mstate->__pyx_n_u_k4vx, __pyx_mstate->__pyx_n_u_k4vz, __pyx_mstate->__pyx_n_u_xs5, __pyx_mstate->__pyx_n_u_zs5, __pyx_mstate->__pyx_n_u_k5x, __pyx_mstate->__pyx_n_u_k5z, __pyx_mstate->__pyx_n_u_k5vx, __pyx_mstate->__pyx_n_u_k5vz, __pyx_mstate->__pyx_n_u_xs6, __pyx_mstate->__pyx_n_u_zs6, __pyx_mstate->__pyx_n_u_k6x, __pyx_mstate->__pyx_n_u_k6z, __pyx_mstate->__pyx_n_u_k6vx, __pyx_mstate->__pyx_n_u_k6vz, __pyx_mstate->__pyx_n_u_x_new, __pyx_mstate->__pyx_n_u_z_new, __pyx_mstate->__pyx_n_u_vx_new, __pyx_mstate->__pyx_n_u_vz_new, __pyx_mstate->__pyx_n_u_k7x, __pyx_mstate->__pyx_n_u_k7z, __pyx_mstate->__pyx_n_u_k7vx, __pyx_mstate->__pyx_n_u_k7vz, __pyx_mstate->__pyx_n_u_err_x, __pyx_mstate->__pyx_n_u_err_z, __pyx_mstate->__pyx_n_u_err_vx, __pyx_mstate->__pyx_n_u_err_vz, __pyx_mstate->__pyx_n_u_theta_end, __pyx_mstate->__pyx_n_u_x_end, __pyx_mstate->__pyx_n_u_z_end, __pyx_mstate->__pyx_n_u_vx_end, __pyx_mstate->__pyx_n_u_vz_end, __pyx_mstate->__pyx_n_u_t_end, __pyx_mstate->__pyx_n_u_gx0, __pyx_mstate->__pyx_n_u_gx1, __pyx_mstate->__pyx_n_u_lo, __pyx_mstate->__pyx_n_u_hi, __pyx_mstate->__pyx_n_u_mid, __pyx_mstate->__pyx_n_u_g_lo, __pyx_mstate->__pyx_n_u_th, __pyx_mstate->__pyx_n_u_dx0, __pyx_mstate->__pyx_n_u_dz0, __pyx_mstate->__pyx_n_u_g0, __pyx_mstate->__pyx_n_u_dx1, __pyx_mstate->__pyx_n_u_dz1, __pyx_mstate->__pyx_n_u_g1, __pyx_mstate->__pyx_n_u_dxp, __pyx_mstate->__pyx_n_u_dzp, __pyx_mstate->__pyx_n_u_dist, __pyx_mstate->__pyx_n_u_d_end, __pyx_mstate->__pyx_n_u_it, __pyx_mstate->__pyx_n_u_peri_dist_list, __pyx_mstate->__pyx_n_u_peri_state_list, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wiresplit__kernel_pyx, __pyx_mstate->__pyx_n_u_integrate, __pyx_mstate->__pyx_kp_b_iso88591_AQ_j_ar_gQ_j_ar_gQ_j_ar_gQ_ZvQb, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled integration kernel (fast backend): the CPython module
+ * ``wiresplit._kernel``.
+ *
+ * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
+ * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
+ * Hermite dense output, bisection event refinement, and a zero error scale
+ * (atol = 0) counting 0 in the initial-step norms, 0/0 as 0 and err/0 as inf
+ * in the step error norm. Every floating-point operation is in the twin's
+ * order, comparisons and min() treat NaN as Python does, and the file must
+ * be built without FMA contraction (-ffp-contract=off), so both backends
+ * return equal doubles. Where the twin divides by a float zero, this raises
+ * ZeroDivisionError too.
+ *
+ * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
+ * are arrays of 4, so the twin's per-component formulas become loops.
  */
-#pragma warning( disable : 4127 )
-#endif
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+#include <string.h>
 
+enum { STATUS_OK, STATUS_SINGULARITY, STATUS_UNDERFLOW, STATUS_MAXSTEPS };
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
+/* Dormand-Prince 5(4) tableau: rows a_2..a_6, then the 5th-order weights b,
+ * then the error weights e (5th-order minus embedded 4th-order). Zero
+ * entries are skipped, not added, as the twin leaves those terms out. */
+static const double TAB[7][7] = {
+    {0.2},
+    {3.0 / 40.0, 9.0 / 40.0},
+    {44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0},
+    {19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0},
+    {9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0},
+    {35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0},
+    {71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+     -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0},
 };
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
+#define SAFETY 0.9
+#define MIN_FACTOR 0.2
+#define MAX_FACTOR 5.0
+#define EPS 2.220446049250313e-16
 
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
+typedef struct {
+    Py_ssize_t n;
+    const double *wx, *wz, *wi;
+    double alpha, tiny_r2;
+    long n_rhs;
+    int zerodiv;  /* a float division by zero the twin would raise on */
+} Field;
 
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+/* k = f(y): velocity, then the superposed repulsion at (x, z) */
+static void deriv(Field *f, const double *y, double *k)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* pybytes_as_double (used by pyunicode_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj) {
-    PyObject *float_value = PyFloat_FromString(obj);
-    if (likely(float_value)) {
-        double value = __Pyx_PyFloat_AS_DOUBLE(float_value);
-        Py_DECREF(float_value);
-        return value;
-    }
-    return (double)-1;
-}
-static const char* __Pyx__PyBytes_AsDouble_Copy(const char* start, char* buffer, Py_ssize_t length) {
-    int last_was_punctuation = 1;
-    int parse_error_found = 0;
-    Py_ssize_t i;
-    for (i=0; i < length; i++) {
-        char chr = start[i];
-        int is_punctuation = (chr == '_') | (chr == '.') | (chr == 'e') | (chr == 'E');
-        *buffer = chr;
-        buffer += (chr != '_');
-        parse_error_found |= last_was_punctuation & is_punctuation;
-        last_was_punctuation = is_punctuation;
-    }
-    parse_error_found |= last_was_punctuation;
-    *buffer = '\0';
-    return unlikely(parse_error_found) ? NULL : buffer;
-}
-static double __Pyx__PyBytes_AsDouble_inf_nan(const char* start, Py_ssize_t length) {
-    int matches = 1;
-    char sign = start[0];
-    int is_signed = (sign == '+') | (sign == '-');
-    start += is_signed;
-    length -= is_signed;
-    switch (start[0]) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            matches &= (start[1] == 'a' || start[1] == 'A');
-            matches &= (start[2] == 'n' || start[2] == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            matches &= (start[1] == 'n' || start[1] == 'N');
-            matches &= (start[2] == 'f' || start[2] == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            matches &= (start[3] == 'i' || start[3] == 'I');
-            matches &= (start[4] == 'n' || start[4] == 'N');
-            matches &= (start[5] == 'i' || start[5] == 'I');
-            matches &= (start[6] == 't' || start[6] == 'T');
-            matches &= (start[7] == 'y' || start[7] == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
-            break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
-    return -1.0;
-}
-static CYTHON_INLINE int __Pyx__PyBytes_AsDouble_IsSpace(char ch) {
-    return (ch == 0x20) | !((ch < 0x9) | (ch > 0xd));
-}
-CYTHON_UNUSED static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length) {
-    double value;
-    Py_ssize_t i, digits;
-    const char *last = start + length;
-    char *end;
-    while (__Pyx__PyBytes_AsDouble_IsSpace(*start))
-        start++;
-    while (start < last - 1 && __Pyx__PyBytes_AsDouble_IsSpace(last[-1]))
-        last--;
-    length = last - start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyBytes_AsDouble_inf_nan(start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    digits = 0;
-    for (i=0; i < length; digits += start[i++] != '_');
-    if (likely(digits == length)) {
-        value = PyOS_string_to_double(start, &end, NULL);
-    } else if (digits < 40) {
-        char number[40];
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((digits + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
-        }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
+    double ax = 0.0, az = 0.0;
+    f->n_rhs++;
+    k[0] = y[2];
+    k[1] = y[3];
+    for (Py_ssize_t i = 0; i < f->n; i++) {
+        double cur = f->wi[i];
+        if (cur == 0.0)
+            continue;
+        double dx = y[0] - f->wx[i], dz = y[1] - f->wz[i];
+        double r2 = dx * dx + dz * dz;
+        if (r2 <= f->tiny_r2) {
+            k[2] = k[3] = NAN;
             return;
         }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
+        if (r2 * r2 == 0.0)
+            f->zerodiv = 1;
+        double c = f->alpha * cur * cur / (r2 * r2);
+        ax += c * dx;
+        az += c * dz;
     }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
+    k[2] = ax;
+    k[3] = az;
 }
 
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
+/* out = y + h * (sum_j a_j k_j), the sum left to right over nonzero a_j;
+ * out = h * (...) when y is NULL */
+static void combine(double *out, const double *y, double h, const double *a,
+                    int m, double k[][4])
 {
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
+    for (int c = 0; c < 4; c++) {
+        double s = a[0] * k[0][c];
+        for (int j = 1; j < m; j++)
+            if (a[j] != 0.0)
+                s += a[j] * k[j][c];
+        out[c] = y ? y[c] + h * s : h * s;
     }
 }
 
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
+static double rms4(const double *q)
+{
+    return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]));
 }
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
+/* cubic Hermite interpolant between y (derivative k1) and yn (k7) */
+static void dense(double *out, double theta, double h, const double *y,
+                  const double *yn, const double *k1, const double *k7)
+{
+    double om = 1.0 - theta;
+    double h00 = (1.0 + 2.0 * theta) * om * om;
+    double h10 = theta * om * om;
+    double h01 = theta * theta * (3.0 - 2.0 * theta);
+    double h11 = theta * theta * (theta - 1.0);
+    for (int c = 0; c < 4; c++)
+        out[c] = h00 * y[c] + h10 * h * k1[c] + h01 * yn[c] + h11 * h * k7[c];
 }
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
+static void set5(double *dst, double t, const double *y)
+{
+    dst[0] = t;
+    memcpy(dst + 1, y, 4 * sizeof(double));
 }
 
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
+/* the samples (t, x, z, vx, vz), 5 doubles each */
 typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
+    double *v;
+    size_t len, cap;
+} Samples;
+
+static int push(Samples *s, double t, const double *y)
+{
+    if (s->len + 5 > s->cap) {
+        size_t cap = s->cap ? 2 * s->cap : 5 * 256;
+        double *v = PyMem_Realloc(s->v, cap * sizeof(double));
+        if (v == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
+        s->v = v;
+        s->cap = cap;
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
+    set5(s->v + s->len, t, y);
+    s->len += 5;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
+
+/* dst[0..len) = the twin's [float(v) for v in seq]; -1 on error */
+static int as_doubles(PyObject *seq, double **dst, Py_ssize_t *len)
+{
+    PyObject *fast = PySequence_Fast(seq, "wire coordinates must be a sequence");
+    if (fast == NULL)
+        return -1;
+    *len = PySequence_Fast_GET_SIZE(fast);
+    *dst = PyMem_Malloc(*len * sizeof(double));
+    int rc = *dst ? 0 : (PyErr_NoMemory(), -1);
+    for (Py_ssize_t i = 0; rc == 0 && i < *len; i++) {
+        (*dst)[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
+        if ((*dst)[i] == -1.0 && PyErr_Occurred())
+            rc = -1;
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+    Py_DECREF(fast);
+    return rc;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
+
+static PyObject *tuple5(const double *v)
+{
+    return Py_BuildValue("(ddddd)", v[0], v[1], v[2], v[3], v[4]);
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+static PyObject *column(const Samples *s, int c)
+{
+    Py_ssize_t m = (Py_ssize_t)(s->len / 5);
+    PyObject *list = PyList_New(m);
+    for (Py_ssize_t i = 0; list != NULL && i < m; i++) {
+        PyObject *item = PyFloat_FromDouble(s->v[5 * i + c]);
+        if (item == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
+static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    (void)self;
+    static char *kwlist[] = {
+        "x0", "z0", "vx0", "vz0", "t0", "duration",
+        "wires_x", "wires_z", "wires_current", "alpha",
+        "rtol", "atol", "guard_radius", "max_steps",
+        "x_plane", "stop_at_closure", "event_dt", NULL};
+    double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
+    double max_steps, x_plane, event_dt;
+    int stop_at_closure;
+    PyObject *seq_x, *seq_z, *seq_i;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "ddddddOOOddddddpd:integrate", kwlist,
+            &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
+            &alpha, &rtol, &atol, &guard_radius, &max_steps, &x_plane,
+            &stop_at_closure, &event_dt))
+        return NULL;
+
+    PyObject *result = NULL;
+    double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL;
+    Samples samples = {NULL, 0, 0};
+    Py_ssize_t n, nz, ni;
+    if (as_doubles(seq_x, &wx, &n) < 0 || as_doubles(seq_z, &wz, &nz) < 0
+        || as_doubles(seq_i, &wi, &ni) < 0)
+        goto done;
+    if (nz < n || ni < n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    /* per wire: periapsis distance, then its state (t, x, z, vx, vz) */
+    peri = PyMem_Malloc(6 * n * sizeof(double));
+    if (peri == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *peri_st = peri + n;
+
+    double guard2 = guard_radius * guard_radius;
+    Field f = {n, wx, wz, wi, alpha, guard2 * 1e-6, 0, 0};
+    double t = t0, t_bound = t0 + duration;
+    double y[4] = {x0, z0, vx0, vz0};
+
+    double best_apex_absz = fabs(y[1]), apex[5], closure[5] = {0};
+    int have_closure = 0;
+    set5(apex, t, y);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double dx = y[0] - wx[i], dz = y[1] - wz[i];
+        peri[i] = sqrt(dx * dx + dz * dz);
+        set5(peri_st + 5 * i, t, y);
+    }
+    if (push(&samples, t, y) < 0)
+        goto done;
+
+    int status = STATUS_OK;
+    Py_ssize_t fail_wire = -1;
+    double t_fail = 0.0, min_step = duration;
+    long n_steps = 0, n_rejected = 0;
+    double k[7][4], ys[4], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
+
+    /* initial step size (Hairer-style heuristic); a component whose scale
+     * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
+    deriv(&f, y, k[0]);
+    for (int c = 0; c < 4; c++) {
+        sc[c] = atol + rtol * fabs(y[c]);
+        q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
+    }
+    double d0 = rms4(q);
+    for (int c = 0; c < 4; c++)
+        q[c] = sc[c] != 0.0 ? k[0][c] / sc[c] : 0.0;
+    double d1 = rms4(q);
+    double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+    if (h0 > duration)
+        h0 = duration;
+    for (int c = 0; c < 4; c++)
+        ys[c] = y[c] + h0 * k[0][c];
+    deriv(&f, ys, k[1]);
+    for (int c = 0; c < 4; c++)
+        q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
+    if (h0 == 0.0)
+        f.zerodiv = 1;
+    double d2 = rms4(q) / h0;
+    double dm = d1 > d2 ? d1 : d2;
+    double h1;
+    if (dm <= 1e-15)
+        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+    else
+        h1 = pow(0.01 / dm, 0.2);
+    double h = 100.0 * h0;  /* min(100 h0, h1, duration), as Python's min */
+    if (h1 < h)
+        h = h1;
+    if (duration < h)
+        h = duration;
+    if (!(h > 0.0) || h != h)
+        h = duration * 1e-6;
+
+    while (!f.zerodiv && !(t >= t_bound)) {
+        if (n_steps + n_rejected >= max_steps) {
+            status = STATUS_MAXSTEPS;
+            t_fail = t;
+            break;
+        }
+        double h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
+        if (h < h_floor) {
+            status = STATUS_UNDERFLOW;
+            t_fail = t;
+            break;
+        }
+        int last = 0;
+        if (t + h >= t_bound) {
+            h = t_bound - t;
+            last = 1;
+        }
+
+        /* stages 2..6, the 5th-order solution, its derivative k7 (FSAL) and
+         * the error estimate */
+        for (int s = 1; s < 6; s++) {
+            combine(ys, y, h, TAB[s - 1], s, k);
+            deriv(&f, ys, k[s]);
+        }
+        combine(yn, y, h, TAB[5], 6, k);
+        deriv(&f, yn, k[6]);
+        combine(err, NULL, h, TAB[6], 7, k);
+
+        /* over a zero scale: 0/0 counts 0, any other error is err/0.0 under
+         * IEEE rules (+-inf, or NaN for NaN), so the step is rejected */
+        for (int c = 0; c < 4; c++) {
+            sc[c] = atol + rtol * (fabs(y[c]) > fabs(yn[c]) ? fabs(y[c]) : fabs(yn[c]));
+            q[c] = sc[c] != 0.0 ? err[c] / sc[c]
+                                : (err[c] == 0.0 ? 0.0 : err[c] * INFINITY);
+        }
+        double err_norm = rms4(q), fac;
+
+        if (!(err_norm <= 1.0)) {
+            n_rejected++;
+            if (err_norm != err_norm) {  /* NaN: a stage hit a pole */
+                fac = 0.1;
+            } else {
+                fac = SAFETY * pow(err_norm, -0.2);
+                if (fac < MIN_FACTOR)
+                    fac = MIN_FACTOR;
+            }
+            h = h * fac;
+            continue;
+        }
+
+        /* --- accepted --- */
+        double theta_end = 1.0, t_end = last ? t_bound : t + h;
+        double lo, hi, mid, th;
+        int truncated = 0;
+        memcpy(ye, yn, sizeof ye);
+
+        /* Each event is bisected on the dense output down to event_dt; the
+         * loop tests !(width <= event_dt) so a NaN event_dt bisects the full
+         * 80 times, as the twin does. */
+
+        /* closure: first crossing of the plane x = x_plane moving in -x */
+        if (!have_closure && y[0] - x_plane > 0.0 && ye[0] - x_plane <= 0.0) {
+            lo = 0.0;
+            hi = 1.0;
+            for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
+                mid = 0.5 * (lo + hi);
+                dense(yd, mid, h, y, yn, k[0], k[6]);
+                if (yd[0] - x_plane > 0.0)
+                    lo = mid;
+                else
+                    hi = mid;
+            }
+            dense(yd, hi, h, y, yn, k[0], k[6]);
+            if (yd[2] < 0.0) {
+                have_closure = 1;
+                set5(closure, t + hi * h, yd);
+                if (stop_at_closure) {
+                    theta_end = hi;
+                    memcpy(ye, yd, sizeof ye);
+                    t_end = closure[0];
+                    truncated = 1;
+                }
+            }
+        }
+
+        /* apex: interior extremum of z (vz sign change) */
+        if (y[3] * ye[3] < 0.0) {
+            double g_lo = y[3];
+            lo = 0.0;
+            hi = theta_end;
+            for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
+                mid = 0.5 * (lo + hi);
+                dense(yd, mid, h, y, yn, k[0], k[6]);
+                if ((g_lo > 0.0) == (yd[3] > 0.0)) {
+                    lo = mid;
+                    g_lo = yd[3];
+                } else {
+                    hi = mid;
+                }
+            }
+            th = 0.5 * (lo + hi);
+            dense(yd, th, h, y, yn, k[0], k[6]);
+            if (fabs(yd[1]) > best_apex_absz) {
+                best_apex_absz = fabs(yd[1]);
+                set5(apex, t + th * h, yd);
+            }
+        }
+
+        /* per-wire periapsis: radial speed changes sign - -> + */
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double dx0 = y[0] - wx[i], dz0 = y[1] - wz[i];
+            double g0 = dx0 * y[2] + dz0 * y[3];
+            double dx1 = ye[0] - wx[i], dz1 = ye[1] - wz[i];
+            double g1 = dx1 * ye[2] + dz1 * ye[3];
+            if (g0 < 0.0 && g1 >= 0.0) {
+                lo = 0.0;
+                hi = theta_end;
+                for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
+                    mid = 0.5 * (lo + hi);
+                    dense(yd, mid, h, y, yn, k[0], k[6]);
+                    if ((yd[0] - wx[i]) * yd[2] + (yd[1] - wz[i]) * yd[3] < 0.0)
+                        lo = mid;
+                    else
+                        hi = mid;
+                }
+                th = 0.5 * (lo + hi);
+                dense(yd, th, h, y, yn, k[0], k[6]);
+                double dxp = yd[0] - wx[i], dzp = yd[1] - wz[i];
+                double dist = sqrt(dxp * dxp + dzp * dzp);
+                if (dist < peri[i]) {
+                    peri[i] = dist;
+                    set5(peri_st + 5 * i, t + th * h, yd);
+                }
+                if (wi[i] != 0.0 && dist * dist <= guard2) {
+                    status = STATUS_SINGULARITY;
+                    fail_wire = i;
+                    t_fail = t + th * h;
+                }
+            }
+            double d_end = sqrt(dx1 * dx1 + dz1 * dz1);
+            if (d_end < peri[i]) {
+                peri[i] = d_end;
+                set5(peri_st + 5 * i, t_end, ye);
+            }
+            if (wi[i] != 0.0 && d_end * d_end <= guard2) {
+                status = STATUS_SINGULARITY;
+                fail_wire = i;
+                t_fail = t_end;
+            }
+        }
+
+        if (push(&samples, t_end, ye) < 0)
+            goto done;
+        n_steps++;
+        if (h < min_step)
+            min_step = h;
+
+        if (status == STATUS_SINGULARITY)
+            break;
+
+        t = t_end;
+        memcpy(y, ye, sizeof y);
+        if (truncated) {
+            /* re-seed the derivative at the truncated state */
+            deriv(&f, y, k[0]);
+            break;
+        }
+        memcpy(k[0], k[6], sizeof k[0]);
+
+        if (err_norm == 0.0) {
+            fac = MAX_FACTOR;
+        } else {
+            fac = SAFETY * pow(err_norm, -0.2);
+            if (fac > MAX_FACTOR)
+                fac = MAX_FACTOR;
+            else if (fac < MIN_FACTOR)
+                fac = MIN_FACTOR;
+        }
+        h = h * fac;
+    }
+    if (f.zerodiv) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        goto done;
+    }
+
+    /* trajectory endpoints compete for the apex */
+    if (fabs(y[1]) > best_apex_absz)
+        set5(apex, t, y);
+
+    PyObject *peri_dist = PyList_New(n), *peri_state = PyList_New(n);
+    for (Py_ssize_t i = 0; peri_dist && peri_state && i < n; i++) {
+        PyObject *d = PyFloat_FromDouble(peri[i]), *st = tuple5(peri_st + 5 * i);
+        PyList_SET_ITEM(peri_dist, i, d);
+        PyList_SET_ITEM(peri_state, i, st);
+        if (d == NULL || st == NULL) {
+            Py_CLEAR(peri_dist);
+            Py_CLEAR(peri_state);
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
+    result = Py_BuildValue(
+        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d}",
+        "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
+        "t", column(&samples, 0), "x", column(&samples, 1),
+        "z", column(&samples, 2), "vx", column(&samples, 3),
+        "vz", column(&samples, 4), "apex", tuple5(apex),
+        "periapsis_distance", peri_dist, "periapsis_state", peri_state,
+        "closure", clo, "n_steps", n_steps, "n_rejected", n_rejected,
+        "n_rhs", f.n_rhs, "min_step", min_step);
+
+done:
+    PyMem_Free(wx);
+    PyMem_Free(wz);
+    PyMem_Free(wi);
+    PyMem_Free(peri);
+    PyMem_Free(samples.v);
+    return result;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static PyMethodDef methods[] = {
+    {"integrate", (PyCFunction)(void (*)(void))integrate,
+     METH_VARARGS | METH_KEYWORDS,
+     "Compiled twin of ``wiresplit._kernel_py.integrate``."},
+    {NULL, NULL, 0, NULL},
+};
 
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "_kernel", .m_size = -1,
+    .m_doc = "Compiled integration kernel; see ``wiresplit._kernel_py``.",
+    .m_methods = methods,
+};
 
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m == NULL
+        || PyModule_AddIntConstant(m, "STATUS_OK", STATUS_OK) < 0
+        || PyModule_AddIntConstant(m, "STATUS_SINGULARITY", STATUS_SINGULARITY) < 0
+        || PyModule_AddIntConstant(m, "STATUS_UNDERFLOW", STATUS_UNDERFLOW) < 0
+        || PyModule_AddIntConstant(m, "STATUS_MAXSTEPS", STATUS_MAXSTEPS) < 0) {
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
+}

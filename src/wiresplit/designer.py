@@ -15,8 +15,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from . import analytic
 from .field import WireSingularityError, b_field
 from .integrator import (
@@ -134,8 +132,76 @@ def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
     return b_eff * (v0 / math.sqrt(medium.alpha)) * math.sqrt(k2 - 1.0)
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Brent's root finder (Brent 1973, ch. 4), step for step as scipy's
+    ``brentq.c``, so the evaluation sequence and root are scipy's bitwise.
+
+    ``f(xa)`` and ``f(xb)`` must differ in sign. A NaN value raises
+    ``ValueError``, and no convergence within ``maxiter`` iterations raises
+    ``RuntimeError``, as scipy does.
+    """
+    def fn(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = fn(xpre)
+    fcur = fn(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # an infinite trial step fails the test below and bisects, as the
+        # inf or NaN that C gets from a division by zero does
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if abs(spre) < bound:  # C's MIN(), not Python's min(), on NaN
+            bound = abs(spre)
+        if 2 * abs(stry) < bound:  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fn(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
-    """Bracket by geometric scan from the seed, then polish with brentq.
+    """Bracket by geometric scan from the seed, then polish with Brent's method.
 
     Near its root the objective decreases through zero as the deflector
     current grows: too little current leaves the branch over-high (or lost
@@ -216,7 +282,7 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
         return bracket[0]
 
     lo, hi = min(bracket), max(bracket)
-    root = brentq(f, lo, hi, xtol=1e-12 * seed, rtol=8.9e-16, maxiter=budget)
+    root = _brentq(f, lo, hi, xtol=1e-12 * seed, rtol=8.9e-16, maxiter=budget)
     final = f(root)
     if abs(final) > tolerance:
         raise DesignFailure(

@@ -174,8 +174,3 @@ def field_sample(point, wires, medium: Medium,
         accel=(-alpha * (sx * q + sz * p), -alpha * (sx * p - sz * q)),
     )
 
-
-def wire_distances(point, wires):
-    """Distance from ``point`` to every wire (including zero-current ones)."""
-    x, z = point
-    return [math.hypot(x - w.x, z - w.z) for w in wires]

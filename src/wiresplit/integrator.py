@@ -1,10 +1,10 @@
 """Trajectory integration: adaptive Runge-Kutta 5(4) with event detection.
 
 The stepping loop lives in a kernel with two interchangeable backends: the
-compiled extension ``wiresplit._kernel`` (built from Cython) and the pure
-Python mirror ``wiresplit._kernel_py``. The fastest available one is picked
-at import; both implement the identical algorithm and produce identical
-samples. ``simulate`` wraps the kernel into domain types and computes the
+compiled extension ``wiresplit._kernel`` and the pure Python mirror
+``wiresplit._kernel_py``. The fastest available one is picked at import;
+both implement the identical algorithm and produce identical samples.
+``simulate`` wraps the kernel into domain types and computes the
 energy-drift statistic.
 """
 
@@ -148,8 +148,8 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     launch x-coordinate. With ``stop_at_closure`` the run ends at the
     closure crossing instead of the full duration.
     """
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration:g}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration:g}")
     wires = tuple(wires)
     for i, w in enumerate(wires):
         if w.current == 0.0:

@@ -1,7 +1,16 @@
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
-from wiresplit import ScatteringInputs, default_medium
+from wiresplit import ScatteringInputs, default_medium, integrator
 from wiresplit.designer import DesignSpec, design_trajectories
+
+KERNEL_SOURCE = Path(integrator.__file__).with_name("_kernel.c")
 
 PAPER_INPUTS = dict(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
 
@@ -45,3 +54,36 @@ def shared_design():
         return cache[spec, control]
 
     return design
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The C kernel built from source with setup.py's flags, loaded as a module.
+
+    It is compiled into a temporary directory, so a build left in the source
+    tree (or none) does not matter. Skips only without a C compiler or
+    ``Python.h``.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]})")
+    if not Path(include, "Python.h").exists():
+        pytest.skip(f"no Python.h in {include}")
+    out = tmp_path_factory.mktemp("kernel") / (
+        "_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # the extra_compile_args of setup.py
+    flags = ["-O3", "-ffp-contract=off"]
+    subprocess.run([*cc, *flags, "-shared", "-fPIC", f"-I{include}",
+                    str(KERNEL_SOURCE), "-o", str(out)], check=True)
+    spec = importlib.util.spec_from_file_location("wiresplit._kernel", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_backend(compiled_kernel, monkeypatch):
+    """``compiled_kernel`` installed as the ``compiled`` backend of ``simulate``."""
+    monkeypatch.setitem(integrator._BACKENDS, "compiled", compiled_kernel)
+    return compiled_kernel

@@ -140,6 +140,13 @@ class TestSimulateCommand:
         events = json.loads((out / "events.json").read_text())
         assert events["stats"]["n_steps"] > 0
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_exit_code(self, tmp_path, capsys, duration):
+        # json.loads reads NaN and Infinity; both must fail fast as config
+        cfg = _write(tmp_path, "job.json", {**SIM_CFG, "duration_s": duration})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "duration" in capsys.readouterr().err
+
     def test_tolerance_flag_changes_step_count(self, tmp_path):
         cfg = _write(tmp_path, "job.json", SIM_CFG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

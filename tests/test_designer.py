@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,10 +17,12 @@ from wiresplit import (
     design_triangular,
     triangular_max_size,
 )
+import wiresplit
 from wiresplit.designer import (
     CLOSURE_SENTINEL,
     DesignFailure,
     DesignSpec,
+    _brentq,
     triangular_deflector_position,
 )
 
@@ -227,3 +232,40 @@ def test_deflector_position_between_candidate_heights():
     assert x == pytest.approx(-X0 / 2.0, rel=1e-12)
     assert semi_minor < z < semi_minor + B
     assert z == pytest.approx(semi_minor + B / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 3.0), (3.0, 0.1), (-2.0, 0.7)])
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
+def test_brentq_matches_scipy(a, b, xtol):
+    """The port takes scipy's evaluation sequence to the same root, bitwise."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def objectives():
+        yield lambda x: x * x - 2.0
+        yield lambda x: math.tanh(4.0 * (x - 0.3)) + 0.01 * x ** 3
+        yield lambda x: math.exp(x) - 1.5
+        # a kink, so Brent has to mix interpolation and bisection
+        yield lambda x: math.copysign(math.sqrt(abs(x - 0.5)), x - 0.5)
+
+    for g in objectives():
+        seqs = ([], [])
+
+        def traced(seq):
+            return lambda x: seq.append(x) or g(x)
+
+        ref = optimize.brentq(traced(seqs[0]), a, b, xtol=xtol,
+                              rtol=8.9e-16, maxiter=100)
+        root = _brentq(traced(seqs[1]), a, b, xtol=xtol, rtol=8.9e-16,
+                       maxiter=100)
+        assert [x.hex() for x in seqs[1]] == [x.hex() for x in seqs[0]]
+        assert root.hex() == ref.hex()
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(wiresplit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, wiresplit; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

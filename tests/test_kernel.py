@@ -16,6 +16,7 @@ from wiresplit import (
     kernel_backend,
     simulate,
 )
+from wiresplit import _kernel_py
 
 HAVE_COMPILED = "compiled" in available_backends()
 
@@ -44,26 +45,92 @@ def test_default_backend_is_fastest_available():
         assert kernel_backend() == "python"
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-def test_backends_bitwise_identical(medium):
+def _headon():
+    # b = 0: the packet stalls short of the wire and retraces its path
+    return PacketState(x=-50e-6, z=0.0, vx=0.01, vz=0.0), (Wire(0.0, 0.0, 2.0),)
+
+
+def _bitwise_case(name, medium):
+    """(kernel arguments, expected status) of one exit path of the kernel."""
     initial, wires = _fig_scenario()
-    # multi-wire case stresses the force loop ordering too
-    wires = wires + (Wire(-150e-6, 316.5e-6, 1.57), Wire(-150e-6, -316.5e-6, 1.57))
-    fast = simulate(initial, wires, medium, 0.02, backend="compiled")
-    slow = simulate(initial, wires, medium, 0.02, backend="python")
-    _assert_bitwise_equal(fast, slow)
+    duration, control, stop = 0.02, StepControl(), False
+    status = _kernel_py.STATUS_OK
+    if name == "three_wire":
+        # multi-wire case stresses the force loop ordering too
+        wires += (Wire(-150e-6, 316.5e-6, 1.57), Wire(-150e-6, -316.5e-6, 1.57))
+    elif name == "singularity":
+        initial, wires = _headon()
+        d0 = closest_approach_headon(2.0, 0.01, medium)
+        control = StepControl(guard_radius=2.0 * d0)
+        status = _kernel_py.STATUS_SINGULARITY
+    elif name == "max_steps":
+        duration, control = 0.06, StepControl(max_steps=50)
+        status = _kernel_py.STATUS_MAXSTEPS
+    elif name == "underflow":
+        # the step floor 16 eps |t| = 3.6e-3 s exceeds the whole duration
+        initial = PacketState(x=-300e-6, z=0.5e-6, vx=0.01, vz=0.0, t=1e12)
+        duration = 1e-3
+        status = _kernel_py.STATUS_UNDERFLOW
+    elif name == "stop_at_closure":
+        initial, wires = _headon()
+        stop = True
+    elif name == "no_wires":
+        wires = ()
+    elif name == "dead_wire":
+        wires += (Wire(-150e-6, 20e-6, 0.0),)
+    args = (initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
+            [w.x for w in wires], [w.z for w in wires],
+            [w.current for w in wires], medium.alpha,
+            control.rtol, control.atol, control.guard_radius,
+            control.max_steps, initial.x, stop, control.event_dt)
+    return args, status
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
+def _bits(obj):
+    """``obj`` with every float replaced by its hex form, so == is bitwise."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_bits(v) for v in obj)
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    return obj
+
+
+@pytest.mark.parametrize("case", ["three_wire", "singularity", "max_steps",
+                                  "underflow", "stop_at_closure", "no_wires",
+                                  "dead_wire"])
+def test_backends_bitwise_identical(medium, compiled_backend, case):
+    args, status = _bitwise_case(case, medium)
+    fast = compiled_backend.integrate(*args)
+    slow = _kernel_py.integrate(*args)
+    assert slow["status"] == status
+    if case == "stop_at_closure":
+        assert slow["closure"] is not None and slow["t"][-1] < 0.02
+    assert _bits(fast) == _bits(slow)
+
+
 @pytest.mark.parametrize("scenario", [_fig_scenario, _symmetric_scenario],
                          ids=["vz0", "z_axis"])
-def test_backends_bitwise_identical_pure_relative(medium, scenario):
+def test_backends_bitwise_identical_pure_relative(medium, compiled_backend,
+                                                  scenario):
     initial, wires = scenario()
     fast = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
                     backend="compiled")
     slow = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
                     backend="python")
     _assert_bitwise_equal(fast, slow)
+
+
+def test_backends_raise_alike(medium, compiled_backend):
+    # atol = 0 and x = 1e-300: vx / (rtol |x|) overflows to inf in the
+    # initial-step heuristic, its h0 is 0, and the Python kernel divides by it
+    initial = PacketState(x=1e-300, z=0.5e-6, vx=0.01, vz=0.0)
+    wires = (Wire(0.0, 300e-6, 2.0),)
+    for backend in ("python", "compiled"):
+        with pytest.raises(ZeroDivisionError):
+            simulate(initial, wires, medium, 0.01, PURE_RELATIVE,
+                     backend=backend)
 
 
 def _assert_bitwise_equal(fast, slow):
@@ -173,8 +240,9 @@ def test_step_budget_exhaustion_raises(medium):
 
 def test_invalid_duration(medium):
     initial, wires = _fig_scenario()
-    with pytest.raises(ValueError):
-        simulate(initial, wires, medium, 0.0)
+    for duration in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            simulate(initial, wires, medium, duration)
 
 
 def test_tolerance_convergence_order(medium):
@@ -203,8 +271,7 @@ def test_rejected_steps_are_counted(medium):
     assert traj.stats.n_rhs_evals > 6 * traj.stats.n_steps
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-def test_backend_selection_argument(medium):
+def test_backend_selection_argument(medium, compiled_backend):
     initial, wires = _fig_scenario()
     with pytest.raises(ValueError):
         simulate(initial, wires, medium, 0.01, backend="fortran")
