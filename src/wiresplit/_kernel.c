@@ -44,8 +44,8 @@ static const double TAB[7][7] = {
 
 typedef struct {
     Py_ssize_t n;
-    const double *wx, *wz, *wi;
-    double alpha, tiny_r2;
+    const double *powered;  /* (x, z, alpha I^2) of each wire with I != 0 */
+    double tiny_r2;
     long n_rhs;
     int zerodiv;  /* a float division by zero the twin would raise on */
 } Field;
@@ -58,10 +58,8 @@ static void deriv(Field *f, const double *y, double *k)
     k[0] = y[2];
     k[1] = y[3];
     for (Py_ssize_t i = 0; i < f->n; i++) {
-        double cur = f->wi[i];
-        if (cur == 0.0)
-            continue;
-        double dx = y[0] - f->wx[i], dz = y[1] - f->wz[i];
+        const double *w = f->powered + 3 * i;
+        double dx = y[0] - w[0], dz = y[1] - w[1];
         double r2 = dx * dx + dz * dz;
         if (r2 <= f->tiny_r2) {
             k[2] = k[3] = NAN;
@@ -69,7 +67,7 @@ static void deriv(Field *f, const double *y, double *k)
         }
         if (r2 * r2 == 0.0)
             f->zerodiv = 1;
-        double c = f->alpha * cur * cur / (r2 * r2);
+        double c = w[2] / (r2 * r2);
         ax += c * dx;
         az += c * dz;
     }
@@ -195,7 +193,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
 
     PyObject *result = NULL;
-    double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL;
+    double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL, *powered = NULL;
     Samples samples = {NULL, 0, 0};
     Py_ssize_t n, nz, ni;
     if (as_doubles(seq_x, &wx, &n) < 0 || as_doubles(seq_z, &wz, &nz) < 0
@@ -207,14 +205,24 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* per wire: periapsis distance, then its state (t, x, z, vx, vz) */
     peri = PyMem_Malloc(6 * n * sizeof(double));
-    if (peri == NULL) {
+    powered = PyMem_Malloc(3 * n * sizeof(double));
+    if (peri == NULL || powered == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     double *peri_st = peri + n;
+    Py_ssize_t n_powered = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (wi[i] != 0.0) {
+            double *w = powered + 3 * n_powered++;
+            w[0] = wx[i];
+            w[1] = wz[i];
+            w[2] = alpha * wi[i] * wi[i];
+        }
+    }
 
     double guard2 = guard_radius * guard_radius;
-    Field f = {n, wx, wz, wi, alpha, guard2 * 1e-6, 0, 0};
+    Field f = {n_powered, powered, guard2 * 1e-6, 0, 0};
     double t = t0, t_bound = t0 + duration;
     double y[4] = {x0, z0, vx0, vz0};
 
@@ -486,6 +494,7 @@ done:
     PyMem_Free(wz);
     PyMem_Free(wi);
     PyMem_Free(peri);
+    PyMem_Free(powered);
     PyMem_Free(samples.v);
     return result;
 }

@@ -4,8 +4,8 @@ Mirror of the compiled extension ``wiresplit._kernel``: same Dormand-Prince
 5(4) pair, same step controller, same cubic-Hermite dense output and event
 bisection, with every floating-point operation in the same order, so both
 backends produce identical trajectories. This module is used automatically
-when the extension is not built; it is about 40x slower per force
-evaluation and about 19x slower per design (perfbench ``design_mix``).
+when the extension is not built; it is about 50x slower per force
+evaluation and about 20x slower per design (perfbench ``design_mix``).
 
 Error norms use the scale ``atol + rtol * |value|`` per component. With
 ``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
@@ -85,19 +85,20 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
     n_rhs = 0
 
+    # (x, z, alpha I^2) of each wire that carries current, in wire order
+    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i])
+                    for i in range(n) if wi[i] != 0.0)
+
     def accel(px, pz):
         ax = 0.0
         az = 0.0
-        for i in range(n):
-            cur = wi[i]
-            if cur == 0.0:
-                continue
-            dx = px - wx[i]
-            dz = pz - wz[i]
+        for xw, zw, k in powered:
+            dx = px - xw
+            dz = pz - zw
             r2 = dx * dx + dz * dz
             if r2 <= tiny_r2:
                 return (_NAN, _NAN)
-            c = alpha * cur * cur / (r2 * r2)
+            c = k / (r2 * r2)
             ax += c * dx
             az += c * dz
         return (ax, az)

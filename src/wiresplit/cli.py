@@ -5,7 +5,8 @@ units (``b_um``, ``v0_m_per_s``, ``tau_s``, ...); micrometre fields are
 converted to SI on load so that every number in every output file is SI.
 The human-readable summary on stdout uses micrometres and amperes.
 
-Exit codes: 0 success, 2 invalid config, 3 design failure, 4 singularity.
+Exit codes: 0 success, 2 invalid config, 3 design failure, 4 integration
+failure.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
     except DesignFailure as exc:
         print(f"design failure: {exc}", file=sys.stderr)
         return EXIT_DESIGN
-    except (WireSingularityError, StiffnessError) as exc:
+    except (WireSingularityError, StiffnessError, ZeroDivisionError) as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY
 

@@ -7,6 +7,10 @@ parameter -- the deflector current -- is tuned until the branch trajectory
 re-crosses the launch plane at its starting height. All wires stay powered
 throughout, so the objective sees every wire's repulsion over the whole
 flight, not just the nominal encounters.
+
+Each design memoises its closure misses by current, so a trial that Brent's
+method or the final check asks for again is not integrated again. A repeat
+still counts toward ``shoot_max_iterations``.
 """
 
 from __future__ import annotations
@@ -307,8 +311,15 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             Wire(dx_w, -dz_w, current),
         )
 
+    # Brent's method re-evaluates the bracket ends the scan has just tried,
+    # and _shoot re-evaluates the root; each current is integrated once
+    misses = {}
+
     def objective(current):
-        return closure_error(wires_for(current), initial, medium, tau, control)
+        if current not in misses:
+            misses[current] = closure_error(wires_for(current), initial,
+                                            medium, tau, control)
+        return misses[current]
 
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)

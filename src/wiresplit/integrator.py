@@ -69,6 +69,21 @@ class StepControl:
     guard_radius: float = GUARD_RADIUS
     event_dt: float = 1e-12  # event bisection resolution, s
 
+    def __post_init__(self):
+        for name in ("rtol", "atol", "event_dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and at least 0, got {value!r}")
+        if self.rtol == 0.0 and self.atol == 0.0:
+            raise ValueError("rtol and atol must not both be 0")
+        if not self.max_steps >= 1:
+            raise ValueError(
+                f"max_steps must be at least 1, got {self.max_steps!r}")
+        if not self.guard_radius > 0.0:
+            raise ValueError(
+                f"guard_radius must be positive, got {self.guard_radius!r}")
+
 
 DEFAULT_CONTROL = StepControl()
 

@@ -11,6 +11,7 @@ from wiresplit import ScatteringInputs, default_medium, integrator
 from wiresplit.designer import DesignSpec, design_trajectories
 
 KERNEL_SOURCE = Path(integrator.__file__).with_name("_kernel.c")
+SETUP_PY = Path(__file__).resolve().parents[1] / "setup.py"
 
 PAPER_INPUTS = dict(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
 
@@ -60,6 +61,10 @@ def shared_design():
 def compiled_kernel(tmp_path_factory):
     """The C kernel built from source with setup.py's flags, loaded as a module.
 
+    The flags are the ``extra_compile_args`` of setup.py's ``KERNEL``
+    extension, read by loading setup.py as a module (its ``setup()`` call
+    runs only as a script).
+
     It is compiled into a temporary directory, so a build left in the source
     tree (or none) does not matter. Skips only without a C compiler or
     ``Python.h``.
@@ -72,8 +77,10 @@ def compiled_kernel(tmp_path_factory):
         pytest.skip(f"no Python.h in {include}")
     out = tmp_path_factory.mktemp("kernel") / (
         "_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # the extra_compile_args of setup.py
-    flags = ["-O3", "-ffp-contract=off"]
+    setup_spec = importlib.util.spec_from_file_location("setup", SETUP_PY)
+    setup_module = importlib.util.module_from_spec(setup_spec)
+    setup_spec.loader.exec_module(setup_module)
+    flags = setup_module.KERNEL.extra_compile_args
     subprocess.run([*cc, *flags, "-shared", "-fPIC", f"-I{include}",
                     str(KERNEL_SOURCE), "-o", str(out)], check=True)
     spec = importlib.util.spec_from_file_location("wiresplit._kernel", out)

@@ -140,6 +140,30 @@ class TestSimulateCommand:
         events = json.loads((out / "events.json").read_text())
         assert events["stats"]["n_steps"] > 0
 
+    def test_kernel_division_by_zero_exit_code(self, tmp_path, capsys):
+        # atol = 0 and x = 1e-300 m: the initial-step heuristic's h0 is 0,
+        # and the kernel raises ZeroDivisionError dividing by it
+        cfg_data = {
+            **SIM_CFG,
+            "wires": [{"x_um": 0.0, "z_um": 300.0, "current_a": 2.0}],
+            "initial": {"x_um": 1e-294, "z_um": 0.5, "vx_m_per_s": 0.01,
+                        "vz_m_per_s": 0.0},
+            "duration_s": 0.01,
+            "atol_m": 0,
+        }
+        cfg = _write(tmp_path, "job.json", cfg_data)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integration error:")
+        assert "Traceback" not in err
+
+    def test_negative_rtol_exit_code(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "job.json", {**SIM_CFG, "rtol": -1e-9})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "rtol" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf])
     def test_non_finite_duration_exit_code(self, tmp_path, capsys, duration):
         # json.loads reads NaN and Infinity; both must fail fast as config

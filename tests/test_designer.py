@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,9 +16,11 @@ from wiresplit import (
     closure_error,
     design_inverse,
     design_triangular,
+    kernel_backend,
     triangular_max_size,
 )
 import wiresplit
+from wiresplit import designer, integrator
 from wiresplit.designer import (
     CLOSURE_SENTINEL,
     DesignFailure,
@@ -194,6 +197,36 @@ class TestSpecValidation:
         with pytest.raises(DesignFailure) as exc:
             design_triangular(spec)
         assert exc.value.best_current is not None
+
+
+class TestShootingWork:
+    @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
+    def test_each_trial_current_integrated_once(self, scheme, paper_inputs,
+                                                monkeypatch):
+        # Brent's method asks again for the bracket ends and _shoot for the
+        # root; those repeats must not reach the kernel
+        trials, runs = [], []
+        closure = designer.closure_error
+
+        def counted_closure(wires, *args, **kwargs):
+            trials.append(wires[1].current)
+            return closure(wires, *args, **kwargs)
+
+        backend = kernel_backend()
+        kernel = integrator._BACKENDS[backend]
+
+        def counted_integrate(*args):
+            runs.append(args)
+            return kernel.integrate(*args)
+
+        monkeypatch.setattr(designer, "closure_error", counted_closure)
+        monkeypatch.setitem(integrator._BACKENDS, backend,
+                            SimpleNamespace(integrate=counted_integrate))
+        designer.design_trajectories(DesignSpec(scheme=scheme,
+                                                inputs=paper_inputs))
+        assert len(set(trials)) == len(trials)
+        # one run per distinct trial, plus the sampled run of the root
+        assert len(runs) == len(trials) + 1
 
 
 class TestScaleFamily:

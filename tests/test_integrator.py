@@ -7,6 +7,7 @@ import pytest
 
 from wiresplit import (
     PacketState,
+    StepControl,
     Wire,
     analytic_orbit,
     mirror_trajectory,
@@ -130,3 +131,28 @@ def test_samples_property_roundtrip(medium):
     assert samples[0] == traj.initial
     assert samples[-1] == traj.final
     assert all(a.t < b.t for a, b in zip(samples, samples[1:]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rtol", -1e-9), ("rtol", math.nan), ("rtol", math.inf),
+    ("atol", -1e-13), ("atol", math.nan), ("atol", math.inf),
+    ("max_steps", 0), ("max_steps", -1),
+    ("event_dt", -1e-12), ("event_dt", math.nan), ("event_dt", math.inf),
+    ("guard_radius", 0.0), ("guard_radius", -1e-9), ("guard_radius", math.nan),
+])
+def test_step_control_rejects_invalid_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        StepControl(**{field: value})
+
+
+def test_step_control_rejects_zero_tolerances():
+    # no error scale at all: every step with a nonzero error is rejected
+    with pytest.raises(ValueError, match="rtol and atol"):
+        StepControl(rtol=0.0, atol=0.0)
+
+
+def test_step_control_accepts_boundary_values():
+    assert StepControl(rtol=0.0).atol > 0.0  # pure absolute control
+    assert StepControl(atol=0.0).rtol > 0.0  # pure relative control
+    control = StepControl(max_steps=1, event_dt=0.0)
+    assert (control.max_steps, control.event_dt) == (1, 0.0)
