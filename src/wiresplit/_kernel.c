@@ -3,13 +3,14 @@
  *
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
- * Hermite dense output, bisection event refinement, and a zero error scale
- * (atol = 0) counting 0 in the initial-step norms, 0/0 as 0 and err/0 as inf
- * in the step error norm. Every floating-point operation is in the twin's
- * order, comparisons and min() treat NaN as Python does, and the file must
- * be built without FMA contraction (-ffp-contract=off), so both backends
- * return equal doubles. Where the twin divides by a float zero, this raises
- * ZeroDivisionError too.
+ * Hermite dense output, one bisect() for every event with the twin's event
+ * functions and sides, "samples" as one flat list of rows (t, x, z, vx, vz),
+ * and a zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0
+ * as 0 and err/0 as inf in the step error norm. Every floating-point
+ * operation is in the twin's order, comparisons and min() treat NaN as
+ * Python does, and the file must be built without FMA contraction
+ * (-ffp-contract=off), so both backends return equal doubles. Where the
+ * twin divides by a float zero, this raises ZeroDivisionError too.
  *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
@@ -94,9 +95,11 @@ static double rms4(const double *q)
     return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]));
 }
 
-/* cubic Hermite interpolant between y (derivative k1) and yn (k7) */
-static void dense(double *out, double theta, double h, const double *y,
-                  const double *yn, const double *k1, const double *k7)
+/* one accepted step of size h from y (derivative k1) to yn (k7) */
+typedef struct { double h; const double *y, *yn, *k1, *k7; } Step;
+
+/* cubic Hermite interpolant at the step fraction theta */
+static void dense(double *out, double theta, const Step *s)
 {
     double om = 1.0 - theta;
     double h00 = (1.0 + 2.0 * theta) * om * om;
@@ -104,7 +107,36 @@ static void dense(double *out, double theta, double h, const double *y,
     double h01 = theta * theta * (3.0 - 2.0 * theta);
     double h11 = theta * theta * (theta - 1.0);
     for (int c = 0; c < 4; c++)
-        out[c] = h00 * y[c] + h10 * h * k1[c] + h01 * yn[c] + h11 * h * k7[c];
+        out[c] = h00 * s->y[c] + h10 * s->h * s->k1[c] + h01 * s->yn[c]
+                 + h11 * s->h * s->k7[c];
+}
+
+/* event functions g(y; p) of a dense state y for bisect(): the closure
+ * (p = x_plane), the apex, and a periapsis (p = the wire's x, z) */
+typedef double (*EventFn)(const double *y, const double *p);
+static double g_closure(const double *y, const double *p) { return y[0] - p[0]; }
+static double g_apex(const double *y, const double *p) { (void)p; return y[3]; }
+static double g_periapsis(const double *y, const double *p)
+{
+    return -((y[0] - p[0]) * y[2] + (y[1] - p[1]) * y[3]);
+}
+
+/* At most 80 halvings of [*lo, *hi] = [0, *hi], *lo = mid exactly when
+ * (g(dense(mid)) > 0) == side; !(width <= event_dt) bisects a NaN event_dt
+ * the full 80 times, as the twin does. */
+static void bisect(EventFn g, const double *p, int side, const Step *s,
+                   double event_dt, double *lo, double *hi)
+{
+    double yd[4];
+    *lo = 0.0;
+    for (int it = 0; it < 80 && !((*hi - *lo) * s->h <= event_dt); it++) {
+        double mid = 0.5 * (*lo + *hi);
+        dense(yd, mid, s);
+        if ((g(yd, p) > 0.0) == side)
+            *lo = mid;
+        else
+            *hi = mid;
+    }
 }
 
 static void set5(double *dst, double t, const double *y)
@@ -159,12 +191,12 @@ static PyObject *tuple5(const double *v)
     return Py_BuildValue("(ddddd)", v[0], v[1], v[2], v[3], v[4]);
 }
 
-static PyObject *column(const Samples *s, int c)
+/* a list of the m doubles at v */
+static PyObject *float_list(const double *v, Py_ssize_t m)
 {
-    Py_ssize_t m = (Py_ssize_t)(s->len / 5);
     PyObject *list = PyList_New(m);
     for (Py_ssize_t i = 0; list != NULL && i < m; i++) {
-        PyObject *item = PyFloat_FromDouble(s->v[5 * i + c]);
+        PyObject *item = PyFloat_FromDouble(v[i]);
         if (item == NULL)
             Py_CLEAR(list);
         else
@@ -331,27 +363,16 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         /* --- accepted --- */
         double theta_end = 1.0, t_end = last ? t_bound : t + h;
-        double lo, hi, mid, th;
+        double lo, hi, th;
         int truncated = 0;
+        Step st = {h, y, yn, k[0], k[6]};
         memcpy(ye, yn, sizeof ye);
-
-        /* Each event is bisected on the dense output down to event_dt; the
-         * loop tests !(width <= event_dt) so a NaN event_dt bisects the full
-         * 80 times, as the twin does. */
 
         /* closure: first crossing of the plane x = x_plane moving in -x */
         if (!have_closure && y[0] - x_plane > 0.0 && ye[0] - x_plane <= 0.0) {
-            lo = 0.0;
             hi = 1.0;
-            for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
-                mid = 0.5 * (lo + hi);
-                dense(yd, mid, h, y, yn, k[0], k[6]);
-                if (yd[0] - x_plane > 0.0)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            dense(yd, hi, h, y, yn, k[0], k[6]);
+            bisect(g_closure, &x_plane, 1, &st, event_dt, &lo, &hi);
+            dense(yd, hi, &st);
             if (yd[2] < 0.0) {
                 have_closure = 1;
                 set5(closure, t + hi * h, yd);
@@ -366,21 +387,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         /* apex: interior extremum of z (vz sign change) */
         if (y[3] * ye[3] < 0.0) {
-            double g_lo = y[3];
-            lo = 0.0;
             hi = theta_end;
-            for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
-                mid = 0.5 * (lo + hi);
-                dense(yd, mid, h, y, yn, k[0], k[6]);
-                if ((g_lo > 0.0) == (yd[3] > 0.0)) {
-                    lo = mid;
-                    g_lo = yd[3];
-                } else {
-                    hi = mid;
-                }
-            }
+            bisect(g_apex, NULL, y[3] > 0.0, &st, event_dt, &lo, &hi);
             th = 0.5 * (lo + hi);
-            dense(yd, th, h, y, yn, k[0], k[6]);
+            dense(yd, th, &st);
             if (fabs(yd[1]) > best_apex_absz) {
                 best_apex_absz = fabs(yd[1]);
                 set5(apex, t + th * h, yd);
@@ -394,18 +404,11 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             double dx1 = ye[0] - wx[i], dz1 = ye[1] - wz[i];
             double g1 = dx1 * ye[2] + dz1 * ye[3];
             if (g0 < 0.0 && g1 >= 0.0) {
-                lo = 0.0;
+                double wire[2] = {wx[i], wz[i]};
                 hi = theta_end;
-                for (int it = 0; it < 80 && !((hi - lo) * h <= event_dt); it++) {
-                    mid = 0.5 * (lo + hi);
-                    dense(yd, mid, h, y, yn, k[0], k[6]);
-                    if ((yd[0] - wx[i]) * yd[2] + (yd[1] - wz[i]) * yd[3] < 0.0)
-                        lo = mid;
-                    else
-                        hi = mid;
-                }
+                bisect(g_periapsis, wire, 1, &st, event_dt, &lo, &hi);
                 th = 0.5 * (lo + hi);
-                dense(yd, th, h, y, yn, k[0], k[6]);
+                dense(yd, th, &st);
                 double dxp = yd[0] - wx[i], dzp = yd[1] - wz[i];
                 double dist = sqrt(dxp * dxp + dzp * dzp);
                 if (dist < peri[i]) {
@@ -468,24 +471,21 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     if (fabs(y[1]) > best_apex_absz)
         set5(apex, t, y);
 
-    PyObject *peri_dist = PyList_New(n), *peri_state = PyList_New(n);
-    for (Py_ssize_t i = 0; peri_dist && peri_state && i < n; i++) {
-        PyObject *d = PyFloat_FromDouble(peri[i]), *st = tuple5(peri_st + 5 * i);
-        PyList_SET_ITEM(peri_dist, i, d);
-        PyList_SET_ITEM(peri_state, i, st);
-        if (d == NULL || st == NULL) {
-            Py_CLEAR(peri_dist);
+    PyObject *peri_state = PyList_New(n);
+    for (Py_ssize_t i = 0; peri_state && i < n; i++) {
+        PyObject *st = tuple5(peri_st + 5 * i);
+        if (st == NULL)
             Py_CLEAR(peri_state);
-        }
+        else
+            PyList_SET_ITEM(peri_state, i, st);
     }
     PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d}",
+        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d}",
         "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
-        "t", column(&samples, 0), "x", column(&samples, 1),
-        "z", column(&samples, 2), "vx", column(&samples, 3),
-        "vz", column(&samples, 4), "apex", tuple5(apex),
-        "periapsis_distance", peri_dist, "periapsis_state", peri_state,
+        "samples", float_list(samples.v, (Py_ssize_t)samples.len),
+        "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
+        "periapsis_state", peri_state,
         "closure", clo, "n_steps", n_steps, "n_rejected", n_rejected,
         "n_rhs", f.n_rhs, "min_step", min_step);
 

@@ -7,6 +7,14 @@ backends produce identical trajectories. This module is used automatically
 when the extension is not built; it is about 50x slower per force
 evaluation and about 20x slower per design (perfbench ``design_mix``).
 
+The returned ``samples`` is one flat list of rows (t, x, z, vx, vz): the
+launch, then each accepted step. One ``_bisect`` refines every event: at
+most 80 halvings of the step fraction [lo, hi] = [0, hi] down to
+``event_dt`` seconds (all 80 for a NaN ``event_dt``), with lo = mid exactly
+when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x_plane,
+the apex g = vz with side ``vz > 0.0`` at the step's start, a periapsis
+g = -((x - xw) vx + (z - zw) vz); else side is true.
+
 Error norms use the scale ``atol + rtol * |value|`` per component. With
 ``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
 initial-step heuristic's norms, and in a step's error norm 0/0 counts 0
@@ -61,6 +69,20 @@ _MAX_FACTOR = 5.0
 _EPS = 2.220446049250313e-16
 _NAN = float("nan")
 _INF = float("inf")
+
+
+def _bisect(dense, g, side, hi, h, event_dt):
+    """The event bracket ``(lo, hi)`` within [0, hi]; see the module docstring."""
+    lo = 0.0
+    for _ in range(80):
+        if (hi - lo) * h <= event_dt:
+            break
+        mid = 0.5 * (lo + hi)
+        if (g(dense(mid)) > 0.0) == side:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def integrate(x0, z0, vx0, vz0, t0, duration,
@@ -122,11 +144,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         peri_state[i] = (t, x, z, vx, vz)
     closure = None
 
-    ts = [t]
-    xs = [x]
-    zs = [z]
-    vxs = [vx]
-    vzs = [vz]
+    # rows (t, x, z, vx, vz), one per sample
+    samples = [t, x, z, vx, vz]
 
     status = STATUS_OK
     fail_wire = -1
@@ -293,49 +312,19 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         truncated = False
 
         # closure: first crossing of the plane x = x_plane moving in -x
-        if closure is None:
-            gx0 = x - x_plane
-            gx1 = x_end - x_plane
-            if gx0 > 0.0 and gx1 <= 0.0:
-                lo = 0.0
-                hi = 1.0
-                for _ in range(80):
-                    if (hi - lo) * h <= event_dt:
-                        break
-                    mid = 0.5 * (lo + hi)
-                    xm, zm, vxm, vzm = dense(mid)
-                    if xm - x_plane > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                xc, zc, vxc, vzc = dense(hi)
-                tc = t + hi * h
-                if vxc < 0.0:
-                    closure = (tc, xc, zc, vxc, vzc)
-                    if stop_at_closure:
-                        theta_end = hi
-                        x_end = xc
-                        z_end = zc
-                        vx_end = vxc
-                        vz_end = vzc
-                        t_end = tc
-                        truncated = True
+        if closure is None and x - x_plane > 0.0 and x_end - x_plane <= 0.0:
+            lo, hi = _bisect(dense, lambda s: s[0] - x_plane, True, 1.0, h, event_dt)
+            xc, zc, vxc, vzc = dense(hi)
+            if vxc < 0.0:
+                closure = (t + hi * h, xc, zc, vxc, vzc)
+                if stop_at_closure:
+                    theta_end = hi
+                    t_end, x_end, z_end, vx_end, vz_end = closure
+                    truncated = True
 
         # apex: interior extremum of z (vz sign change)
         if vz * vz_end < 0.0:
-            lo = 0.0
-            hi = theta_end
-            g_lo = vz
-            for _ in range(80):
-                if (hi - lo) * h <= event_dt:
-                    break
-                mid = 0.5 * (lo + hi)
-                xm, zm, vxm, vzm = dense(mid)
-                if (g_lo > 0.0) == (vzm > 0.0):
-                    lo = mid
-                    g_lo = vzm
-                else:
-                    hi = mid
+            lo, hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h, event_dt)
             th = 0.5 * (lo + hi)
             xa, za, vxa, vza = dense(th)
             if abs(za) > best_apex_absz:
@@ -351,17 +340,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             dz1 = z_end - wz[i]
             g1 = dx1 * vx_end + dz1 * vz_end
             if g0 < 0.0 and g1 >= 0.0:
-                lo = 0.0
-                hi = theta_end
-                for _ in range(80):
-                    if (hi - lo) * h <= event_dt:
-                        break
-                    mid = 0.5 * (lo + hi)
-                    xm, zm, vxm, vzm = dense(mid)
-                    if (xm - wx[i]) * vxm + (zm - wz[i]) * vzm < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
+                lo, hi = _bisect(dense, lambda s: -((s[0] - wx[i]) * s[2] + (s[1] - wz[i]) * s[3]),
+                                 True, theta_end, h, event_dt)
                 th = 0.5 * (lo + hi)
                 xp, zp, vxp, vzp = dense(th)
                 dxp = xp - wx[i]
@@ -383,11 +363,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                 fail_wire = i
                 t_fail = t_end
 
-        ts.append(t_end)
-        xs.append(x_end)
-        zs.append(z_end)
-        vxs.append(vx_end)
-        vzs.append(vz_end)
+        samples += (t_end, x_end, z_end, vx_end, vz_end)
         n_steps += 1
         if h < min_step:
             min_step = h
@@ -433,11 +409,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "status": status,
         "fail_wire": fail_wire,
         "t_fail": t_fail,
-        "t": ts,
-        "x": xs,
-        "z": zs,
-        "vx": vxs,
-        "vz": vzs,
+        "samples": samples,
         "apex": apex,
         "periapsis_distance": peri_dist,
         "periapsis_state": peri_state,

@@ -265,12 +265,20 @@ def _cmd_sweep(args) -> int:
     x0 = params.get("x0_um", 300e-6)
     tau = params.get("tau_s", 0.1)
     medium = _medium_from(params)
+    n_points = params.get("n_points", 50)
+    if n_points < 1:
+        raise ConfigError(f"field 'n_points': must be at least 1, got {n_points}")
     if "v0_min_m_per_s" in params or "v0_max_m_per_s" in params:
-        v_min = params.get("v0_min_m_per_s", 1.05 * 2.0 * x0 / tau)
+        # the default lower end is the default grid's: just above feasibility
+        v_min = params.get("v0_min_m_per_s", default_velocity_grid(x0, tau)[0])
         v_max = params.get("v0_max_m_per_s", 2.0)
-        grid = np.geomspace(v_min, v_max, params.get("n_points", 50))
+        if not 0.0 < v_min <= v_max:
+            raise ConfigError(
+                "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
+                f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
+        grid = np.geomspace(v_min, v_max, n_points)
     elif "n_points" in params:
-        grid = default_velocity_grid(x0, tau, params["n_points"])
+        grid = default_velocity_grid(x0, tau, n_points)
     else:
         grid = None
 
@@ -347,10 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config,
                        help="path to the JSON job description")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the integrator relative tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="tabular output format where applicable")
+        if name == "sweep":  # the only command that writes a table
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format of the sweep table")
+        else:  # the commands that integrate
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the integrator relative tolerance")
         p.set_defaults(handler=fn)
     return parser
 

@@ -200,13 +200,9 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
             f"step budget ({control.max_steps}) exhausted at t = {raw['t_fail']:.9e} s"
         )
 
-    t = np.asarray(raw["t"], dtype=float)
-    states = np.column_stack([
-        np.asarray(raw["x"], dtype=float),
-        np.asarray(raw["z"], dtype=float),
-        np.asarray(raw["vx"], dtype=float),
-        np.asarray(raw["vz"], dtype=float),
-    ])
+    rows = np.array(raw["samples"], dtype=float).reshape(-1, 5)
+    t = rows[:, 0]
+    states = rows[:, 1:]
 
     energy = _specific_energy(states, wires, medium)
     e0 = energy[0]

@@ -31,6 +31,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value:g}")
+    return value
+
+
 @dataclass(frozen=True)
 class Medium:
     """Diamagnetic material constants plus the derived coupling.
@@ -111,25 +118,16 @@ class PacketState:
 
 @dataclass(frozen=True)
 class ScatteringInputs:
-    """Launch parameters shared by both closure schemes.
-
-    ``current`` is the splitting-wire current; the designers derive it from
-    the scheme and fill it in, so it may start out as ``None``.
-    """
+    """Launch parameters shared by both closure schemes."""
 
     v0: float            # incident speed, m/s
     b: float             # impact parameter, m
     x0: float            # launch distance from the splitting wire, m
     tau: float           # total flight time, s
-    current: float | None = None
 
     def __post_init__(self):
         for name in ("v0", "b", "x0", "tau"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value:g}")
-        if self.current is not None:
-            _require_finite("current", self.current)
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import analytic
 from .integrator import DEFAULT_CONTROL, StepControl, simulate
-from .model import Medium, PacketState, Wire, default_medium
+from .model import Medium, PacketState, Wire, _require_positive, default_medium
 
 SWEEP_COLUMNS = (
     "v0_m_per_s",
@@ -70,6 +70,8 @@ class SweepTable:
 def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
                           n_points: int = 50) -> np.ndarray:
     """Logarithmic grid from just above the feasibility bound up to 2 m/s."""
+    _require_positive("x0", x0)
+    _require_positive("tau", tau)
     v_min = 1.05 * 2.0 * x0 / tau
     return np.geomspace(v_min, 2.0, n_points)
 
@@ -77,10 +79,14 @@ def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
                    tau: float = 0.1, medium: Medium | None = None) -> SweepTable:
     """Closed-form separations and current densities across launch speeds."""
+    for name, value in (("b", b), ("x0", x0), ("tau", tau)):
+        _require_positive(name, value)
     medium = medium if medium is not None else default_medium()
     if v0_values is None:
         v0_values = default_velocity_grid(x0, tau)
     v0_values = np.asarray(v0_values, dtype=float)
+    if not np.all(np.isfinite(v0_values)):
+        raise ValueError("every v0 must be finite")
 
     n = len(v0_values)
     feasible = np.zeros(n, dtype=bool)
@@ -149,9 +155,15 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     degenerates. With zero current the reference is the straight line
     ``r = b / sin(theta)`` and the deviation is zero to round-off.
     """
-    medium = medium if medium is not None else default_medium()
+    b_values = tuple(b_values)
+    for i, b in enumerate(b_values):
+        _require_positive(f"b_values[{i}]", b)
+    _require_positive("v0", v0)
+    _require_positive("launch_distance", launch_distance)
     if region_radius is None:
         region_radius = launch_distance / 10.0
+    _require_positive("region_radius", region_radius)
+    medium = medium if medium is not None else default_medium()
     wires = (Wire(0.0, 0.0, current),)
     rows = []
     for b in b_values:

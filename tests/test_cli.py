@@ -214,3 +214,32 @@ class TestValidateCommand:
         for row in report["rows"]:
             assert row["max_rel_deviation"] < 1e-3
         assert "deviation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", ["--tolerance", "-5"]),   # sweep integrates nothing
+    ("simulate", ["--format", "json"]),  # simulate always writes CSV
+], ids=["sweep_tolerance", "simulate_format"])
+def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
+    cfg = _write(tmp_path, "job.json", SIM_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, cfg_data, field", [
+    ("validate", {"b_um_list": [0]}, "b_values[0]"),
+    ("validate", {"v0_m_per_s": 0}, "v0"),
+    ("validate", {"region_radius_um": -5}, "region_radius"),
+    ("sweep", {"tau_s": 0}, "tau"),
+    ("sweep", {"v0_min_m_per_s": -1}, "v0_min_m_per_s"),
+], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
+        "sweep_tau_zero", "sweep_negative_v0_min"])
+def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
+                                       field):
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not out.exists()

@@ -78,6 +78,16 @@ def _bitwise_case(name, medium):
         wires = ()
     elif name == "dead_wire":
         wires += (Wire(-150e-6, 20e-6, 0.0),)
+    elif name.startswith("triangular_closure"):
+        # the triangular reference layout run to closure: it bisects the
+        # closure, the apex and all three periapses; the apex is a maximum
+        # of z, or a minimum on the mirrored launch
+        wires = (Wire(0.0, 0.0, 0.925273), Wire(-150e-6, 316.5e-6, 1.57),
+                 Wire(-150e-6, -316.5e-6, 1.57))
+        duration, stop = 0.105, True
+        if name.endswith("mirror"):
+            initial = PacketState(x=initial.x, z=-initial.z, vx=initial.vx,
+                                  vz=initial.vz)
     elif name == "uneven_current":
         # (alpha I) I and alpha (I I) differ in the last bit for this I (not
         # for 2.0 or 1.57), so the force coefficient's rounding shows
@@ -103,14 +113,16 @@ def _bits(obj):
 
 @pytest.mark.parametrize("case", ["three_wire", "singularity", "max_steps",
                                   "underflow", "stop_at_closure", "no_wires",
-                                  "dead_wire", "uneven_current"])
+                                  "dead_wire", "uneven_current",
+                                  "triangular_closure",
+                                  "triangular_closure_mirror"])
 def test_backends_bitwise_identical(medium, compiled_backend, case):
     args, status = _bitwise_case(case, medium)
     fast = compiled_backend.integrate(*args)
     slow = _kernel_py.integrate(*args)
     assert slow["status"] == status
     if case == "stop_at_closure":
-        assert slow["closure"] is not None and slow["t"][-1] < 0.02
+        assert slow["closure"] is not None and slow["samples"][-5] < 0.02
     assert _bits(fast) == _bits(slow)
 
 

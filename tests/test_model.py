@@ -95,15 +95,11 @@ def test_packet_state_speed():
 
 
 def test_scattering_inputs_validation():
-    ok = ScatteringInputs(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
-    assert ok.current is None
+    ScatteringInputs(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
     with pytest.raises(ValueError):
         ScatteringInputs(v0=-0.01, b=0.5e-6, x0=300e-6, tau=0.1)
     with pytest.raises(ValueError):
         ScatteringInputs(v0=0.01, b=0.0, x0=300e-6, tau=0.1)
-    with pytest.raises(ValueError):
-        ScatteringInputs(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1,
-                         current=float("inf"))
 
 
 def test_medium_is_plain_value_type():

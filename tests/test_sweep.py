@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +118,15 @@ def test_validation_zero_current_is_exact_line(medium):
                              region_radius=1.0)
     assert rows[0].k == 1.0
     assert rows[0].max_rel_deviation < 1e-12
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: default_velocity_grid(tau=0.0), "tau"),
+    (lambda: velocity_sweep(b=-1e-6), "b"),
+    (lambda: velocity_sweep([0.01, math.nan]), "v0"),
+    (lambda: validate_analytic(b_values=(0.5e-6, 0.0)), "b_values[1]"),
+    (lambda: validate_analytic(launch_distance=math.inf), "launch_distance"),
+], ids=["grid_tau", "sweep_b", "sweep_nan_v0", "validate_b", "validate_launch"])
+def test_invalid_inputs_name_the_field(call, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        call()
