@@ -29,16 +29,13 @@ from .designer import (
 )
 from .field import (
     GUARD_RADIUS,
-    FieldSample,
     WireSingularityError,
     acceleration,
     b_field,
-    field_sample,
     specific_potential,
 )
 from .integrator import (
     EventLog,
-    PairSeparation,
     PeriapsisEvent,
     StepControl,
     StiffnessError,
@@ -46,7 +43,6 @@ from .integrator import (
     available_backends,
     kernel_backend,
     mirror_trajectory,
-    pair_separation,
     simulate,
 )
 from .model import (
@@ -73,11 +69,9 @@ __all__ = [
     "DesignResult",
     "DesignSpec",
     "EventLog",
-    "FieldSample",
     "InfeasibleDesignError",
     "Medium",
     "PacketState",
-    "PairSeparation",
     "PeriapsisEvent",
     "ScatteringInputs",
     "StepControl",
@@ -100,13 +94,11 @@ __all__ = [
     "design_inverse",
     "design_triangular",
     "field_magnitude_at",
-    "field_sample",
     "inverse_current_ratio",
     "inverse_max_size",
     "kernel_backend",
     "make_medium",
     "mirror_trajectory",
-    "pair_separation",
     "scattering_angle",
     "simulate",
     "specific_potential",

@@ -23,8 +23,10 @@ NaN for a NaN error), so the step is rejected.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
-so each deflection is a clean single-wire scattering; see
-``wiresplit.field`` for the relation to the full field energy.
+so each deflection is a clean single-wire scattering. Its potential,
+u = sum_i alpha I_i^2 / (2 r_i^2), is what ``integrator.simulate``'s energy
+drift conserves. ``wiresplit.field.acceleration`` is the exact gradient of
+the full field energy alpha/2 |S|^2, which adds the inter-wire cross terms.
 """
 
 import math

@@ -62,13 +62,6 @@ def analytic_orbit(theta: float, k: float, b: float) -> float:
     return sqrt_k * b / c
 
 
-def periapsis_angle(k: float) -> float:
-    """Polar angle of the orbit's closest approach: midpoint of the branch."""
-    if k < 1.0:
-        raise ValueError(f"k must be >= 1, got {k:g}")
-    return (1.0 - 0.5 / math.sqrt(k)) * math.pi
-
-
 def triangular_max_size(v0: float, tau: float, x0: float) -> float:
     """Largest branch separation for the triangular closure, m."""
     _require_feasible(v0, tau, x0)

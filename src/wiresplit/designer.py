@@ -19,6 +19,8 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import analytic
 from .field import WireSingularityError, b_field
 from .integrator import (
@@ -26,7 +28,6 @@ from .integrator import (
     StepControl,
     Trajectory,
     mirror_trajectory,
-    pair_separation,
     simulate,
 )
 from .model import (
@@ -85,20 +86,19 @@ class DesignSpec:
 
 
 def closure_error(wires, initial: PacketState, medium: Medium, tau: float,
-                  control: StepControl = DEFAULT_CONTROL,
-                  margin: float = _TIME_MARGIN) -> float:
+                  control: StepControl = DEFAULT_CONTROL) -> float:
     """Signed z miss (m) at the first re-crossing of the launch plane.
 
     Positive when the branch comes back above its starting height. Returns
     :data:`CLOSURE_SENTINEL` when no crossing with vx < 0 happens within
-    ``tau * (1 + margin)``.
+    ``tau * (1 + _TIME_MARGIN)``.
     """
-    traj = simulate(initial, wires, medium, tau * (1.0 + margin), control,
+    traj = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN), control,
                     stop_at_closure=True)
     if traj.events.closure is None:
         logger.debug(
             "no launch-plane crossing within %.3e s; returning sentinel",
-            tau * (1.0 + margin),
+            tau * (1.0 + _TIME_MARGIN),
         )
         return CLOSURE_SENTINEL
     return traj.events.closure.z - initial.z
@@ -329,8 +329,6 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     wires = wires_for(current)
     top = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN), control,
                    stop_at_closure=True)
-    bottom = mirror_trajectory(top)
-    sep = pair_separation(top, bottom)
 
     closure = top.events.closure
     if closure is None:
@@ -349,13 +347,16 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     closest = min(peri[:2], key=lambda p: p.distance)
     bx, bz = b_field((closest.state.x, closest.state.z), wires, medium.mu0)
 
-    events = replace(top.events, separation_max=sep.max_separation)
+    # the bottom branch is the exact mirror image, so the separation at
+    # each sample is twice the top branch's height
+    max_separation = 2.0 * float(np.max(top.states[:, 1]))
+    events = replace(top.events, separation_max=max_separation)
     top = Trajectory(top.t, top.states, events, top.stats)
     bottom = mirror_trajectory(top)
 
     result = DesignResult(
         wires=wires,
-        max_separation=sep.max_separation,
+        max_separation=max_separation,
         closure_error=abs(closure.z - initial.z),
         return_velocity=(closure.vx, closure.vz),
         min_distance_per_wire=min_dists,

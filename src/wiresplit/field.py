@@ -1,11 +1,8 @@
 """Field, specific potential and acceleration of an arbitrary wire array.
 
-Two layers live here.
-
-Electromagnetic evaluation: with the reduced sum
-``S = sum_i I_i * (-dz_i, dx_i) / r_i^2`` over wires, the magnetic field is
-``B = (mu0 / 2 pi) * S`` and the specific potential (potential energy per
-unit mass) of a diamagnet is
+With the reduced sum ``S = sum_i I_i * (-dz_i, dx_i) / r_i^2`` over wires,
+the magnetic field is ``B = (mu0 / 2 pi) * S`` and the specific potential
+(potential energy per unit mass) of a diamagnet is
 
     u = -chi_m |B|^2 / (2 mu0) = alpha/2 * |S|^2.
 
@@ -14,11 +11,12 @@ closed form from ``S`` and its (symmetric, traceless) Jacobian -- the cross
 terms between wires are included, so it is *not* the sum of single-wire
 forces.
 
-Trajectory model: the design schemes treat every deflection as a clean
-single-wire scattering, so the integrator and designers use the
+The trajectory model is not evaluated here. The design schemes treat every
+deflection as a clean single-wire scattering, so the integration kernels
+(``wiresplit._kernel`` and its twin ``wiresplit._kernel_py``) integrate the
 superposition of independent single-wire repulsions,
-:func:`repulsion_acceleration` with potential :func:`repulsion_potential`
-(``u = sum_i alpha I_i^2 / (2 r_i^2)``). The two models agree exactly for a
+``a = sum_i alpha I_i^2 / r_i^3 rhat_i`` with potential
+``u = sum_i alpha I_i^2 / (2 r_i^2)``. The two models agree exactly for a
 single wire and differ by the inter-wire cross terms of ``|B|^2``; all
 reference configurations this package reproduces are calibrated in the
 superposition model.
@@ -27,7 +25,6 @@ superposition model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import MU0, Medium
 
@@ -51,15 +48,6 @@ class WireSingularityError(RuntimeError):
         super().__init__(
             f"point {where}{when} is inside the guard radius of wire {wire_index}"
         )
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Field vector, specific potential and acceleration at one point."""
-
-    b_vec: tuple[float, float]   # T
-    u_spec: float                # m^2/s^2
-    accel: tuple[float, float]   # m/s^2
 
 
 def _reduced_sums(x, z, wires, guard_radius):
@@ -113,64 +101,3 @@ def acceleration(point, wires, medium: Medium,
     ax = -alpha * (sx * q + sz * p)
     az = -alpha * (sx * p - sz * q)
     return (ax, az)
-
-
-def repulsion_potential(point, wires, medium: Medium,
-                        guard_radius: float = GUARD_RADIUS) -> float:
-    """Specific potential of the superposed single-wire repulsions, m^2/s^2.
-
-    The potential the trajectory model conserves: ``sum_i alpha I_i^2 / (2 r_i^2)``.
-    """
-    x, z = point
-    guard2 = guard_radius * guard_radius
-    alpha = medium.alpha
-    u = 0.0
-    for i, w in enumerate(wires):
-        if w.current == 0.0:
-            continue
-        dx = x - w.x
-        dz = z - w.z
-        r2 = dx * dx + dz * dz
-        if r2 <= guard2:
-            raise WireSingularityError(i, (x, z))
-        u += 0.5 * alpha * w.current * w.current / r2
-    return u
-
-
-def repulsion_acceleration(point, wires, medium: Medium,
-                           guard_radius: float = GUARD_RADIUS):
-    """Acceleration of the trajectory model: ``sum_i alpha I_i^2 / r_i^3 rhat_i``.
-
-    This is what the integrator's equation of motion uses; identical to
-    :func:`acceleration` for a single wire.
-    """
-    x, z = point
-    guard2 = guard_radius * guard_radius
-    alpha = medium.alpha
-    ax = az = 0.0
-    for i, w in enumerate(wires):
-        if w.current == 0.0:
-            continue
-        dx = x - w.x
-        dz = z - w.z
-        r2 = dx * dx + dz * dz
-        if r2 <= guard2:
-            raise WireSingularityError(i, (x, z))
-        c = alpha * w.current * w.current / (r2 * r2)
-        ax += c * dx
-        az += c * dz
-    return (ax, az)
-
-
-def field_sample(point, wires, medium: Medium,
-                 guard_radius: float = GUARD_RADIUS) -> FieldSample:
-    """Evaluate field, potential and acceleration in one pass."""
-    sx, sz, p, q = _reduced_sums(point[0], point[1], wires, guard_radius)
-    scale = medium.mu0 / (2.0 * math.pi)
-    alpha = medium.alpha
-    return FieldSample(
-        b_vec=(scale * sx, scale * sz),
-        u_spec=0.5 * alpha * (sx * sx + sz * sz),
-        accel=(-alpha * (sx * q + sz * p), -alpha * (sx * p - sz * q)),
-    )
-

@@ -122,18 +122,6 @@ class Trajectory:
     stats: TrajectoryStats
 
     @property
-    def samples(self) -> tuple[PacketState, ...]:
-        return tuple(
-            PacketState(x=row[0], z=row[1], vx=row[2], vz=row[3], t=ti)
-            for ti, row in zip(self.t, self.states)
-        )
-
-    @property
-    def initial(self) -> PacketState:
-        r = self.states[0]
-        return PacketState(x=r[0], z=r[1], vx=r[2], vz=r[3], t=self.t[0])
-
-    @property
     def final(self) -> PacketState:
         r = self.states[-1]
         return PacketState(x=r[0], z=r[1], vx=r[2], vz=r[3], t=self.t[-1])
@@ -155,13 +143,13 @@ def _specific_energy(states: np.ndarray, wires, medium: Medium) -> np.ndarray:
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
              control: StepControl = DEFAULT_CONTROL, *,
              stop_at_closure: bool = False,
-             closure_plane: float | None = None,
              backend: str | None = None) -> Trajectory:
     """Integrate the equation of motion over ``[t0, t0 + duration]``.
 
-    Events are recorded along the way; ``closure_plane`` defaults to the
-    launch x-coordinate. With ``stop_at_closure`` the run ends at the
-    closure crossing instead of the full duration.
+    Events are recorded along the way; the closure is the first crossing
+    of the launch plane ``x = initial.x`` with vx < 0. With
+    ``stop_at_closure`` the run ends at the closure crossing instead of
+    the full duration.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration:g}")
@@ -175,13 +163,12 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         raise ValueError(f"unknown backend {backend!r}; have {available_backends()}")
     kern = _BACKENDS[backend if backend is not None else _DEFAULT_BACKEND]
 
-    plane = initial.x if closure_plane is None else closure_plane
     raw = kern.integrate(
         initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
         [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
         medium.alpha,
         control.rtol, control.atol, control.guard_radius, control.max_steps,
-        plane, bool(stop_at_closure), control.event_dt,
+        initial.x, bool(stop_at_closure), control.event_dt,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
@@ -251,31 +238,6 @@ def mirror_trajectory(traj: Trajectory) -> Trajectory:
         separation_max=ev.separation_max,
     )
     return Trajectory(t=traj.t.copy(), states=states, events=events, stats=traj.stats)
-
-
-@dataclass(frozen=True)
-class PairSeparation:
-    max_separation: float
-    t: np.ndarray
-    dz: np.ndarray
-
-
-def pair_separation(top: Trajectory, bottom: Trajectory) -> PairSeparation:
-    """Separation history dz(t) = z_top - z_bottom of two branches.
-
-    The two trajectories are resampled by interpolation onto the union of
-    their time grids over the overlapping range.
-    """
-    lo = max(top.t[0], bottom.t[0])
-    hi = min(top.t[-1], bottom.t[-1])
-    if lo >= hi:
-        raise ValueError("trajectories cover disjoint time ranges")
-    grid = np.union1d(top.t, bottom.t)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    z_top = np.interp(grid, top.t, top.states[:, 1])
-    z_bot = np.interp(grid, bottom.t, bottom.states[:, 1])
-    dz = z_top - z_bot
-    return PairSeparation(max_separation=float(np.max(dz)), t=grid, dz=dz)
 
 
 TRAJECTORY_CSV_COLUMNS = ("t_s", "x_m", "z_m", "vx_m_per_s", "vz_m_per_s")

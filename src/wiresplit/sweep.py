@@ -153,7 +153,9 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     ``region_radius``, default a tenth of the launch distance); outside it
     the orbit hugs its asymptotes, where the radius-at-angle comparison
     degenerates. With zero current the reference is the straight line
-    ``r = b / sin(theta)`` and the deviation is zero to round-off.
+    ``r = b / sin(theta)`` and the deviation is zero to round-off. A region
+    that holds no sample of some run raises ``ValueError``: a deviation over
+    no samples would read as a perfect overlay.
     """
     b_values = tuple(b_values)
     for i, b in enumerate(b_values):
@@ -187,6 +189,10 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
             if d > dev:
                 dev = d
             n_used += 1
+        if n_used == 0:
+            raise ValueError(
+                f"region_radius = {region_radius:g} m holds no sample of the "
+                f"b = {b:g} m run; it must exceed the closest approach")
         rows.append(ValidationRow(
             b=b,
             k=k,

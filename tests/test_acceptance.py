@@ -180,13 +180,12 @@ def test_criterion_7_property_suite(triangular_design, inverse_design, medium,
         failures.append("mass metadata changed the trajectory")
 
     # time reversal
-    fwd = simulate(PacketState(x=-X0, z=B, vx=V0, vz=0.0),
-                   [Wire(0.0, 0.0, 2.0)], medium, 0.05)
+    launch = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
+    fwd = simulate(launch, [Wire(0.0, 0.0, 2.0)], medium, 0.05)
     end = fwd.final
     back = simulate(PacketState(x=end.x, z=end.z, vx=-end.vx, vz=-end.vz),
                     [Wire(0.0, 0.0, 2.0)], medium, 0.05)
-    miss = math.hypot(back.final.x - fwd.initial.x,
-                      back.final.z - fwd.initial.z)
+    miss = math.hypot(back.final.x - launch.x, back.final.z - launch.z)
     if miss >= 1e-9:
         failures.append(f"time reversal miss {miss:.2e} m")
 

@@ -18,7 +18,6 @@ from wiresplit import (
     triangular_current_ratio,
     triangular_max_size,
 )
-from wiresplit.analytic import periapsis_angle
 
 V0, B, X0, TAU = 0.01, 0.5e-6, 300e-6, 0.1
 
@@ -70,7 +69,9 @@ class TestOrbit:
             b = rng.uniform(0.1e-6, 10e-6)
             v0 = rng.uniform(1e-3, 1.0)
             k = stiffness_k(current, b, v0, medium)
-            r_peri = analytic_orbit(periapsis_angle(k), k, b)
+            # the closest approach is the midpoint of the branch
+            theta_peri = (1.0 - 0.5 / math.sqrt(k)) * math.pi
+            r_peri = analytic_orbit(theta_peri, k, b)
             assert r_peri == pytest.approx(math.sqrt(k) * b, rel=1e-12)
             assert r_peri == pytest.approx(
                 closest_approach(b, current, v0, medium), rel=1e-10)

@@ -231,10 +231,11 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     ("validate", {"b_um_list": [0]}, "b_values[0]"),
     ("validate", {"v0_m_per_s": 0}, "v0"),
     ("validate", {"region_radius_um": -5}, "region_radius"),
+    ("validate", {"region_radius_um": 0.1}, "region_radius"),
     ("sweep", {"tau_s": 0}, "tau"),
     ("sweep", {"v0_min_m_per_s": -1}, "v0_min_m_per_s"),
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
-        "sweep_tau_zero", "sweep_negative_v0_min"])
+        "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
                                        field):
     cfg = _write(tmp_path, "job.json", cfg_data)

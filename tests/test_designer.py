@@ -4,6 +4,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from wiresplit import (
@@ -17,6 +18,7 @@ from wiresplit import (
     design_inverse,
     design_triangular,
     kernel_backend,
+    mirror_trajectory,
     triangular_max_size,
 )
 import wiresplit
@@ -86,6 +88,19 @@ class TestTriangular:
         assert top.events.separation_max == bottom.events.separation_max
         assert top.events.separation_max == pytest.approx(
             2.0 * top.events.apex.z, rel=1e-6)
+
+
+@pytest.mark.parametrize("design", ["triangular_design", "inverse_design"])
+def test_bottom_branch_is_the_mirrored_top(design, request):
+    result, top, bottom = request.getfixturevalue(design)
+    assert result.max_separation == 2.0 * float(np.max(top.states[:, 1]))
+    assert top.events.separation_max == result.max_separation
+    mirror = mirror_trajectory(top)
+    assert np.array_equal(bottom.t, mirror.t)
+    assert np.array_equal(bottom.states, mirror.states)
+    assert bottom.events == mirror.events
+    assert bottom.events.separation_max == result.max_separation
+    assert bottom.stats == mirror.stats
 
 
 class TestInverse:

@@ -11,10 +11,8 @@ from wiresplit import (
     b_field,
     closest_approach,
     closest_approach_headon,
-    field_sample,
     specific_potential,
 )
-from wiresplit.field import repulsion_acceleration, repulsion_potential
 
 
 def test_single_wire_field_magnitude_and_direction(medium):
@@ -95,11 +93,7 @@ def _central_gradient(ufunc, point, h):
     return (-(ux1 - ux0) / (2.0 * h), -(uz1 - uz0) / (2.0 * h))
 
 
-@pytest.mark.parametrize("afunc,ufunc", [
-    (acceleration, specific_potential),
-    (repulsion_acceleration, repulsion_potential),
-])
-def test_acceleration_matches_finite_difference_gradient(medium, afunc, ufunc):
+def test_acceleration_matches_finite_difference_gradient(medium):
     wires = [Wire(0.0, 0.0, 0.9), Wire(-150e-6, 316.5e-6, 1.6),
              Wire(-150e-6, -316.5e-6, 1.6)]
     rng = np.random.default_rng(7)
@@ -108,10 +102,10 @@ def test_acceleration_matches_finite_difference_gradient(medium, afunc, ufunc):
         pt = (rng.uniform(-500e-6, 200e-6), rng.uniform(-500e-6, 500e-6))
         if min(math.hypot(pt[0] - w.x, pt[1] - w.z) for w in wires) < 0.1e-6:
             continue
-        ax, az = afunc(pt, wires, medium)
+        ax, az = acceleration(pt, wires, medium)
         rmin = min(math.hypot(pt[0] - w.x, pt[1] - w.z) for w in wires)
-        fdx, fdz = _central_gradient(lambda p: ufunc(p, wires, medium), pt,
-                                     rmin * 3e-6)
+        fdx, fdz = _central_gradient(
+            lambda p: specific_potential(p, wires, medium), pt, rmin * 3e-6)
         scale = math.hypot(ax, az)
         assert math.hypot(ax - fdx, az - fdz) < 1e-6 * scale
         checked += 1
@@ -153,10 +147,6 @@ def test_two_wire_force_includes_field_cross_terms(medium):
     u2 = specific_potential(pt, [w2], medium)
     cross = medium.alpha * (s1[0] * s2[0] + s1[1] * s2[1])
     assert u_both == pytest.approx(u1 + u2 + cross, rel=1e-12)
-    # the trajectory model by construction is the per-wire sum
-    rep = repulsion_acceleration(pt, [w1, w2], medium)
-    assert rep[0] == pytest.approx(naive[0], rel=1e-12)
-    assert rep[1] == pytest.approx(naive[1], rel=1e-12)
 
 
 def test_potential_is_nonnegative(medium):
@@ -171,7 +161,6 @@ def test_potential_is_nonnegative(medium):
         if min(math.hypot(pt[0] - w.x, pt[1] - w.z) for w in wires) < 1e-6:
             continue
         assert specific_potential(pt, wires, medium) >= 0.0
-        assert repulsion_potential(pt, wires, medium) >= 0.0
 
 
 def test_singularity_raises_with_wire_index(medium):
@@ -185,13 +174,3 @@ def test_singularity_raises_with_wire_index(medium):
         acceleration((0.0, 0.0), wires, medium)
     # a dead wire has no pole
     assert b_field((0.0, 0.0), [Wire(0.0, 0.0, 0.0)]) == (0.0, 0.0)
-
-
-def test_field_sample_consistency(medium):
-    wires = [Wire(0.0, 0.0, 1.2), Wire(3e-6, -1e-6, -0.7)]
-    pt = (1e-6, 2e-6)
-    fs = field_sample(pt, wires, medium)
-    assert fs.b_vec == b_field(pt, wires, medium.mu0)
-    assert fs.u_spec == specific_potential(pt, wires, medium)
-    assert fs.accel == acceleration(pt, wires, medium)
-    assert fs.u_spec >= 0.0

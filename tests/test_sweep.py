@@ -126,7 +126,10 @@ def test_validation_zero_current_is_exact_line(medium):
     (lambda: velocity_sweep([0.01, math.nan]), "v0"),
     (lambda: validate_analytic(b_values=(0.5e-6, 0.0)), "b_values[1]"),
     (lambda: validate_analytic(launch_distance=math.inf), "launch_distance"),
-], ids=["grid_tau", "sweep_b", "sweep_nan_v0", "validate_b", "validate_launch"])
+    # inside every closest approach: the rows would compare no sample
+    (lambda: validate_analytic(region_radius=0.1e-6), "region_radius"),
+], ids=["grid_tau", "sweep_b", "sweep_nan_v0", "validate_b", "validate_launch",
+        "validate_empty_region"])
 def test_invalid_inputs_name_the_field(call, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         call()
