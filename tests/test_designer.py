@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from wiresplit import (
 )
 import wiresplit
 from wiresplit import designer, integrator
+from wiresplit.cli import main
 from wiresplit.designer import (
     CLOSURE_SENTINEL,
     DesignFailure,
@@ -214,6 +216,28 @@ class TestSpecValidation:
         assert exc.value.best_current is not None
 
 
+class TestDesignFailure:
+    def test_best_iterate_without_its_error(self):
+        exc = DesignFailure("lost", best_current=1.5)
+        assert exc.best_error is None
+        assert str(exc) == "lost (best iterate: current = 1.500000e+00 A)"
+
+    def test_lost_closure_crossing_exits_as_design_failure(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        # a shot current whose sampled run never recrosses the launch plane:
+        # with dead turning wires the inverse branch escapes
+        monkeypatch.setattr(designer, "_shoot", lambda *args: 0.0)
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"scheme": "inverse", "v0_m_per_s": 0.01,
+                                   "b_um": 0.5, "x0_um": 300.0,
+                                   "tau_s": 0.1}))
+        assert main(["design", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 3
+        assert ("converged design lost its closure crossing (best iterate: "
+                "current = 0.000000e+00 A)") in capsys.readouterr().err
+
+
 class TestShootingWork:
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_each_trial_current_integrated_once(self, scheme, paper_inputs,
@@ -242,6 +266,64 @@ class TestShootingWork:
         assert len(set(trials)) == len(trials)
         # one run per distinct trial, plus the sampled run of the root
         assert len(runs) == len(trials) + 1
+
+    @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
+    def test_shooting_stops_at_first_trial_within_a_hundredth(
+            self, scheme, paper_inputs, monkeypatch):
+        trials = []
+        closure = designer.closure_error
+
+        def counted_closure(wires, *args, **kwargs):
+            miss = closure(wires, *args, **kwargs)
+            trials.append((wires[1].current, miss))
+            return miss
+
+        monkeypatch.setattr(designer, "closure_error", counted_closure)
+        spec = DesignSpec(scheme=scheme, inputs=paper_inputs)
+        result, _, _ = designer.design_trajectories(spec)
+        # 7 (triangular) and 6 (inverse) trials; Brent's tolerance in current
+        # is far below the integrator's noise, so it must not be the stop
+        assert len({current for current, _ in trials}) <= 8
+        accept = spec.closure_tolerance / 100
+        closed = [abs(miss) <= accept for _, miss in trials]
+        assert closed.index(True) == len(trials) - 1
+        assert result.wires[1].current == trials[-1][0]
+        assert result.closure_error <= accept
+
+
+def _counted(objective):
+    calls = []
+
+    def f(current):
+        calls.append(current)
+        return objective(current)
+
+    return f, calls
+
+
+def test_shoot_stops_in_integrator_noise():
+    # a linear miss with 1.3e-11 m of noise, the integrator's floor at the
+    # inverse reference
+    def miss(current):
+        return (1.35e-2 * (8.2995e-3 - current)
+                + 1.3e-11 * math.sin(1e9 * current))
+
+    f, calls = _counted(miss)
+    current = designer._shoot(f, 6e-3, 80, 1e-8)
+    # seed, scan, both bracket ends again, then the first interpolated trial
+    assert len(calls) == 5 and len(set(calls)) == 3
+    assert current == calls[-1]
+    assert abs(miss(current)) <= 1e-10
+    # a miss within 1e-10 m keeps the current within 1e-6 relative
+    assert current == pytest.approx(8.2995e-3, rel=1e-6)
+
+
+def test_shoot_returns_a_seed_that_closes():
+    # exactly, and at either edge of closure_tolerance / 100
+    for seed_miss in (0.0, 1e-10, -1e-10):
+        f, calls = _counted(lambda current: seed_miss + (6e-3 - current))
+        assert designer._shoot(f, 6e-3, 80, 1e-8) == 6e-3
+        assert calls == [6e-3]
 
 
 class TestScaleFamily:
