@@ -9,8 +9,9 @@ throughout, so the objective sees every wire's repulsion over the whole
 flight, not just the nominal encounters.
 
 Shooting stops at the first trial, in any phase, that closes within
-``closure_tolerance / 100`` (see :class:`DesignSpec`). Misses are memoised
-per design: a repeat is not integrated again but counts toward the budget.
+``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial's miss
+and branch are memoised per design: a repeat is not integrated again but
+counts toward the budget, and the accepted trial is the design's top branch.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ class DesignSpec:
             raise ValueError("shoot_max_iterations must be at least 8")
 
 
+def _closure_trial(wires, initial: PacketState, medium: Medium, tau: float,
+                   control: StepControl) -> tuple[float, Trajectory]:
+    """One shooting trial: the closure miss and the branch it was read from."""
+    traj = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN), control,
+                    stop_at_closure=True)
+    if traj.events.closure is None:
+        logger.debug(
+            "no launch-plane crossing within %.3e s; returning sentinel",
+            tau * (1.0 + _TIME_MARGIN),
+        )
+        return CLOSURE_SENTINEL, traj
+    return traj.events.closure.z - initial.z, traj
+
+
 def closure_error(wires, initial: PacketState, medium: Medium, tau: float,
                   control: StepControl = DEFAULT_CONTROL) -> float:
     """Signed z miss (m) at the first re-crossing of the launch plane.
@@ -104,15 +119,7 @@ def closure_error(wires, initial: PacketState, medium: Medium, tau: float,
     :data:`CLOSURE_SENTINEL` when no crossing with vx < 0 happens within
     ``tau * (1 + _TIME_MARGIN)``.
     """
-    traj = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN), control,
-                    stop_at_closure=True)
-    if traj.events.closure is None:
-        logger.debug(
-            "no launch-plane crossing within %.3e s; returning sentinel",
-            tau * (1.0 + _TIME_MARGIN),
-        )
-        return CLOSURE_SENTINEL
-    return traj.events.closure.z - initial.z
+    return _closure_trial(wires, initial, medium, tau, control)[0]
 
 
 def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
@@ -319,24 +326,24 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             Wire(dx_w, -dz_w, current),
         )
 
-    # Brent's method re-evaluates the bracket ends the scan has just tried,
-    # and _shoot re-evaluates the root; each current is integrated once
-    misses = {}
+    # Brent's method re-asks for the bracket ends the scan has just tried,
+    # and the accepted trial is the top branch; each current is integrated
+    # once, and the branch of a current _shoot never tried is integrated here
+    trials = {}
 
-    def objective(current):
-        if current not in misses:
-            misses[current] = closure_error(wires_for(current), initial,
-                                            medium, tau, control)
-        return misses[current]
+    def trial(current):
+        if current not in trials:
+            trials[current] = _closure_trial(wires_for(current), initial,
+                                             medium, tau, control)
+        return trials[current]
 
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
-    current = _shoot(objective, seed, spec.shoot_max_iterations,
+    current = _shoot(lambda c: trial(c)[0], seed, spec.shoot_max_iterations,
                      spec.closure_tolerance)
 
     wires = wires_for(current)
-    top = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN), control,
-                   stop_at_closure=True)
+    top = trial(current)[1]
 
     closure = top.events.closure
     if closure is None:

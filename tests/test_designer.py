@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,6 +104,24 @@ def test_bottom_branch_is_the_mirrored_top(design, request):
     assert bottom.events == mirror.events
     assert bottom.events.separation_max == result.max_separation
     assert bottom.stats == mirror.stats
+
+
+@pytest.mark.parametrize("design", ["triangular_design", "inverse_design"])
+def test_top_branch_is_a_fresh_run_at_the_designed_wires(design, request,
+                                                       medium):
+    # the designer hands out its accepted trial as the top branch instead of
+    # integrating the designed current again; that must not change the branch
+    result, top, _ = request.getfixturevalue(design)
+    initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
+    fresh = integrator.simulate(initial, result.wires, medium,
+                                TAU * (1.0 + designer._TIME_MARGIN),
+                                stop_at_closure=True)
+    assert np.array_equal(top.t, fresh.t)
+    assert np.array_equal(top.states, fresh.states)
+    assert top.stats == fresh.stats
+    assert fresh.events.separation_max is None
+    assert top.events == replace(fresh.events,
+                                 separation_max=top.events.separation_max)
 
 
 class TestInverse:
@@ -242,14 +261,15 @@ class TestShootingWork:
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_each_trial_current_integrated_once(self, scheme, paper_inputs,
                                                 monkeypatch):
-        # Brent's method asks again for the bracket ends and _shoot for the
-        # root; those repeats must not reach the kernel
+        # Brent's method asks again for the bracket ends, and the designer
+        # for the accepted trial's branch; those repeats must not reach the
+        # kernel
         trials, runs = [], []
-        closure = designer.closure_error
+        trial = designer._closure_trial
 
-        def counted_closure(wires, *args, **kwargs):
+        def counted_trial(wires, *args):
             trials.append(wires[1].current)
-            return closure(wires, *args, **kwargs)
+            return trial(wires, *args)
 
         backend = kernel_backend()
         kernel = integrator._BACKENDS[backend]
@@ -258,27 +278,26 @@ class TestShootingWork:
             runs.append(args)
             return kernel.integrate(*args)
 
-        monkeypatch.setattr(designer, "closure_error", counted_closure)
+        monkeypatch.setattr(designer, "_closure_trial", counted_trial)
         monkeypatch.setitem(integrator._BACKENDS, backend,
                             SimpleNamespace(integrate=counted_integrate))
         designer.design_trajectories(DesignSpec(scheme=scheme,
                                                 inputs=paper_inputs))
         assert len(set(trials)) == len(trials)
-        # one run per distinct trial, plus the sampled run of the root
-        assert len(runs) == len(trials) + 1
+        assert len(runs) == len(trials)
 
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_shooting_stops_at_first_trial_within_a_hundredth(
             self, scheme, paper_inputs, monkeypatch):
         trials = []
-        closure = designer.closure_error
+        trial = designer._closure_trial
 
-        def counted_closure(wires, *args, **kwargs):
-            miss = closure(wires, *args, **kwargs)
+        def counted_trial(wires, *args):
+            miss, branch = trial(wires, *args)
             trials.append((wires[1].current, miss))
-            return miss
+            return miss, branch
 
-        monkeypatch.setattr(designer, "closure_error", counted_closure)
+        monkeypatch.setattr(designer, "_closure_trial", counted_trial)
         spec = DesignSpec(scheme=scheme, inputs=paper_inputs)
         result, _, _ = designer.design_trajectories(spec)
         # 7 (triangular) and 6 (inverse) trials; Brent's tolerance in current
