@@ -8,10 +8,14 @@ re-crosses the launch plane at its starting height. All wires stay powered
 throughout, so the objective sees every wire's repulsion over the whole
 flight, not just the nominal encounters.
 
-Shooting stops at the first trial, in any phase, that closes within
-``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial's miss
-and branch are memoised per design: a repeat is not integrated again but
-counts toward the budget, and the accepted trial is the design's top branch.
+The bracket scan steps the current from the analytic seed by x2^(1/4),
+x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
+at 0.85-0.98 of the designed current, so it brackets in one step instead of
+first overshooting into currents whose branch never returns. Shooting stops
+at the first trial, in any phase, that closes within
+``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial's miss and
+branch are memoised per design: a repeat is not integrated again but counts
+toward the budget, and the accepted trial is the design's top branch.
 """
 
 from __future__ import annotations
@@ -258,7 +262,11 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
     def valid(err):
         return abs(err) < 0.5 * CLOSURE_SENTINEL
 
-    def walk(step):
+    def walk(widest):
+        # steps widest**(1/4), widest**(1/2), then widest: a seed near its
+        # root brackets at once, and a lost trial stops the growth for good
+        growth = [widest, widest ** 0.5]
+        step = widest ** 0.25
         prev_i, prev_e = start_i, start_e
         for _ in range(40):
             cur_i = prev_i * step
@@ -274,8 +282,11 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
                         prev_i, cur_i, prev_e, cur_e,
                     )
                 prev_i, prev_e = cur_i, cur_e
+                if growth:
+                    step = growth.pop()
             else:
                 # lost the trajectory; shrink toward the valid side
+                growth = []
                 step = math.sqrt(step)
                 if abs(step - 1.0) < 1e-3:
                     return None
@@ -290,10 +301,10 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
             if start_i > seed * 2.0**16:
                 raise DesignFailure("could not find a returning trajectory",
                                     best_current=best[0], best_error=best[1])
-        first = 2.0 if start_e > 0.0 else 0.5
-        bracket = walk(first)
+        widest = 2.0 if start_e > 0.0 else 0.5
+        bracket = walk(widest)
         if bracket is None:
-            bracket = walk(1.0 / first)
+            bracket = walk(1.0 / widest)
         if bracket is None:
             raise DesignFailure("failed to bracket a closure root",
                                 best_current=best[0], best_error=best[1])

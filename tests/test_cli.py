@@ -78,8 +78,11 @@ class TestDesignCommand:
         assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_shooting_budget_failure_exit_code(self, tmp_path, capsys):
+        # no trial closes within a hundredth of 1e-15 m, far below the
+        # integrator's noise floor, so the budget of 8 runs out
         cfg = _write(tmp_path, "job.json",
-                     {**DESIGN_CFG, "shoot_max_iterations": 8})
+                     {**DESIGN_CFG, "closure_tolerance_m": 1e-15,
+                      "shoot_max_iterations": 8})
         assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "best iterate" in capsys.readouterr().err
 
