@@ -90,8 +90,26 @@ def _take(cfg: dict, schema: dict, where: str) -> dict:
     return out
 
 
+def _real(v) -> float:
+    # float() would take a JSON true as 1.0
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {json.dumps(v)}")
+    return float(v)
+
+
+def _integer(v) -> int:
+    # int() would take true as 1 and truncate 8.9 to 8
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise TypeError(f"expected an integer, got {json.dumps(v)}")
+    return int(v)
+
+
 def _um(v):
-    return float(v) * _UM
+    return _real(v) * _UM
+
+
+def _um_list(v):
+    return [_um(x) for x in v]
 
 
 def _medium_from(params: dict):
@@ -116,17 +134,17 @@ def _control_from(params: dict, tolerance_override):
 
 _DESIGN_SCHEMA = {
     "scheme": (True, str),
-    "v0_m_per_s": (True, float),
+    "v0_m_per_s": (True, _real),
     "b_um": (True, _um),
     "x0_um": (True, _um),
-    "tau_s": (True, float),
-    "chi_m_m3_per_kg": (False, float),
-    "closure_tolerance_m": (False, float),
-    "shoot_max_iterations": (False, int),
-    "mass_kg": (False, float),  # metadata only; the dynamics is mass-free
-    "rtol": (False, float),
-    "atol_m": (False, float),
-    "guard_radius_um": (False, float),
+    "tau_s": (True, _real),
+    "chi_m_m3_per_kg": (False, _real),
+    "closure_tolerance_m": (False, _real),
+    "shoot_max_iterations": (False, _integer),
+    "mass_kg": (False, _real),  # metadata only; the dynamics is mass-free
+    "rtol": (False, _real),
+    "atol_m": (False, _real),
+    "guard_radius_um": (False, _real),
 }
 
 
@@ -189,26 +207,26 @@ def _cmd_design(args) -> int:
 _SIMULATE_SCHEMA = {
     "wires": (True, list),
     "initial": (True, dict),
-    "duration_s": (True, float),
-    "chi_m_m3_per_kg": (False, float),
-    "mass_kg": (False, float),
-    "rtol": (False, float),
-    "atol_m": (False, float),
-    "guard_radius_um": (False, float),
+    "duration_s": (True, _real),
+    "chi_m_m3_per_kg": (False, _real),
+    "mass_kg": (False, _real),
+    "rtol": (False, _real),
+    "atol_m": (False, _real),
+    "guard_radius_um": (False, _real),
 }
 
 _WIRE_SCHEMA = {
     "x_um": (True, _um),
     "z_um": (True, _um),
-    "current_a": (True, float),
+    "current_a": (True, _real),
 }
 
 _INITIAL_SCHEMA = {
     "x_um": (True, _um),
     "z_um": (True, _um),
-    "vx_m_per_s": (True, float),
-    "vz_m_per_s": (True, float),
-    "t_s": (False, float),
+    "vx_m_per_s": (True, _real),
+    "vz_m_per_s": (True, _real),
+    "t_s": (False, _real),
 }
 
 
@@ -248,13 +266,13 @@ def _cmd_simulate(args) -> int:
 
 
 _SWEEP_SCHEMA = {
-    "v0_min_m_per_s": (False, float),
-    "v0_max_m_per_s": (False, float),
-    "n_points": (False, int),
+    "v0_min_m_per_s": (False, _real),
+    "v0_max_m_per_s": (False, _real),
+    "n_points": (False, _integer),
     "b_um": (False, _um),
     "x0_um": (False, _um),
-    "tau_s": (False, float),
-    "chi_m_m3_per_kg": (False, float),
+    "tau_s": (False, _real),
+    "chi_m_m3_per_kg": (False, _real),
 }
 
 
@@ -297,22 +315,22 @@ def _cmd_sweep(args) -> int:
 
 
 _VALIDATE_SCHEMA = {
-    "b_um_list": (False, list),
-    "current_a": (False, float),
-    "v0_m_per_s": (False, float),
+    "b_um_list": (False, _um_list),
+    "current_a": (False, _real),
+    "v0_m_per_s": (False, _real),
     "launch_distance_um": (False, _um),
     "region_radius_um": (False, _um),
-    "chi_m_m3_per_kg": (False, float),
-    "rtol": (False, float),
-    "atol_m": (False, float),
-    "guard_radius_um": (False, float),
+    "chi_m_m3_per_kg": (False, _real),
+    "rtol": (False, _real),
+    "atol_m": (False, _real),
+    "guard_radius_um": (False, _real),
 }
 
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _VALIDATE_SCHEMA, "validate config")
-    b_values = [float(v) * _UM for v in params.get("b_um_list", [0.5, 3.0, 6.0])]
+    b_values = params.get("b_um_list", _um_list([0.5, 3.0, 6.0]))
     medium = _medium_from(params)
     control = _control_from(params, args.tolerance)
     rows = validate_analytic(

@@ -247,3 +247,30 @@ def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg_data, field", [
+    ("design", {**DESIGN_CFG, "shoot_max_iterations": 8.9},
+     "shoot_max_iterations"),
+    ("design", {**DESIGN_CFG, "shoot_max_iterations": True},
+     "shoot_max_iterations"),
+    ("design", {**DESIGN_CFG, "b_um": True}, "b_um"),
+    ("simulate", {**SIM_CFG, "duration_s": True}, "duration_s"),
+    ("simulate", {**SIM_CFG, "wires": [{**SIM_CFG["wires"][0],
+                                        "current_a": False}]}, "current_a"),
+    ("sweep", {"n_points": 2.5}, "n_points"),
+    ("validate", {"b_um_list": [0.5, True]}, "b_um_list"),
+], ids=["design_fractional_budget", "design_boolean_budget",
+        "design_boolean_b", "simulate_boolean_duration",
+        "simulate_boolean_current", "sweep_fractional_points",
+        "validate_boolean_b"])
+def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
+                                                   cfg_data, field):
+    # json gives true as a bool, which float() and int() would take as 1, and
+    # int() would truncate 8.9 to 8
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(field) in err
+    assert not out.exists()
