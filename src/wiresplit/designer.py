@@ -265,7 +265,7 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
     def walk(widest):
         # steps widest**(1/4), widest**(1/2), then widest: a seed near its
         # root brackets at once, and a lost trial stops the growth for good
-        growth = [widest, widest ** 0.5]
+        growth = [widest ** 0.5, widest]
         step = widest ** 0.25
         prev_i, prev_e = start_i, start_e
         for _ in range(40):
@@ -283,7 +283,7 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
                     )
                 prev_i, prev_e = cur_i, cur_e
                 if growth:
-                    step = growth.pop()
+                    step = growth.pop(0)
             else:
                 # lost the trajectory; shrink toward the valid side
                 growth = []
