@@ -40,7 +40,6 @@ from .integrator import (
     StepControl,
     StiffnessError,
     Trajectory,
-    available_backends,
     kernel_backend,
     mirror_trajectory,
     simulate,
@@ -84,7 +83,6 @@ __all__ = [
     "acceleration",
     "analytic_orbit",
     "apex_wire_position",
-    "available_backends",
     "b_field",
     "closest_approach",
     "closest_approach_headon",

@@ -9,8 +9,14 @@
  * as 0 and err/0 as inf in the step error norm. Every floating-point
  * operation is in the twin's order, comparisons and min() treat NaN as
  * Python does, and the file must be built without FMA contraction
- * (-ffp-contract=off), so both backends return equal doubles. Where the
- * twin divides by a float zero, this raises ZeroDivisionError too.
+ * (-ffp-contract=off), so both backends return equal doubles.
+ *
+ * Every division is IEEE and none is trapped. A zero h0 in the initial-step
+ * heuristic (atol = 0 at a launch coordinate near 1e-300) makes d2 inf, or
+ * NaN for a zero numerator, and the first step falls back to
+ * duration * 1e-6, as in the twin. deriv() divides by r2 * r2 only for
+ * r2 > guard_radius^2 * 1e-6; the caller keeps guard_radius >= 1e-70 m
+ * (StepControl), so that product never rounds to 0.
  *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
@@ -48,7 +54,6 @@ typedef struct {
     const double *powered;  /* (x, z, alpha I^2) of each wire with I != 0 */
     double tiny_r2;
     long n_rhs;
-    int zerodiv;  /* a float division by zero the twin would raise on */
 } Field;
 
 /* k = f(y): velocity, then the superposed repulsion at (x, z) */
@@ -66,8 +71,6 @@ static void deriv(Field *f, const double *y, double *k)
             k[2] = k[3] = NAN;
             return;
         }
-        if (r2 * r2 == 0.0)
-            f->zerodiv = 1;
         double c = w[2] / (r2 * r2);
         ax += c * dx;
         az += c * dz;
@@ -112,7 +115,7 @@ static void dense(double *out, double theta, const Step *s)
 }
 
 /* event functions g(y; p) of a dense state y for bisect(): the closure
- * (p = x_plane), the apex, and a periapsis (p = the wire's x, z) */
+ * (p = the launch x0), the apex, and a periapsis (p = the wire's x, z) */
 typedef double (*EventFn)(const double *y, const double *p);
 static double g_closure(const double *y, const double *p) { return y[0] - p[0]; }
 static double g_apex(const double *y, const double *p) { (void)p; return y[3]; }
@@ -212,16 +215,16 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         "x0", "z0", "vx0", "vz0", "t0", "duration",
         "wires_x", "wires_z", "wires_current", "alpha",
         "rtol", "atol", "guard_radius", "max_steps",
-        "x_plane", "stop_at_closure", "event_dt", NULL};
+        "stop_at_closure", "event_dt", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
-    double max_steps, x_plane, event_dt;
+    double max_steps, event_dt;
     int stop_at_closure;
     PyObject *seq_x, *seq_z, *seq_i;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddOOOddddddpd:integrate", kwlist,
+            args, kwargs, "ddddddOOOdddddpd:integrate", kwlist,
             &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
-            &alpha, &rtol, &atol, &guard_radius, &max_steps, &x_plane,
-            &stop_at_closure, &event_dt))
+            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_at_closure,
+            &event_dt))
         return NULL;
 
     PyObject *result = NULL;
@@ -254,7 +257,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
 
     double guard2 = guard_radius * guard_radius;
-    Field f = {n_powered, powered, guard2 * 1e-6, 0, 0};
+    Field f = {n_powered, powered, guard2 * 1e-6, 0};
     double t = t0, t_bound = t0 + duration;
     double y[4] = {x0, z0, vx0, vz0};
 
@@ -294,8 +297,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     deriv(&f, ys, k[1]);
     for (int c = 0; c < 4; c++)
         q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
-    if (h0 == 0.0)
-        f.zerodiv = 1;
     double d2 = rms4(q) / h0;
     double dm = d1 > d2 ? d1 : d2;
     double h1;
@@ -311,7 +312,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!(h > 0.0) || h != h)
         h = duration * 1e-6;
 
-    while (!f.zerodiv && !(t >= t_bound)) {
+    while (!(t >= t_bound)) {
         if (n_steps + n_rejected >= max_steps) {
             status = STATUS_MAXSTEPS;
             t_fail = t;
@@ -368,10 +369,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         Step st = {h, y, yn, k[0], k[6]};
         memcpy(ye, yn, sizeof ye);
 
-        /* closure: first crossing of the plane x = x_plane moving in -x */
-        if (!have_closure && y[0] - x_plane > 0.0 && ye[0] - x_plane <= 0.0) {
+        /* closure: first crossing of the launch plane x = x0 moving in -x */
+        if (!have_closure && y[0] - x0 > 0.0 && ye[0] - x0 <= 0.0) {
             hi = 1.0;
-            bisect(g_closure, &x_plane, 1, &st, event_dt, &lo, &hi);
+            bisect(g_closure, &x0, 1, &st, event_dt, &lo, &hi);
             dense(yd, hi, &st);
             if (yd[2] < 0.0) {
                 have_closure = 1;
@@ -444,11 +445,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         t = t_end;
         memcpy(y, ye, sizeof y);
-        if (truncated) {
-            /* re-seed the derivative at the truncated state */
-            deriv(&f, y, k[0]);
+        if (truncated)
             break;
-        }
         memcpy(k[0], k[6], sizeof k[0]);
 
         if (err_norm == 0.0) {
@@ -462,11 +460,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         }
         h = h * fac;
     }
-    if (f.zerodiv) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        goto done;
-    }
-
     /* trajectory endpoints compete for the apex */
     if (fabs(y[1]) > best_apex_absz)
         set5(apex, t, y);

@@ -4,14 +4,14 @@ Mirror of the compiled extension ``wiresplit._kernel``: same Dormand-Prince
 5(4) pair, same step controller, same cubic-Hermite dense output and event
 bisection, with every floating-point operation in the same order, so both
 backends produce identical trajectories. This module is used automatically
-when the extension is not built; it is about 50x slower per force
-evaluation and about 20x slower per design (perfbench ``design_mix``).
+when the extension is not built; README's Installation section gives its
+measured cost against the extension.
 
 The returned ``samples`` is one flat list of rows (t, x, z, vx, vz): the
 launch, then each accepted step. One ``_bisect`` refines every event: at
 most 80 halvings of the step fraction [lo, hi] = [0, hi] down to
 ``event_dt`` seconds (all 80 for a NaN ``event_dt``), with lo = mid exactly
-when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x_plane,
+when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0,
 the apex g = vz with side ``vz > 0.0`` at the step's start, a periapsis
 g = -((x - xw) vx + (z - zw) vz); else side is true.
 
@@ -20,6 +20,15 @@ Error norms use the scale ``atol + rtol * |value|`` per component. With
 initial-step heuristic's norms, and in a step's error norm 0/0 counts 0
 while any other error counts err/0.0 as IEEE division gives it (+-inf, or
 NaN for a NaN error), so the step is rejected.
+
+Every division follows IEEE rules and none raises. The only divisor that
+can be 0 unguarded is the initial-step heuristic's h0, for example when
+atol = 0 and a launch coordinate is near 1e-300, so that d1 is inf. Then
+d2 = rms/h0 is inf (NaN for rms = 0), the first step
+min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
+The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
+stays positive because ``StepControl`` keeps guard_radius at or above
+1e-70 m.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
@@ -90,7 +99,7 @@ def _bisect(dense, g, side, hi, h, event_dt):
 def integrate(x0, z0, vx0, vz0, t0, duration,
               wires_x, wires_z, wires_current, alpha,
               rtol, atol, guard_radius, max_steps,
-              x_plane, stop_at_closure, event_dt):
+              stop_at_closure, event_dt):
     """Integrate one packet through the wire array.
 
     Returns a plain dict (arrays as lists); the integrator module wraps it.
@@ -192,7 +201,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
     q2 = (ax1 - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
     q3 = (az1 - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
-    d2 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)) / h0
+    rms = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
+    d2 = rms / h0 if h0 != 0.0 else rms * _INF
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
@@ -313,9 +323,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         t_end = t_new
         truncated = False
 
-        # closure: first crossing of the plane x = x_plane moving in -x
-        if closure is None and x - x_plane > 0.0 and x_end - x_plane <= 0.0:
-            lo, hi = _bisect(dense, lambda s: s[0] - x_plane, True, 1.0, h, event_dt)
+        # closure: first crossing of the launch plane x = x0 moving in -x
+        if closure is None and x - x0 > 0.0 and x_end - x0 <= 0.0:
+            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, 1.0, h, event_dt)
             xc, zc, vxc, vzc = dense(hi)
             if vxc < 0.0:
                 closure = (t + hi * h, xc, zc, vxc, vzc)
@@ -379,13 +389,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         vx = vx_end
         vz = vz_end
         if truncated:
-            # re-seed the derivative at the truncated state
-            ax, az = accel(x, z)
-            n_rhs += 1
-            k1x = vx
-            k1z = vz
-            k1vx = ax
-            k1vz = az
             break
         k1x = k7x
         k1z = k7z

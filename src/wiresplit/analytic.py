@@ -27,8 +27,9 @@ def stiffness_k(current: float, b: float, v0: float, medium: Medium) -> float:
         raise ValueError(
             "b = 0 is the head-on (degenerate) case; use closest_approach_headon"
         )
-    if b < 0.0 or v0 <= 0.0:
-        raise ValueError("require b > 0 and v0 > 0")
+    if b < 0.0 or v0 <= 0.0 or v0 * v0 * b * b == 0.0:
+        raise ValueError(f"require b > 0 and v0 > 0 with v0^2 b^2 > 0, got "
+                         f"b = {b:g} m and v0 = {v0:g} m/s")
     if current == 0.0:
         raise ValueError("current must be nonzero (k would be exactly 1)")
     return 1.0 + medium.alpha * current * current / (v0 * v0 * b * b)

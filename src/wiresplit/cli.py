@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     except DesignFailure as exc:
         print(f"design failure: {exc}", file=sys.stderr)
         return EXIT_DESIGN
-    except (WireSingularityError, StiffnessError, ZeroDivisionError) as exc:
+    except (WireSingularityError, StiffnessError) as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY
 

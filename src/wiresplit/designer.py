@@ -153,6 +153,8 @@ def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
     dot = (ux * rx + uz * rz) / rn
     cross = (ux * rz - uz * rx) / rn
     turn = abs(math.atan2(cross, dot))
+    if turn == math.pi:  # one wire turns a branch by (1 - 1/sqrt(k)) pi < pi
+        raise InfeasibleDesignError("turning the branch by pi takes an infinite current")
     sqrt_k = math.pi / (math.pi - turn)
     k2 = sqrt_k * sqrt_k
     return b_eff * (v0 / math.sqrt(medium.alpha)) * math.sqrt(k2 - 1.0)

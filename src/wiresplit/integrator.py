@@ -1,11 +1,10 @@
 """Trajectory integration: adaptive Runge-Kutta 5(4) with event detection.
 
-The stepping loop lives in a kernel with two interchangeable backends: the
-compiled extension ``wiresplit._kernel`` and the pure Python mirror
-``wiresplit._kernel_py``. The fastest available one is picked at import;
-both implement the identical algorithm and produce identical samples.
-``simulate`` wraps the kernel into domain types and computes the
-energy-drift statistic.
+The stepping loop lives in one kernel, picked at import: the compiled
+extension ``wiresplit._kernel`` if it is built, else its pure-Python twin
+``wiresplit._kernel_py``. Both implement the identical algorithm and return
+bitwise-identical results. ``simulate`` wraps the kernel into domain types
+and computes the energy-drift statistic.
 """
 
 from __future__ import annotations
@@ -22,26 +21,13 @@ from .model import Medium, PacketState
 
 try:
     from . import _kernel  # compiled extension
-
-    _HAVE_COMPILED = True
 except ImportError:
-    _kernel = None
-    _HAVE_COMPILED = False
-
-_BACKENDS = {"python": _kernel_py}
-if _HAVE_COMPILED:
-    _BACKENDS["compiled"] = _kernel
-
-_DEFAULT_BACKEND = "compiled" if _HAVE_COMPILED else "python"
+    _kernel = _kernel_py
 
 
 def kernel_backend() -> str:
-    """Name of the backend used by default: ``compiled`` or ``python``."""
-    return _DEFAULT_BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    """Name of the kernel ``simulate`` runs: ``compiled`` or ``python``."""
+    return "python" if _kernel is _kernel_py else "compiled"
 
 
 class StiffnessError(RuntimeError):
@@ -61,6 +47,12 @@ class StepControl:
     exactly 0 then has scale 0: it counts 0 in the initial-step heuristic,
     and in a step's error norm it counts 0 when its error is 0 and rejects
     the step otherwise.
+
+    ``guard_radius`` must be finite and at least 1e-70 m. The kernels
+    divide by r^4 = r2 * r2 only where r2 > guard_radius^2 * 1e-6, so at
+    this floor r^4 > 1e-292 and the force stays finite. Any floor of
+    (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or more keeps r2 * r2 from
+    rounding to 0.
     """
 
     rtol: float = 1e-11
@@ -80,9 +72,9 @@ class StepControl:
         if not self.max_steps >= 1:
             raise ValueError(
                 f"max_steps must be at least 1, got {self.max_steps!r}")
-        if not self.guard_radius > 0.0:
-            raise ValueError(
-                f"guard_radius must be positive, got {self.guard_radius!r}")
+        if not 1e-70 <= self.guard_radius < math.inf:
+            raise ValueError("guard_radius must be finite and at least "
+                             f"1e-70 m, got {self.guard_radius!r}")
 
 
 DEFAULT_CONTROL = StepControl()
@@ -142,14 +134,18 @@ def _specific_energy(states: np.ndarray, wires, medium: Medium) -> np.ndarray:
 
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
              control: StepControl = DEFAULT_CONTROL, *,
-             stop_at_closure: bool = False,
-             backend: str | None = None) -> Trajectory:
+             stop_at_closure: bool = False) -> Trajectory:
     """Integrate the equation of motion over ``[t0, t0 + duration]``.
 
     Events are recorded along the way; the closure is the first crossing
     of the launch plane ``x = initial.x`` with vx < 0. With
     ``stop_at_closure`` the run ends at the closure crossing instead of
     the full duration.
+
+    Raises ``ValueError`` for a duration that is not positive and finite,
+    ``WireSingularityError`` when the launch or the path comes within the
+    guard radius of a wire that carries current, and ``StiffnessError``
+    when the step size underflows or the step budget runs out.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration:g}")
@@ -159,16 +155,15 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
             continue
         if math.hypot(initial.x - w.x, initial.z - w.z) <= control.guard_radius:
             raise WireSingularityError(i, (initial.x, initial.z), initial.t)
-    if backend is not None and backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; have {available_backends()}")
-    kern = _BACKENDS[backend if backend is not None else _DEFAULT_BACKEND]
 
-    raw = kern.integrate(
+    # looked up per call, so a wrapper set on the module (perfbench's
+    # tracer) sees every run
+    raw = _kernel.integrate(
         initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
         [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
         medium.alpha,
         control.rtol, control.atol, control.guard_radius, control.max_steps,
-        initial.x, bool(stop_at_closure), control.event_dt,
+        bool(stop_at_closure), control.event_dt,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:

@@ -55,19 +55,20 @@ class Medium:
 def make_medium(chi_m: float = CHI_M_DIAMOND, mu0: float = MU0) -> Medium:
     """Build a :class:`Medium` from a mass susceptibility.
 
-    Rejects non-negative ``chi_m``: a paramagnetic (attracted) medium is
-    unsupported, the repulsion model assumes ``alpha > 0``.
+    Rejects a ``chi_m`` that gives no ``alpha > 0``, which the repulsion
+    model assumes: a paramagnetic (attracted) or zero susceptibility, or
+    one so small that alpha underflows to 0.
     """
     chi_m = _require_finite("chi_m", chi_m)
     mu0 = _require_finite("mu0", mu0)
-    if chi_m >= 0.0:
-        raise ValueError(
-            f"chi_m must be negative (diamagnetic); got {chi_m:g} "
-            "(paramagnetic or zero susceptibility is unsupported)"
-        )
     if mu0 <= 0.0:
         raise ValueError(f"mu0 must be positive, got {mu0:g}")
     alpha = -chi_m * mu0 / (4.0 * math.pi**2)
+    if not alpha > 0.0:
+        raise ValueError(
+            f"chi_m must be negative (diamagnetic) and give alpha > 0; got "
+            f"{chi_m:g} (paramagnetic or zero susceptibility is unsupported)"
+        )
     return Medium(chi_m=chi_m, mu0=mu0, alpha=alpha)
 
 

@@ -169,8 +169,7 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     wires = (Wire(0.0, 0.0, current),)
     rows = []
     for b in b_values:
-        k = (1.0 + medium.alpha * current * current / (v0 * v0 * b * b)
-             if current != 0.0 else 1.0)
+        k = analytic.stiffness_k(current, b, v0, medium) if current != 0.0 else 1.0
         theta_s = analytic.scattering_angle(k)
         initial = PacketState(x=-launch_distance, z=b, vx=v0, vz=0.0)
         # long enough to come back out of the comparison region

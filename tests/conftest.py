@@ -87,10 +87,3 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.fixture
-def compiled_backend(compiled_kernel, monkeypatch):
-    """``compiled_kernel`` installed as the ``compiled`` backend of ``simulate``."""
-    monkeypatch.setitem(integrator._BACKENDS, "compiled", compiled_kernel)
-    return compiled_kernel

@@ -19,7 +19,6 @@ from wiresplit import (
     closure_error,
     design_inverse,
     design_triangular,
-    kernel_backend,
     mirror_trajectory,
     triangular_max_size,
 )
@@ -273,15 +272,14 @@ class TestShootingWork:
             trials.append(wires[1].current)
             return trial(wires, *args)
 
-        backend = kernel_backend()
-        kernel = integrator._BACKENDS[backend]
+        kernel = integrator._kernel
 
         def counted_integrate(*args):
             runs.append(args)
             return kernel.integrate(*args)
 
         monkeypatch.setattr(designer, "_closure_trial", counted_trial)
-        monkeypatch.setitem(integrator._BACKENDS, backend,
+        monkeypatch.setattr(integrator, "_kernel",
                             SimpleNamespace(integrate=counted_integrate))
         designer.design_trajectories(DesignSpec(scheme=scheme,
                                                 inputs=paper_inputs))

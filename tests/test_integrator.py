@@ -116,6 +116,7 @@ def test_event_log_dict_schema(medium):
     ("max_steps", 0), ("max_steps", -1),
     ("event_dt", -1e-12), ("event_dt", math.nan), ("event_dt", math.inf),
     ("guard_radius", 0.0), ("guard_radius", -1e-9), ("guard_radius", math.nan),
+    ("guard_radius", 1e-100), ("guard_radius", math.inf),
 ])
 def test_step_control_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):

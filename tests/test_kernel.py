@@ -11,14 +11,11 @@ from wiresplit import (
     StiffnessError,
     Wire,
     WireSingularityError,
-    available_backends,
     closest_approach_headon,
     kernel_backend,
     simulate,
 )
 from wiresplit import _kernel_py
-
-HAVE_COMPILED = "compiled" in available_backends()
 
 
 def _fig_scenario():
@@ -39,10 +36,12 @@ PURE_RELATIVE = StepControl(atol=0.0)
 
 
 def test_default_backend_is_fastest_available():
-    if HAVE_COMPILED:
-        assert kernel_backend() == "compiled"
-    else:
+    try:
+        from wiresplit import _kernel  # noqa: F401
+    except ImportError:
         assert kernel_backend() == "python"
+    else:
+        assert kernel_backend() == "compiled"
 
 
 def _headon():
@@ -76,15 +75,30 @@ def _bitwise_case(name, medium):
         stop = True
     elif name == "no_wires":
         wires = ()
+    elif name in ("vz0_pure_relative", "z_axis_pure_relative"):
+        if name.startswith("z_axis"):
+            initial, wires = _symmetric_scenario()
+        duration, control = 0.06, PURE_RELATIVE
+    elif name == "extreme_launch":
+        # atol = 0 and x = 1e-300: vx / (rtol |x|) overflows to inf in the
+        # initial-step heuristic, so its h0 is 0 and d2 = rms / h0 is inf;
+        # the first step falls back to duration * 1e-6
+        initial = PacketState(x=1e-300, z=0.5e-6, vx=0.01, vz=0.0)
+        wires = (Wire(0.0, 300e-6, 2.0),)
+        duration, control = 0.01, PURE_RELATIVE
     elif name == "dead_wire":
         wires += (Wire(-150e-6, 20e-6, 0.0),)
-    elif name.startswith("triangular_closure"):
+    elif name.startswith("triangular_closure") or name == "event_dt_zero":
         # the triangular reference layout run to closure: it bisects the
         # closure, the apex and all three periapses; the apex is a maximum
-        # of z, or a minimum on the mirrored launch
+        # of z, or a minimum on the mirrored launch. With event_dt = 0 no
+        # bracket is ever narrow enough, and every bisection runs all 80
+        # halvings
         wires = (Wire(0.0, 0.0, 0.925273), Wire(-150e-6, 316.5e-6, 1.57),
                  Wire(-150e-6, -316.5e-6, 1.57))
         duration, stop = 0.105, True
+        if name == "event_dt_zero":
+            control = StepControl(event_dt=0.0)
         if name.endswith("mirror"):
             initial = PacketState(x=initial.x, z=-initial.z, vx=initial.vx,
                                   vz=initial.vz)
@@ -96,7 +110,7 @@ def _bitwise_case(name, medium):
             [w.x for w in wires], [w.z for w in wires],
             [w.current for w in wires], medium.alpha,
             control.rtol, control.atol, control.guard_radius,
-            control.max_steps, initial.x, stop, control.event_dt)
+            control.max_steps, stop, control.event_dt)
     return args, status
 
 
@@ -115,10 +129,12 @@ def _bits(obj):
                                   "underflow", "stop_at_closure", "no_wires",
                                   "dead_wire", "uneven_current",
                                   "triangular_closure",
-                                  "triangular_closure_mirror"])
-def test_backends_bitwise_identical(medium, compiled_backend, case):
+                                  "triangular_closure_mirror", "event_dt_zero",
+                                  "vz0_pure_relative", "z_axis_pure_relative",
+                                  "extreme_launch"])
+def test_backends_bitwise_identical(medium, compiled_kernel, case):
     args, status = _bitwise_case(case, medium)
-    fast = compiled_backend.integrate(*args)
+    fast = compiled_kernel.integrate(*args)
     slow = _kernel_py.integrate(*args)
     assert slow["status"] == status
     if case == "stop_at_closure":
@@ -126,43 +142,12 @@ def test_backends_bitwise_identical(medium, compiled_backend, case):
     assert _bits(fast) == _bits(slow)
 
 
-@pytest.mark.parametrize("scenario", [_fig_scenario, _symmetric_scenario],
-                         ids=["vz0", "z_axis"])
-def test_backends_bitwise_identical_pure_relative(medium, compiled_backend,
-                                                  scenario):
-    initial, wires = scenario()
-    fast = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
-                    backend="compiled")
-    slow = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
-                    backend="python")
-    _assert_bitwise_equal(fast, slow)
-
-
-def test_backends_raise_alike(medium, compiled_backend):
-    # atol = 0 and x = 1e-300: vx / (rtol |x|) overflows to inf in the
-    # initial-step heuristic, its h0 is 0, and the Python kernel divides by it
-    initial = PacketState(x=1e-300, z=0.5e-6, vx=0.01, vz=0.0)
-    wires = (Wire(0.0, 300e-6, 2.0),)
-    for backend in ("python", "compiled"):
-        with pytest.raises(ZeroDivisionError):
-            simulate(initial, wires, medium, 0.01, PURE_RELATIVE,
-                     backend=backend)
-
-
-def _assert_bitwise_equal(fast, slow):
-    assert np.array_equal(fast.t, slow.t)
-    assert np.array_equal(fast.states, slow.states)
-    assert fast.stats == slow.stats
-    assert fast.events == slow.events
-
-
 def test_pure_relative_control_with_zero_vz(medium):
     # vz = 0 at launch gives vz a zero error scale in the initial-step
     # heuristic; the run must complete and agree with the default control
     initial, wires = _fig_scenario()
-    traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
-                    backend="python")
-    ref = simulate(initial, wires, medium, 0.06, backend="python")
+    traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE)
+    ref = simulate(initial, wires, medium, 0.06)
     assert traj.final.t == ref.final.t
     assert np.allclose(traj.states[-1], ref.states[-1], rtol=1e-8, atol=0.0)
     assert traj.stats.energy_drift < 1e-8
@@ -171,8 +156,7 @@ def test_pure_relative_control_with_zero_vz(medium):
 def test_pure_relative_control_keeps_symmetric_axis(medium):
     # every accepted step has err_z / sc_z = 0 / 0, which counts as 0
     initial, wires = _symmetric_scenario()
-    traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE,
-                    backend="python")
+    traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE)
     assert traj.final.t == initial.t + 0.06
     assert np.all(traj.states[:, 1] == 0.0)
     assert np.all(traj.states[:, 3] == 0.0)
@@ -285,9 +269,3 @@ def test_rejected_steps_are_counted(medium):
     assert traj.stats.n_steps == len(traj.t) - 1
     assert traj.stats.min_step > 0.0
     assert traj.stats.n_rhs_evals > 6 * traj.stats.n_steps
-
-
-def test_backend_selection_argument(medium, compiled_backend):
-    initial, wires = _fig_scenario()
-    with pytest.raises(ValueError):
-        simulate(initial, wires, medium, 0.01, backend="fortran")
