@@ -24,16 +24,8 @@ from .designer import (
     DesignFailure,
     DesignSpec,
     closure_error,
-    design_inverse,
-    design_triangular,
 )
-from .field import (
-    GUARD_RADIUS,
-    WireSingularityError,
-    acceleration,
-    b_field,
-    specific_potential,
-)
+from .field import GUARD_RADIUS, WireSingularityError, b_field
 from .integrator import (
     EventLog,
     PeriapsisEvent,
@@ -80,7 +72,6 @@ __all__ = [
     "ValidationRow",
     "Wire",
     "WireSingularityError",
-    "acceleration",
     "analytic_orbit",
     "apex_wire_position",
     "b_field",
@@ -89,8 +80,6 @@ __all__ = [
     "closure_error",
     "current_density",
     "default_medium",
-    "design_inverse",
-    "design_triangular",
     "field_magnitude_at",
     "inverse_current_ratio",
     "inverse_max_size",
@@ -99,7 +88,6 @@ __all__ = [
     "mirror_trajectory",
     "scattering_angle",
     "simulate",
-    "specific_potential",
     "stiffness_k",
     "triangular_current_ratio",
     "triangular_max_size",

@@ -34,8 +34,8 @@ State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
 so each deflection is a clean single-wire scattering. Its potential,
 u = sum_i alpha I_i^2 / (2 r_i^2), is what ``integrator.simulate``'s energy
-drift conserves. ``wiresplit.field.acceleration`` is the exact gradient of
-the full field energy alpha/2 |S|^2, which adds the inter-wire cross terms.
+drift conserves. The inter-wire cross terms of the full field energy
+alpha/2 |S|^2 (``wiresplit.field``) are left out, as the designs assume.
 """
 
 import math

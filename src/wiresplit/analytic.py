@@ -32,7 +32,12 @@ def stiffness_k(current: float, b: float, v0: float, medium: Medium) -> float:
                          f"b = {b:g} m and v0 = {v0:g} m/s")
     if current == 0.0:
         raise ValueError("current must be nonzero (k would be exactly 1)")
-    return 1.0 + medium.alpha * current * current / (v0 * v0 * b * b)
+    excess = medium.alpha * current * current / (v0 * v0 * b * b)
+    if excess == 0.0:
+        raise ValueError(
+            f"alpha I^2 / (v0^2 b^2) underflows to 0 at current = {current:g} A, "
+            f"b = {b:g} m and v0 = {v0:g} m/s (k would be exactly 1)")
+    return 1.0 + excess
 
 
 def scattering_angle(k: float) -> float:

@@ -25,7 +25,6 @@ from .designer import (
 )
 from .field import WireSingularityError
 from .integrator import (
-    DEFAULT_CONTROL,
     StepControl,
     StiffnessError,
     event_log_dict,
@@ -118,18 +117,15 @@ def _medium_from(params: dict):
     return default_medium()
 
 
-def _control_from(params: dict, tolerance_override):
-    rtol = tolerance_override if tolerance_override is not None \
-        else params.get("rtol", DEFAULT_CONTROL.rtol)
-    if "guard_radius_um" in params:
-        guard = params["guard_radius_um"] * _UM
-    else:
-        guard = DEFAULT_CONTROL.guard_radius
-    return StepControl(
-        rtol=rtol,
-        atol=params.get("atol_m", DEFAULT_CONTROL.atol),
-        guard_radius=guard,
-    )
+def _library_args(params: dict, names: dict) -> dict:
+    """The config fields that are set, under the library's parameter names,
+    so that the library's own defaults fill in the rest."""
+    return {arg: params[field] for field, arg in names.items() if field in params}
+
+
+def _control_from(params: dict) -> StepControl:
+    return StepControl(**_library_args(params, {
+        "rtol": "rtol", "atol_m": "atol", "guard_radius_um": "guard_radius"}))
 
 
 _DESIGN_SCHEMA = {
@@ -144,18 +140,13 @@ _DESIGN_SCHEMA = {
     "mass_kg": (False, _real),  # metadata only; the dynamics is mass-free
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _real),
+    "guard_radius_um": (False, _um),
 }
 
 
 def _cmd_design(args) -> int:
     cfg = _load_config(args.config)
     params = _take(cfg, _DESIGN_SCHEMA, "design config")
-    if params["scheme"] not in ("triangular", "inverse"):
-        raise ConfigError(
-            f"field 'scheme': expected 'triangular' or 'inverse', "
-            f"got {params['scheme']!r}"
-        )
     inputs = ScatteringInputs(
         v0=params["v0_m_per_s"], b=params["b_um"],
         x0=params["x0_um"], tau=params["tau_s"],
@@ -163,11 +154,12 @@ def _cmd_design(args) -> int:
     spec = DesignSpec(
         scheme=params["scheme"],
         inputs=inputs,
-        closure_tolerance=params.get("closure_tolerance_m", 1e-8),
-        shoot_max_iterations=params.get("shoot_max_iterations", 80),
+        **_library_args(params, {
+            "closure_tolerance_m": "closure_tolerance",
+            "shoot_max_iterations": "shoot_max_iterations"}),
     )
     medium = _medium_from(params)
-    control = _control_from(params, args.tolerance)
+    control = _control_from(params)
 
     result, top, bottom = design_trajectories(spec, medium, control)
 
@@ -179,11 +171,12 @@ def _cmd_design(args) -> int:
         "backend": kernel_backend(),
         **result.to_dict(),
     }
-    (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "result.json").write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n")
     write_trajectory_csv(top, out / "trajectory_top.csv")
     write_trajectory_csv(bottom, out / "trajectory_bottom.csv")
     (out / "events_top.json").write_text(
-        json.dumps(event_log_dict(top), indent=2) + "\n")
+        json.dumps(event_log_dict(top), indent=2, allow_nan=False) + "\n")
 
     w = result.wires
     print(f"scheme:                {spec.scheme}")
@@ -212,7 +205,7 @@ _SIMULATE_SCHEMA = {
     "mass_kg": (False, _real),
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _real),
+    "guard_radius_um": (False, _um),
 }
 
 _WIRE_SCHEMA = {
@@ -246,7 +239,7 @@ def _cmd_simulate(args) -> int:
         t=icfg.get("t_s", 0.0),
     )
     medium = _medium_from(params)
-    control = _control_from(params, args.tolerance)
+    control = _control_from(params)
 
     traj = simulate(initial, wires, medium, params["duration_s"], control)
 
@@ -254,7 +247,8 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     events = {"config": cfg, "backend": kernel_backend(), **event_log_dict(traj)}
-    (out / "events.json").write_text(json.dumps(events, indent=2) + "\n")
+    (out / "events.json").write_text(
+        json.dumps(events, indent=2, allow_nan=False) + "\n")
 
     print(f"samples:               {len(traj.t)}")
     print(f"apex |z|:              {abs(traj.events.apex.z) / _UM:.4f} um")
@@ -279,34 +273,35 @@ _SWEEP_SCHEMA = {
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _SWEEP_SCHEMA, "sweep config")
-    b = params.get("b_um", 0.5e-6)
-    x0 = params.get("x0_um", 300e-6)
-    tau = params.get("tau_s", 0.1)
-    medium = _medium_from(params)
-    n_points = params.get("n_points", 50)
-    if n_points < 1:
-        raise ConfigError(f"field 'n_points': must be at least 1, got {n_points}")
+    flight = _library_args(params, {"x0_um": "x0", "tau_s": "tau"})
+    if "n_points" in params and params["n_points"] < 1:
+        raise ConfigError(
+            f"field 'n_points': must be at least 1, got {params['n_points']}")
     if "v0_min_m_per_s" in params or "v0_max_m_per_s" in params:
-        # the default lower end is the default grid's: just above feasibility
-        v_min = params.get("v0_min_m_per_s", default_velocity_grid(x0, tau)[0])
-        v_max = params.get("v0_max_m_per_s", 2.0)
+        # an end the config leaves open is the default grid's: the lower one
+        # just above feasibility
+        default = default_velocity_grid(**flight)
+        v_min = params.get("v0_min_m_per_s", default[0])
+        v_max = params.get("v0_max_m_per_s", default[-1])
         if not 0.0 < v_min <= v_max:
             raise ConfigError(
                 "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
                 f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
-        grid = np.geomspace(v_min, v_max, n_points)
+        grid = np.geomspace(v_min, v_max, params.get("n_points", len(default)))
     elif "n_points" in params:
-        grid = default_velocity_grid(x0, tau, n_points)
+        grid = default_velocity_grid(**flight, n_points=params["n_points"])
     else:
         grid = None
 
-    table = velocity_sweep(grid, b=b, x0=x0, tau=tau, medium=medium)
+    table = velocity_sweep(grid, medium=_medium_from(params), **flight,
+                           **_library_args(params, {"b_um": "b"}))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         (out / "sweep.json").write_text(
-            json.dumps({"config": cfg, "rows": table.to_dicts()}, indent=2) + "\n")
+            json.dumps({"config": cfg, "rows": table.to_dicts()}, indent=2,
+                       allow_nan=False) + "\n")
         print(f"wrote {len(table.v0)} rows to {out / 'sweep.json'}")
     else:
         table.write_csv(out / "sweep.csv")
@@ -323,24 +318,20 @@ _VALIDATE_SCHEMA = {
     "chi_m_m3_per_kg": (False, _real),
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _real),
+    "guard_radius_um": (False, _um),
 }
 
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _VALIDATE_SCHEMA, "validate config")
-    b_values = params.get("b_um_list", _um_list([0.5, 3.0, 6.0]))
-    medium = _medium_from(params)
-    control = _control_from(params, args.tolerance)
     rows = validate_analytic(
-        b_values=b_values,
-        current=params.get("current_a", 2.0),
-        v0=params.get("v0_m_per_s", 0.01),
-        medium=medium,
-        launch_distance=params.get("launch_distance_um", 300e-6),
-        region_radius=params.get("region_radius_um"),
-        control=control,
+        medium=_medium_from(params),
+        control=_control_from(params),
+        **_library_args(params, {
+            "b_um_list": "b_values", "current_a": "current", "v0_m_per_s": "v0",
+            "launch_distance_um": "launch_distance",
+            "region_radius_um": "region_radius"}),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -349,7 +340,8 @@ def _cmd_validate(args) -> int:
         "backend": kernel_backend(),
         "rows": [r.to_dict() for r in rows],
     }
-    (out / "validation.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out / "validation.json").write_text(
+        json.dumps(report, indent=2, allow_nan=False) + "\n")
     for r in rows:
         print(f"b = {r.b / _UM:6.2f} um: max relative deviation "
               f"{r.max_rel_deviation:.3e} over {r.n_compared} samples")
@@ -376,9 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "sweep":  # the only command that writes a table
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="output format of the sweep table")
-        else:  # the commands that integrate
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="override the integrator relative tolerance")
         p.set_defaults(handler=fn)
     return parser
 

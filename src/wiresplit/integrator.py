@@ -142,13 +142,20 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     ``stop_at_closure`` the run ends at the closure crossing instead of
     the full duration.
 
-    Raises ``ValueError`` for a duration that is not positive and finite,
-    ``WireSingularityError`` when the launch or the path comes within the
-    guard radius of a wire that carries current, and ``StiffnessError``
-    when the step size underflows or the step budget runs out.
+    Raises ``ValueError`` for a duration that is not positive and finite
+    or a launch whose specific kinetic energy overflows (the energy drift
+    would be NaN), ``WireSingularityError`` when the launch or the path
+    comes within the guard radius of a wire that carries current, and
+    ``StiffnessError`` when the step size underflows or the step budget runs
+    out.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration:g}")
+    if not math.isfinite(0.5 * (initial.vx * initial.vx + initial.vz * initial.vz)):
+        raise ValueError(
+            "launch speed too large: the specific kinetic energy "
+            f"0.5*(vx^2 + vz^2) overflows at vx = {initial.vx:g} m/s, "
+            f"vz = {initial.vz:g} m/s")
     wires = tuple(wires)
     for i, w in enumerate(wires):
         if w.current == 0.0:

@@ -64,7 +64,9 @@ class SweepTable:
                 )
 
     def to_dicts(self):
-        return [dict(zip(SWEEP_COLUMNS, row)) for row in self.rows()]
+        """Rows as dicts; an infeasible row's NaN values become None."""
+        return [{name: None if math.isnan(v) else v
+                 for name, v in zip(SWEEP_COLUMNS, row)} for row in self.rows()]
 
 
 def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,

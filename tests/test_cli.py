@@ -179,11 +179,11 @@ class TestSimulateCommand:
         assert "duration" in capsys.readouterr().err
 
     def test_tolerance_flag_changes_step_count(self, tmp_path):
-        cfg = _write(tmp_path, "job.json", SIM_CFG)
+        cfg_a = _write(tmp_path, "a.json", SIM_CFG)
+        cfg_b = _write(tmp_path, "b.json", {**SIM_CFG, "rtol": 1e-6})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
-        assert main(["simulate", "--config", cfg, "--out", str(out_b),
-                     "--tolerance", "1e-6"]) == 0
+        assert main(["simulate", "--config", cfg_a, "--out", str(out_a)]) == 0
+        assert main(["simulate", "--config", cfg_b, "--out", str(out_b)]) == 0
         n_a = json.loads((out_a / "events.json").read_text())["stats"]["n_steps"]
         n_b = json.loads((out_b / "events.json").read_text())["stats"]["n_steps"]
         assert n_b < n_a
@@ -212,6 +212,22 @@ class TestSweepCommand:
             0.01, 0.1, 300e-6)
 
 
+    def test_infeasible_rows_are_null_in_json(self, tmp_path):
+        # v0 tau <= 2 x0 has no design: its values are NaN, which strict
+        # JSON cannot hold
+        cfg = _write(tmp_path, "job.json", {
+            "v0_min_m_per_s": 0.001, "v0_max_m_per_s": 0.01, "n_points": 3,
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "sweep.json").read_text(),
+                          parse_constant=pytest.fail)["rows"]
+        assert [r["feasible"] for r in rows] == [False, False, True]
+        assert rows[0]["dz_triangular_m"] is None
+        assert rows[2]["dz_triangular_m"] > 0.0
+
+
 class TestValidateCommand:
     def test_default_overlay_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -224,7 +240,7 @@ class TestValidateCommand:
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("sweep", ["--tolerance", "-5"]),   # sweep integrates nothing
+    ("sweep", ["--tolerance", "-5"]),   # rtol is a config field
     ("simulate", ["--format", "json"]),  # simulate always writes CSV
 ], ids=["sweep_tolerance", "simulate_format"])
 def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
@@ -246,10 +262,17 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     ("design", {**DESIGN_CFG, "chi_m_m3_per_kg": -1e-320}, "chi_m"),
     ("design", {**DESIGN_CFG, "tau_s": 1e50}, "by pi"),
     ("simulate", {**SIM_CFG, "guard_radius_um": 1e-80}, "guard_radius"),
+    ("design", {**DESIGN_CFG, "scheme": "circular"}, "scheme"),
+    # a speed whose kinetic energy overflows, and one that leaves k exactly 1;
+    # both used to exit 0, the first writing a NaN energy drift
+    ("simulate", {**SIM_CFG, "initial": {**SIM_CFG["initial"],
+                                         "vx_m_per_s": 1e200}}, "vx = 1e+200"),
+    ("validate", {"v0_m_per_s": 1e200}, "v0 = 1e+200"),
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
         "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min",
         "validate_k_underflow", "design_alpha_underflow", "design_half_turn",
-        "simulate_guard_below_floor"])
+        "simulate_guard_below_floor", "design_unknown_scheme",
+        "simulate_kinetic_overflow", "validate_k_exactly_one"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
                                        field):
     cfg = _write(tmp_path, "job.json", cfg_data)

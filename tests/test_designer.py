@@ -17,8 +17,6 @@ from wiresplit import (
     Wire,
     closest_approach,
     closure_error,
-    design_inverse,
-    design_triangular,
     mirror_trajectory,
     triangular_max_size,
 )
@@ -210,9 +208,6 @@ class TestSpecValidation:
     def test_scheme_names(self, paper_inputs):
         with pytest.raises(ValueError):
             DesignSpec(scheme="circular", inputs=paper_inputs)
-        spec = DesignSpec(scheme="inverse", inputs=paper_inputs)
-        with pytest.raises(ValueError):
-            design_triangular(spec)
 
     def test_closure_tolerance_finer_than_split(self, paper_inputs):
         with pytest.raises(ValueError):
@@ -221,10 +216,10 @@ class TestSpecValidation:
 
     def test_infeasible_flight_time(self):
         inputs = ScatteringInputs(v0=V0, b=B, x0=X0, tau=2.0 * X0 / V0)
-        with pytest.raises(InfeasibleDesignError):
-            design_triangular(DesignSpec(scheme="triangular", inputs=inputs))
-        with pytest.raises(InfeasibleDesignError):
-            design_inverse(DesignSpec(scheme="inverse", inputs=inputs))
+        for scheme in ("triangular", "inverse"):
+            with pytest.raises(InfeasibleDesignError):
+                designer.design_trajectories(
+                    DesignSpec(scheme=scheme, inputs=inputs))
 
     def test_budget_exhaustion_reports_best_iterate(self, paper_inputs):
         # a hundredth of 1e-15 m lies far below the integrator's noise
@@ -232,7 +227,7 @@ class TestSpecValidation:
         spec = DesignSpec(scheme="triangular", inputs=paper_inputs,
                           closure_tolerance=1e-15, shoot_max_iterations=8)
         with pytest.raises(DesignFailure) as exc:
-            design_triangular(spec)
+            designer.design_trajectories(spec)
         assert exc.value.best_current is not None
 
 

@@ -1,0 +1,13 @@
+"""README's library quick start runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
