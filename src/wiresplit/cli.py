@@ -233,11 +233,9 @@ def _cmd_simulate(args) -> int:
         w = _take(wcfg, _WIRE_SCHEMA, f"wires[{i}]")
         wires.append(Wire(w["x_um"], w["z_um"], w["current_a"]))
     icfg = _take(params["initial"], _INITIAL_SCHEMA, "initial")
-    initial = PacketState(
-        x=icfg["x_um"], z=icfg["z_um"],
-        vx=icfg["vx_m_per_s"], vz=icfg["vz_m_per_s"],
-        t=icfg.get("t_s", 0.0),
-    )
+    initial = PacketState(**_library_args(icfg, {
+        "x_um": "x", "z_um": "z", "vx_m_per_s": "vx", "vz_m_per_s": "vz",
+        "t_s": "t"}))
     medium = _medium_from(params)
     control = _control_from(params)
 
