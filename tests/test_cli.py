@@ -211,7 +211,6 @@ class TestSweepCommand:
         assert rows[0]["dz_triangular_m"] == triangular_max_size(
             0.01, 0.1, 300e-6)
 
-
     def test_infeasible_rows_are_null_in_json(self, tmp_path):
         # v0 tau <= 2 x0 has no design: its values are NaN, which strict
         # JSON cannot hold
