@@ -24,6 +24,7 @@ from .designer import (
     DesignFailure,
     DesignSpec,
     closure_error,
+    design_trajectories,
 )
 from .field import GUARD_RADIUS, WireSingularityError, b_field
 from .integrator import (
@@ -80,6 +81,7 @@ __all__ = [
     "closure_error",
     "current_density",
     "default_medium",
+    "design_trajectories",
     "field_magnitude_at",
     "inverse_current_ratio",
     "inverse_max_size",

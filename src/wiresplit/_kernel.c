@@ -18,6 +18,11 @@
  * r2 > guard_radius^2 * 1e-6; the caller keeps guard_radius >= 1e-70 m
  * (StepControl), so that product never rounds to 0.
  *
+ * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
+ * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u. The
+ * potential u is evaluated only in the kernels: by deriv() at the FSAL stage,
+ * and by potential() at the launch and at a closure-truncated end.
+ *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
  */
@@ -51,32 +56,54 @@ static const double TAB[7][7] = {
 
 typedef struct {
     Py_ssize_t n;
-    const double *powered;  /* (x, z, alpha I^2) of each wire with I != 0 */
+    /* (x, z, alpha I^2, 0.5 alpha I^2) of each wire with I != 0; the last is
+     * the potential's numerator u r^2 */
+    const double *powered;
     double tiny_r2;
     long n_rhs;
 } Field;
 
-/* k = f(y): velocity, then the superposed repulsion at (x, z) */
-static void deriv(Field *f, const double *y, double *k)
+/* k = f(y): velocity, then the superposed repulsion at (x, z); with u, also
+ * the potential there (NaN where the force is) */
+static void deriv(Field *f, const double *y, double *k, double *u)
 {
-    double ax = 0.0, az = 0.0;
+    double ax = 0.0, az = 0.0, pot = 0.0;
     f->n_rhs++;
     k[0] = y[2];
     k[1] = y[3];
     for (Py_ssize_t i = 0; i < f->n; i++) {
-        const double *w = f->powered + 3 * i;
+        const double *w = f->powered + 4 * i;
         double dx = y[0] - w[0], dz = y[1] - w[1];
         double r2 = dx * dx + dz * dz;
         if (r2 <= f->tiny_r2) {
             k[2] = k[3] = NAN;
+            if (u)
+                *u = NAN;
             return;
         }
         double c = w[2] / (r2 * r2);
         ax += c * dx;
         az += c * dz;
+        if (u)
+            pot += w[3] / r2;
     }
     k[2] = ax;
     k[3] = az;
+    if (u)
+        *u = pot;
+}
+
+/* the potential at (x, z) of y, for the launch and a closure-truncated end;
+ * r2 = 0 divides as IEEE does */
+static double potential(const Field *f, const double *y)
+{
+    double u = 0.0;
+    for (Py_ssize_t i = 0; i < f->n; i++) {
+        const double *w = f->powered + 4 * i;
+        double dx = y[0] - w[0], dz = y[1] - w[1];
+        u += w[3] / (dx * dx + dz * dz);
+    }
+    return u;
 }
 
 /* out = y + h * (sum_j a_j k_j), the sum left to right over nonzero a_j;
@@ -240,7 +267,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* per wire: periapsis distance, then its state (t, x, z, vx, vz) */
     peri = PyMem_Malloc(6 * n * sizeof(double));
-    powered = PyMem_Malloc(3 * n * sizeof(double));
+    powered = PyMem_Malloc(4 * n * sizeof(double));
     if (peri == NULL || powered == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -249,10 +276,11 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t n_powered = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         if (wi[i] != 0.0) {
-            double *w = powered + 3 * n_powered++;
+            double *w = powered + 4 * n_powered++;
             w[0] = wx[i];
             w[1] = wz[i];
             w[2] = alpha * wi[i] * wi[i];
+            w[3] = 0.5 * alpha * wi[i] * wi[i];
         }
     }
 
@@ -271,6 +299,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (push(&samples, t, y) < 0)
         goto done;
+    /* the launch row's energy, and the largest |E - E0| over the rows so far
+     * (NaN once any is NaN) */
+    double e0 = 0.5 * (y[2] * y[2] + y[3] * y[3]) + potential(&f, y);
+    double drift = fabs(e0 - e0), u7 = 0.0;
 
     int status = STATUS_OK;
     Py_ssize_t fail_wire = -1;
@@ -280,7 +312,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
     /* initial step size (Hairer-style heuristic); a component whose scale
      * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
-    deriv(&f, y, k[0]);
+    deriv(&f, y, k[0], NULL);
     for (int c = 0; c < 4; c++) {
         sc[c] = atol + rtol * fabs(y[c]);
         q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
@@ -294,7 +326,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         h0 = duration;
     for (int c = 0; c < 4; c++)
         ys[c] = y[c] + h0 * k[0][c];
-    deriv(&f, ys, k[1]);
+    deriv(&f, ys, k[1], NULL);
     for (int c = 0; c < 4; c++)
         q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
     double d2 = rms4(q) / h0;
@@ -334,10 +366,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
          * the error estimate */
         for (int s = 1; s < 6; s++) {
             combine(ys, y, h, TAB[s - 1], s, k);
-            deriv(&f, ys, k[s]);
+            deriv(&f, ys, k[s], NULL);
         }
         combine(yn, y, h, TAB[5], 6, k);
-        deriv(&f, yn, k[6]);
+        deriv(&f, yn, k[6], &u7);
         combine(err, NULL, h, TAB[6], 7, k);
 
         /* over a zero scale: 0/0 counts 0, any other error is err/0.0 under
@@ -436,6 +468,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         if (push(&samples, t_end, ye) < 0)
             goto done;
+        double u_end = truncated ? potential(&f, ye) : u7;
+        double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + u_end - e0);
+        if (d > drift || d != d)
+            drift = d;
         n_steps++;
         if (h < min_step)
             min_step = h;
@@ -474,13 +510,14 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d}",
+        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d}",
         "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
         "samples", float_list(samples.v, (Py_ssize_t)samples.len),
         "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
         "periapsis_state", peri_state,
         "closure", clo, "n_steps", n_steps, "n_rejected", n_rejected,
-        "n_rhs", f.n_rhs, "min_step", min_step);
+        "n_rhs", f.n_rhs, "min_step", min_step,
+        "energy_drift", drift / (e0 != 0.0 ? fabs(e0) : 1.0));
 
 done:
     PyMem_Free(wx);

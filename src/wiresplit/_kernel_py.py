@@ -28,14 +28,21 @@ d2 = rms/h0 is inf (NaN for rms = 0), the first step
 min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
 The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
 stays positive because ``StepControl`` keeps guard_radius at or above
-1e-70 m.
+1e-70 m. The potential at the launch and at a closure-truncated end
+divides by r2 unguarded, and r2 = 0 gives u r^2 / 0 as IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
 so each deflection is a clean single-wire scattering. Its potential,
-u = sum_i alpha I_i^2 / (2 r_i^2), is what ``integrator.simulate``'s energy
-drift conserves. The inter-wire cross terms of the full field energy
-alpha/2 |S|^2 (``wiresplit.field``) are left out, as the designs assume.
+u = sum_i alpha I_i^2 / (2 r_i^2), is evaluated only in the kernels. The
+returned ``energy_drift`` is max |E - E0| over the sample rows, divided by
+|E0| (by 1 when E0 = 0), of the specific energy E = 0.5 (vx^2 + vz^2) + u;
+u adds ``((0.5 * alpha) * I) * I / r2`` per powered wire in wire order from
+0.0, and a NaN E makes the drift NaN. The FSAL stage at a step's end
+evaluates u alongside the force; the launch row and a closure-truncated row
+evaluate it on their own. The inter-wire cross terms of the full field
+energy alpha/2 |S|^2 (``wiresplit.field``) are left out, as the designs
+assume.
 """
 
 import math
@@ -118,14 +125,15 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
     n_rhs = 0
 
-    # (x, z, alpha I^2) of each wire that carries current, in wire order
-    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i])
+    # (x, z, alpha I^2, 0.5 alpha I^2) of each wire that carries current, in
+    # wire order; the last is the potential's numerator u r^2
+    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i], 0.5 * alpha * wi[i] * wi[i])
                     for i in range(n) if wi[i] != 0.0)
 
     def accel(px, pz):
         ax = 0.0
         az = 0.0
-        for xw, zw, k in powered:
+        for xw, zw, k, _ in powered:
             dx = px - xw
             dz = pz - zw
             r2 = dx * dx + dz * dz
@@ -135,6 +143,33 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             ax += c * dx
             az += c * dz
         return (ax, az)
+
+    def accel_u(px, pz):
+        """accel() and the potential u, for the FSAL stage at the step's end"""
+        ax = 0.0
+        az = 0.0
+        u = 0.0
+        for xw, zw, k, uk in powered:
+            dx = px - xw
+            dz = pz - zw
+            r2 = dx * dx + dz * dz
+            if r2 <= tiny_r2:
+                return (_NAN, _NAN, _NAN)
+            c = k / (r2 * r2)
+            ax += c * dx
+            az += c * dz
+            u += uk / r2
+        return (ax, az, u)
+
+    def potential(px, pz):
+        """u at the launch and at a closure-truncated end; uk/0 is IEEE's"""
+        u = 0.0
+        for xw, zw, _, uk in powered:
+            dx = px - xw
+            dz = pz - zw
+            r2 = dx * dx + dz * dz
+            u += uk / r2 if r2 != 0.0 else uk * _INF
+        return u
 
     t = float(t0)
     t_bound = t0 + duration
@@ -157,6 +192,10 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
     # rows (t, x, z, vx, vz), one per sample
     samples = [t, x, z, vx, vz]
+    # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
+    # largest |E - E0| over the rows so far (NaN once any is NaN)
+    e0 = 0.5 * (vx * vx + vz * vz) + potential(x, z)
+    drift = abs(e0 - e0)
 
     status = STATUS_OK
     fail_wire = -1
@@ -269,7 +308,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
         k7x = vx_new
         k7z = vz_new
-        k7vx, k7vz = accel(x_new, z_new)
+        k7vx, k7vz, u7 = accel_u(x_new, z_new)
 
         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
@@ -376,6 +415,10 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                 t_fail = t_end
 
         samples += (t_end, x_end, z_end, vx_end, vz_end)
+        u_end = potential(x_end, z_end) if truncated else u7
+        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + u_end - e0)
+        if d > drift or d != d:
+            drift = d
         n_steps += 1
         if h < min_step:
             min_step = h
@@ -423,4 +466,5 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "n_rejected": n_rejected,
         "n_rhs": n_rhs,
         "min_step": min_step,
+        "energy_drift": drift / (abs(e0) if e0 != 0.0 else 1.0),
     }

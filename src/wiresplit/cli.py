@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .designer import (
     DesignFailure,
     DesignSpec,
@@ -248,7 +246,7 @@ def _cmd_simulate(args) -> int:
     (out / "events.json").write_text(
         json.dumps(events, indent=2, allow_nan=False) + "\n")
 
-    print(f"samples:               {len(traj.t)}")
+    print(f"samples:               {len(traj.samples) // 5}")
     print(f"apex |z|:              {abs(traj.events.apex.z) / _UM:.4f} um")
     for p in traj.events.periapsis_per_wire:
         print(f"wire {p.wire_index} closest:        {p.distance / _UM:.6f} um")
@@ -285,6 +283,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(
                 "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
                 f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
+        import numpy as np
+
         grid = np.geomspace(v_min, v_max, params.get("n_points", len(default)))
     elif "n_points" in params:
         grid = default_velocity_grid(**flight, n_points=params["n_points"])

@@ -24,8 +24,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import analytic
 from .field import WireSingularityError, b_field
 from .integrator import (
@@ -384,9 +382,8 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
 
     # the bottom branch is the exact mirror image, so the separation at
     # each sample is twice the top branch's height
-    max_separation = 2.0 * float(np.max(top.states[:, 1]))
-    events = replace(top.events, separation_max=max_separation)
-    top = Trajectory(top.t, top.states, events, top.stats)
+    max_separation = 2.0 * max(top.samples[2::5])
+    top = replace(top, events=replace(top.events, separation_max=max_separation))
     bottom = mirror_trajectory(top)
 
     result = DesignResult(

@@ -3,8 +3,10 @@
 The stepping loop lives in one kernel, picked at import: the compiled
 extension ``wiresplit._kernel`` if it is built, else its pure-Python twin
 ``wiresplit._kernel_py``. Both implement the identical algorithm and return
-bitwise-identical results. ``simulate`` wraps the kernel into domain types
-and computes the energy-drift statistic.
+bitwise-identical results, the energy-drift statistic included: the
+repulsion potential is evaluated only in the kernels. ``simulate`` wraps
+the kernel's output into domain types. numpy is imported only when a
+trajectory's ``t`` or ``states`` array is first read.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import cached_property
 
 from . import _kernel_py
 from .field import GUARD_RADIUS, WireSingularityError
@@ -106,30 +107,37 @@ class TrajectoryStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of one packet plus its event log."""
+    """Time-ordered samples of one packet plus its event log.
 
-    t: np.ndarray       # (n,)
-    states: np.ndarray  # (n, 4): x, z, vx, vz
+    ``samples`` is the kernel's flat list of rows (t, x, z, vx, vz), as it
+    returned them. ``t`` (n,) and ``states`` (n, 4: x, z, vx, vz) are
+    read-only views of one numpy array built from it on first access.
+    """
+
+    samples: list
     events: EventLog
     stats: TrajectoryStats
 
+    @cached_property
+    def _rows(self):
+        import numpy as np
+
+        rows = np.array(self.samples, dtype=float).reshape(-1, 5)
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def t(self):
+        return self._rows[:, 0]
+
+    @property
+    def states(self):
+        return self._rows[:, 1:]
+
     @property
     def final(self) -> PacketState:
-        r = self.states[-1]
-        return PacketState(x=r[0], z=r[1], vx=r[2], vz=r[3], t=self.t[-1])
-
-
-def _specific_energy(states: np.ndarray, wires, medium: Medium) -> np.ndarray:
-    """Kinetic plus trajectory-model potential per unit mass, per sample."""
-    u = np.zeros(len(states))
-    for w in wires:
-        if w.current == 0.0:
-            continue
-        dx = states[:, 0] - w.x
-        dz = states[:, 1] - w.z
-        r2 = dx * dx + dz * dz
-        u += 0.5 * medium.alpha * w.current * w.current / r2
-    return 0.5 * (states[:, 2] ** 2 + states[:, 3] ** 2) + u
+        t, x, z, vx, vz = self.samples[-5:]
+        return PacketState(x=x, z=z, vx=vx, vz=vz, t=t)
 
 
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
@@ -189,15 +197,6 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
             f"step budget ({control.max_steps}) exhausted at t = {raw['t_fail']:.9e} s"
         )
 
-    rows = np.array(raw["samples"], dtype=float).reshape(-1, 5)
-    t = rows[:, 0]
-    states = rows[:, 1:]
-
-    energy = _specific_energy(states, wires, medium)
-    e0 = energy[0]
-    scale = abs(e0) if e0 != 0.0 else 1.0
-    drift = float(np.max(np.abs(energy - e0)) / scale)
-
     def as_state(tup):
         return PacketState(t=tup[0], x=tup[1], z=tup[2], vx=tup[3], vz=tup[4])
 
@@ -215,16 +214,16 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         n_rejected=raw["n_rejected"],
         n_rhs_evals=raw["n_rhs"],
         min_step=raw["min_step"],
-        energy_drift=drift,
+        energy_drift=raw["energy_drift"],
     )
-    return Trajectory(t=t, states=states, events=events, stats=stats)
+    return Trajectory(samples=raw["samples"], events=events, stats=stats)
 
 
 def mirror_trajectory(traj: Trajectory) -> Trajectory:
     """The z -> -z mirror image (exact for a z-symmetric wire array)."""
-    states = traj.states.copy()
-    states[:, 1] *= -1.0
-    states[:, 3] *= -1.0
+    samples = list(traj.samples)
+    samples[2::5] = [-v for v in samples[2::5]]
+    samples[4::5] = [-v for v in samples[4::5]]
 
     def flip(s: PacketState) -> PacketState:
         return replace(s, z=-s.z, vz=-s.vz)
@@ -239,7 +238,7 @@ def mirror_trajectory(traj: Trajectory) -> Trajectory:
         closure=flip(ev.closure) if ev.closure is not None else None,
         separation_max=ev.separation_max,
     )
-    return Trajectory(t=traj.t.copy(), states=states, events=events, stats=traj.stats)
+    return Trajectory(samples=samples, events=events, stats=traj.stats)
 
 
 TRAJECTORY_CSV_COLUMNS = ("t_s", "x_m", "z_m", "vx_m_per_s", "vz_m_per_s")
@@ -250,8 +249,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
-        for ti, row in zip(traj.t, traj.states):
-            writer.writerow([f"{v:.12e}" for v in (ti, row[0], row[1], row[2], row[3])])
+        s = traj.samples
+        for i in range(0, len(s), 5):
+            writer.writerow([f"{v:.12e}" for v in s[i:i + 5]])
 
 
 def _state_dict(s: PacketState | None):

@@ -7,12 +7,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import analytic
 from .integrator import DEFAULT_CONTROL, StepControl, simulate
 from .model import Medium, PacketState, Wire, _require_positive, default_medium
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SWEEP_COLUMNS = (
     "v0_m_per_s",
@@ -72,6 +74,8 @@ class SweepTable:
 def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
                           n_points: int = 50) -> np.ndarray:
     """Logarithmic grid from just above the feasibility bound up to 2 m/s."""
+    import numpy as np
+
     _require_positive("x0", x0)
     _require_positive("tau", tau)
     v_min = 1.05 * 2.0 * x0 / tau
@@ -81,6 +85,8 @@ def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
                    tau: float = 0.1, medium: Medium | None = None) -> SweepTable:
     """Closed-form separations and current densities across launch speeds."""
+    import numpy as np
+
     for name, value in (("b", b), ("x0", x0), ("tau", tau)):
         _require_positive(name, value)
     medium = medium if medium is not None else default_medium()
@@ -159,6 +165,8 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     that holds no sample of some run raises ``ValueError``: a deviation over
     no samples would read as a perfect overlay.
     """
+    import numpy as np
+
     b_values = tuple(b_values)
     for i, b in enumerate(b_values):
         _require_positive(f"b_values[{i}]", b)

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from wiresplit import ScatteringInputs, default_medium, integrator
-from wiresplit.designer import DesignSpec, design_trajectories
+from wiresplit import (
+    DesignSpec,
+    ScatteringInputs,
+    default_medium,
+    design_trajectories,
+    integrator,
+)
 
 KERNEL_SOURCE = Path(integrator.__file__).with_name("_kernel.c")
 SETUP_PY = Path(__file__).resolve().parents[1] / "setup.py"

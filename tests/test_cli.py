@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wiresplit
 from wiresplit import stiffness_k
 from wiresplit.cli import main
 from wiresplit.integrator import TRAJECTORY_CSV_COLUMNS
@@ -307,3 +311,40 @@ def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(field) in err
     assert not out.exists()
+
+
+# prints to stderr the top-level names of the numpy and scipy modules loaded
+# after ``import wiresplit``, then after each ``cli.main`` job of argv
+# (command, config, out)
+_COLD_PROCESS = """
+import sys
+
+def heavy():
+    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})
+
+import wiresplit
+print(heavy(), file=sys.stderr)
+from wiresplit import cli
+jobs = sys.argv[1:]
+for command, config, out in zip(jobs[::3], jobs[1::3], jobs[2::3]):
+    assert cli.main([command, '--config', config, '--out', out]) == 0
+    print(heavy(), file=sys.stderr)
+"""
+
+
+def test_cold_paths_load_no_numpy_or_scipy(tmp_path):
+    # numpy is imported only where arrays are built (Trajectory.t and
+    # .states, sweep, validate); a design or simulate process never does
+    argv = []
+    for command, name, payload in (
+            ("design", "triangular", DESIGN_CFG),
+            ("design", "inverse", {**DESIGN_CFG, "scheme": "inverse"}),
+            ("simulate", "simulate", SIM_CFG)):
+        argv += [command, _write(tmp_path, f"{name}.json", payload),
+                 str(tmp_path / name)]
+    src = os.path.dirname(os.path.dirname(wiresplit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    err = subprocess.run([sys.executable, "-c", _COLD_PROCESS, *argv],
+                         env=env, check=True, capture_output=True,
+                         text=True).stderr
+    assert err.splitlines() == ["[]"] * 4

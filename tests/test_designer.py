@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +17,6 @@ from wiresplit import (
     mirror_trajectory,
     triangular_max_size,
 )
-import wiresplit
 from wiresplit import designer, integrator
 from wiresplit.cli import main
 from wiresplit.designer import (
@@ -405,13 +401,3 @@ def test_brentq_matches_scipy(a, b, xtol):
                        maxiter=100)
         assert [x.hex() for x in seqs[1]] == [x.hex() for x in seqs[0]]
         assert root.hex() == ref.hex()
-
-
-def test_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(wiresplit.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, wiresplit; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"

@@ -137,9 +137,50 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     fast = compiled_kernel.integrate(*args)
     slow = _kernel_py.integrate(*args)
     assert slow["status"] == status
+    assert isinstance(slow["energy_drift"], float)
     if case == "stop_at_closure":
         assert slow["closure"] is not None and slow["samples"][-5] < 0.02
     assert _bits(fast) == _bits(slow)
+
+
+def _reference_energy_drift(traj, wires, medium):
+    """The energy drift as ``simulate`` once computed it from the samples,
+    with numpy: the kernels must return it bitwise."""
+    states = traj.states
+    u = np.zeros(len(states))
+    for w in wires:
+        if w.current == 0.0:
+            continue
+        dx = states[:, 0] - w.x
+        dz = states[:, 1] - w.z
+        r2 = dx * dx + dz * dz
+        u += 0.5 * medium.alpha * w.current * w.current / r2
+    energy = 0.5 * (states[:, 2] ** 2 + states[:, 3] ** 2) + u
+    e0 = energy[0]
+    scale = abs(e0) if e0 != 0.0 else 1.0
+    return float(np.max(np.abs(energy - e0)) / scale)
+
+
+@pytest.mark.parametrize("case", ["triangular_design", "inverse_design",
+                                  "dead_wire", "five_wire", "pure_relative"])
+def test_energy_drift_matches_numpy_reference(request, medium, case):
+    if case.endswith("_design"):
+        # a reference design's top branch, truncated at its closure
+        result, traj, _ = request.getfixturevalue(case)
+        wires = result.wires
+        assert traj.final == traj.events.closure
+    else:
+        initial, wires = _fig_scenario()
+        control = PURE_RELATIVE if case == "pure_relative" else StepControl()
+        if case == "dead_wire":
+            wires += (Wire(-150e-6, 20e-6, 0.0),)
+        elif case == "five_wire":
+            wires += (Wire(-150e-6, 316.5e-6, 1.57), Wire(-150e-6, -316.5e-6, 1.57),
+                      Wire(100e-6, 60e-6, 0.616467), Wire(50e-6, -40e-6, 0.7))
+        traj = simulate(initial, wires, medium, 0.06, control)
+    drift = traj.stats.energy_drift
+    assert 0.0 < drift < 1e-8
+    assert drift.hex() == _reference_energy_drift(traj, wires, medium).hex()
 
 
 def test_pure_relative_control_with_zero_vz(medium):
@@ -181,6 +222,18 @@ def test_first_sample_is_initial_state(medium):
     assert traj.t[0] == initial.t
     assert tuple(traj.states[0]) == (initial.x, initial.z, initial.vx, initial.vz)
     assert np.all(np.diff(traj.t) > 0.0)
+
+
+def test_trajectory_arrays_are_read_only(medium):
+    # t and states are views of the samples the CSV writer and
+    # mirror_trajectory read; a write must not make them disagree
+    initial, wires = _fig_scenario()
+    traj = simulate(initial, wires, medium, 0.01)
+    for array in (traj.t, traj.states):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert traj.samples[:5] == [initial.t, initial.x, initial.z, initial.vx,
+                                initial.vz]
 
 
 def test_headon_reflection_and_closure_event(medium):
