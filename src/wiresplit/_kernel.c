@@ -20,8 +20,9 @@
  *
  * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
  * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u. The
- * potential u is evaluated only in the kernels: by deriv() at the FSAL stage,
- * and by potential() at the launch and at a closure-truncated end.
+ * potential u is evaluated only in the kernels; here potential() evaluates it
+ * at each row. The twin adds it up in its FSAL force loop instead, from the
+ * same r2 (an accepted step never has a wire within the force's cut-off).
  *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
@@ -63,11 +64,10 @@ typedef struct {
     long n_rhs;
 } Field;
 
-/* k = f(y): velocity, then the superposed repulsion at (x, z); with u, also
- * the potential there (NaN where the force is) */
-static void deriv(Field *f, const double *y, double *k, double *u)
+/* k = f(y): velocity, then the superposed repulsion at (x, z) */
+static void deriv(Field *f, const double *y, double *k)
 {
-    double ax = 0.0, az = 0.0, pot = 0.0;
+    double ax = 0.0, az = 0.0;
     f->n_rhs++;
     k[0] = y[2];
     k[1] = y[3];
@@ -77,24 +77,18 @@ static void deriv(Field *f, const double *y, double *k, double *u)
         double r2 = dx * dx + dz * dz;
         if (r2 <= f->tiny_r2) {
             k[2] = k[3] = NAN;
-            if (u)
-                *u = NAN;
             return;
         }
         double c = w[2] / (r2 * r2);
         ax += c * dx;
         az += c * dz;
-        if (u)
-            pot += w[3] / r2;
     }
     k[2] = ax;
     k[3] = az;
-    if (u)
-        *u = pot;
 }
 
-/* the potential at (x, z) of y, for the launch and a closure-truncated end;
- * r2 = 0 divides as IEEE does */
+/* the potential at (x, z) of y, for each sample row; r2 = 0 divides as IEEE
+ * does */
 static double potential(const Field *f, const double *y)
 {
     double u = 0.0;
@@ -302,7 +296,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
     double e0 = 0.5 * (y[2] * y[2] + y[3] * y[3]) + potential(&f, y);
-    double drift = fabs(e0 - e0), u7 = 0.0;
+    double drift = fabs(e0 - e0);
 
     int status = STATUS_OK;
     Py_ssize_t fail_wire = -1;
@@ -312,7 +306,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
     /* initial step size (Hairer-style heuristic); a component whose scale
      * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
-    deriv(&f, y, k[0], NULL);
+    deriv(&f, y, k[0]);
     for (int c = 0; c < 4; c++) {
         sc[c] = atol + rtol * fabs(y[c]);
         q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
@@ -326,7 +320,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         h0 = duration;
     for (int c = 0; c < 4; c++)
         ys[c] = y[c] + h0 * k[0][c];
-    deriv(&f, ys, k[1], NULL);
+    deriv(&f, ys, k[1]);
     for (int c = 0; c < 4; c++)
         q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
     double d2 = rms4(q) / h0;
@@ -366,10 +360,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
          * the error estimate */
         for (int s = 1; s < 6; s++) {
             combine(ys, y, h, TAB[s - 1], s, k);
-            deriv(&f, ys, k[s], NULL);
+            deriv(&f, ys, k[s]);
         }
         combine(yn, y, h, TAB[5], 6, k);
-        deriv(&f, yn, k[6], &u7);
+        deriv(&f, yn, k[6]);
         combine(err, NULL, h, TAB[6], 7, k);
 
         /* over a zero scale: 0/0 counts 0, any other error is err/0.0 under
@@ -468,8 +462,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         if (push(&samples, t_end, ye) < 0)
             goto done;
-        double u_end = truncated ? potential(&f, ye) : u7;
-        double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + u_end - e0);
+        double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + potential(&f, ye) - e0);
         if (d > drift || d != d)
             drift = d;
         n_steps++;
