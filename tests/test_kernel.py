@@ -225,8 +225,8 @@ def test_first_sample_is_initial_state(medium):
 
 
 def test_trajectory_arrays_are_read_only(medium):
-    # t and states are views of the samples the CSV writer and
-    # mirror_trajectory read; a write must not make them disagree
+    # t and states are built from samples, which the CSV writer and
+    # mirror_trajectory read; a write to them must not go unnoticed
     initial, wires = _fig_scenario()
     traj = simulate(initial, wires, medium, 0.01)
     for array in (traj.t, traj.states):
