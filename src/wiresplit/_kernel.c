@@ -19,10 +19,8 @@
  * (StepControl), so that product never rounds to 0.
  *
  * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
- * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u. The
- * potential u is evaluated only in the kernels; here potential() evaluates it
- * at each row. The twin adds it up in its FSAL force loop instead, from the
- * same r2 (an accepted step never has a wire within the force's cut-off).
+ * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u, with the
+ * potential u evaluated at each row by potential().
  *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
@@ -54,6 +52,7 @@ static const double TAB[7][7] = {
 #define MIN_FACTOR 0.2
 #define MAX_FACTOR 5.0
 #define EPS 2.220446049250313e-16
+#define EVENT_DT 1e-12 /* event bisection resolution, s */
 
 typedef struct {
     Py_ssize_t n;
@@ -145,15 +144,14 @@ static double g_periapsis(const double *y, const double *p)
     return -((y[0] - p[0]) * y[2] + (y[1] - p[1]) * y[3]);
 }
 
-/* At most 80 halvings of [*lo, *hi] = [0, *hi], *lo = mid exactly when
- * (g(dense(mid)) > 0) == side; !(width <= event_dt) bisects a NaN event_dt
- * the full 80 times, as the twin does. */
+/* At most 80 halvings of [*lo, *hi] = [0, *hi] down to EVENT_DT seconds,
+ * *lo = mid exactly when (g(dense(mid)) > 0) == side */
 static void bisect(EventFn g, const double *p, int side, const Step *s,
-                   double event_dt, double *lo, double *hi)
+                   double *lo, double *hi)
 {
     double yd[4];
     *lo = 0.0;
-    for (int it = 0; it < 80 && !((*hi - *lo) * s->h <= event_dt); it++) {
+    for (int it = 0; it < 80 && (*hi - *lo) * s->h > EVENT_DT; it++) {
         double mid = 0.5 * (*lo + *hi);
         dense(yd, mid, s);
         if ((g(yd, p) > 0.0) == side)
@@ -236,16 +234,15 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         "x0", "z0", "vx0", "vz0", "t0", "duration",
         "wires_x", "wires_z", "wires_current", "alpha",
         "rtol", "atol", "guard_radius", "max_steps",
-        "stop_at_closure", "event_dt", NULL};
+        "stop_at_closure", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
-    double max_steps, event_dt;
+    double max_steps;
     int stop_at_closure;
     PyObject *seq_x, *seq_z, *seq_i;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddOOOdddddpd:integrate", kwlist,
+            args, kwargs, "ddddddOOOdddddp:integrate", kwlist,
             &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
-            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_at_closure,
-            &event_dt))
+            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_at_closure))
         return NULL;
 
     PyObject *result = NULL;
@@ -398,7 +395,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         /* closure: first crossing of the launch plane x = x0 moving in -x */
         if (!have_closure && y[0] - x0 > 0.0 && ye[0] - x0 <= 0.0) {
             hi = 1.0;
-            bisect(g_closure, &x0, 1, &st, event_dt, &lo, &hi);
+            bisect(g_closure, &x0, 1, &st, &lo, &hi);
             dense(yd, hi, &st);
             if (yd[2] < 0.0) {
                 have_closure = 1;
@@ -415,7 +412,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         /* apex: interior extremum of z (vz sign change) */
         if (y[3] * ye[3] < 0.0) {
             hi = theta_end;
-            bisect(g_apex, NULL, y[3] > 0.0, &st, event_dt, &lo, &hi);
+            bisect(g_apex, NULL, y[3] > 0.0, &st, &lo, &hi);
             th = 0.5 * (lo + hi);
             dense(yd, th, &st);
             if (fabs(yd[1]) > best_apex_absz) {
@@ -433,7 +430,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             if (g0 < 0.0 && g1 >= 0.0) {
                 double wire[2] = {wx[i], wz[i]};
                 hi = theta_end;
-                bisect(g_periapsis, wire, 1, &st, event_dt, &lo, &hi);
+                bisect(g_periapsis, wire, 1, &st, &lo, &hi);
                 th = 0.5 * (lo + hi);
                 dense(yd, th, &st);
                 double dxp = yd[0] - wx[i], dzp = yd[1] - wz[i];

@@ -10,10 +10,10 @@ measured cost against the extension.
 The returned ``samples`` is one flat list of rows (t, x, z, vx, vz): the
 launch, then each accepted step. One ``_bisect`` refines every event: at
 most 80 halvings of the step fraction [lo, hi] = [0, hi] down to
-``event_dt`` seconds (all 80 for a NaN ``event_dt``), with lo = mid exactly
-when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0,
-the apex g = vz with side ``vz > 0.0`` at the step's start, a periapsis
-g = -((x - xw) vx + (z - zw) vz); else side is true.
+``EVENT_DT`` seconds, with lo = mid exactly when ``(g(dense(mid)) > 0.0) ==
+side``. The closure has g = x - x0, the apex g = vz with side ``vz > 0.0``
+at the step's start, a periapsis g = -((x - xw) vx + (z - zw) vz); else
+side is true.
 
 Error norms use the scale ``atol + rtol * |value|`` per component. With
 ``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
@@ -28,8 +28,8 @@ d2 = rms/h0 is inf (NaN for rms = 0), the first step
 min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
 The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
 stays positive because ``StepControl`` keeps guard_radius at or above
-1e-70 m. The potential at the launch and at a closure-truncated end
-divides by r2 unguarded, and r2 = 0 gives u r^2 / 0 as IEEE does.
+1e-70 m. The potential divides by r2 unguarded, and r2 = 0 gives u r^2 / 0
+as IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
@@ -37,12 +37,10 @@ so each deflection is a clean single-wire scattering. Its potential,
 u = sum_i alpha I_i^2 / (2 r_i^2), is evaluated only in the kernels. The
 returned ``energy_drift`` is max |E - E0| over the sample rows, divided by
 |E0| (by 1 when E0 = 0), of the specific energy E = 0.5 (vx^2 + vz^2) + u;
-u adds ``((0.5 * alpha) * I) * I / r2`` per powered wire in wire order from
-0.0, and a NaN E makes the drift NaN. The FSAL stage at a step's end
-evaluates u alongside the force; the launch row and a closure-truncated row
-evaluate it on their own. The inter-wire cross terms of the full field
-energy alpha/2 |S|^2 (``wiresplit.field``) are left out, as the designs
-assume.
+``potential`` adds ``((0.5 * alpha) * I) * I / r2`` per powered wire in
+wire order from 0.0 at each row, and a NaN E makes the drift NaN. The
+inter-wire cross terms of the full field energy alpha/2 |S|^2
+(``wiresplit.field``) are left out, as the designs assume.
 """
 
 import math
@@ -88,12 +86,14 @@ _EPS = 2.220446049250313e-16
 _NAN = float("nan")
 _INF = float("inf")
 
+EVENT_DT = 1e-12  # event bisection resolution, s
 
-def _bisect(dense, g, side, hi, h, event_dt):
+
+def _bisect(dense, g, side, hi, h):
     """The event bracket ``(lo, hi)`` within [0, hi]; see the module docstring."""
     lo = 0.0
     for _ in range(80):
-        if (hi - lo) * h <= event_dt:
+        if (hi - lo) * h <= EVENT_DT:
             break
         mid = 0.5 * (lo + hi)
         if (g(dense(mid)) > 0.0) == side:
@@ -105,14 +105,13 @@ def _bisect(dense, g, side, hi, h, event_dt):
 
 def integrate(x0, z0, vx0, vz0, t0, duration,
               wires_x, wires_z, wires_current, alpha,
-              rtol, atol, guard_radius, max_steps,
-              stop_at_closure, event_dt):
+              rtol, atol, guard_radius, max_steps, stop_at_closure):
     """Integrate one packet through the wire array.
 
     Returns a plain dict (arrays as lists); the integrator module wraps it.
     Events -- apex of |z|, per-wire periapsis, first re-crossing of the
     launch plane moving in -x -- are located by sign-change bracketing on
-    the dense output and refined by bisection to ``event_dt`` seconds.
+    the dense output and refined by bisection to ``EVENT_DT`` seconds.
     """
     n = len(wires_x)
     wx = [float(v) for v in wires_x]
@@ -144,25 +143,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             az += c * dz
         return (ax, az)
 
-    def accel_u(px, pz):
-        """accel() and the potential u, for the FSAL stage at the step's end"""
-        ax = 0.0
-        az = 0.0
-        u = 0.0
-        for xw, zw, k, uk in powered:
-            dx = px - xw
-            dz = pz - zw
-            r2 = dx * dx + dz * dz
-            if r2 <= tiny_r2:
-                return (_NAN, _NAN, _NAN)
-            c = k / (r2 * r2)
-            ax += c * dx
-            az += c * dz
-            u += uk / r2
-        return (ax, az, u)
-
     def potential(px, pz):
-        """u at the launch and at a closure-truncated end; uk/0 is IEEE's"""
+        """u at a sample row; uk/0 is IEEE's"""
         u = 0.0
         for xw, zw, _, uk in powered:
             dx = px - xw
@@ -204,44 +186,28 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     n_rejected = 0
     min_step = duration
 
-    ax, az = accel(x, z)
+    # initial step size (Hairer-style heuristic); a component whose scale
+    # is exactly 0 (atol = 0 and the value 0) counts 0 in the norms d0, d1
+    # and d2
+    y = (x, z, vx, vz)
+    k1 = (vx, vz) + accel(x, z)
     n_rhs += 1
-    k1x = vx
-    k1z = vz
-    k1vx = ax
-    k1vz = az
+    sc = [atol + rtol * abs(v) for v in y]
 
-    # initial step size (Hairer-style heuristic)
-    sc_x = atol + rtol * abs(x)
-    sc_z = atol + rtol * abs(z)
-    sc_vx = atol + rtol * abs(vx)
-    sc_vz = atol + rtol * abs(vz)
-    # a component whose scale is exactly 0 (atol = 0 and the value 0)
-    # contributes 0 to the heuristic's norms d0, d1 and d2
-    q0 = x / sc_x if sc_x != 0.0 else 0.0
-    q1 = z / sc_z if sc_z != 0.0 else 0.0
-    q2 = vx / sc_vx if sc_vx != 0.0 else 0.0
-    q3 = vz / sc_vz if sc_vz != 0.0 else 0.0
-    d0 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-    q0 = k1x / sc_x if sc_x != 0.0 else 0.0
-    q1 = k1z / sc_z if sc_z != 0.0 else 0.0
-    q2 = k1vx / sc_vx if sc_vx != 0.0 else 0.0
-    q3 = k1vz / sc_vz if sc_vz != 0.0 else 0.0
-    d1 = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
+    def rms(v):
+        q = [v[c] / sc[c] if sc[c] != 0.0 else 0.0 for c in range(4)]
+        return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
+
+    d0 = rms(y)
+    d1 = rms(k1)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if h0 > duration:
         h0 = duration
-    ax1, az1 = accel(x + h0 * k1x, z + h0 * k1z)
+    ys = [y[c] + h0 * k1[c] for c in range(4)]
+    k2 = (ys[2], ys[3]) + accel(ys[0], ys[1])
     n_rhs += 1
-    q0 = (vx + h0 * k1vx - k1x) / sc_x if sc_x != 0.0 else 0.0
-    q1 = (vz + h0 * k1vz - k1z) / sc_z if sc_z != 0.0 else 0.0
-    q2 = (ax1 - k1vx) / sc_vx if sc_vx != 0.0 else 0.0
-    q3 = (az1 - k1vz) / sc_vz if sc_vz != 0.0 else 0.0
-    rms = sqrt(0.25 * (q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-    d2 = rms / h0 if h0 != 0.0 else rms * _INF
+    rms2 = rms([k2[c] - k1[c] for c in range(4)])
+    d2 = rms2 / h0 if h0 != 0.0 else rms2 * _INF
     dm = d1 if d1 > d2 else d2
     if dm <= 1e-15:
         h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
@@ -250,6 +216,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     h = min(100.0 * h0, h1, duration)
     if not (h > 0.0) or h != h:
         h = duration * 1e-6
+    k1x, k1z, k1vx, k1vz = k1
 
     while True:
         if t >= t_bound:
@@ -308,7 +275,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
         k7x = vx_new
         k7z = vz_new
-        k7vx, k7vz, u7 = accel_u(x_new, z_new)
+        k7vx, k7vz = accel(x_new, z_new)
 
         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
         err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
@@ -364,7 +331,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
         # closure: first crossing of the launch plane x = x0 moving in -x
         if closure is None and x - x0 > 0.0 and x_end - x0 <= 0.0:
-            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, 1.0, h, event_dt)
+            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, 1.0, h)
             xc, zc, vxc, vzc = dense(hi)
             if vxc < 0.0:
                 closure = (t + hi * h, xc, zc, vxc, vzc)
@@ -375,7 +342,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
         # apex: interior extremum of z (vz sign change)
         if vz * vz_end < 0.0:
-            lo, hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h, event_dt)
+            lo, hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h)
             th = 0.5 * (lo + hi)
             xa, za, vxa, vza = dense(th)
             if abs(za) > best_apex_absz:
@@ -392,7 +359,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             g1 = dx1 * vx_end + dz1 * vz_end
             if g0 < 0.0 and g1 >= 0.0:
                 lo, hi = _bisect(dense, lambda s: -((s[0] - wx[i]) * s[2] + (s[1] - wz[i]) * s[3]),
-                                 True, theta_end, h, event_dt)
+                                 True, theta_end, h)
                 th = 0.5 * (lo + hi)
                 xp, zp, vxp, vzp = dense(th)
                 dxp = xp - wx[i]
@@ -415,8 +382,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                 t_fail = t_end
 
         samples += (t_end, x_end, z_end, vx_end, vz_end)
-        u_end = potential(x_end, z_end) if truncated else u7
-        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + u_end - e0)
+        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + potential(x_end, z_end) - e0)
         if d > drift or d != d:
             drift = d
         n_steps += 1

@@ -146,12 +146,11 @@ def apex_wire_position(x0: float, b: float, v0: float, tau: float):
     return (-x0 / 2.0, b + semi_minor)
 
 
-def field_magnitude_at(distance: float, current: float,
-                       mu0: float = MU0) -> float:
+def field_magnitude_at(distance: float, current: float) -> float:
     """Single-wire field magnitude mu0 |I| / (2 pi r), T. Reporting helper."""
     if distance <= 0.0:
         raise ValueError(f"distance must be positive, got {distance:g}")
-    return mu0 * abs(current) / (2.0 * math.pi * distance)
+    return MU0 * abs(current) / (2.0 * math.pi * distance)
 
 
 def _require_feasible(v0, tau, x0):

@@ -5,8 +5,8 @@ units (``b_um``, ``v0_m_per_s``, ``tau_s``, ...); micrometre fields are
 converted to SI on load so that every number in every output file is SI.
 The human-readable summary on stdout uses micrometres and amperes.
 
-Exit codes: 0 success, 2 invalid config, 3 design failure, 4 integration
-failure.
+Exit codes: 0 success, 2 invalid config or unusable ``--out``, 3 design
+failure, 4 integration failure.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ def _cmd_design(args) -> int:
     result, top, bottom = design_trajectories(spec, medium, control)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "scheme": spec.scheme,
         "config": cfg,
@@ -240,7 +239,6 @@ def _cmd_simulate(args) -> int:
     traj = simulate(initial, wires, medium, params["duration_s"], control)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     events = {"config": cfg, "backend": kernel_backend(), **event_log_dict(traj)}
     (out / "events.json").write_text(
@@ -295,7 +293,6 @@ def _cmd_sweep(args) -> int:
                            **_library_args(params, {"b_um": "b"}))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         (out / "sweep.json").write_text(
             json.dumps({"config": cfg, "rows": table.to_dicts()}, indent=2,
@@ -332,7 +329,6 @@ def _cmd_validate(args) -> int:
             "region_radius_um": "region_radius"}),
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "config": cfg,
         "backend": kernel_backend(),
@@ -370,19 +366,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> list[Path]:
+    """Create the ``--out`` directory and return the directories this made,
+    deepest first; ``ConfigError`` naming ``--out`` if that fails."""
+    out = Path(path)
+    made = []
+    try:
+        made = [p for p in (out, *out.parents) if not p.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _remove_dirs(made)
+        raise ConfigError(
+            f"--out {path} is not a usable output directory: {exc}") from exc
+    return made
+
+
+def _remove_dirs(dirs) -> None:
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made, code = [], 1
     try:
-        return args.handler(args)
+        # before the work, so an unusable --out fails fast
+        made = _make_out_dir(args.out)
+        code = args.handler(args)
     except (ConfigError, InfeasibleDesignError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except DesignFailure as exc:
         print(f"design failure: {exc}", file=sys.stderr)
-        return EXIT_DESIGN
+        code = EXIT_DESIGN
     except (WireSingularityError, StiffnessError) as exc:
         print(f"integration error: {exc}", file=sys.stderr)
-        return EXIT_SINGULARITY
+        code = EXIT_SINGULARITY
+    finally:
+        if code != 0:  # a failed run leaves no output directory behind
+            _remove_dirs(made)
+    return code
 
 
 if __name__ == "__main__":

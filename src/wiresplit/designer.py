@@ -378,13 +378,13 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     densities = [abs(w.current) / (math.pi * d * d)
                  for w, d in zip(wires, min_dists)]
     closest = min(peri[:2], key=lambda p: p.distance)
-    bx, bz = b_field((closest.state.x, closest.state.z), wires, medium.mu0)
+    bx, bz = b_field((closest.state.x, closest.state.z), wires)
 
     # the bottom branch is the exact mirror image, so the separation at
     # each sample is twice the top branch's height
     max_separation = 2.0 * max(top.samples[2::5])
     top = replace(top, events=replace(top.events, separation_max=max_separation))
-    bottom = mirror_trajectory(top)
+    bottom = mirror_trajectory(top, wires)
 
     result = DesignResult(
         wires=wires,
@@ -406,11 +406,7 @@ def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
     medium = medium if medium is not None else default_medium()
     v0, b, x0, tau = (spec.inputs.v0, spec.inputs.b,
                       spec.inputs.x0, spec.inputs.tau)
-    if v0 * tau <= 2.0 * x0:
-        raise InfeasibleDesignError(
-            f"flight too short: v0*tau = {v0 * tau:g} m must exceed "
-            f"2*x0 = {2.0 * x0:g} m"
-        )
+    analytic._require_feasible(v0, tau, x0)
     if spec.scheme == "triangular":
         ratio = analytic.triangular_current_ratio(v0, tau, x0, medium)
         deflector = triangular_deflector_position(x0, b, v0, tau)

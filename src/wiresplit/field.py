@@ -23,8 +23,9 @@ from .model import MU0
 GUARD_RADIUS = 1.0e-9
 """Default exclusion radius around each wire, m.
 
-Field queries closer than this raise :class:`WireSingularityError` instead
-of returning values from the 1/r pole.
+:func:`b_field` queries closer than this raise :class:`WireSingularityError`
+instead of returning values from the 1/r pole; ``StepControl`` takes it as
+its default.
 """
 
 
@@ -42,9 +43,15 @@ class WireSingularityError(RuntimeError):
         )
 
 
-def _reduced_sum(x, z, wires, guard_radius):
-    """Accumulate S; wires with zero current are skipped (no field, no pole)."""
-    guard2 = guard_radius * guard_radius
+def b_field(point, wires):
+    """Total magnetic field (T, T) at ``point`` from a wire array.
+
+    Wires with zero current are skipped (no field, no pole); a point within
+    ``GUARD_RADIUS`` of one that carries current raises
+    :class:`WireSingularityError`.
+    """
+    x, z = point[0], point[1]
+    guard2 = GUARD_RADIUS * GUARD_RADIUS
     sx = sz = 0.0
     for i, w in enumerate(wires):
         cur = w.current
@@ -58,11 +65,5 @@ def _reduced_sum(x, z, wires, guard_radius):
         inv = cur / r2
         sx -= dz * inv
         sz += dx * inv
-    return sx, sz
-
-
-def b_field(point, wires, mu0: float = MU0, guard_radius: float = GUARD_RADIUS):
-    """Total magnetic field (T, T) at ``point`` from a wire array."""
-    sx, sz = _reduced_sum(point[0], point[1], wires, guard_radius)
-    scale = mu0 / (2.0 * math.pi)
+    scale = MU0 / (2.0 * math.pi)
     return (scale * sx, scale * sz)

@@ -54,16 +54,18 @@ class StepControl:
     this floor r^4 > 1e-292 and the force stays finite. Any floor of
     (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or more keeps r2 * r2 from
     rounding to 0.
+
+    Events (apex, periapses, closure) are located to a fixed 1e-12 s, the
+    kernels' ``EVENT_DT``, or as close as 80 halvings of a step get.
     """
 
     rtol: float = 1e-11
     atol: float = 1e-13
     max_steps: int = 5_000_000
     guard_radius: float = GUARD_RADIUS
-    event_dt: float = 1e-12  # event bisection resolution, s
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "event_dt"):
+        for name in ("rtol", "atol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(
@@ -178,7 +180,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
         medium.alpha,
         control.rtol, control.atol, control.guard_radius, control.max_steps,
-        bool(stop_at_closure), control.event_dt,
+        bool(stop_at_closure),
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
@@ -219,8 +221,30 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     return Trajectory(samples=raw["samples"], events=events, stats=stats)
 
 
-def mirror_trajectory(traj: Trajectory) -> Trajectory:
-    """The z -> -z mirror image (exact for a z-symmetric wire array)."""
+def mirror_trajectory(traj: Trajectory, wires) -> Trajectory:
+    """The z -> -z mirror image of ``traj``, a run through ``wires``.
+
+    ``wires`` must be z-symmetric: each wire i has a mirror partner, a wire
+    at (x_i, -z_i) with the same |current| (i itself when z_i = 0), else
+    ``ValueError``. The mirror run passes wire i where ``traj`` passed its
+    partner, so periapsis entry i of the result is the partner's entry,
+    flipped, under wire index i.
+    """
+    wires = tuple(wires)
+    ev = traj.events
+    if len(ev.periapsis_per_wire) != len(wires):
+        raise ValueError(f"got {len(wires)} wires for a run that has "
+                         f"{len(ev.periapsis_per_wire)} periapsis entries")
+    partner = []
+    for i, w in enumerate(wires):
+        mates = [j for j, m in enumerate(wires)
+                 if (m.x, m.z, abs(m.current)) == (w.x, -w.z, abs(w.current))]
+        if not mates:
+            raise ValueError(
+                f"wire array is not z-symmetric: wire {i} at ({w.x:g}, "
+                f"{w.z:g}) m has no mirror partner at z = {-w.z:g} m")
+        partner.append(mates[0])
+
     samples = list(traj.samples)
     samples[2::5] = [-v for v in samples[2::5]]
     samples[4::5] = [-v for v in samples[4::5]]
@@ -228,12 +252,12 @@ def mirror_trajectory(traj: Trajectory) -> Trajectory:
     def flip(s: PacketState) -> PacketState:
         return replace(s, z=-s.z, vz=-s.vz)
 
-    ev = traj.events
+    peri = ev.periapsis_per_wire
     events = EventLog(
         apex=flip(ev.apex),
         periapsis_per_wire=tuple(
-            PeriapsisEvent(p.wire_index, p.distance, flip(p.state))
-            for p in ev.periapsis_per_wire
+            PeriapsisEvent(i, peri[j].distance, flip(peri[j].state))
+            for i, j in enumerate(partner)
         ),
         closure=flip(ev.closure) if ev.closure is not None else None,
         separation_max=ev.separation_max,

@@ -42,17 +42,16 @@ def _require_positive(name: str, value: float) -> float:
 class Medium:
     """Diamagnetic material constants plus the derived coupling.
 
-    ``alpha = -chi_m * mu0 / (4 pi^2)`` has units m^4 s^-2 A^-2 and is the
+    ``alpha = -chi_m * MU0 / (4 pi^2)`` has units m^4 s^-2 A^-2 and is the
     single number through which the material enters the dynamics: the
     specific potential of one wire is ``alpha * I^2 / (2 r^2)``.
     """
 
     chi_m: float  # mass susceptibility, m^3/kg; negative for diamagnets
-    mu0: float    # permeability, T m / A
     alpha: float  # repulsion coupling, m^4 s^-2 A^-2
 
 
-def make_medium(chi_m: float = CHI_M_DIAMOND, mu0: float = MU0) -> Medium:
+def make_medium(chi_m: float = CHI_M_DIAMOND) -> Medium:
     """Build a :class:`Medium` from a mass susceptibility.
 
     Rejects a ``chi_m`` that gives no ``alpha > 0``, which the repulsion
@@ -60,16 +59,13 @@ def make_medium(chi_m: float = CHI_M_DIAMOND, mu0: float = MU0) -> Medium:
     one so small that alpha underflows to 0.
     """
     chi_m = _require_finite("chi_m", chi_m)
-    mu0 = _require_finite("mu0", mu0)
-    if mu0 <= 0.0:
-        raise ValueError(f"mu0 must be positive, got {mu0:g}")
-    alpha = -chi_m * mu0 / (4.0 * math.pi**2)
+    alpha = -chi_m * MU0 / (4.0 * math.pi**2)
     if not alpha > 0.0:
         raise ValueError(
             f"chi_m must be negative (diamagnetic) and give alpha > 0; got "
             f"{chi_m:g} (paramagnetic or zero susceptibility is unsupported)"
         )
-    return Medium(chi_m=chi_m, mu0=mu0, alpha=alpha)
+    return Medium(chi_m=chi_m, alpha=alpha)
 
 
 _DEFAULT_MEDIUM = make_medium()

@@ -313,6 +313,31 @@ def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["existing_file", "below_a_file"])
+@pytest.mark.parametrize("command, cfg_data", [
+    ("design", DESIGN_CFG), ("simulate", SIM_CFG), ("sweep", {}),
+    ("validate", {}),
+], ids=["design", "simulate", "sweep", "validate"])
+def test_unusable_out_exit_code(tmp_path, capsys, command, cfg_data, kind):
+    # the output directory is made before the command's work, so an --out
+    # that is a file, or lies below one, fails fast as a config error
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker if kind == "existing_file" else blocker / "sub"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and str(out) in err
+    assert blocker.read_text() == "keep"
+
+
+def test_failed_run_removes_the_out_directories_it_made(tmp_path):
+    cfg = _write(tmp_path, "job.json", {**DESIGN_CFG, "tau_s": 0.06})
+    out = tmp_path / "a" / "b"
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 2
+    assert not (tmp_path / "a").exists()
+
+
 # prints to stderr the top-level names of the numpy and scipy modules loaded
 # after ``import wiresplit``, then after each ``cli.main`` job of argv
 # (command, config, out)

@@ -91,12 +91,36 @@ def test_bottom_branch_is_the_mirrored_top(design, request):
     result, top, bottom = request.getfixturevalue(design)
     assert result.max_separation == 2.0 * float(np.max(top.states[:, 1]))
     assert top.events.separation_max == result.max_separation
-    mirror = mirror_trajectory(top)
+    mirror = mirror_trajectory(top, result.wires)
     assert np.array_equal(bottom.t, mirror.t)
     assert np.array_equal(bottom.states, mirror.states)
     assert bottom.events == mirror.events
     assert bottom.events.separation_max == result.max_separation
     assert bottom.stats == mirror.stats
+    # the bottom branch passes the lower deflector (wire 2) where the top
+    # branch passes the upper one (wire 1), and the other way round
+    top_peri, bottom_peri = (top.events.periapsis_per_wire,
+                             bottom.events.periapsis_per_wire)
+    assert [p.wire_index for p in bottom_peri] == [0, 1, 2]
+    assert [p.distance for p in bottom_peri] == [
+        top_peri[0].distance, top_peri[2].distance, top_peri[1].distance]
+
+
+@pytest.mark.parametrize("design", ["triangular_design", "inverse_design"])
+def test_bottom_branch_matches_a_fresh_mirrored_launch(design, request,
+                                                      medium):
+    # the bottom branch's periapses and apex are where a run from (-x0, -b)
+    # puts them
+    result, _, bottom = request.getfixturevalue(design)
+    initial = PacketState(x=-X0, z=-B, vx=V0, vz=0.0)
+    fresh = integrator.simulate(initial, result.wires, medium,
+                                TAU * (1.0 + designer._TIME_MARGIN),
+                                stop_at_closure=True)
+    for got, want in zip(bottom.events.periapsis_per_wire,
+                         fresh.events.periapsis_per_wire, strict=True):
+        assert got.wire_index == want.wire_index
+        assert got.distance == pytest.approx(want.distance, rel=1e-9)
+    assert bottom.events.apex.z == pytest.approx(fresh.events.apex.z, rel=1e-9)
 
 
 @pytest.mark.parametrize("design", ["triangular_design", "inverse_design"])

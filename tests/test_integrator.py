@@ -92,12 +92,28 @@ def test_apex_event_is_global_extremum(medium):
 
 
 def test_mirror_trajectory_flips_z(medium):
-    top, _ = _scattering(medium, duration=0.02)
-    bot = mirror_trajectory(top)
+    top, wires = _scattering(medium, duration=0.02)
+    bot = mirror_trajectory(top, wires)
     assert np.array_equal(bot.states[:, 1], -top.states[:, 1])
     assert np.array_equal(bot.states[:, 3], -top.states[:, 3])
     assert np.array_equal(bot.states[:, 0], top.states[:, 0])
     assert bot.events.apex.z == -top.events.apex.z
+
+
+@pytest.mark.parametrize("wires, given, match", [
+    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0)), None, "not z-symmetric"),
+    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0),
+      Wire(-150e-6, -20e-6, 1.1)), None, "not z-symmetric"),
+    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0),
+      Wire(-140e-6, -20e-6, 1.0)), None, "not z-symmetric"),
+    ((Wire(0.0, 0.0, 2.0),), (), "got 0 wires for a run that has 1"),
+], ids=["no_partner", "other_current", "other_x", "other_wire_count"])
+def test_mirror_trajectory_rejects_wires_it_cannot_map(medium, wires, given,
+                                                       match):
+    initial = PacketState(x=LAUNCH_X, z=0.5e-6, vx=0.01, vz=0.0)
+    traj = simulate(initial, wires, medium, 0.001)
+    with pytest.raises(ValueError, match=match):
+        mirror_trajectory(traj, wires if given is None else given)
 
 
 def test_event_log_dict_schema(medium):
@@ -114,7 +130,6 @@ def test_event_log_dict_schema(medium):
     ("rtol", -1e-9), ("rtol", math.nan), ("rtol", math.inf),
     ("atol", -1e-13), ("atol", math.nan), ("atol", math.inf),
     ("max_steps", 0), ("max_steps", -1),
-    ("event_dt", -1e-12), ("event_dt", math.nan), ("event_dt", math.inf),
     ("guard_radius", 0.0), ("guard_radius", -1e-9), ("guard_radius", math.nan),
     ("guard_radius", 1e-100), ("guard_radius", math.inf),
 ])
@@ -132,5 +147,4 @@ def test_step_control_rejects_zero_tolerances():
 def test_step_control_accepts_boundary_values():
     assert StepControl(rtol=0.0).atol > 0.0  # pure absolute control
     assert StepControl(atol=0.0).rtol > 0.0  # pure relative control
-    control = StepControl(max_steps=1, event_dt=0.0)
-    assert (control.max_steps, control.event_dt) == (1, 0.0)
+    assert StepControl(max_steps=1).max_steps == 1

@@ -88,20 +88,22 @@ def _bitwise_case(name, medium):
         duration, control = 0.01, PURE_RELATIVE
     elif name == "dead_wire":
         wires += (Wire(-150e-6, 20e-6, 0.0),)
-    elif name.startswith("triangular_closure") or name == "event_dt_zero":
+    elif name.startswith("triangular_closure"):
         # the triangular reference layout run to closure: it bisects the
         # closure, the apex and all three periapses; the apex is a maximum
-        # of z, or a minimum on the mirrored launch. With event_dt = 0 no
-        # bracket is ever narrow enough, and every bisection runs all 80
-        # halvings
+        # of z, or a minimum on the mirrored launch
         wires = (Wire(0.0, 0.0, 0.925273), Wire(-150e-6, 316.5e-6, 1.57),
                  Wire(-150e-6, -316.5e-6, 1.57))
         duration, stop = 0.105, True
-        if name == "event_dt_zero":
-            control = StepControl(event_dt=0.0)
         if name.endswith("mirror"):
             initial = PacketState(x=initial.x, z=-initial.z, vx=initial.vx,
                                   vz=initial.vz)
+    elif name == "bisection_cap":
+        # a straight flight past a dead wire 1e9 m away, in 22 steps: the
+        # periapsis step has h = 2.75e11 s, so no bracket of doubles gets
+        # down to 1e-12 s and the bisection runs all 80 halvings
+        initial = PacketState(x=0.0, z=0.0, vx=0.01, vz=0.0)
+        wires, duration = (Wire(1e9, 1.0, 0.0),), 5e11
     elif name == "uneven_current":
         # (alpha I) I and alpha (I I) differ in the last bit for this I (not
         # for 2.0 or 1.57), so the force coefficient's rounding shows
@@ -110,7 +112,7 @@ def _bitwise_case(name, medium):
             [w.x for w in wires], [w.z for w in wires],
             [w.current for w in wires], medium.alpha,
             control.rtol, control.atol, control.guard_radius,
-            control.max_steps, stop, control.event_dt)
+            control.max_steps, stop)
     return args, status
 
 
@@ -129,7 +131,7 @@ def _bits(obj):
                                   "underflow", "stop_at_closure", "no_wires",
                                   "dead_wire", "uneven_current",
                                   "triangular_closure",
-                                  "triangular_closure_mirror", "event_dt_zero",
+                                  "triangular_closure_mirror", "bisection_cap",
                                   "vz0_pure_relative", "z_axis_pure_relative",
                                   "extreme_launch"])
 def test_backends_bitwise_identical(medium, compiled_kernel, case):

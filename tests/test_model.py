@@ -17,10 +17,9 @@ from wiresplit import (
 
 
 def test_alpha_formula_exact():
-    med = make_medium(-6.2e-9, MU0)
+    med = make_medium(-6.2e-9)
     assert med.alpha == -(-6.2e-9) * MU0 / (4.0 * math.pi**2)
     assert med.chi_m == -6.2e-9
-    assert med.mu0 == MU0
 
 
 def test_alpha_matches_reference_current_oracle():
@@ -53,8 +52,6 @@ def test_paramagnetic_rejected():
         make_medium(6.2e-9)
     with pytest.raises(ValueError):
         make_medium(0.0)
-    with pytest.raises(ValueError):
-        make_medium(-6.2e-9, mu0=-1.0)
     with pytest.raises(ValueError):
         make_medium(float("nan"))
 
@@ -103,6 +100,6 @@ def test_scattering_inputs_validation():
 
 
 def test_medium_is_plain_value_type():
-    a = Medium(chi_m=-1e-9, mu0=MU0, alpha=1e-17)
-    b = Medium(chi_m=-1e-9, mu0=MU0, alpha=1e-17)
+    a = Medium(chi_m=-1e-9, alpha=1e-17)
+    b = Medium(chi_m=-1e-9, alpha=1e-17)
     assert a == b
