@@ -12,7 +12,6 @@ from .analytic import (
     closest_approach,
     closest_approach_headon,
     current_density,
-    field_magnitude_at,
     inverse_current_ratio,
     inverse_max_size,
     scattering_angle,
@@ -82,7 +81,6 @@ __all__ = [
     "current_density",
     "default_medium",
     "design_trajectories",
-    "field_magnitude_at",
     "inverse_current_ratio",
     "inverse_max_size",
     "kernel_backend",

@@ -19,8 +19,9 @@
  * (StepControl), so that product never rounds to 0.
  *
  * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
- * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u, with the
- * potential u evaluated at each row by potential().
+ * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u, with each
+ * row's potential u summed, as in the twin, in the wire loop that measures
+ * the row (the launch loop, then the end-of-step periapsis loop).
  *
  * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
  * are arrays of 4, so the twin's per-component formulas become loops.
@@ -56,8 +57,7 @@ static const double TAB[7][7] = {
 
 typedef struct {
     Py_ssize_t n;
-    /* (x, z, alpha I^2, 0.5 alpha I^2) of each wire with I != 0; the last is
-     * the potential's numerator u r^2 */
+    /* (x, z, alpha I^2) of each wire with I != 0 */
     const double *powered;
     double tiny_r2;
     long n_rhs;
@@ -71,7 +71,7 @@ static void deriv(Field *f, const double *y, double *k)
     k[0] = y[2];
     k[1] = y[3];
     for (Py_ssize_t i = 0; i < f->n; i++) {
-        const double *w = f->powered + 4 * i;
+        const double *w = f->powered + 3 * i;
         double dx = y[0] - w[0], dz = y[1] - w[1];
         double r2 = dx * dx + dz * dz;
         if (r2 <= f->tiny_r2) {
@@ -84,19 +84,6 @@ static void deriv(Field *f, const double *y, double *k)
     }
     k[2] = ax;
     k[3] = az;
-}
-
-/* the potential at (x, z) of y, for each sample row; r2 = 0 divides as IEEE
- * does */
-static double potential(const Field *f, const double *y)
-{
-    double u = 0.0;
-    for (Py_ssize_t i = 0; i < f->n; i++) {
-        const double *w = f->powered + 4 * i;
-        double dx = y[0] - w[0], dz = y[1] - w[1];
-        u += w[3] / (dx * dx + dz * dz);
-    }
-    return u;
 }
 
 /* out = y + h * (sum_j a_j k_j), the sum left to right over nonzero a_j;
@@ -258,7 +245,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* per wire: periapsis distance, then its state (t, x, z, vx, vz) */
     peri = PyMem_Malloc(6 * n * sizeof(double));
-    powered = PyMem_Malloc(4 * n * sizeof(double));
+    powered = PyMem_Malloc(3 * n * sizeof(double));
     if (peri == NULL || powered == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -267,11 +254,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t n_powered = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         if (wi[i] != 0.0) {
-            double *w = powered + 4 * n_powered++;
+            double *w = powered + 3 * n_powered++;
             w[0] = wx[i];
             w[1] = wz[i];
             w[2] = alpha * wi[i] * wi[i];
-            w[3] = 0.5 * alpha * wi[i] * wi[i];
         }
     }
 
@@ -280,19 +266,22 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     double t = t0, t_bound = t0 + duration;
     double y[4] = {x0, z0, vx0, vz0};
 
-    double best_apex_absz = fabs(y[1]), apex[5], closure[5] = {0};
+    /* event accumulators, and the launch row's potential u */
+    double best_apex_absz = fabs(y[1]), apex[5], closure[5] = {0}, u = 0.0;
     int have_closure = 0;
     set5(apex, t, y);
     for (Py_ssize_t i = 0; i < n; i++) {
-        double dx = y[0] - wx[i], dz = y[1] - wz[i];
-        peri[i] = sqrt(dx * dx + dz * dz);
+        double dx = y[0] - wx[i], dz = y[1] - wz[i], r2 = dx * dx + dz * dz;
+        peri[i] = sqrt(r2);
         set5(peri_st + 5 * i, t, y);
+        if (wi[i] != 0.0)
+            u += 0.5 * alpha * wi[i] * wi[i] / r2;
     }
     if (push(&samples, t, y) < 0)
         goto done;
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
-    double e0 = 0.5 * (y[2] * y[2] + y[3] * y[3]) + potential(&f, y);
+    double e0 = 0.5 * (y[2] * y[2] + y[3] * y[3]) + u;
     double drift = fabs(e0 - e0);
 
     int status = STATUS_OK;
@@ -421,7 +410,9 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             }
         }
 
-        /* per-wire periapsis: radial speed changes sign - -> + */
+        /* per-wire periapsis: radial speed changes sign - -> +; the end
+         * row's distance to each wire also gives its potential u */
+        u = 0.0;
         for (Py_ssize_t i = 0; i < n; i++) {
             double dx0 = y[0] - wx[i], dz0 = y[1] - wz[i];
             double g0 = dx0 * y[2] + dz0 * y[3];
@@ -445,12 +436,15 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
                     t_fail = t + th * h;
                 }
             }
-            double d_end = sqrt(dx1 * dx1 + dz1 * dz1);
+            double r2 = dx1 * dx1 + dz1 * dz1, d_end = sqrt(r2);
             if (d_end < peri[i]) {
                 peri[i] = d_end;
                 set5(peri_st + 5 * i, t_end, ye);
             }
-            if (wi[i] != 0.0 && d_end * d_end <= guard2) {
+            if (wi[i] == 0.0)
+                continue;
+            u += 0.5 * alpha * wi[i] * wi[i] / r2;
+            if (d_end * d_end <= guard2) {
                 status = STATUS_SINGULARITY;
                 fail_wire = i;
                 t_fail = t_end;
@@ -459,7 +453,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         if (push(&samples, t_end, ye) < 0)
             goto done;
-        double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + potential(&f, ye) - e0);
+        double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + u - e0);
         if (d > drift || d != d)
             drift = d;
         n_steps++;

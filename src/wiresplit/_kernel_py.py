@@ -28,19 +28,22 @@ d2 = rms/h0 is inf (NaN for rms = 0), the first step
 min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
 The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
 stays positive because ``StepControl`` keeps guard_radius at or above
-1e-70 m. The potential divides by r2 unguarded, and r2 = 0 gives u r^2 / 0
-as IEEE does.
+1e-70 m. The potential divides by r2 unguarded, and r2 = 0 gives
+alpha I^2 / 2 / 0 as IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
 so each deflection is a clean single-wire scattering. Its potential,
 u = sum_i alpha I_i^2 / (2 r_i^2), is evaluated only in the kernels. The
 returned ``energy_drift`` is max |E - E0| over the sample rows, divided by
-|E0| (by 1 when E0 = 0), of the specific energy E = 0.5 (vx^2 + vz^2) + u;
-``potential`` adds ``((0.5 * alpha) * I) * I / r2`` per powered wire in
-wire order from 0.0 at each row, and a NaN E makes the drift NaN. The
-inter-wire cross terms of the full field energy alpha/2 |S|^2
-(``wiresplit.field``) are left out, as the designs assume.
+|E0| (by 1 when E0 = 0), of the specific energy E = 0.5 (vx^2 + vz^2) + u,
+and a NaN E makes the drift NaN. Each row's u is summed in the loop over
+the wires that already measures that row, the launch loop for row 0 and
+the periapsis loop at the end of each step for every later row: from 0.0,
+it adds ``((0.5 * alpha) * I) * I / r2`` per powered wire in wire order,
+with the r2 of that row's periapsis distance. The inter-wire cross terms
+of the full field energy alpha/2 |S|^2 (``wiresplit.field``) are left out,
+as the designs assume.
 """
 
 import math
@@ -124,15 +127,14 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
 
     n_rhs = 0
 
-    # (x, z, alpha I^2, 0.5 alpha I^2) of each wire that carries current, in
-    # wire order; the last is the potential's numerator u r^2
-    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i], 0.5 * alpha * wi[i] * wi[i])
+    # (x, z, alpha I^2) of each wire that carries current, in wire order
+    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i])
                     for i in range(n) if wi[i] != 0.0)
 
     def accel(px, pz):
         ax = 0.0
         az = 0.0
-        for xw, zw, k, _ in powered:
+        for xw, zw, k in powered:
             dx = px - xw
             dz = pz - zw
             r2 = dx * dx + dz * dz
@@ -143,16 +145,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             az += c * dz
         return (ax, az)
 
-    def potential(px, pz):
-        """u at a sample row; uk/0 is IEEE's"""
-        u = 0.0
-        for xw, zw, _, uk in powered:
-            dx = px - xw
-            dz = pz - zw
-            r2 = dx * dx + dz * dz
-            u += uk / r2 if r2 != 0.0 else uk * _INF
-        return u
-
     t = float(t0)
     t_bound = t0 + duration
     x = float(x0)
@@ -160,23 +152,28 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     vx = float(vx0)
     vz = float(vz0)
 
-    # event accumulators
+    # event accumulators, and the launch row's potential u (c / 0 is IEEE's)
     best_apex_absz = abs(z)
     apex = (t, x, z, vx, vz)
     peri_dist = [0.0] * n
     peri_state = [None] * n
+    u = 0.0
     for i in range(n):
         dx = x - wx[i]
         dz = z - wz[i]
-        peri_dist[i] = sqrt(dx * dx + dz * dz)
+        r2 = dx * dx + dz * dz
+        peri_dist[i] = sqrt(r2)
         peri_state[i] = (t, x, z, vx, vz)
+        if wi[i] != 0.0:
+            c = 0.5 * alpha * wi[i] * wi[i]
+            u += c / r2 if r2 != 0.0 else c * _INF
     closure = None
 
     # rows (t, x, z, vx, vz), one per sample
     samples = [t, x, z, vx, vz]
     # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
     # largest |E - E0| over the rows so far (NaN once any is NaN)
-    e0 = 0.5 * (vx * vx + vz * vz) + potential(x, z)
+    e0 = 0.5 * (vx * vx + vz * vz) + u
     drift = abs(e0 - e0)
 
     status = STATUS_OK
@@ -349,7 +346,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                 best_apex_absz = abs(za)
                 apex = (t + th * h, xa, za, vxa, vza)
 
-        # per-wire periapsis: radial speed changes sign - -> +
+        # per-wire periapsis: radial speed changes sign - -> +; the end row's
+        # distance to each wire also gives its potential u
+        u = 0.0
         for i in range(n):
             dx0 = x - wx[i]
             dz0 = z - wz[i]
@@ -372,17 +371,21 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                     status = STATUS_SINGULARITY
                     fail_wire = i
                     t_fail = t + th * h
-            d_end = sqrt(dx1 * dx1 + dz1 * dz1)
+            r2 = dx1 * dx1 + dz1 * dz1
+            d_end = sqrt(r2)
             if d_end < peri_dist[i]:
                 peri_dist[i] = d_end
                 peri_state[i] = (t_end, x_end, z_end, vx_end, vz_end)
-            if wi[i] != 0.0 and d_end * d_end <= guard2:
-                status = STATUS_SINGULARITY
-                fail_wire = i
-                t_fail = t_end
+            if wi[i] != 0.0:
+                c = 0.5 * alpha * wi[i] * wi[i]
+                u += c / r2 if r2 != 0.0 else c * _INF
+                if d_end * d_end <= guard2:
+                    status = STATUS_SINGULARITY
+                    fail_wire = i
+                    t_fail = t_end
 
         samples += (t_end, x_end, z_end, vx_end, vz_end)
-        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + potential(x_end, z_end) - e0)
+        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + u - e0)
         if d > drift or d != d:
             drift = d
         n_steps += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .model import MU0, InfeasibleDesignError, Medium
+from .model import InfeasibleDesignError, Medium
 
 
 def stiffness_k(current: float, b: float, v0: float, medium: Medium) -> float:
@@ -144,13 +144,6 @@ def apex_wire_position(x0: float, b: float, v0: float, tau: float):
     focal_half = x0 / 2.0
     semi_minor = math.sqrt(semi_major * semi_major - focal_half * focal_half)
     return (-x0 / 2.0, b + semi_minor)
-
-
-def field_magnitude_at(distance: float, current: float) -> float:
-    """Single-wire field magnitude mu0 |I| / (2 pi r), T. Reporting helper."""
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance:g}")
-    return MU0 * abs(current) / (2.0 * math.pi * distance)
 
 
 def _require_feasible(v0, tau, x0):

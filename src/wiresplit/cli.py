@@ -75,7 +75,7 @@ def _take(cfg: dict, schema: dict, where: str) -> dict:
         if name in cfg:
             try:
                 out[name] = convert(cfg[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"field {name!r} in {where}: {exc}") from exc
         elif required:
             raise ConfigError(f"missing required field {name!r} in {where}")
@@ -88,15 +88,16 @@ def _take(cfg: dict, schema: dict, where: str) -> dict:
 
 
 def _real(v) -> float:
-    # float() would take a JSON true as 1.0
-    if isinstance(v, bool):
+    # float() would take a JSON true as 1.0 and a string "0.01" as 0.01
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {json.dumps(v)}")
     return float(v)
 
 
 def _integer(v) -> int:
-    # int() would take true as 1 and truncate 8.9 to 8
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    # int() would take true as 1 and "80" as 80, and truncate 8.9 to 8
+    if isinstance(v, bool) or not (
+            isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
         raise TypeError(f"expected an integer, got {json.dumps(v)}")
     return int(v)
 
@@ -106,6 +107,9 @@ def _um(v):
 
 
 def _um_list(v):
+    # iterating would take the keys of an object or the characters of a string
+    if not isinstance(v, list):
+        raise TypeError(f"expected an array, got {json.dumps(v)}")
     return [_um(x) for x in v]
 
 

@@ -380,9 +380,9 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     closest = min(peri[:2], key=lambda p: p.distance)
     bx, bz = b_field((closest.state.x, closest.state.z), wires)
 
-    # the bottom branch is the exact mirror image, so the separation at
-    # each sample is twice the top branch's height
-    max_separation = 2.0 * max(top.samples[2::5])
+    # the bottom branch is the exact mirror image, so the separation is
+    # twice the top branch's height, largest at its located apex
+    max_separation = 2.0 * top.events.apex.z
     top = replace(top, events=replace(top.events, separation_max=max_separation))
     bottom = mirror_trajectory(top, wires)
 

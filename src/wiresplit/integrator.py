@@ -184,11 +184,9 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
-        raise WireSingularityError(
-            raw["fail_wire"],
-            (wires[raw["fail_wire"]].x, wires[raw["fail_wire"]].z),
-            raw["t_fail"],
-        )
+        # the kernels keep the failing point as that wire's periapsis state
+        t, x, z = raw["periapsis_state"][raw["fail_wire"]][:3]
+        raise WireSingularityError(raw["fail_wire"], (x, z), t)
     if raw["status"] == _kernel_py.STATUS_UNDERFLOW:
         raise StiffnessError(
             f"step size underflow at t = {raw['t_fail']:.9e} s "

@@ -108,10 +108,6 @@ class PacketState:
         for name in ("x", "z", "vx", "vz", "t"):
             _require_finite(name, getattr(self, name))
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vz)
-
 
 @dataclass(frozen=True)
 class ScatteringInputs:
@@ -131,10 +127,12 @@ class ScatteringInputs:
 class DesignResult:
     """Synthesised wire configuration plus the metrics it achieves.
 
-    ``min_current_density`` is the density a real wire must support: the
-    worst per-wire ``|I| / (pi d_min^2)`` with ``d_min`` the closest
-    approach of either branch to that wire. ``peak_field`` is the total
-    field magnitude at the globally closest approach point.
+    ``max_separation`` is twice the height of the top branch's apex, the
+    extremum the kernel locates by bisection. ``min_current_density`` is
+    the density a real wire must support: the worst per-wire
+    ``|I| / (pi d_min^2)`` with ``d_min`` the closest approach of either
+    branch to that wire. ``peak_field`` is the total field magnitude at the
+    globally closest approach point.
     """
 
     wires: tuple[Wire, ...]

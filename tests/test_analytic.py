@@ -10,7 +10,6 @@ from wiresplit import (
     closest_approach,
     closest_approach_headon,
     current_density,
-    field_magnitude_at,
     inverse_current_ratio,
     inverse_max_size,
     scattering_angle,
@@ -266,21 +265,3 @@ class TestApexPlacement:
     def test_infeasible(self):
         with pytest.raises(InfeasibleDesignError):
             apex_wire_position(X0, B, V0, 2 * X0 / V0)
-
-
-class TestFieldMagnitude:
-    def test_reference_values(self):
-        assert field_magnitude_at(1.39269e-6, 0.925273) == pytest.approx(
-            0.13, rel=5e-2)
-        assert field_magnitude_at(0.0115617e-6, 0.00823) == pytest.approx(
-            0.14, rel=5e-2)
-
-    def test_formula(self):
-        import wiresplit
-        assert field_magnitude_at(2e-6, 1.5) == pytest.approx(
-            wiresplit.MU0 * 1.5 / (2.0 * math.pi * 2e-6), rel=1e-15)
-
-    def test_zero_current(self):
-        assert field_magnitude_at(1e-6, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            field_magnitude_at(0.0, 1.0)

@@ -271,11 +271,14 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     ("simulate", {**SIM_CFG, "initial": {**SIM_CFG["initial"],
                                          "vx_m_per_s": 1e200}}, "vx = 1e+200"),
     ("validate", {"v0_m_per_s": 1e200}, "v0 = 1e+200"),
+    # an integer too large for a float, which used to end in a traceback
+    ("design", {**DESIGN_CFG, "x0_um": 10**400}, "x0_um"),
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
         "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min",
         "validate_k_underflow", "design_alpha_underflow", "design_half_turn",
         "simulate_guard_below_floor", "design_unknown_scheme",
-        "simulate_kinetic_overflow", "validate_k_exactly_one"])
+        "simulate_kinetic_overflow", "validate_k_exactly_one",
+        "design_integer_overflows_float"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
                                        field):
     cfg = _write(tmp_path, "job.json", cfg_data)
@@ -305,6 +308,28 @@ def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
                                                    cfg_data, field):
     # json gives true as a bool, which float() and int() would take as 1, and
     # int() would truncate 8.9 to 8
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(field) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg_data, field", [
+    ("design", {**DESIGN_CFG, "v0_m_per_s": "0.01"}, "v0_m_per_s"),
+    ("design", {**DESIGN_CFG, "shoot_max_iterations": "80"},
+     "shoot_max_iterations"),
+    ("simulate", {**SIM_CFG, "rtol": "1e-11"}, "rtol"),
+    ("sweep", {"n_points": "3"}, "n_points"),
+    ("validate", {"b_um_list": ["0.5"]}, "b_um_list"),
+    ("validate", {"b_um_list": {"0.5": 1}}, "b_um_list"),
+], ids=["design_string_v0", "design_string_budget", "simulate_string_rtol",
+        "sweep_string_points", "validate_string_b", "validate_object_b_list"])
+def test_json_strings_in_number_fields_rejected(tmp_path, capsys, command,
+                                                cfg_data, field):
+    # float() and int() would parse "0.01" and "80", and a list of an object
+    # would be its keys
     cfg = _write(tmp_path, "job.json", cfg_data)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2

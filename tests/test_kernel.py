@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiresplit import (
     PacketState,
@@ -145,6 +147,45 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     assert _bits(fast) == _bits(slow)
 
 
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# 0-5 wires a few um off the path, so that most runs are deflected and some
+# hit a guard radius, with the launch at least 10 um from every wire; the
+# controls are ones the CLI accepts. Dead wires and atol = 0 are drawn often.
+_WIRES = st.lists(st.tuples(
+    st.floats(-10e-6, 50e-6), st.floats(-5e-6, 5e-6),
+    st.one_of(st.just(0.0), st.floats(-3.0, 3.0))), max_size=5)
+_LAUNCHES = st.tuples(st.floats(-50e-6, -20e-6), st.floats(-2e-6, 2e-6),
+                      st.floats(0.005, 0.02), st.floats(-1e-4, 1e-4))
+_CONTROLS = st.tuples(_log_uniform(-12.0, -9.0),
+                      st.one_of(st.just(0.0), _log_uniform(-16.0, -10.0)),
+                      st.sampled_from([1e-9, 1e-6]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wires=_WIRES, launch=_LAUNCHES, control=_CONTROLS,
+       duration=_log_uniform(-3.0, -1.7), stop=st.booleans())
+def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
+                                       control, duration, stop):
+    # the 2000-step budget bounds each draw's cost
+    rtol, atol, guard_radius = control
+    args = (*launch, 0.0, duration, [w[0] for w in wires],
+            [w[1] for w in wires], [w[2] for w in wires], medium.alpha,
+            rtol, atol, guard_radius, 2000, stop)
+    outcomes = []
+    for kernel in (compiled_kernel, _kernel_py):
+        try:
+            outcomes.append(kernel.integrate(*args))
+        except Exception as exc:  # then both must raise its type
+            outcomes.append(type(exc))
+    assert _bits(outcomes[0]) == _bits(outcomes[1])
+    if isinstance(outcomes[1], dict):
+        times = outcomes[1]["samples"][0::5]
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+
 def _reference_energy_drift(traj, wires, medium):
     """The energy drift as ``simulate`` once computed it from the samples,
     with numpy: the kernels must return it bitwise."""
@@ -279,6 +320,12 @@ def test_guard_radius_violation_raises(medium):
         simulate(initial, [Wire(0.0, 0.0, current)], medium, 0.02, control)
     assert exc.value.wire_index == 0
     assert exc.value.t is not None and exc.value.t > 0.0
+    # the error names the failing point on the path, which the kernel keeps
+    # as the wire's periapsis state, not the wire's centre
+    assert math.hypot(*exc.value.point) <= control.guard_radius
+    args, _ = _bitwise_case("singularity", medium)  # the same run
+    t, x, z = _kernel_py.integrate(*args)["periapsis_state"][0][:3]
+    assert (exc.value.t, *exc.value.point) == (t, x, z)
 
 
 def test_launch_inside_guard_rejected(medium):

@@ -86,11 +86,6 @@ def test_nonfinite_fields_rejected():
         PacketState(0.0, 0.0, float("nan"), 0.0)
 
 
-def test_packet_state_speed():
-    s = PacketState(0.0, 0.0, 3.0, 4.0)
-    assert s.speed == pytest.approx(5.0)
-
-
 def test_scattering_inputs_validation():
     ScatteringInputs(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
     with pytest.raises(ValueError):
