@@ -15,8 +15,9 @@
  * heuristic (atol = 0 at a launch coordinate near 1e-300) makes d2 inf, or
  * NaN for a zero numerator, and the first step falls back to
  * duration * 1e-6, as in the twin. deriv() divides by r2 * r2 only for
- * r2 > guard_radius^2 * 1e-6; the caller keeps guard_radius >= 1e-70 m
- * (StepControl), so that product never rounds to 0.
+ * r2 > guard_radius^2 * 1e-6, which never rounds to 0 for a guard_radius of
+ * at least 1.3e-78 m; a direct caller must pass at least that, and simulate()
+ * passes field.GUARD_RADIUS (1 nm).
  *
  * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
  * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u, with each
@@ -323,6 +324,11 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         h = duration;
     if (!(h > 0.0) || h != h)
         h = duration * 1e-6;
+    /* a first step under the step floor starts at the floor, unless the
+     * floor exceeds the whole duration, as in the twin */
+    double h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
+    if (h < h_floor && h_floor < duration)
+        h = h_floor;
 
     while (!(t >= t_bound)) {
         if (n_steps + n_rejected >= max_steps) {
@@ -330,7 +336,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             t_fail = t;
             break;
         }
-        double h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
+        h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
         if (h < h_floor) {
             status = STATUS_UNDERFLOW;
             t_fail = t;

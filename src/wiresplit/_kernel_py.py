@@ -27,9 +27,10 @@ atol = 0 and a launch coordinate is near 1e-300, so that d1 is inf. Then
 d2 = rms/h0 is inf (NaN for rms = 0), the first step
 min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
 The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
-stays positive because ``StepControl`` keeps guard_radius at or above
-1e-70 m. The potential divides by r2 unguarded, and r2 = 0 gives
-alpha I^2 / 2 / 0 as IEEE does.
+stays positive for a guard_radius of (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or
+more; a direct caller must pass at least that, and ``simulate`` passes
+``field.GUARD_RADIUS`` (1 nm). The potential divides by r2 unguarded, and
+r2 = 0 gives alpha I^2 / 2 / 0 as IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
@@ -213,6 +214,12 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     h = min(100.0 * h0, h1, duration)
     if not (h > 0.0) or h != h:
         h = duration * 1e-6
+    # a first step under the step floor (a tiny nonzero component's tiny
+    # scale at atol = 0) starts at the floor instead, unless the floor
+    # exceeds the whole duration
+    h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
+    if h < h_floor < duration:
+        h = h_floor
     k1x, k1z, k1vx, k1vz = k1
 
     while True:

@@ -128,7 +128,12 @@ def current_density(v0: float, b: float, ratio: float, medium: Medium) -> float:
     if ratio <= 0.0 or b <= 0.0:
         raise ValueError("require ratio > 0 and b > 0")
     c = ratio
-    return (1.0 / b) * c * v0 * v0 / (math.pi * (v0 * v0 + medium.alpha * c * c))
+    denominator = math.pi * (v0 * v0 + medium.alpha * c * c)
+    if denominator == 0.0:
+        raise ValueError(
+            f"pi (v0^2 + alpha c^2) underflows to 0 at v0 = {v0:g} m/s and "
+            f"I/b = {c:g} A/m")
+    return (1.0 / b) * c * v0 * v0 / denominator
 
 
 def apex_wire_position(x0: float, b: float, v0: float, tau: float):

@@ -95,7 +95,7 @@ def _real(v) -> float:
 
 
 def _integer(v) -> int:
-    # int() would take true as 1 and "80" as 80, and truncate 8.9 to 8
+    # int() would take true as 1 and "3" as 3, and truncate 2.5 to 2
     if isinstance(v, bool) or not (
             isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
         raise TypeError(f"expected an integer, got {json.dumps(v)}")
@@ -127,7 +127,7 @@ def _library_args(params: dict, names: dict) -> dict:
 
 def _control_from(params: dict) -> StepControl:
     return StepControl(**_library_args(params, {
-        "rtol": "rtol", "atol_m": "atol", "guard_radius_um": "guard_radius"}))
+        "rtol": "rtol", "atol_m": "atol"}))
 
 
 _DESIGN_SCHEMA = {
@@ -138,11 +138,9 @@ _DESIGN_SCHEMA = {
     "tau_s": (True, _real),
     "chi_m_m3_per_kg": (False, _real),
     "closure_tolerance_m": (False, _real),
-    "shoot_max_iterations": (False, _integer),
     "mass_kg": (False, _real),  # metadata only; the dynamics is mass-free
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _um),
 }
 
 
@@ -157,8 +155,7 @@ def _cmd_design(args) -> int:
         scheme=params["scheme"],
         inputs=inputs,
         **_library_args(params, {
-            "closure_tolerance_m": "closure_tolerance",
-            "shoot_max_iterations": "shoot_max_iterations"}),
+            "closure_tolerance_m": "closure_tolerance"}),
     )
     medium = _medium_from(params)
     control = _control_from(params)
@@ -206,7 +203,6 @@ _SIMULATE_SCHEMA = {
     "mass_kg": (False, _real),
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _um),
 }
 
 _WIRE_SCHEMA = {
@@ -317,7 +313,6 @@ _VALIDATE_SCHEMA = {
     "chi_m_m3_per_kg": (False, _real),
     "rtol": (False, _real),
     "atol_m": (False, _real),
-    "guard_radius_um": (False, _um),
 }
 
 

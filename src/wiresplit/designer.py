@@ -51,6 +51,7 @@ launch plane within the time budget; vastly larger than any real miss."""
 
 _TIME_MARGIN = 0.1  # fraction of tau allowed beyond the nominal flight time
 _ACCEPT_FRACTION = 0.01  # of closure_tolerance; see DesignSpec
+_SHOOT_BUDGET = 80  # trials per design; see DesignSpec
 
 
 class DesignFailure(RuntimeError):
@@ -72,7 +73,7 @@ class _Closed(Exception):
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """What to design: scheme, launch parameters, convergence knobs.
+    """What to design: scheme, launch parameters, closure tolerance.
 
     Shooting returns the first trial current that closes within
     ``closure_tolerance / 100``: a miss m shifts the current by
@@ -86,12 +87,15 @@ class DesignSpec:
     rtol 1e-12 and atol 0, reaches 5.6e-7 m (median 4.2e-8 m) on perfbench's
     design_mix seed 1, while their reported closure errors stay under
     1e-10 m; the triangular designs' true miss stays under 4e-11 m.
+
+    The shooting budget is fixed at 80 trials per design, repeats included;
+    the robustness suite's designs take at most 34. The step control's
+    guard radius and step budget are fixed too (see ``StepControl``).
     """
 
     scheme: str  # "triangular" | "inverse"
     inputs: ScatteringInputs
     closure_tolerance: float = 1e-8  # m
-    shoot_max_iterations: int = 80
 
     def __post_init__(self):
         if self.scheme not in ("triangular", "inverse"):
@@ -102,8 +106,6 @@ class DesignSpec:
             raise ValueError(
                 "closure_tolerance must be finer than the initial split b"
             )
-        if self.shoot_max_iterations < 8:
-            raise ValueError("shoot_max_iterations must be at least 8")
 
 
 def _closure_trial(wires, initial: PacketState, medium: Medium, tau: float,
@@ -357,7 +359,7 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
 
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
-    current = _shoot(lambda c: trial(c)[0], seed, spec.shoot_max_iterations,
+    current = _shoot(lambda c: trial(c)[0], seed, _SHOOT_BUDGET,
                      spec.closure_tolerance)
 
     wires = wires_for(current)

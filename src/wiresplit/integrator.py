@@ -35,9 +35,12 @@ class StiffnessError(RuntimeError):
     """The step size underflowed or the step budget was exhausted."""
 
 
+MAX_STEPS = 5_000_000  # steps per simulate run, rejected ones included
+
+
 @dataclass(frozen=True)
 class StepControl:
-    """Integrator tolerances and safety limits.
+    """Integrator tolerances.
 
     The default relative tolerance keeps the specific-energy drift of
     reference-scale runs a factor of a few under 1e-8.
@@ -49,20 +52,14 @@ class StepControl:
     and in a step's error norm it counts 0 when its error is 0 and rejects
     the step otherwise.
 
-    ``guard_radius`` must be finite and at least 1e-70 m. The kernels
-    divide by r^4 = r2 * r2 only where r2 > guard_radius^2 * 1e-6, so at
-    this floor r^4 > 1e-292 and the force stays finite. Any floor of
-    (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or more keeps r2 * r2 from
-    rounding to 0.
-
-    Events (apex, periapses, closure) are located to a fixed 1e-12 s, the
-    kernels' ``EVENT_DT``, or as close as 80 halvings of a step get.
+    The rest is fixed: the guard radius around each wire is
+    ``field.GUARD_RADIUS`` (1 nm), the step budget is :data:`MAX_STEPS`, and
+    events (apex, periapses, closure) are located to 1e-12 s, the kernels'
+    ``EVENT_DT``, or as close as 80 halvings of a step get.
     """
 
     rtol: float = 1e-11
     atol: float = 1e-13
-    max_steps: int = 5_000_000
-    guard_radius: float = GUARD_RADIUS
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
@@ -72,12 +69,6 @@ class StepControl:
                     f"{name} must be finite and at least 0, got {value!r}")
         if self.rtol == 0.0 and self.atol == 0.0:
             raise ValueError("rtol and atol must not both be 0")
-        if not self.max_steps >= 1:
-            raise ValueError(
-                f"max_steps must be at least 1, got {self.max_steps!r}")
-        if not 1e-70 <= self.guard_radius < math.inf:
-            raise ValueError("guard_radius must be finite and at least "
-                             f"1e-70 m, got {self.guard_radius!r}")
 
 
 DEFAULT_CONTROL = StepControl()
@@ -153,14 +144,18 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     the full duration.
 
     Raises ``ValueError`` for a duration that is not positive and finite
-    or a launch whose specific kinetic energy overflows (the energy drift
-    would be NaN), ``WireSingularityError`` when the launch or the path
-    comes within the guard radius of a wire that carries current, and
-    ``StiffnessError`` when the step size underflows or the step budget runs
-    out.
+    or too small to move ``t0 + duration`` off ``t0``, or a launch whose
+    specific kinetic energy overflows (the energy drift would be NaN),
+    ``WireSingularityError`` when the launch or the path comes within
+    ``GUARD_RADIUS`` of a wire that carries current, and ``StiffnessError``
+    when the step size underflows or the :data:`MAX_STEPS` budget runs out.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration:g}")
+    if initial.t + duration == initial.t:
+        raise ValueError(
+            f"duration {duration:g} s is lost in rounding: t0 + duration "
+            f"equals t0 = {initial.t:g} s")
     if not math.isfinite(0.5 * (initial.vx * initial.vx + initial.vz * initial.vz)):
         raise ValueError(
             "launch speed too large: the specific kinetic energy "
@@ -170,7 +165,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     for i, w in enumerate(wires):
         if w.current == 0.0:
             continue
-        if math.hypot(initial.x - w.x, initial.z - w.z) <= control.guard_radius:
+        if math.hypot(initial.x - w.x, initial.z - w.z) <= GUARD_RADIUS:
             raise WireSingularityError(i, (initial.x, initial.z), initial.t)
 
     # looked up per call, so a wrapper set on the module (perfbench's
@@ -179,7 +174,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
         [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
         medium.alpha,
-        control.rtol, control.atol, control.guard_radius, control.max_steps,
+        control.rtol, control.atol, GUARD_RADIUS, MAX_STEPS,
         bool(stop_at_closure),
     )
 
@@ -194,7 +189,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         )
     if raw["status"] == _kernel_py.STATUS_MAXSTEPS:
         raise StiffnessError(
-            f"step budget ({control.max_steps}) exhausted at t = {raw['t_fail']:.9e} s"
+            f"step budget ({MAX_STEPS}) exhausted at t = {raw['t_fail']:.9e} s"
         )
 
     def as_state(tup):

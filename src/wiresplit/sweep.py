@@ -84,7 +84,11 @@ def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
 
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
                    tau: float = 0.1, medium: Medium | None = None) -> SweepTable:
-    """Closed-form separations and current densities across launch speeds."""
+    """Closed-form separations and current densities across launch speeds.
+
+    A feasible row whose value overflows or underflows to inf or NaN raises
+    ``ValueError`` naming the column; infeasible rows hold NaN.
+    """
     import numpy as np
 
     for name, value in (("b", b), ("x0", x0), ("tau", tau)):
@@ -100,20 +104,28 @@ def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
     feasible = np.zeros(n, dtype=bool)
     out = {name: np.full(n, math.nan) for name in SWEEP_COLUMNS[2:]}
 
-    for i, v0 in enumerate(v0_values):
+    # Python floats, so that an overflow is an inf here, not a numpy warning
+    for i, v0 in enumerate(v0_values.tolist()):
         if v0 * tau <= 2.0 * x0:
             continue
         feasible[i] = True
         c1 = analytic.triangular_current_ratio(v0, tau, x0, medium)
         c2 = analytic.inverse_current_ratio(v0, medium)
-        out["dz_triangular_m"][i] = analytic.triangular_max_size(v0, tau, x0)
-        out["dz_inverse_m"][i] = analytic.inverse_max_size(v0, tau, x0)
-        out["current_ratio_triangular_a_per_m"][i] = c1
-        out["current_ratio_inverse_a_per_m"][i] = c2
-        out["current_density_triangular_a_per_m2"][i] = \
-            analytic.current_density(v0, b, c1, medium)
-        out["current_density_inverse_a_per_m2"][i] = \
-            analytic.current_density(v0, b, c2, medium)
+        row = {
+            "dz_triangular_m": analytic.triangular_max_size(v0, tau, x0),
+            "dz_inverse_m": analytic.inverse_max_size(v0, tau, x0),
+            "current_ratio_triangular_a_per_m": c1,
+            "current_ratio_inverse_a_per_m": c2,
+            "current_density_triangular_a_per_m2":
+                analytic.current_density(v0, b, c1, medium),
+            "current_density_inverse_a_per_m2":
+                analytic.current_density(v0, b, c2, medium),
+        }
+        for name, value in row.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value} at the feasible "
+                                 f"v0 = {v0:g} m/s")
+            out[name][i] = value
 
     return SweepTable(
         v0=v0_values,

@@ -82,13 +82,29 @@ class TestDesignCommand:
         assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_shooting_budget_failure_exit_code(self, tmp_path, capsys):
-        # no trial closes within a hundredth of 1e-15 m, far below the
-        # integrator's noise floor, so the budget of 8 runs out
+        # a retrace geometry whose closure miss has no root at any current:
+        # shooting fails within its budget and reports its best iterate
         cfg = _write(tmp_path, "job.json",
-                     {**DESIGN_CFG, "closure_tolerance_m": 1e-15,
-                      "shoot_max_iterations": 8})
+                     {"scheme": "inverse", "v0_m_per_s": 0.005, "b_um": 0.25,
+                      "x0_um": 200.0, "tau_s": 0.12})
         assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "best iterate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg_data, field", [
+        ("design", {**DESIGN_CFG, "guard_radius_um": 1e-3}, "guard_radius_um"),
+        ("design", {**DESIGN_CFG, "shoot_max_iterations": 80},
+         "shoot_max_iterations"),
+        ("simulate", {**SIM_CFG, "guard_radius_um": 1e-3}, "guard_radius_um"),
+        ("validate", {"guard_radius_um": 1e-3}, "guard_radius_um"),
+    ], ids=["design_guard", "design_budget", "simulate_guard",
+            "validate_guard"])
+    def test_fixed_settings_are_unknown_fields(self, tmp_path, capsys,
+                                               command, cfg_data, field):
+        # the guard radius and the shooting budget are constants
+        cfg = _write(tmp_path, "job.json", cfg_data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"unknown field(s) in {command} config: {field}" in \
+            capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -129,15 +145,24 @@ class TestSimulateCommand:
 
     def test_guard_radius_hit_exit_code(self, tmp_path, capsys):
         cfg_data = {
-            **SIM_CFG,
+            # head-on turning radius 0.70 nm, inside the 1 nm guard radius
+            "wires": [{"x_um": 0.0, "z_um": 0.0, "current_a": 5e-4}],
             "initial": {"x_um": -50.0, "z_um": 0.0, "vx_m_per_s": 0.01,
                         "vz_m_per_s": 0.0},
-            "guard_radius_um": 5.0,  # wider than the head-on turning radius
             "duration_s": 0.02,
         }
         cfg = _write(tmp_path, "job.json", cfg_data)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "guard radius" in capsys.readouterr().err
+
+    def test_step_floor_above_duration_exit_code(self, tmp_path, capsys):
+        # at t0 = 1e12 s the step floor 16 eps t0 = 3.6e-3 s exceeds the
+        # duration, which still moves t0 + duration off t0
+        cfg_data = {**SIM_CFG, "initial": {**SIM_CFG["initial"], "t_s": 1e12},
+                    "duration_s": 1e-3}
+        cfg = _write(tmp_path, "job.json", cfg_data)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "step size underflow" in capsys.readouterr().err
 
     def test_pure_relative_tolerance_exit_code(self, tmp_path):
         # atol = 0 with vz = 0: the zero error scale of vz must not divide
@@ -253,6 +278,72 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     assert exc.value.code == 2
 
 
+# every number field of simulate, validate and sweep as (command, path into
+# the config); mass_kg is left out, as the dynamics never reads it
+_NUMBER_FIELDS = [
+    *(("simulate", (name,)) for name in
+      ("duration_s", "chi_m_m3_per_kg", "rtol", "atol_m")),
+    *(("simulate", ("wires", 0, name)) for name in
+      ("x_um", "z_um", "current_a")),
+    *(("simulate", ("initial", name)) for name in
+      ("x_um", "z_um", "vx_m_per_s", "vz_m_per_s", "t_s")),
+    ("validate", ("b_um_list", 0)),
+    *(("validate", (name,)) for name in
+      ("current_a", "v0_m_per_s", "launch_distance_um", "region_radius_um",
+       "chi_m_m3_per_kg", "rtol", "atol_m")),
+    *(("sweep", (name,)) for name in
+      ("v0_min_m_per_s", "v0_max_m_per_s", "b_um", "x0_um", "tau_s",
+       "chi_m_m3_per_kg")),
+]
+_BASE_CFG = {"simulate": SIM_CFG,
+             "validate": {"b_um_list": [0.5]},
+             "sweep": {}}
+
+
+def _with_value(cfg, path, value):
+    """A copy of ``cfg`` with ``value`` at ``path``, containers copied."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a JSON output")
+
+
+@pytest.mark.parametrize("magnitude", [1e300, 1e-300])
+@pytest.mark.parametrize("command, path", _NUMBER_FIELDS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}"
+                              for c, p in _NUMBER_FIELDS])
+def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
+                                                       path, magnitude):
+    # chi must be negative (diamagnetic) to be valid at all
+    value = -magnitude if path[-1] == "chi_m_m3_per_kg" else magnitude
+    cfg = _write(tmp_path, "job.json",
+                 _with_value(_BASE_CFG[command], path, value))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 4)
+    if code != 0:
+        return
+    for written in out.iterdir():
+        if written.suffix == ".json":
+            json.loads(written.read_text(), parse_constant=_reject_constant)
+            continue
+        with open(written, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        if command == "simulate":
+            assert len(rows) >= 2  # the launch and at least one step
+        for row in rows:
+            # an infeasible sweep row carries NaN by design
+            if command == "sweep" and row[header.index("feasible")] == "0":
+                continue
+            assert all(math.isfinite(float(v)) for v in row), row
+
+
 @pytest.mark.parametrize("command, cfg_data, field", [
     ("validate", {"b_um_list": [0]}, "b_values[0]"),
     ("validate", {"v0_m_per_s": 0}, "v0"),
@@ -264,7 +355,12 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     ("validate", {"b_um_list": [1e-200]}, "v0^2 b^2"),
     ("design", {**DESIGN_CFG, "chi_m_m3_per_kg": -1e-320}, "chi_m"),
     ("design", {**DESIGN_CFG, "tau_s": 1e50}, "by pi"),
-    ("simulate", {**SIM_CFG, "guard_radius_um": 1e-80}, "guard_radius"),
+    ("simulate", {**SIM_CFG, "initial": {**SIM_CFG["initial"], "t_s": 1e300}},
+     "lost in rounding"),
+    # non-finite values in a feasible sweep row, and a density divisor that
+    # underflows to 0
+    ("sweep", {"b_um": 1e-300}, "current_density_triangular_a_per_m2 is inf"),
+    ("sweep", {"x0_um": 1e-300}, "underflows to 0"),
     ("design", {**DESIGN_CFG, "scheme": "circular"}, "scheme"),
     # a speed whose kinetic energy overflows, and one that leaves k exactly 1;
     # both used to exit 0, the first writing a NaN energy drift
@@ -276,7 +372,8 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
         "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min",
         "validate_k_underflow", "design_alpha_underflow", "design_half_turn",
-        "simulate_guard_below_floor", "design_unknown_scheme",
+        "simulate_duration_lost_in_rounding", "sweep_density_overflow",
+        "sweep_density_underflow", "design_unknown_scheme",
         "simulate_kinetic_overflow", "validate_k_exactly_one",
         "design_integer_overflows_float"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
@@ -290,24 +387,20 @@ def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
 
 
 @pytest.mark.parametrize("command, cfg_data, field", [
-    ("design", {**DESIGN_CFG, "shoot_max_iterations": 8.9},
-     "shoot_max_iterations"),
-    ("design", {**DESIGN_CFG, "shoot_max_iterations": True},
-     "shoot_max_iterations"),
     ("design", {**DESIGN_CFG, "b_um": True}, "b_um"),
     ("simulate", {**SIM_CFG, "duration_s": True}, "duration_s"),
     ("simulate", {**SIM_CFG, "wires": [{**SIM_CFG["wires"][0],
                                         "current_a": False}]}, "current_a"),
     ("sweep", {"n_points": 2.5}, "n_points"),
+    ("sweep", {"n_points": True}, "n_points"),
     ("validate", {"b_um_list": [0.5, True]}, "b_um_list"),
-], ids=["design_fractional_budget", "design_boolean_budget",
-        "design_boolean_b", "simulate_boolean_duration",
+], ids=["design_boolean_b", "simulate_boolean_duration",
         "simulate_boolean_current", "sweep_fractional_points",
-        "validate_boolean_b"])
+        "sweep_boolean_points", "validate_boolean_b"])
 def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
                                                    cfg_data, field):
     # json gives true as a bool, which float() and int() would take as 1, and
-    # int() would truncate 8.9 to 8
+    # int() would truncate 2.5 to 2
     cfg = _write(tmp_path, "job.json", cfg_data)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -318,17 +411,15 @@ def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command, cfg_data, field", [
     ("design", {**DESIGN_CFG, "v0_m_per_s": "0.01"}, "v0_m_per_s"),
-    ("design", {**DESIGN_CFG, "shoot_max_iterations": "80"},
-     "shoot_max_iterations"),
     ("simulate", {**SIM_CFG, "rtol": "1e-11"}, "rtol"),
     ("sweep", {"n_points": "3"}, "n_points"),
     ("validate", {"b_um_list": ["0.5"]}, "b_um_list"),
     ("validate", {"b_um_list": {"0.5": 1}}, "b_um_list"),
-], ids=["design_string_v0", "design_string_budget", "simulate_string_rtol",
+], ids=["design_string_v0", "simulate_string_rtol",
         "sweep_string_points", "validate_string_b", "validate_object_b_list"])
 def test_json_strings_in_number_fields_rejected(tmp_path, capsys, command,
                                                 cfg_data, field):
-    # float() and int() would parse "0.01" and "80", and a list of an object
+    # float() and int() would parse "0.01" and "3", and a list of an object
     # would be its keys
     cfg = _write(tmp_path, "job.json", cfg_data)
     out = tmp_path / "out"

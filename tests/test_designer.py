@@ -243,14 +243,14 @@ class TestSpecValidation:
                 designer.design_trajectories(
                     DesignSpec(scheme=scheme, inputs=inputs))
 
-    def test_budget_exhaustion_reports_best_iterate(self, paper_inputs):
-        # a hundredth of 1e-15 m lies far below the integrator's noise
-        # floor, so no trial is accepted and the budget runs out
-        spec = DesignSpec(scheme="triangular", inputs=paper_inputs,
-                          closure_tolerance=1e-15, shoot_max_iterations=8)
-        with pytest.raises(DesignFailure) as exc:
-            designer.design_trajectories(spec)
-        assert exc.value.best_current is not None
+    def test_budget_exhaustion_reports_best_iterate(self):
+        # a step miss never comes within a hundredth of the tolerance, so
+        # Brent's method bisects the bracket until the budget of 8 runs out
+        f, calls = _counted(lambda current: 1e-3 if current < 1.0 else -1e-3)
+        with pytest.raises(DesignFailure, match="budget exhausted") as exc:
+            designer._shoot(f, 0.5, 8, 1e-8)
+        assert len(calls) == 8
+        assert (exc.value.best_current, exc.value.best_error) == (0.5, 1e-3)
 
 
 class TestDesignFailure:

@@ -17,8 +17,7 @@ from wiresplit.designer import DesignFailure, DesignSpec, design_trajectories
     ("inverse", dict(v0=0.5, b=0.1e-6, x0=300e-6, tau=0.01)),
 ])
 def test_designs_converge_off_reference(scheme, kw):
-    spec = DesignSpec(scheme=scheme, inputs=ScatteringInputs(**kw),
-                      shoot_max_iterations=120)
+    spec = DesignSpec(scheme=scheme, inputs=ScatteringInputs(**kw))
     result, top, _ = design_trajectories(spec)
     assert result.closure_error <= spec.closure_tolerance
     assert 0.9 * kw["tau"] <= result.return_time <= 1.1 * kw["tau"]
@@ -35,8 +34,7 @@ def test_designs_converge_off_reference(scheme, kw):
     dict(v0=0.005, b=0.25e-6, x0=200e-6, tau=0.12),
 ])
 def test_tight_retrace_geometry_fails_with_best_iterate(kw):
-    spec = DesignSpec(scheme="inverse", inputs=ScatteringInputs(**kw),
-                      shoot_max_iterations=120)
+    spec = DesignSpec(scheme="inverse", inputs=ScatteringInputs(**kw))
     with pytest.raises(DesignFailure) as exc:
         design_trajectories(spec)
     assert exc.value.best_current is not None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiresplit import (
+    GUARD_RADIUS,
     PacketState,
     StepControl,
     StiffnessError,
@@ -17,7 +18,7 @@ from wiresplit import (
     kernel_backend,
     simulate,
 )
-from wiresplit import _kernel_py
+from wiresplit import _kernel_py, integrator
 
 
 def _fig_scenario():
@@ -55,17 +56,18 @@ def _bitwise_case(name, medium):
     """(kernel arguments, expected status) of one exit path of the kernel."""
     initial, wires = _fig_scenario()
     duration, control, stop = 0.02, StepControl(), False
+    guard, max_steps = GUARD_RADIUS, integrator.MAX_STEPS
     status = _kernel_py.STATUS_OK
     if name == "three_wire":
         # multi-wire case stresses the force loop ordering too
         wires += (Wire(-150e-6, 316.5e-6, 1.57), Wire(-150e-6, -316.5e-6, 1.57))
     elif name == "singularity":
         initial, wires = _headon()
-        d0 = closest_approach_headon(2.0, 0.01, medium)
-        control = StepControl(guard_radius=2.0 * d0)
+        # a guard wider than the turning radius
+        guard = 2.0 * closest_approach_headon(2.0, 0.01, medium)
         status = _kernel_py.STATUS_SINGULARITY
     elif name == "max_steps":
-        duration, control = 0.06, StepControl(max_steps=50)
+        duration, max_steps = 0.06, 50
         status = _kernel_py.STATUS_MAXSTEPS
     elif name == "underflow":
         # the step floor 16 eps |t| = 3.6e-3 s exceeds the whole duration
@@ -77,9 +79,14 @@ def _bitwise_case(name, medium):
         stop = True
     elif name == "no_wires":
         wires = ()
-    elif name in ("vz0_pure_relative", "z_axis_pure_relative"):
+    elif name in ("vz0_pure_relative", "z_axis_pure_relative",
+                  "tiny_vz_pure_relative"):
         if name.startswith("z_axis"):
             initial, wires = _symmetric_scenario()
+        elif name.startswith("tiny_vz"):
+            # vz's error scale rtol |vz| = 1e-41 m/s makes the initial-step
+            # heuristic's first step fall under the step floor at t = 0
+            initial = PacketState(x=-300e-6, z=0.5e-6, vx=0.01, vz=1e-30)
         duration, control = 0.06, PURE_RELATIVE
     elif name == "extreme_launch":
         # atol = 0 and x = 1e-300: vx / (rtol |x|) overflows to inf in the
@@ -113,8 +120,7 @@ def _bitwise_case(name, medium):
     args = (initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
             [w.x for w in wires], [w.z for w in wires],
             [w.current for w in wires], medium.alpha,
-            control.rtol, control.atol, control.guard_radius,
-            control.max_steps, stop)
+            control.rtol, control.atol, guard, max_steps, stop)
     return args, status
 
 
@@ -135,7 +141,7 @@ def _bits(obj):
                                   "triangular_closure",
                                   "triangular_closure_mirror", "bisection_cap",
                                   "vz0_pure_relative", "z_axis_pure_relative",
-                                  "extreme_launch"])
+                                  "tiny_vz_pure_relative", "extreme_launch"])
 def test_backends_bitwise_identical(medium, compiled_kernel, case):
     args, status = _bitwise_case(case, medium)
     fast = compiled_kernel.integrate(*args)
@@ -153,7 +159,9 @@ def _log_uniform(lo_exp, hi_exp):
 
 # 0-5 wires a few um off the path, so that most runs are deflected and some
 # hit a guard radius, with the launch at least 10 um from every wire; the
-# controls are ones the CLI accepts. Dead wires and atol = 0 are drawn often.
+# tolerances are ones the CLI accepts. The guard radius is a kernel argument,
+# not a CLI field: simulate's 1 nm GUARD_RADIUS, or 1 um so that more runs
+# hit it. Dead wires and atol = 0 are drawn often.
 _WIRES = st.lists(st.tuples(
     st.floats(-10e-6, 50e-6), st.floats(-5e-6, 5e-6),
     st.one_of(st.just(0.0), st.floats(-3.0, 3.0))), max_size=5)
@@ -311,20 +319,24 @@ def test_stop_at_closure_truncates(medium):
 
 
 def test_guard_radius_violation_raises(medium):
-    # head-on with the guard radius widened beyond the turning radius
-    current, v0 = 2.0, 0.01
-    d0 = closest_approach_headon(current, v0, medium)
-    control = StepControl(guard_radius=2.0 * d0)
+    # head-on at a current whose turning radius, 0.70 nm, lies inside the
+    # 1 nm guard radius
+    current, v0 = 5e-4, 0.01
+    assert closest_approach_headon(current, v0, medium) < GUARD_RADIUS
     initial = PacketState(x=-50e-6, z=0.0, vx=v0, vz=0.0)
+    wires = [Wire(0.0, 0.0, current)]
     with pytest.raises(WireSingularityError) as exc:
-        simulate(initial, [Wire(0.0, 0.0, current)], medium, 0.02, control)
+        simulate(initial, wires, medium, 0.02)
     assert exc.value.wire_index == 0
     assert exc.value.t is not None and exc.value.t > 0.0
     # the error names the failing point on the path, which the kernel keeps
     # as the wire's periapsis state, not the wire's centre
-    assert math.hypot(*exc.value.point) <= control.guard_radius
-    args, _ = _bitwise_case("singularity", medium)  # the same run
-    t, x, z = _kernel_py.integrate(*args)["periapsis_state"][0][:3]
+    assert math.hypot(*exc.value.point) <= GUARD_RADIUS
+    raw = _kernel_py.integrate(
+        initial.x, initial.z, initial.vx, initial.vz, initial.t, 0.02,
+        [0.0], [0.0], [current], medium.alpha, StepControl().rtol,
+        StepControl().atol, GUARD_RADIUS, integrator.MAX_STEPS, False)
+    t, x, z = raw["periapsis_state"][0][:3]
     assert (exc.value.t, *exc.value.point) == (t, x, z)
 
 
@@ -334,10 +346,11 @@ def test_launch_inside_guard_rejected(medium):
         simulate(initial, [Wire(0.0, 0.0, 1.0)], medium, 1e-3)
 
 
-def test_step_budget_exhaustion_raises(medium):
+def test_step_budget_exhaustion_raises(medium, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 50)
     initial, wires = _fig_scenario()
-    with pytest.raises(StiffnessError):
-        simulate(initial, wires, medium, 0.06, StepControl(max_steps=50))
+    with pytest.raises(StiffnessError, match="step budget"):
+        simulate(initial, wires, medium, 0.06)
 
 
 def test_invalid_duration(medium):
