@@ -4,12 +4,13 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, "samples" as one flat list of rows (t, x, z, vx, vz),
- * and a zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0
- * as 0 and err/0 as inf in the step error norm. Every floating-point
- * operation is in the twin's order, comparisons and min() treat NaN as
- * Python does, and the file must be built without FMA contraction
- * (-ffp-contract=off), so both backends return equal doubles.
+ * functions and sides, the twin's stop modes (none, closure, turn), "samples"
+ * as one flat list of rows (t, x, z, vx, vz), and a zero error scale
+ * (atol = 0) counting 0 in the initial-step norms, 0/0 as 0 and err/0 as inf
+ * in the step error norm. Every floating-point operation is in the twin's
+ * order, comparisons and min() treat NaN as Python does, and the file must
+ * be built without FMA contraction (-ffp-contract=off), so both backends
+ * return equal doubles.
  *
  * Every division is IEEE and none is trapped. A zero h0 in the initial-step
  * heuristic (atol = 0 at a launch coordinate near 1e-300) makes d2 inf, or
@@ -33,6 +34,7 @@
 #include <string.h>
 
 enum { STATUS_OK, STATUS_SINGULARITY, STATUS_UNDERFLOW, STATUS_MAXSTEPS };
+enum { STOP_NONE, STOP_CLOSURE, STOP_TURN };
 
 /* Dormand-Prince 5(4) tableau: rows a_2..a_6, then the 5th-order weights b,
  * then the error weights e (5th-order minus embedded 4th-order). Zero
@@ -222,15 +224,15 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         "x0", "z0", "vx0", "vz0", "t0", "duration",
         "wires_x", "wires_z", "wires_current", "alpha",
         "rtol", "atol", "guard_radius", "max_steps",
-        "stop_at_closure", NULL};
+        "stop_mode", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
     double max_steps;
-    int stop_at_closure;
+    int stop_mode;
     PyObject *seq_x, *seq_z, *seq_i;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddOOOdddddp:integrate", kwlist,
+            args, kwargs, "ddddddOOOdddddi:integrate", kwlist,
             &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
-            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_at_closure))
+            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_mode))
         return NULL;
 
     PyObject *result = NULL;
@@ -387,15 +389,26 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         Step st = {h, y, yn, k[0], k[6]};
         memcpy(ye, yn, sizeof ye);
 
+        /* turn: the first vz sign change from > 0 to < 0 ends a turn-mode
+         * run, and its step's events are found up to the turn */
+        if (stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0) {
+            hi = 1.0;
+            bisect(g_apex, NULL, 1, &st, &lo, &hi);
+            theta_end = hi;
+            t_end = t + hi * h;
+            dense(ye, hi, &st);
+            truncated = 1;
+        }
+
         /* closure: first crossing of the launch plane x = x0 moving in -x */
         if (!have_closure && y[0] - x0 > 0.0 && ye[0] - x0 <= 0.0) {
-            hi = 1.0;
+            hi = theta_end;
             bisect(g_closure, &x0, 1, &st, &lo, &hi);
             dense(yd, hi, &st);
             if (yd[2] < 0.0) {
                 have_closure = 1;
                 set5(closure, t + hi * h, yd);
-                if (stop_at_closure) {
+                if (stop_mode == STOP_CLOSURE) {
                     theta_end = hi;
                     memcpy(ye, yd, sizeof ye);
                     t_end = closure[0];

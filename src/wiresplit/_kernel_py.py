@@ -54,6 +54,11 @@ STATUS_SINGULARITY = 1
 STATUS_UNDERFLOW = 2
 STATUS_MAXSTEPS = 3
 
+# stop modes: run the whole duration, or end at the closure or at the turn
+STOP_NONE = 0
+STOP_CLOSURE = 1
+STOP_TURN = 2
+
 # Dormand-Prince 5(4) tableau
 _A21 = 0.2
 _A31 = 3.0 / 40.0
@@ -109,13 +114,19 @@ def _bisect(dense, g, side, hi, h):
 
 def integrate(x0, z0, vx0, vz0, t0, duration,
               wires_x, wires_z, wires_current, alpha,
-              rtol, atol, guard_radius, max_steps, stop_at_closure):
+              rtol, atol, guard_radius, max_steps, stop_mode):
     """Integrate one packet through the wire array.
 
     Returns a plain dict (arrays as lists); the integrator module wraps it.
     Events -- apex of |z|, per-wire periapsis, first re-crossing of the
     launch plane moving in -x -- are located by sign-change bracketing on
     the dense output and refined by bisection to ``EVENT_DT`` seconds.
+
+    ``stop_mode`` ends the run early: ``STOP_CLOSURE`` at the closure,
+    ``STOP_TURN`` in the first accepted step where vz goes from > 0 to < 0.
+    The last row is then the dense state at the bisected bracket's hi, and
+    the events of that step are found up to it. Any other value, such as
+    ``STOP_NONE``, runs the whole duration.
     """
     n = len(wires_x)
     wx = [float(v) for v in wires_x]
@@ -333,13 +344,22 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         t_end = t_new
         truncated = False
 
+        # turn: the first vz sign change from > 0 to < 0 ends a turn-mode
+        # run, and its step's events are found up to the turn
+        if stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0:
+            lo, hi = _bisect(dense, lambda s: s[3], True, 1.0, h)
+            theta_end = hi
+            t_end = t + hi * h
+            x_end, z_end, vx_end, vz_end = dense(hi)
+            truncated = True
+
         # closure: first crossing of the launch plane x = x0 moving in -x
         if closure is None and x - x0 > 0.0 and x_end - x0 <= 0.0:
-            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, 1.0, h)
+            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, theta_end, h)
             xc, zc, vxc, vzc = dense(hi)
             if vxc < 0.0:
                 closure = (t + hi * h, xc, zc, vxc, vzc)
-                if stop_at_closure:
+                if stop_mode == STOP_CLOSURE:
                     theta_end = hi
                     t_end, x_end, z_end, vx_end, vz_end = closure
                     truncated = True

@@ -37,6 +37,10 @@ def stiffness_k(current: float, b: float, v0: float, medium: Medium) -> float:
         raise ValueError(
             f"alpha I^2 / (v0^2 b^2) underflows to 0 at current = {current:g} A, "
             f"b = {b:g} m and v0 = {v0:g} m/s (k would be exactly 1)")
+    if not excess < math.inf:
+        raise ValueError(
+            f"alpha I^2 / (v0^2 b^2) is {excess} at current = {current:g} A, "
+            f"b = {b:g} m and v0 = {v0:g} m/s (a square overflows)")
     return 1.0 + excess
 
 
@@ -71,7 +75,12 @@ def analytic_orbit(theta: float, k: float, b: float) -> float:
 def triangular_max_size(v0: float, tau: float, x0: float) -> float:
     """Largest branch separation for the triangular closure, m."""
     _require_feasible(v0, tau, x0)
-    return math.sqrt(v0 * v0 * tau * tau - 2.0 * v0 * x0 * tau)
+    square = v0 * v0 * tau * tau - 2.0 * v0 * x0 * tau
+    if not square >= 0.0:
+        raise ValueError(
+            f"v0^2 tau^2 - 2 v0 x0 tau rounds to {square:g} m^2 at v0 = "
+            f"{v0:g} m/s, tau = {tau:g} s and x0 = {x0:g} m (v0^2 underflows)")
+    return math.sqrt(square)
 
 
 def inverse_max_size(v0: float, tau: float, x0: float) -> float:

@@ -264,13 +264,18 @@ _SWEEP_SCHEMA = {
 }
 
 
+# sweep rows: a larger grid is a config error, not an allocation that fails
+# or exhausts memory
+_MAX_POINTS = 10**6
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _SWEEP_SCHEMA, "sweep config")
     flight = _library_args(params, {"x0_um": "x0", "tau_s": "tau"})
-    if "n_points" in params and params["n_points"] < 1:
+    if "n_points" in params and not 1 <= params["n_points"] <= _MAX_POINTS:
         raise ConfigError(
-            f"field 'n_points': must be at least 1, got {params['n_points']}")
+            f"field 'n_points': must be from 1 to {_MAX_POINTS}")
     if "v0_min_m_per_s" in params or "v0_max_m_per_s" in params:
         # an end the config leaves open is the default grid's: the lower one
         # just above feasibility

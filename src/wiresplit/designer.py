@@ -13,9 +13,18 @@ x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
 at 0.85-0.98 of the designed current, so it brackets in one step instead of
 first overshooting into currents whose branch never returns. Shooting stops
 at the first trial, in any phase, that closes within
-``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial's miss and
-branch are memoised per design: a repeat is not integrated again but counts
-toward the budget, and the accepted trial is the design's top branch.
+``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial is
+memoised per design: a repeat is not integrated again but counts toward the
+budget.
+
+A triangular trial integrates the branch to its closure, and the accepted
+trial is the design's top branch. The inverse branch runs head-on into the
+deflector, stops and retraces its path, so its closure is decided at the
+turn: an inverse trial integrates only up to the turn and estimates the
+miss from the angular momentum left there (:func:`_turn_trial`), and it
+also needs the secant step to the root within ``_ACCEPT_STEP`` of the
+current to close. One full run at the accepted current then gives the top
+branch and the reported, measured closure miss.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ launch plane within the time budget; vastly larger than any real miss."""
 _TIME_MARGIN = 0.1  # fraction of tau allowed beyond the nominal flight time
 _ACCEPT_FRACTION = 0.01  # of closure_tolerance; see DesignSpec
 _SHOOT_BUDGET = 80  # trials per design; see DesignSpec
+_ACCEPT_STEP = 3e-7  # inverse: relative secant step to the root; see DesignSpec
 
 
 class DesignFailure(RuntimeError):
@@ -81,6 +91,16 @@ class DesignSpec:
     (inverse, 8.30e-3 A, 1.35e-2 m/A), so the scale family's 1e-6 relative
     bound needs m <= 1.1e-10 m, about 8x the scatter of the numerical miss
     across nearby currents at one step control.
+
+    An inverse trial runs only to the branch's turn, and its miss is
+    estimated from the turn state. It closes when that estimate is within
+    ``closure_tolerance / 100`` and the secant step to the root is within
+    3e-7 of the current, since a design with a smaller I |dz_c/dI| than
+    the reference's would otherwise drift further in current. On perfbench's
+    design_mix seeds 1-2 the 60 inverse currents then lie within 2.8e-7 of
+    the root of the closure miss itself. The reported ``closure_error`` is
+    measured on one full run at the accepted current, and a miss above
+    ``closure_tolerance`` there raises :class:`DesignFailure`.
 
     The miss is that of the numerical branch, not of the model. At the
     default ``StepControl`` the inverse designs' true miss, re-integrated at
@@ -131,6 +151,51 @@ def closure_error(wires, initial: PacketState, medium: Medium, tau: float,
     ``tau * (1 + _TIME_MARGIN)``.
     """
     return _closure_trial(wires, initial, medium, tau, control)[0]
+
+
+def _turn_gain(splitting_current, v0, b, x0, deflector_z,
+               medium: Medium) -> float:
+    """Closure miss (m) per radian by which an inverse branch's turn falls
+    short of an exact reversal; see :func:`_turn_trial`."""
+    k = analytic.stiffness_k(splitting_current, b, v0, medium)
+    # |d theta_s / d b| of the splitting deflection theta_s = (1 - 1/sqrt(k)) pi
+    spread = math.pi * (k - 1.0) / (b * k * math.sqrt(k))
+    return spread * deflector_z * x0 - deflector_z - x0
+
+
+def _turn_trial(wires, initial: PacketState, medium: Medium, tau: float,
+                control: StepControl, gain: float
+                ) -> tuple[float, Trajectory]:
+    """One inverse shooting trial, run to the turn: the estimated closure
+    miss (m), or :data:`CLOSURE_SENTINEL` when the branch does not turn or
+    turns by a right angle or less, which retraces nothing; and the branch
+    up to the turn.
+
+    The estimate takes each encounter as a single-wire scattering joined by
+    straight asymptotes. The branch turns at the deflector ``wires[1]``
+    (current I) with angular momentum L about it, which that scattering
+    conserves, and leaves at pi - phi from its incoming line, with
+    phi = pi L / sqrt(L^2 + alpha I^2). Back down the asymptote over the
+    deflector height z_d, phi brings the branch phi z_d closer to the
+    splitting wire, which then turns it |d theta_s / d b| phi z_d further,
+    less phi itself, and the closer passage carries over to the outgoing
+    line. Over the last x0 to the launch plane the miss is phi
+    (|d theta_s / d b| z_d x0 - z_d - x0), where the bracket is the
+    ``gain`` of :func:`_turn_gain`. At the inverse reference this agrees
+    with the measured miss of full runs to 1e-3 relative.
+    """
+    duration = tau * (1.0 + _TIME_MARGIN)
+    traj = simulate(initial, wires, medium, duration, control,
+                    stop_at_turn=True)
+    end = traj.final
+    if end.t == initial.t + duration:  # ran the whole time without turning
+        return CLOSURE_SENTINEL, traj
+    turner = wires[1]
+    ang = (end.x - turner.x) * end.vz - (end.z - turner.z) * end.vx
+    phi = math.pi * ang / math.hypot(ang, math.sqrt(medium.alpha) * turner.current)
+    if abs(phi) >= 0.5 * math.pi:
+        return CLOSURE_SENTINEL, traj
+    return gain * phi, traj
 
 
 def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
@@ -235,7 +300,8 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
         f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
+def _shoot(objective, seed: float, budget: int, tolerance: float,
+           step_tolerance: float | None = None) -> float:
     """Bracket by geometric scan from the seed, then polish with Brent's method.
 
     Near its root the objective decreases through zero as the deflector
@@ -244,9 +310,15 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
     height. The scan walks that direction first and falls back to the
     opposite one, so a locally inverted regime still brackets if a root
     exists at all.
+
+    A trial closes when its miss is within ``_ACCEPT_FRACTION * tolerance``
+    and, given a ``step_tolerance``, the secant step to the root from the
+    last valid trial at another current is within ``step_tolerance`` of
+    the current.
     """
     evals = 0
     best = (None, math.inf)
+    history = []  # (current, miss) of the valid trials, in order
 
     def f(current):
         nonlocal evals, best
@@ -261,10 +333,21 @@ def _shoot(objective, seed: float, budget: int, tolerance: float) -> float:
         except WireSingularityError:
             # packet swallowed by a wire: invalid trial, same as no return
             err = CLOSURE_SENTINEL
-        if valid(err) and abs(err) < abs(best[1]):
-            best = (current, err)
         logger.debug("shoot: I = %.9e A -> closure error %.6e m", current, err)
-        if valid(err) and abs(err) <= _ACCEPT_FRACTION * tolerance:
+        if not valid(err):
+            return err
+        if abs(err) < abs(best[1]):
+            best = (current, err)
+        closes = abs(err) <= _ACCEPT_FRACTION * tolerance
+        if closes and step_tolerance is not None:
+            prev = next(((c, e) for c, e in reversed(history)
+                         if c != current), None)
+            # |err / secant slope| <= step_tolerance * |current|
+            closes = prev is not None and (
+                abs(err * (current - prev[0]))
+                <= step_tolerance * abs(current) * abs(err - prev[1]))
+        history.append((current, err))
+        if closes:
             raise _Closed(current)
         return err
 
@@ -346,29 +429,40 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             Wire(dx_w, -dz_w, current),
         )
 
-    # Brent's method re-asks for the bracket ends the scan has just tried,
-    # and the accepted trial is the top branch; each current is integrated
-    # once, and the branch of a current _shoot never tried is integrated here
+    inverse = spec.scheme == "inverse"
+    if inverse:
+        gain = _turn_gain(splitting_current, v0, b, x0, dz_w, medium)
+
+    # Brent's method re-asks for the bracket ends the scan has just tried;
+    # each current is integrated once
     trials = {}
 
     def trial(current):
         if current not in trials:
-            trials[current] = _closure_trial(wires_for(current), initial,
-                                             medium, tau, control)
+            args = (wires_for(current), initial, medium, tau, control)
+            trials[current] = (_turn_trial(*args, gain) if inverse
+                               else _closure_trial(*args))
         return trials[current]
 
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
     current = _shoot(lambda c: trial(c)[0], seed, _SHOOT_BUDGET,
-                     spec.closure_tolerance)
+                     spec.closure_tolerance, _ACCEPT_STEP if inverse else None)
 
+    # an accepted triangular trial is the top branch; an inverse trial
+    # stopped at the turn, so the top branch is one full run
     wires = wires_for(current)
-    top = trial(current)[1]
+    miss, top = (_closure_trial(wires, initial, medium, tau, control)
+                 if inverse else trial(current))
 
     closure = top.events.closure
     if closure is None:
         raise DesignFailure("converged design lost its closure crossing",
                             best_current=current)
+    if abs(miss) > spec.closure_tolerance:
+        raise DesignFailure(
+            f"measured closure miss |{miss:.3e}| m > "
+            f"{spec.closure_tolerance:.3e} m", best_current=current)
 
     peri = top.events.periapsis_per_wire
     # z -> -z symmetry: the bottom branch sees the mirror wire at the same

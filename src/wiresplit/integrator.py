@@ -135,21 +135,28 @@ class Trajectory:
 
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
              control: StepControl = DEFAULT_CONTROL, *,
-             stop_at_closure: bool = False) -> Trajectory:
+             stop_at_closure: bool = False,
+             stop_at_turn: bool = False) -> Trajectory:
     """Integrate the equation of motion over ``[t0, t0 + duration]``.
 
     Events are recorded along the way; the closure is the first crossing
     of the launch plane ``x = initial.x`` with vx < 0. With
     ``stop_at_closure`` the run ends at the closure crossing instead of
-    the full duration.
+    the full duration. With ``stop_at_turn`` it ends at the turn, the
+    first point where vz goes from positive to negative, located as the
+    apex is; the events are then those up to the turn. An inverse branch
+    turns at its deflector, where it retraces its path.
 
-    Raises ``ValueError`` for a duration that is not positive and finite
-    or too small to move ``t0 + duration`` off ``t0``, or a launch whose
-    specific kinetic energy overflows (the energy drift would be NaN),
-    ``WireSingularityError`` when the launch or the path comes within
-    ``GUARD_RADIUS`` of a wire that carries current, and ``StiffnessError``
-    when the step size underflows or the :data:`MAX_STEPS` budget runs out.
+    Raises ``ValueError`` for both stop flags set, a duration that is not
+    positive and finite or too small to move ``t0 + duration`` off ``t0``,
+    or a launch whose specific kinetic energy overflows (the energy drift
+    would be NaN), ``WireSingularityError`` when the launch or the path
+    comes within ``GUARD_RADIUS`` of a wire that carries current, and
+    ``StiffnessError`` when the step size underflows or the
+    :data:`MAX_STEPS` budget runs out.
     """
+    if stop_at_closure and stop_at_turn:
+        raise ValueError("stop_at_closure and stop_at_turn are exclusive")
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration:g}")
     if initial.t + duration == initial.t:
@@ -175,7 +182,8 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
         medium.alpha,
         control.rtol, control.atol, GUARD_RADIUS, MAX_STEPS,
-        bool(stop_at_closure),
+        _kernel_py.STOP_CLOSURE if stop_at_closure
+        else _kernel_py.STOP_TURN if stop_at_turn else _kernel_py.STOP_NONE,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:

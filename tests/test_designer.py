@@ -17,7 +17,7 @@ from wiresplit import (
     mirror_trajectory,
     triangular_max_size,
 )
-from wiresplit import designer, integrator
+from wiresplit import _kernel_py, designer, integrator
 from wiresplit.cli import main
 from wiresplit.designer import (
     CLOSURE_SENTINEL,
@@ -281,40 +281,59 @@ class TestShootingWork:
                                                 monkeypatch):
         # Brent's method asks again for the bracket ends, and the designer
         # for the accepted trial's branch; those repeats must not reach the
-        # kernel
-        trials, runs = [], []
-        trial = designer._closure_trial
+        # kernel. A triangular trial runs to the closure and the accepted one
+        # is the top branch; an inverse trial runs to the turn, and the top
+        # branch is one full run at the accepted current
+        closures, turns, runs = [], [], []
+        closure_trial, turn_trial = designer._closure_trial, designer._turn_trial
 
-        def counted_trial(wires, *args):
-            trials.append(wires[1].current)
-            return trial(wires, *args)
+        def counted_closure(wires, *args):
+            closures.append(wires[1].current)
+            return closure_trial(wires, *args)
+
+        def counted_turn(wires, *args):
+            turns.append(wires[1].current)
+            return turn_trial(wires, *args)
 
         kernel = integrator._kernel
 
         def counted_integrate(*args):
-            runs.append(args)
+            runs.append(args[-1])  # the stop mode
             return kernel.integrate(*args)
 
-        monkeypatch.setattr(designer, "_closure_trial", counted_trial)
+        monkeypatch.setattr(designer, "_closure_trial", counted_closure)
+        monkeypatch.setattr(designer, "_turn_trial", counted_turn)
         monkeypatch.setattr(integrator, "_kernel",
                             SimpleNamespace(integrate=counted_integrate))
-        designer.design_trajectories(DesignSpec(scheme=scheme,
-                                                inputs=paper_inputs))
-        assert len(set(trials)) == len(trials)
-        assert len(runs) == len(trials)
+        result, _, _ = designer.design_trajectories(
+            DesignSpec(scheme=scheme, inputs=paper_inputs))
+        current = result.wires[1].current
+        if scheme == "triangular":
+            assert turns == []
+            assert len(set(closures)) == len(closures)
+            assert current in closures
+            assert runs == [_kernel_py.STOP_CLOSURE] * len(closures)
+        else:
+            assert len(set(turns)) == len(turns)
+            assert current in turns
+            assert closures == [current]
+            assert runs == ([_kernel_py.STOP_TURN] * len(turns)
+                            + [_kernel_py.STOP_CLOSURE])
 
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_shooting_stops_at_first_trial_within_a_hundredth(
             self, scheme, paper_inputs, monkeypatch):
+        # an inverse trial is the run to the turn, and its miss the estimate
+        name = {"triangular": "_closure_trial", "inverse": "_turn_trial"}[scheme]
         trials = []
-        trial = designer._closure_trial
+        trial = getattr(designer, name)
 
         def counted_trial(wires, *args):
             miss, branch = trial(wires, *args)
             trials.append((wires[1].current, miss))
             return miss, branch
 
-        monkeypatch.setattr(designer, "_closure_trial", counted_trial)
+        monkeypatch.setattr(designer, name, counted_trial)
         spec = DesignSpec(scheme=scheme, inputs=paper_inputs)
         result, _, _ = designer.design_trajectories(spec)
         # Brent's tolerance in current is far below the integrator's noise,
@@ -326,6 +345,24 @@ class TestShootingWork:
         assert closed.index(True) == len(trials) - 1
         assert result.wires[1].current == trials[-1][0]
         assert result.closure_error <= accept
+
+    def test_inverse_current_within_1e6_of_the_closure_root(
+            self, inverse_design, medium):
+        # the accepted turn-trial current against the root that Brent's
+        # method converges to on the closure miss itself
+        result, _, _ = inverse_design
+        current = result.wires[1].current
+        initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
+        splitting, upper, lower = result.wires
+
+        def miss(i):
+            wires = (splitting, replace(upper, current=i),
+                     replace(lower, current=i))
+            return closure_error(wires, initial, medium, TAU)
+
+        root = _brentq(miss, current * (1 - 1e-5), current * (1 + 1e-5),
+                       xtol=1e-12 * current, rtol=8.9e-16, maxiter=80)
+        assert current == pytest.approx(root, rel=1e-6)
 
 
 def _counted(objective):
@@ -354,6 +391,20 @@ def test_shoot_stops_in_integrator_noise():
     assert abs(miss(current)) <= 1e-10
     # a miss within 1e-10 m keeps the current within 1e-6 relative
     assert current == pytest.approx(8.2995e-3, rel=1e-6)
+
+
+def test_shoot_step_tolerance_bounds_the_current():
+    # a miss so flat in current that every trial closes within a hundredth
+    # of the tolerance: only the secant step to the root stops shooting
+    def miss(current):
+        return 1e-9 * (8.2995e-3 - current)
+
+    f, calls = _counted(miss)
+    assert designer._shoot(f, 6e-3, 80, 1e-8) == 6e-3
+    f, calls = _counted(miss)
+    current = designer._shoot(f, 6e-3, 80, 1e-8, step_tolerance=3e-7)
+    assert len(set(calls)) > 1
+    assert current == pytest.approx(8.2995e-3, rel=3e-7)
 
 
 def test_shoot_returns_a_seed_that_closes():

@@ -47,6 +47,14 @@ def test_default_backend_is_fastest_available():
         assert kernel_backend() == "compiled"
 
 
+def _inverse_scenario():
+    # the inverse reference layout: the branch runs head-on into the upper
+    # deflector, turns at about t = 0.05 s and retraces its path
+    wires = (Wire(0.0, 0.0, 0.616467), Wire(-0.5e-6, 200e-6, 0.0082995),
+             Wire(-0.5e-6, -200e-6, 0.0082995))
+    return PacketState(x=-300e-6, z=0.5e-6, vx=0.01, vz=0.0), wires
+
+
 def _headon():
     # b = 0: the packet stalls short of the wire and retraces its path
     return PacketState(x=-50e-6, z=0.0, vx=0.01, vz=0.0), (Wire(0.0, 0.0, 2.0),)
@@ -55,7 +63,7 @@ def _headon():
 def _bitwise_case(name, medium):
     """(kernel arguments, expected status) of one exit path of the kernel."""
     initial, wires = _fig_scenario()
-    duration, control, stop = 0.02, StepControl(), False
+    duration, control, stop = 0.02, StepControl(), _kernel_py.STOP_NONE
     guard, max_steps = GUARD_RADIUS, integrator.MAX_STEPS
     status = _kernel_py.STATUS_OK
     if name == "three_wire":
@@ -76,7 +84,11 @@ def _bitwise_case(name, medium):
         status = _kernel_py.STATUS_UNDERFLOW
     elif name == "stop_at_closure":
         initial, wires = _headon()
-        stop = True
+        stop = _kernel_py.STOP_CLOSURE
+    elif name == "stop_at_turn":
+        # the inverse reference layout run to its turn at the deflector
+        initial, wires = _inverse_scenario()
+        duration, stop = 0.11, _kernel_py.STOP_TURN
     elif name == "no_wires":
         wires = ()
     elif name in ("vz0_pure_relative", "z_axis_pure_relative",
@@ -103,7 +115,7 @@ def _bitwise_case(name, medium):
         # of z, or a minimum on the mirrored launch
         wires = (Wire(0.0, 0.0, 0.925273), Wire(-150e-6, 316.5e-6, 1.57),
                  Wire(-150e-6, -316.5e-6, 1.57))
-        duration, stop = 0.105, True
+        duration, stop = 0.105, _kernel_py.STOP_CLOSURE
         if name.endswith("mirror"):
             initial = PacketState(x=initial.x, z=-initial.z, vx=initial.vx,
                                   vz=initial.vz)
@@ -136,7 +148,8 @@ def _bits(obj):
 
 
 @pytest.mark.parametrize("case", ["three_wire", "singularity", "max_steps",
-                                  "underflow", "stop_at_closure", "no_wires",
+                                  "underflow", "stop_at_closure",
+                                  "stop_at_turn", "no_wires",
                                   "dead_wire", "uneven_current",
                                   "triangular_closure",
                                   "triangular_closure_mirror", "bisection_cap",
@@ -150,6 +163,8 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     assert isinstance(slow["energy_drift"], float)
     if case == "stop_at_closure":
         assert slow["closure"] is not None and slow["samples"][-5] < 0.02
+    if case == "stop_at_turn":
+        assert slow["closure"] is None and slow["samples"][-5] < 0.06
     assert _bits(fast) == _bits(slow)
 
 
@@ -174,7 +189,9 @@ _CONTROLS = st.tuples(_log_uniform(-12.0, -9.0),
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(wires=_WIRES, launch=_LAUNCHES, control=_CONTROLS,
-       duration=_log_uniform(-3.0, -1.7), stop=st.booleans())
+       duration=_log_uniform(-3.0, -1.7),
+       stop=st.sampled_from([_kernel_py.STOP_NONE, _kernel_py.STOP_CLOSURE,
+                             _kernel_py.STOP_TURN]))
 def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
                                        control, duration, stop):
     # the 2000-step budget bounds each draw's cost
@@ -318,6 +335,30 @@ def test_stop_at_closure_truncates(medium):
     assert traj.final.t < 0.02
 
 
+def test_stop_at_turn_ends_at_first_descending_vz_zero(medium):
+    initial, wires = _inverse_scenario()
+    full = simulate(initial, wires, medium, 0.11)
+    half = simulate(initial, wires, medium, 0.11, stop_at_turn=True)
+    vz = full.states[:, 3]
+    # the first step along which vz goes from > 0 to < 0
+    i = next(i for i in range(len(vz) - 1) if vz[i] > 0.0 > vz[i + 1])
+    n = len(half.t)
+    # the same steps up to it, then that step cut at the turn
+    assert n == i + 2
+    assert np.array_equal(half.states[:-1], full.states[:i + 1])
+    assert full.t[i] < half.final.t < full.t[i + 1]
+    assert half.final.vz <= 0.0 < half.states[-2, 3]
+    assert half.events.apex.t == pytest.approx(half.final.t, abs=2e-12)
+    assert half.events.closure is None
+
+
+def test_simulate_rejects_both_stop_flags(medium):
+    initial, wires = _inverse_scenario()
+    with pytest.raises(ValueError, match="exclusive"):
+        simulate(initial, wires, medium, 0.11, stop_at_closure=True,
+                 stop_at_turn=True)
+
+
 def test_guard_radius_violation_raises(medium):
     # head-on at a current whose turning radius, 0.70 nm, lies inside the
     # 1 nm guard radius
@@ -335,7 +376,8 @@ def test_guard_radius_violation_raises(medium):
     raw = _kernel_py.integrate(
         initial.x, initial.z, initial.vx, initial.vz, initial.t, 0.02,
         [0.0], [0.0], [current], medium.alpha, StepControl().rtol,
-        StepControl().atol, GUARD_RADIUS, integrator.MAX_STEPS, False)
+        StepControl().atol, GUARD_RADIUS, integrator.MAX_STEPS,
+        _kernel_py.STOP_NONE)
     t, x, z = raw["periapsis_state"][0][:3]
     assert (exc.value.t, *exc.value.point) == (t, x, z)
 
