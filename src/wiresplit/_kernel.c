@@ -4,13 +4,13 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, the twin's stop modes (none, closure, turn), "samples"
- * as one flat list of rows (t, x, z, vx, vz), and a zero error scale
- * (atol = 0) counting 0 in the initial-step norms, 0/0 as 0 and err/0 as inf
- * in the step error norm. Every floating-point operation is in the twin's
- * order, comparisons and min() treat NaN as Python does, and the file must
- * be built without FMA contraction (-ffp-contract=off), so both backends
- * return equal doubles.
+ * functions and sides, the twin's stop modes (none, closure, turn), the
+ * samples as two bytes of native doubles ("t", n times, and "states", n rows
+ * x, z, vx, vz), and a zero error scale (atol = 0) counting 0 in the
+ * initial-step norms, 0/0 as 0 and err/0 as inf in the step error norm.
+ * Every floating-point operation is in the twin's order, comparisons and
+ * min() treat NaN as Python does, and the file must be built without FMA
+ * contraction (-ffp-contract=off), so both backends return equal doubles.
  *
  * Every division is IEEE and none is trapped. A zero h0 in the initial-step
  * heuristic (atol = 0 at a launch coordinate near 1e-300) makes d2 inf, or
@@ -157,26 +157,26 @@ static void set5(double *dst, double t, const double *y)
     memcpy(dst + 1, y, 4 * sizeof(double));
 }
 
-/* the samples (t, x, z, vx, vz), 5 doubles each */
+/* a growable array of doubles */
 typedef struct {
     double *v;
     size_t len, cap;
-} Samples;
+} Buf;
 
-static int push(Samples *s, double t, const double *y)
+static int push(Buf *b, const double *v, size_t m)
 {
-    if (s->len + 5 > s->cap) {
-        size_t cap = s->cap ? 2 * s->cap : 5 * 256;
-        double *v = PyMem_Realloc(s->v, cap * sizeof(double));
-        if (v == NULL) {
+    if (b->len + m > b->cap) {
+        size_t cap = b->cap ? 2 * b->cap : 1024;
+        double *nv = PyMem_Realloc(b->v, cap * sizeof(double));
+        if (nv == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        s->v = v;
-        s->cap = cap;
+        b->v = nv;
+        b->cap = cap;
     }
-    set5(s->v + s->len, t, y);
-    s->len += 5;
+    memcpy(b->v + b->len, v, m * sizeof(double));
+    b->len += m;
     return 0;
 }
 
@@ -237,7 +237,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
     PyObject *result = NULL;
     double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL, *powered = NULL;
-    Samples samples = {NULL, 0, 0};
+    Buf t_buf = {NULL, 0, 0}, y_buf = {NULL, 0, 0};  /* the samples */
     Py_ssize_t n, nz, ni;
     if (as_doubles(seq_x, &wx, &n) < 0 || as_doubles(seq_z, &wz, &nz) < 0
         || as_doubles(seq_i, &wi, &ni) < 0)
@@ -280,7 +280,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         if (wi[i] != 0.0)
             u += 0.5 * alpha * wi[i] * wi[i] / r2;
     }
-    if (push(&samples, t, y) < 0)
+    if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
         goto done;
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
@@ -470,7 +470,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             }
         }
 
-        if (push(&samples, t_end, ye) < 0)
+        if (push(&t_buf, &t_end, 1) < 0 || push(&y_buf, ye, 4) < 0)
             goto done;
         double d = fabs(0.5 * (ye[2] * ye[2] + ye[3] * ye[3]) + u - e0);
         if (d > drift || d != d)
@@ -513,9 +513,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:N,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d}",
+        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d}",
         "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
-        "samples", float_list(samples.v, (Py_ssize_t)samples.len),
+        "t", (const char *)t_buf.v, (Py_ssize_t)(t_buf.len * sizeof(double)),
+        "states", (const char *)y_buf.v, (Py_ssize_t)(y_buf.len * sizeof(double)),
         "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
         "periapsis_state", peri_state,
         "closure", clo, "n_steps", n_steps, "n_rejected", n_rejected,
@@ -528,7 +529,8 @@ done:
     PyMem_Free(wi);
     PyMem_Free(peri);
     PyMem_Free(powered);
-    PyMem_Free(samples.v);
+    PyMem_Free(t_buf.v);
+    PyMem_Free(y_buf.v);
     return result;
 }
 

@@ -7,13 +7,14 @@ backends produce identical trajectories. This module is used automatically
 when the extension is not built; README's Installation section gives its
 measured cost against the extension.
 
-The returned ``samples`` is one flat list of rows (t, x, z, vx, vz): the
-launch, then each accepted step. One ``_bisect`` refines every event: at
-most 80 halvings of the step fraction [lo, hi] = [0, hi] down to
-``EVENT_DT`` seconds, with lo = mid exactly when ``(g(dense(mid)) > 0.0) ==
-side``. The closure has g = x - x0, the apex g = vz with side ``vz > 0.0``
-at the step's start, a periapsis g = -((x - xw) vx + (z - zw) vz); else
-side is true.
+The samples, the launch and then each accepted step, are returned as two
+``bytes`` of native doubles, each converted once from a list at the end:
+``t`` (n times) and ``states`` (n rows x, z, vx, vz). One ``_bisect``
+refines every event: at most 80 halvings of the step fraction [lo, hi] =
+[0, hi] down to ``EVENT_DT`` seconds, with lo = mid exactly when
+``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0, the apex
+g = vz with side ``vz > 0.0`` at the step's start, a periapsis
+g = -((x - xw) vx + (z - zw) vz); else side is true.
 
 Error norms use the scale ``atol + rtol * |value|`` per component. With
 ``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
@@ -48,6 +49,7 @@ as the designs assume.
 """
 
 import math
+from array import array
 
 STATUS_OK = 0
 STATUS_SINGULARITY = 1
@@ -117,7 +119,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
               rtol, atol, guard_radius, max_steps, stop_mode):
     """Integrate one packet through the wire array.
 
-    Returns a plain dict (arrays as lists); the integrator module wraps it.
+    Returns a plain dict; the integrator module wraps it.
     Events -- apex of |z|, per-wire periapsis, first re-crossing of the
     launch plane moving in -x -- are located by sign-change bracketing on
     the dense output and refined by bisection to ``EVENT_DT`` seconds.
@@ -181,8 +183,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             u += c / r2 if r2 != 0.0 else c * _INF
     closure = None
 
-    # rows (t, x, z, vx, vz), one per sample
-    samples = [t, x, z, vx, vz]
+    # one sample per row: its time, and its state (x, z, vx, vz)
+    ts = [t]
+    states = [x, z, vx, vz]
     # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
     # largest |E - E0| over the rows so far (NaN once any is NaN)
     e0 = 0.5 * (vx * vx + vz * vz) + u
@@ -411,7 +414,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
                     fail_wire = i
                     t_fail = t_end
 
-        samples += (t_end, x_end, z_end, vx_end, vz_end)
+        ts.append(t_end)
+        states += (x_end, z_end, vx_end, vz_end)
         d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + u - e0)
         if d > drift or d != d:
             drift = d
@@ -453,7 +457,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "status": status,
         "fail_wire": fail_wire,
         "t_fail": t_fail,
-        "samples": samples,
+        "t": array("d", ts).tobytes(),
+        "states": array("d", states).tobytes(),
         "apex": apex,
         "periapsis_distance": peri_dist,
         "periapsis_state": peri_state,

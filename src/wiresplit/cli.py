@@ -38,7 +38,12 @@ from .model import (
     default_medium,
     make_medium,
 )
-from .sweep import default_velocity_grid, validate_analytic, velocity_sweep
+from .sweep import (
+    default_velocity_grid,
+    validate_analytic,
+    velocity_grid,
+    velocity_sweep,
+)
 
 EXIT_CONFIG = 2
 EXIT_DESIGN = 3
@@ -106,11 +111,22 @@ def _um(v):
     return _real(v) * _UM
 
 
-def _um_list(v):
-    # iterating would take the keys of an object or the characters of a string
+def _array(v) -> list:
+    # list() would take the keys of an object or the characters of a string
     if not isinstance(v, list):
         raise TypeError(f"expected an array, got {json.dumps(v)}")
-    return [_um(x) for x in v]
+    return v
+
+
+def _object(v) -> dict:
+    # dict() would take an array of [key, value] pairs
+    if not isinstance(v, dict):
+        raise TypeError(f"expected an object, got {json.dumps(v)}")
+    return v
+
+
+def _um_list(v):
+    return [_um(x) for x in _array(v)]
 
 
 def _medium_from(params: dict):
@@ -196,8 +212,8 @@ def _cmd_design(args) -> int:
 
 
 _SIMULATE_SCHEMA = {
-    "wires": (True, list),
-    "initial": (True, dict),
+    "wires": (True, _array),
+    "initial": (True, _object),
     "duration_s": (True, _real),
     "chi_m_m3_per_kg": (False, _real),
     "mass_kg": (False, _real),
@@ -244,7 +260,7 @@ def _cmd_simulate(args) -> int:
     (out / "events.json").write_text(
         json.dumps(events, indent=2, allow_nan=False) + "\n")
 
-    print(f"samples:               {len(traj.samples) // 5}")
+    print(f"samples:               {len(traj.t)}")
     print(f"apex |z|:              {abs(traj.events.apex.z) / _UM:.4f} um")
     for p in traj.events.periapsis_per_wire:
         print(f"wire {p.wire_index} closest:        {p.distance / _UM:.6f} um")
@@ -286,13 +302,10 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(
                 "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
                 f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
-        import numpy as np
-
-        grid = np.geomspace(v_min, v_max, params.get("n_points", len(default)))
-    elif "n_points" in params:
-        grid = default_velocity_grid(**flight, n_points=params["n_points"])
+        grid = velocity_grid(v_min, v_max, params.get("n_points", len(default)))
     else:
-        grid = None
+        grid = default_velocity_grid(**flight, **_library_args(
+            params, {"n_points": "n_points"}))
 
     table = velocity_sweep(grid, medium=_medium_from(params), **flight,
                            **_library_args(params, {"b_um": "b"}))
@@ -409,6 +422,10 @@ def main(argv=None) -> int:
     except (WireSingularityError, StiffnessError) as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         code = EXIT_SINGULARITY
+    except OSError as exc:  # an output write; config reads raise ConfigError
+        print(f"config error: --out {args.out} is not writable: {exc}",
+              file=sys.stderr)
+        code = EXIT_CONFIG
     finally:
         if code != 0:  # a failed run leaves no output directory behind
             _remove_dirs(made)

@@ -5,16 +5,16 @@ extension ``wiresplit._kernel`` if it is built, else its pure-Python twin
 ``wiresplit._kernel_py``. Both implement the identical algorithm and return
 bitwise-identical results, the energy-drift statistic included: the
 repulsion potential is evaluated only in the kernels. ``simulate`` wraps
-the kernel's output into domain types. numpy is imported only when a
-trajectory's ``t`` or ``states`` array is first read.
+the kernel's output into domain types; its samples stay the kernel's
+buffers of native doubles.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import _kernel_py
 from .field import GUARD_RADIUS, WireSingularityError
@@ -102,35 +102,22 @@ class TrajectoryStats:
 class Trajectory:
     """Time-ordered samples of one packet plus its event log.
 
-    ``samples`` is the kernel's flat list of rows (t, x, z, vx, vz), as it
-    returned them. ``t`` (n,) and ``states`` (n, 4: x, z, vx, vz) are
-    read-only views of one numpy array built from it on first access.
+    ``t`` (n,) and ``states`` (n, 4: x, z, vx, vz) are read-only
+    ``memoryview``s of the kernel's doubles, cast without a copy:
+    ``states[i, j]`` reads one value, ``states.tolist()`` the rows, and
+    ``numpy.asarray`` views either buffer without a copy.
     """
 
-    samples: list
+    t: memoryview
+    states: memoryview
     events: EventLog
     stats: TrajectoryStats
 
-    @cached_property
-    def _rows(self):
-        import numpy as np
-
-        rows = np.array(self.samples, dtype=float).reshape(-1, 5)
-        rows.flags.writeable = False
-        return rows
-
-    @property
-    def t(self):
-        return self._rows[:, 0]
-
-    @property
-    def states(self):
-        return self._rows[:, 1:]
-
     @property
     def final(self) -> PacketState:
-        t, x, z, vx, vz = self.samples[-5:]
-        return PacketState(x=x, z=z, vx=vx, vz=vz, t=t)
+        s = self.states
+        return PacketState(x=s[-1, 0], z=s[-1, 1], vx=s[-1, 2], vz=s[-1, 3],
+                           t=self.t[-1])
 
 
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
@@ -219,7 +206,9 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         min_step=raw["min_step"],
         energy_drift=raw["energy_drift"],
     )
-    return Trajectory(samples=raw["samples"], events=events, stats=stats)
+    t = memoryview(raw["t"]).cast("d")
+    states = memoryview(raw["states"]).cast("d", (len(t), 4))
+    return Trajectory(t=t, states=states, events=events, stats=stats)
 
 
 def mirror_trajectory(traj: Trajectory, wires) -> Trajectory:
@@ -246,9 +235,10 @@ def mirror_trajectory(traj: Trajectory, wires) -> Trajectory:
                 f"{w.z:g}) m has no mirror partner at z = {-w.z:g} m")
         partner.append(mates[0])
 
-    samples = list(traj.samples)
-    samples[2::5] = [-v for v in samples[2::5]]
-    samples[4::5] = [-v for v in samples[4::5]]
+    # z and vz, columns 1 and 3, are the odd entries of the flat rows
+    flat = array("d", traj.states.tobytes())
+    flat[1::2] = array("d", [-v for v in flat[1::2]])
+    states = memoryview(flat.tobytes()).cast("d", traj.states.shape)
 
     def flip(s: PacketState) -> PacketState:
         return replace(s, z=-s.z, vz=-s.vz)
@@ -263,7 +253,7 @@ def mirror_trajectory(traj: Trajectory, wires) -> Trajectory:
         closure=flip(ev.closure) if ev.closure is not None else None,
         separation_max=ev.separation_max,
     )
-    return Trajectory(samples=samples, events=events, stats=traj.stats)
+    return Trajectory(t=traj.t, states=states, events=events, stats=traj.stats)
 
 
 TRAJECTORY_CSV_COLUMNS = ("t_s", "x_m", "z_m", "vx_m_per_s", "vz_m_per_s")
@@ -274,9 +264,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
-        s = traj.samples
-        for i in range(0, len(s), 5):
-            writer.writerow([f"{v:.12e}" for v in s[i:i + 5]])
+        for t, row in zip(traj.t, traj.states.tolist()):
+            writer.writerow([f"{v:.12e}" for v in (t, *row)])
 
 
 def _state_dict(s: PacketState | None):

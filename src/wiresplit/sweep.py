@@ -7,14 +7,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import analytic
 from .integrator import DEFAULT_CONTROL, StepControl, simulate
 from .model import Medium, PacketState, Wire, _require_positive, default_medium
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SWEEP_COLUMNS = (
     "v0_m_per_s",
@@ -30,29 +26,25 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepTable:
-    """One row per launch speed; infeasible rows are flagged, not dropped."""
+    """One row per launch speed; infeasible rows are flagged, not dropped.
 
-    v0: np.ndarray
-    feasible: np.ndarray
-    dz_triangular: np.ndarray
-    dz_inverse: np.ndarray
-    ratio_triangular: np.ndarray
-    ratio_inverse: np.ndarray
-    density_triangular: np.ndarray
-    density_inverse: np.ndarray
+    Each column is a tuple with one entry per row: Python floats, and bools
+    for ``feasible``; an infeasible row's values are NaN.
+    """
+
+    v0: tuple[float, ...]
+    feasible: tuple[bool, ...]
+    dz_triangular: tuple[float, ...]
+    dz_inverse: tuple[float, ...]
+    ratio_triangular: tuple[float, ...]
+    ratio_inverse: tuple[float, ...]
+    density_triangular: tuple[float, ...]
+    density_inverse: tuple[float, ...]
 
     def rows(self):
-        for i in range(len(self.v0)):
-            yield (
-                self.v0[i],
-                bool(self.feasible[i]),
-                self.dz_triangular[i],
-                self.dz_inverse[i],
-                self.ratio_triangular[i],
-                self.ratio_inverse[i],
-                self.density_triangular[i],
-                self.density_inverse[i],
-            )
+        return zip(self.v0, self.feasible, self.dz_triangular, self.dz_inverse,
+                   self.ratio_triangular, self.ratio_inverse,
+                   self.density_triangular, self.density_inverse)
 
     def write_csv(self, path) -> None:
         # 12 significant digits per value
@@ -71,15 +63,32 @@ class SweepTable:
                  for name, v in zip(SWEEP_COLUMNS, row)} for row in self.rows()]
 
 
-def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
-                          n_points: int = 50) -> np.ndarray:
-    """Logarithmic grid from just above the feasibility bound up to 2 m/s."""
-    import numpy as np
+def velocity_grid(v_min: float, v_max: float,
+                  n_points: int) -> tuple[float, ...]:
+    """``n_points`` speeds from ``v_min`` to ``v_max``, evenly spaced in log.
 
+    Point i is ``10 ** (log10(v_min) + i * step)`` with ``step =
+    (log10(v_max) - log10(v_min)) / (n_points - 1)``, as ``numpy.geomspace``
+    builds it, but the power is libm's, so the two can differ in the last
+    bits. The ends are ``v_min`` and ``v_max`` exactly; one point, or equal
+    ends, repeats ``v_min``, and ``n_points <= 0`` gives no points.
+    """
+    _require_positive("v_min", v_min)
+    _require_positive("v_max", v_max)
+    if n_points < 2 or v_min == v_max:
+        return (v_min,) * n_points
+    lo = math.log10(v_min)
+    step = (math.log10(v_max) - lo) / (n_points - 1)
+    inner = (10.0 ** (lo + i * step) for i in range(1, n_points - 1))
+    return (v_min, *inner, v_max)
+
+
+def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
+                          n_points: int = 50) -> tuple[float, ...]:
+    """Logarithmic grid from just above the feasibility bound up to 2 m/s."""
     _require_positive("x0", x0)
     _require_positive("tau", tau)
-    v_min = 1.05 * 2.0 * x0 / tau
-    return np.geomspace(v_min, 2.0, n_points)
+    return velocity_grid(1.05 * 2.0 * x0 / tau, 2.0, n_points)
 
 
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
@@ -89,54 +98,36 @@ def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
     A feasible row whose value overflows or underflows to inf or NaN raises
     ``ValueError`` naming the column; infeasible rows hold NaN.
     """
-    import numpy as np
-
     for name, value in (("b", b), ("x0", x0), ("tau", tau)):
         _require_positive(name, value)
     medium = medium if medium is not None else default_medium()
     if v0_values is None:
         v0_values = default_velocity_grid(x0, tau)
-    v0_values = np.asarray(v0_values, dtype=float)
-    if not np.all(np.isfinite(v0_values)):
+    v0_values = tuple(float(v) for v in v0_values)
+    if not all(math.isfinite(v) for v in v0_values):
         raise ValueError("every v0 must be finite")
 
-    n = len(v0_values)
-    feasible = np.zeros(n, dtype=bool)
-    out = {name: np.full(n, math.nan) for name in SWEEP_COLUMNS[2:]}
-
-    # Python floats, so that an overflow is an inf here, not a numpy warning
-    for i, v0 in enumerate(v0_values.tolist()):
+    rows = []
+    for v0 in v0_values:
         if v0 * tau <= 2.0 * x0:
+            rows.append((v0, False) + (math.nan,) * 6)
             continue
-        feasible[i] = True
         c1 = analytic.triangular_current_ratio(v0, tau, x0, medium)
         c2 = analytic.inverse_current_ratio(v0, medium)
-        row = {
-            "dz_triangular_m": analytic.triangular_max_size(v0, tau, x0),
-            "dz_inverse_m": analytic.inverse_max_size(v0, tau, x0),
-            "current_ratio_triangular_a_per_m": c1,
-            "current_ratio_inverse_a_per_m": c2,
-            "current_density_triangular_a_per_m2":
-                analytic.current_density(v0, b, c1, medium),
-            "current_density_inverse_a_per_m2":
-                analytic.current_density(v0, b, c2, medium),
-        }
-        for name, value in row.items():
+        row = (v0, True,
+               analytic.triangular_max_size(v0, tau, x0),
+               analytic.inverse_max_size(v0, tau, x0),
+               c1, c2,
+               analytic.current_density(v0, b, c1, medium),
+               analytic.current_density(v0, b, c2, medium))
+        for name, value in zip(SWEEP_COLUMNS[2:], row[2:]):
             if not math.isfinite(value):
                 raise ValueError(f"{name} is {value} at the feasible "
                                  f"v0 = {v0:g} m/s")
-            out[name][i] = value
+        rows.append(row)
 
-    return SweepTable(
-        v0=v0_values,
-        feasible=feasible,
-        dz_triangular=out["dz_triangular_m"],
-        dz_inverse=out["dz_inverse_m"],
-        ratio_triangular=out["current_ratio_triangular_a_per_m"],
-        ratio_inverse=out["current_ratio_inverse_a_per_m"],
-        density_triangular=out["current_density_triangular_a_per_m2"],
-        density_inverse=out["current_density_inverse_a_per_m2"],
-    )
+    columns = tuple(zip(*rows)) or ((),) * len(SWEEP_COLUMNS)  # no rows
+    return SweepTable(*columns)
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,6 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     that holds no sample of some run raises ``ValueError``: a deviation over
     no samples would read as a perfect overlay.
     """
-    import numpy as np
-
     b_values = tuple(b_values)
     for i, b in enumerate(b_values):
         _require_positive(f"b_values[{i}]", b)
@@ -197,20 +186,13 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
         # long enough to come back out of the comparison region
         duration = 2.2 * launch_distance / v0
         traj = simulate(initial, wires, medium, duration, control)
-        x = traj.states[:, 0]
-        z = traj.states[:, 1]
-        r = np.hypot(x, z)
-        theta = np.arctan2(z, x)
-        inside = r <= region_radius
-        dev = 0.0
-        n_used = 0
-        for ri, thi in zip(r[inside], theta[inside]):
-            ra = analytic.analytic_orbit(thi, k, b)
-            d = abs(ri - ra) / ra
-            if d > dev:
-                dev = d
-            n_used += 1
-        if n_used == 0:
+        devs = []
+        for x, z, _, _ in traj.states.tolist():
+            r = math.hypot(x, z)
+            if r <= region_radius:
+                ra = analytic.analytic_orbit(math.atan2(z, x), k, b)
+                devs.append(abs(r - ra) / ra)
+        if not devs:
             raise ValueError(
                 f"region_radius = {region_radius:g} m holds no sample of the "
                 f"b = {b:g} m run; it must exceed the closest approach")
@@ -220,7 +202,7 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
             scattering_angle=theta_s,
             periapsis_analytic=math.sqrt(k) * b,
             periapsis_numeric=traj.events.periapsis_per_wire[0].distance,
-            max_rel_deviation=dev,
-            n_compared=n_used,
+            max_rel_deviation=max(0.0, *devs),  # a NaN deviation is skipped
+            n_compared=len(devs),
         ))
     return rows

@@ -136,7 +136,7 @@ def test_criterion_7_property_suite(triangular_design, inverse_design, medium,
     # angular momentum about a single active wire
     traj = simulate(PacketState(x=-X0, z=B, vx=V0, vz=0.0),
                     [Wire(0.0, 0.0, 2.0)], medium, 0.06)
-    x, z, vx, vz = traj.states.T
+    x, z, vx, vz = np.asarray(traj.states).T
     ell = x * vz - z * vx
     if np.max(np.abs(ell - ell[0])) / abs(ell[0]) >= 1e-8:
         failures.append("angular momentum drift")
@@ -197,17 +197,18 @@ def test_criterion_7_property_suite(triangular_design, inverse_design, medium,
 
 def test_criterion_8_sweep_properties(medium):
     table = velocity_sweep(medium=medium)
-    top = table.v0 >= table.v0[-1] / 10.0
+    v0 = np.asarray(table.v0)
+    top = v0 >= v0[-1] / 10.0
     failures = []
-    for name, col in (("triangular", table.dz_triangular),
-                      ("inverse", table.dz_inverse)):
-        fit = np.polyfit(table.v0[top], col[top], 1)
-        resid = np.max(np.abs(col[top] - np.polyval(fit, table.v0[top]))
+    for name, col in (("triangular", np.asarray(table.dz_triangular)),
+                      ("inverse", np.asarray(table.dz_inverse))):
+        fit = np.polyfit(v0[top], col[top], 1)
+        resid = np.max(np.abs(col[top] - np.polyval(fit, v0[top]))
                        / col[top])
         if resid >= 1e-3:
             failures.append(f"{name} linearity residual {resid:.2e}")
-    rho_gap = np.max(np.abs(table.density_triangular[top]
-                            / table.density_inverse[top] - 1.0))
+    rho_gap = np.max(np.abs(np.asarray(table.density_triangular)[top]
+                            / np.asarray(table.density_inverse)[top] - 1.0))
     if rho_gap >= 1e-2:
         failures.append(f"density curves differ by {rho_gap:.2%}")
     _report("criterion 8 (sweep properties)", not failures,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,12 +431,18 @@ def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
     ("sweep", {"n_points": "3"}, "n_points"),
     ("validate", {"b_um_list": ["0.5"]}, "b_um_list"),
     ("validate", {"b_um_list": {"0.5": 1}}, "b_um_list"),
+    ("simulate", {**SIM_CFG, "wires": ""}, "wires"),
+    ("simulate", {**SIM_CFG, "initial": [[k, v] for k, v in
+                                         SIM_CFG["initial"].items()]},
+     "initial"),
 ], ids=["design_string_v0", "simulate_string_rtol",
-        "sweep_string_points", "validate_string_b", "validate_object_b_list"])
+        "sweep_string_points", "validate_string_b", "validate_object_b_list",
+        "simulate_string_wires", "simulate_pair_list_initial"])
 def test_json_strings_in_number_fields_rejected(tmp_path, capsys, command,
                                                 cfg_data, field):
-    # float() and int() would parse "0.01" and "3", and a list of an object
-    # would be its keys
+    # float() and int() would parse "0.01" and "3", a list of an object
+    # would be its keys, list("") has no wires, and dict() takes an array
+    # of [key, value] pairs
     cfg = _write(tmp_path, "job.json", cfg_data)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -469,6 +476,33 @@ def test_failed_run_removes_the_out_directories_it_made(tmp_path):
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("command, cfg_data, name", [
+    ("design", DESIGN_CFG, "result.json"), ("sweep", {}, "sweep.csv"),
+], ids=["design", "sweep"])
+def test_output_file_taken_by_a_directory_exit_code(tmp_path, capsys, command,
+                                                    cfg_data, name):
+    # the work is done before the first write, which then fails
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and str(out / name) in err
+    assert (out / name).is_dir()
+
+
+def test_failed_write_removes_the_out_directories_it_made(tmp_path, capsys,
+                                                          monkeypatch):
+    def full_disk(path, *args, **kwargs):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "a" / "b"
+    assert main(["sweep", "--format", "json", "--out", str(out)]) == 2
+    assert str(out / "sweep.json") in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 # prints to stderr the top-level names of the numpy and scipy modules loaded
 # after ``import wiresplit``, then after each ``cli.main`` job of argv
 # (command, config, out)
@@ -489,13 +523,14 @@ for command, config, out in zip(jobs[::3], jobs[1::3], jobs[2::3]):
 
 
 def test_cold_paths_load_no_numpy_or_scipy(tmp_path):
-    # numpy is imported only where arrays are built (Trajectory.t and
-    # .states, sweep, validate); a design or simulate process never does
+    # the runtime has no dependency: no command imports numpy or scipy
     argv = []
     for command, name, payload in (
             ("design", "triangular", DESIGN_CFG),
             ("design", "inverse", {**DESIGN_CFG, "scheme": "inverse"}),
-            ("simulate", "simulate", SIM_CFG)):
+            ("simulate", "simulate", SIM_CFG),
+            ("sweep", "sweep", {"n_points": 7}),
+            ("validate", "validate", {"b_um_list": [0.5]})):
         argv += [command, _write(tmp_path, f"{name}.json", payload),
                  str(tmp_path / name)]
     src = os.path.dirname(os.path.dirname(wiresplit.__file__))
@@ -503,4 +538,4 @@ def test_cold_paths_load_no_numpy_or_scipy(tmp_path):
     err = subprocess.run([sys.executable, "-c", _COLD_PROCESS, *argv],
                          env=env, check=True, capture_output=True,
                          text=True).stderr
-    assert err.splitlines() == ["[]"] * 4
+    assert err.splitlines() == ["[]"] * 6

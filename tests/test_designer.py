@@ -91,7 +91,7 @@ def test_bottom_branch_is_the_mirrored_top(design, request):
     result, top, bottom = request.getfixturevalue(design)
     # twice the bisected apex height, which no sample row exceeds
     assert result.max_separation == 2.0 * top.events.apex.z
-    assert top.events.apex.z >= float(np.max(top.states[:, 1]))
+    assert top.events.apex.z >= float(np.max(np.asarray(top.states)[:, 1]))
     assert top.events.separation_max == result.max_separation
     mirror = mirror_trajectory(top, result.wires)
     assert np.array_equal(bottom.t, mirror.t)

@@ -47,7 +47,7 @@ def test_time_offset_initial_state(medium):
     # same dynamics, shifted clock (clock arithmetic rounds differently, so
     # agreement is close but not bitwise)
     assert np.allclose(a.states, b.states, rtol=1e-8, atol=1e-14)
-    assert np.allclose(b.t - 5.0, a.t, rtol=0, atol=1e-10)
+    assert np.allclose(np.asarray(b.t) - 5.0, a.t, rtol=0, atol=1e-10)
     assert b.events.periapsis_per_wire[0].state.t == pytest.approx(
         a.events.periapsis_per_wire[0].state.t + 5.0, abs=1e-9)
 
@@ -73,8 +73,8 @@ def test_pair_separation_of_independently_integrated_branches(medium):
                                                     rel=1e-6)
     # over the first 0.08 s the branches stay at least the initial split
     # apart: the lowest top sample is above the highest bottom one
-    z_top = top.states[top.t <= 0.08, 1]
-    z_bottom = bottom.states[bottom.t <= 0.08, 1]
+    z_top = np.asarray(top.states)[np.asarray(top.t) <= 0.08, 1]
+    z_bottom = np.asarray(bottom.states)[np.asarray(bottom.t) <= 0.08, 1]
     assert np.min(z_top) - np.max(z_bottom) >= 2.0 * 0.5e-6 - 1e-9
 
 

@@ -36,7 +36,7 @@ def test_energy_conservation(medium):
     # recompute independently at a handful of samples, with the one wire's
     # repulsion potential alpha I^2 / (2 r^2)
     (wire,) = wires
-    x, z, vx, vz = traj.states[:: max(1, len(traj.t) // 50)].T
+    x, z, vx, vz = np.asarray(traj.states)[:: max(1, len(traj.t) // 50)].T
     r2 = (x - wire.x) ** 2 + (z - wire.z) ** 2
     e = 0.5 * (vx**2 + vz**2) + 0.5 * medium.alpha * wire.current**2 / r2
     assert max(e) - min(e) < 1e-8 * e[0]
@@ -44,7 +44,7 @@ def test_energy_conservation(medium):
 
 def test_angular_momentum_conservation_single_wire(medium):
     traj, _ = _scattering(medium)
-    x, z, vx, vz = traj.states.T
+    x, z, vx, vz = np.asarray(traj.states).T
     ell = x * vz - z * vx
     drift = np.max(np.abs(ell - ell[0])) / np.abs(ell[0])
     assert drift < 1e-8
@@ -65,7 +65,7 @@ def test_numeric_overlays_analytic_orbit(medium):
     percent through the scattering region."""
     traj, _ = _scattering(medium, b=0.5e-6)
     k = stiffness_k(2.0, 0.5e-6, 0.01, medium)
-    x, z = traj.states[:, 0], traj.states[:, 1]
+    x, z = np.asarray(traj.states)[:, :2].T
     r = np.hypot(x, z)
     theta = np.arctan2(z, x)
     inside = r <= 30e-6
@@ -88,15 +88,16 @@ def test_periapsis_event_matches_analytic(medium):
 def test_apex_event_is_global_extremum(medium):
     traj, _ = _scattering(medium)
     apex = traj.events.apex
-    assert abs(apex.z) >= np.max(np.abs(traj.states[:, 1])) - 1e-15
+    assert abs(apex.z) >= np.max(np.abs(np.asarray(traj.states)[:, 1])) - 1e-15
 
 
 def test_mirror_trajectory_flips_z(medium):
     top, wires = _scattering(medium, duration=0.02)
     bot = mirror_trajectory(top, wires)
-    assert np.array_equal(bot.states[:, 1], -top.states[:, 1])
-    assert np.array_equal(bot.states[:, 3], -top.states[:, 3])
-    assert np.array_equal(bot.states[:, 0], top.states[:, 0])
+    top_s, bot_s = np.asarray(top.states), np.asarray(bot.states)
+    assert np.array_equal(bot_s[:, 1], -top_s[:, 1])
+    assert np.array_equal(bot_s[:, 3], -top_s[:, 3])
+    assert np.array_equal(bot_s[:, 0], top_s[:, 0])
     assert bot.events.apex.z == -top.events.apex.z
 
 

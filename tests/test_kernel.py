@@ -136,6 +136,11 @@ def _bitwise_case(name, medium):
     return args, status
 
 
+def _doubles(buf):
+    """The native doubles of a kernel's ``t`` or ``states`` bytes."""
+    return memoryview(buf).cast("d").tolist()
+
+
 def _bits(obj):
     """``obj`` with every float replaced by its hex form, so == is bitwise."""
     if isinstance(obj, float):
@@ -162,9 +167,9 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     assert slow["status"] == status
     assert isinstance(slow["energy_drift"], float)
     if case == "stop_at_closure":
-        assert slow["closure"] is not None and slow["samples"][-5] < 0.02
+        assert slow["closure"] is not None and _doubles(slow["t"])[-1] < 0.02
     if case == "stop_at_turn":
-        assert slow["closure"] is None and slow["samples"][-5] < 0.06
+        assert slow["closure"] is None and _doubles(slow["t"])[-1] < 0.06
     assert _bits(fast) == _bits(slow)
 
 
@@ -207,14 +212,34 @@ def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
             outcomes.append(type(exc))
     assert _bits(outcomes[0]) == _bits(outcomes[1])
     if isinstance(outcomes[1], dict):
-        times = outcomes[1]["samples"][0::5]
+        times = _doubles(outcomes[1]["t"])
         assert all(a < b for a, b in zip(times, times[1:]))
+
+
+# one powered wire on the line of flight, head-on within 1 um, past a launch
+# that climbs as an inverse branch does toward its deflector; the duration
+# leaves time to come back, so most runs end at their closure or their turn
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(launch=st.tuples(st.floats(-50e-6, -20e-6), st.floats(-2e-6, 2e-6),
+                        st.floats(0.005, 0.02), st.floats(1e-6, 1e-4)),
+       wire=st.tuples(st.floats(0.0, 30e-6), st.floats(-1e-6, 1e-6),
+                      st.floats(0.5, 3.0) | st.floats(-3.0, -0.5)))
+def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
+    x, z, vx, vz = launch
+    xw, offset, current = wire
+    duration = 3.0 * (xw - x) / vx
+    for stop in (_kernel_py.STOP_CLOSURE, _kernel_py.STOP_TURN):
+        args = (*launch, 0.0, duration, [xw], [z + (xw - x) * vz / vx + offset],
+                [current], medium.alpha, 1e-11, 1e-13, GUARD_RADIUS, 20000,
+                stop)
+        assert _bits(compiled_kernel.integrate(*args)) == \
+            _bits(_kernel_py.integrate(*args))
 
 
 def _reference_energy_drift(traj, wires, medium):
     """The energy drift as ``simulate`` once computed it from the samples,
     with numpy: the kernels must return it bitwise."""
-    states = traj.states
+    states = np.asarray(traj.states)
     u = np.zeros(len(states))
     for w in wires:
         if w.current == 0.0:
@@ -258,7 +283,8 @@ def test_pure_relative_control_with_zero_vz(medium):
     traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE)
     ref = simulate(initial, wires, medium, 0.06)
     assert traj.final.t == ref.final.t
-    assert np.allclose(traj.states[-1], ref.states[-1], rtol=1e-8, atol=0.0)
+    assert np.allclose(np.asarray(traj.states)[-1], np.asarray(ref.states)[-1],
+                       rtol=1e-8, atol=0.0)
     assert traj.stats.energy_drift < 1e-8
 
 
@@ -267,8 +293,9 @@ def test_pure_relative_control_keeps_symmetric_axis(medium):
     initial, wires = _symmetric_scenario()
     traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE)
     assert traj.final.t == initial.t + 0.06
-    assert np.all(traj.states[:, 1] == 0.0)
-    assert np.all(traj.states[:, 3] == 0.0)
+    states = np.asarray(traj.states)
+    assert np.all(states[:, 1] == 0.0)
+    assert np.all(states[:, 3] == 0.0)
     assert traj.final.x > 0.0  # passed between the wires
     assert traj.stats.energy_drift < 1e-8
 
@@ -276,32 +303,35 @@ def test_pure_relative_control_keeps_symmetric_axis(medium):
 def test_straight_line_without_wires(medium):
     initial = PacketState(x=-1e-4, z=2e-6, vx=0.01, vz=0.0)
     traj = simulate(initial, [], medium, 0.01)
-    assert np.allclose(traj.states[:, 1], 2e-6, rtol=0, atol=1e-18)
+    assert np.allclose(np.asarray(traj.states)[:, 1], 2e-6, rtol=0, atol=1e-18)
     assert traj.final.x == pytest.approx(-1e-4 + 0.01 * 0.01, rel=1e-12)
     assert traj.final.t == traj.t[0] + 0.01
     # a dead wire changes nothing
     traj2 = simulate(initial, [Wire(0.0, 0.0, 0.0)], medium, 0.01)
-    assert np.array_equal(traj.states[-1], traj2.states[-1])
+    assert np.array_equal(np.asarray(traj.states)[-1],
+                          np.asarray(traj2.states)[-1])
 
 
 def test_first_sample_is_initial_state(medium):
     initial, wires = _fig_scenario()
     traj = simulate(initial, wires, medium, 0.01)
     assert traj.t[0] == initial.t
-    assert tuple(traj.states[0]) == (initial.x, initial.z, initial.vx, initial.vz)
+    assert tuple(np.asarray(traj.states)[0]) == (initial.x, initial.z,
+                                                 initial.vx, initial.vz)
     assert np.all(np.diff(traj.t) > 0.0)
 
 
 def test_trajectory_arrays_are_read_only(medium):
-    # t and states are built from samples, which the CSV writer and
-    # mirror_trajectory read; a write to them must not go unnoticed
+    # t and states view the kernel's buffers, and a mirror image shares t; a
+    # write to them must not go unnoticed
     initial, wires = _fig_scenario()
     traj = simulate(initial, wires, medium, 0.01)
-    for array in (traj.t, traj.states):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-    assert traj.samples[:5] == [initial.t, initial.x, initial.z, initial.vx,
-                                initial.vz]
+    with pytest.raises(TypeError):
+        traj.t[0] = 0.0
+    with pytest.raises(TypeError):
+        traj.states[0, 0] = 0.0
+    assert (traj.t[0], *traj.states.tolist()[0]) == (
+        initial.t, initial.x, initial.z, initial.vx, initial.vz)
 
 
 def test_headon_reflection_and_closure_event(medium):
@@ -339,13 +369,14 @@ def test_stop_at_turn_ends_at_first_descending_vz_zero(medium):
     initial, wires = _inverse_scenario()
     full = simulate(initial, wires, medium, 0.11)
     half = simulate(initial, wires, medium, 0.11, stop_at_turn=True)
-    vz = full.states[:, 3]
+    full_states = np.asarray(full.states)
+    vz = full_states[:, 3]
     # the first step along which vz goes from > 0 to < 0
     i = next(i for i in range(len(vz) - 1) if vz[i] > 0.0 > vz[i + 1])
     n = len(half.t)
     # the same steps up to it, then that step cut at the turn
     assert n == i + 2
-    assert np.array_equal(half.states[:-1], full.states[:i + 1])
+    assert np.array_equal(np.asarray(half.states)[:-1], full_states[:i + 1])
     assert full.t[i] < half.final.t < full.t[i + 1]
     assert half.final.vz <= 0.0 < half.states[-2, 3]
     assert half.events.apex.t == pytest.approx(half.final.t, abs=2e-12)
@@ -409,7 +440,8 @@ def test_tolerance_convergence_order(medium):
 
     def final_error(rtol):
         t = simulate(initial, wires, medium, 0.05, StepControl(rtol=rtol))
-        return float(np.hypot(*(t.states[-1, :2] - ref.states[-1, :2])))
+        return float(np.hypot(*(np.asarray(t.states)[-1, :2]
+                                - np.asarray(ref.states)[-1, :2])))
 
     errors = [final_error(r) for r in (1e-5, 1e-7, 1e-9)]
     assert errors[0] > errors[1] > errors[2]

@@ -14,7 +14,7 @@ from wiresplit import (
     velocity_sweep,
 )
 from wiresplit.integrator import StepControl
-from wiresplit.sweep import SWEEP_COLUMNS, default_velocity_grid
+from wiresplit.sweep import SWEEP_COLUMNS, default_velocity_grid, velocity_grid
 
 
 def test_default_grid_spans_feasible_range():
@@ -23,6 +23,37 @@ def test_default_grid_spans_feasible_range():
     assert grid[0] == pytest.approx(1.05 * 2.0 * 300e-6 / 0.1)
     assert grid[-1] == pytest.approx(2.0)
     assert np.all(np.diff(np.log(grid)) > 0)
+
+
+def test_grid_of_one_point_is_v_min():
+    assert velocity_grid(0.01, 2.0, 1) == (0.01,)
+    assert velocity_grid(0.01, 0.01, 1) == (0.01,)
+
+
+def test_grid_with_equal_ends_repeats_them():
+    assert velocity_grid(0.0137, 0.0137, 4) == (0.0137,) * 4
+
+
+@pytest.mark.parametrize("v_min, v_max, n_points", [
+    (0.0063, 2.0, 50), (0.1 / 3.0, 0.7, 2), (1e-300, 1e300, 37),
+    (2.0, 0.0063, 7)])
+def test_grid_ends_are_bitwise_exact(v_min, v_max, n_points):
+    grid = velocity_grid(v_min, v_max, n_points)
+    assert len(grid) == n_points
+    assert grid[0].hex() == v_min.hex() and grid[-1].hex() == v_max.hex()
+    # the interior is numpy's geomspace up to the last bits of the power
+    assert np.allclose(grid, np.geomspace(v_min, v_max, n_points),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_grid_of_no_points_is_empty():
+    assert velocity_grid(0.01, 2.0, 0) == ()
+
+
+@pytest.mark.parametrize("v_min, v_max", [(0.0, 2.0), (0.01, math.inf)])
+def test_grid_rejects_bad_ends(v_min, v_max):
+    with pytest.raises(ValueError):
+        velocity_grid(v_min, v_max, 5)
 
 
 def test_reference_row(medium):
@@ -69,13 +100,15 @@ def test_density_equals_current_over_approach_disc(medium):
 
 def test_top_decade_linearity_and_density_agreement(medium):
     table = velocity_sweep(medium=medium)
-    top = table.v0 >= table.v0[-1] / 10.0
+    v0 = np.asarray(table.v0)
+    top = v0 >= v0[-1] / 10.0
     assert top.sum() >= 10
-    for col in (table.dz_triangular, table.dz_inverse):
-        fit = np.polyfit(table.v0[top], col[top], 1)
-        resid = col[top] - np.polyval(fit, table.v0[top])
+    for col in (np.asarray(table.dz_triangular), np.asarray(table.dz_inverse)):
+        fit = np.polyfit(v0[top], col[top], 1)
+        resid = col[top] - np.polyval(fit, v0[top])
         assert np.max(np.abs(resid) / col[top]) < 1e-3
-    ratio = table.density_triangular[top] / table.density_inverse[top]
+    ratio = (np.asarray(table.density_triangular)[top]
+             / np.asarray(table.density_inverse)[top])
     assert np.max(np.abs(ratio - 1.0)) < 1e-2
 
 
