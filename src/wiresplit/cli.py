@@ -12,7 +12,9 @@ failure, 4 integration failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -160,7 +162,7 @@ _DESIGN_SCHEMA = {
 }
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args, outputs) -> int:
     cfg = _load_config(args.config)
     params = _take(cfg, _DESIGN_SCHEMA, "design config")
     inputs = ScatteringInputs(
@@ -178,19 +180,18 @@ def _cmd_design(args) -> int:
 
     result, top, bottom = design_trajectories(spec, medium, control)
 
-    out = Path(args.out)
-    payload = {
+    outputs.write_json("result.json", {
         "scheme": spec.scheme,
         "config": cfg,
         "backend": kernel_backend(),
         **result.to_dict(),
-    }
-    (out / "result.json").write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    write_trajectory_csv(top, out / "trajectory_top.csv")
-    write_trajectory_csv(bottom, out / "trajectory_bottom.csv")
-    (out / "events_top.json").write_text(
-        json.dumps(event_log_dict(top), indent=2, allow_nan=False) + "\n")
+    })
+    outputs.write("trajectory_top.csv",
+                  lambda path: write_trajectory_csv(top, path))
+    outputs.write("trajectory_bottom.csv",
+                  lambda path: write_trajectory_csv(bottom, path))
+    outputs.write_json("events_top.json", event_log_dict(top))
+    outputs.commit()
 
     w = result.wires
     print(f"scheme:                {spec.scheme}")
@@ -207,7 +208,7 @@ def _cmd_design(args) -> int:
     print(f"closest approach:      {dists} um")
     print(f"required density:      {result.min_current_density * 1e-12:.4f} A/um^2")
     print(f"peak field:            {result.peak_field:.4f} T")
-    print(f"outputs:               {out}/")
+    print(f"outputs:               {outputs.out}/")
     return 0
 
 
@@ -236,7 +237,7 @@ _INITIAL_SCHEMA = {
 }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, outputs) -> int:
     cfg = _load_config(args.config)
     params = _take(cfg, _SIMULATE_SCHEMA, "simulate config")
     wires = []
@@ -254,18 +255,18 @@ def _cmd_simulate(args) -> int:
 
     traj = simulate(initial, wires, medium, params["duration_s"], control)
 
-    out = Path(args.out)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    events = {"config": cfg, "backend": kernel_backend(), **event_log_dict(traj)}
-    (out / "events.json").write_text(
-        json.dumps(events, indent=2, allow_nan=False) + "\n")
+    outputs.write("trajectory.csv",
+                  lambda path: write_trajectory_csv(traj, path))
+    outputs.write_json("events.json", {
+        "config": cfg, "backend": kernel_backend(), **event_log_dict(traj)})
+    outputs.commit()
 
     print(f"samples:               {len(traj.t)}")
     print(f"apex |z|:              {abs(traj.events.apex.z) / _UM:.4f} um")
     for p in traj.events.periapsis_per_wire:
         print(f"wire {p.wire_index} closest:        {p.distance / _UM:.6f} um")
     print(f"energy drift:          {traj.stats.energy_drift:.3e}")
-    print(f"outputs:               {out}/")
+    print(f"outputs:               {outputs.out}/")
     return 0
 
 
@@ -285,7 +286,7 @@ _SWEEP_SCHEMA = {
 _MAX_POINTS = 10**6
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, outputs) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _SWEEP_SCHEMA, "sweep config")
     flight = _library_args(params, {"x0_um": "x0", "tau_s": "tau"})
@@ -310,15 +311,14 @@ def _cmd_sweep(args) -> int:
     table = velocity_sweep(grid, medium=_medium_from(params), **flight,
                            **_library_args(params, {"b_um": "b"}))
 
-    out = Path(args.out)
     if args.format == "json":
-        (out / "sweep.json").write_text(
-            json.dumps({"config": cfg, "rows": table.to_dicts()}, indent=2,
-                       allow_nan=False) + "\n")
-        print(f"wrote {len(table.v0)} rows to {out / 'sweep.json'}")
+        name = "sweep.json"
+        outputs.write_json(name, {"config": cfg, "rows": table.to_dicts()})
     else:
-        table.write_csv(out / "sweep.csv")
-        print(f"wrote {len(table.v0)} rows to {out / 'sweep.csv'}")
+        name = "sweep.csv"
+        outputs.write(name, table.write_csv)
+    outputs.commit()
+    print(f"wrote {len(table.v0)} rows to {outputs.out / name}")
     return 0
 
 
@@ -334,7 +334,7 @@ _VALIDATE_SCHEMA = {
 }
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, outputs) -> int:
     cfg = _load_config(args.config) if args.config else {}
     params = _take(cfg, _VALIDATE_SCHEMA, "validate config")
     rows = validate_analytic(
@@ -345,18 +345,16 @@ def _cmd_validate(args) -> int:
             "launch_distance_um": "launch_distance",
             "region_radius_um": "region_radius"}),
     )
-    out = Path(args.out)
-    report = {
+    outputs.write_json("validation.json", {
         "config": cfg,
         "backend": kernel_backend(),
         "rows": [r.to_dict() for r in rows],
-    }
-    (out / "validation.json").write_text(
-        json.dumps(report, indent=2, allow_nan=False) + "\n")
+    })
+    outputs.commit()
     for r in rows:
         print(f"b = {r.b / _UM:6.2f} um: max relative deviation "
               f"{r.max_rel_deviation:.3e} over {r.n_compared} samples")
-    print(f"outputs:               {out}/")
+    print(f"outputs:               {outputs.out}/")
     return 0
 
 
@@ -398,6 +396,56 @@ def _make_out_dir(path: str) -> list[Path]:
     return made
 
 
+class _Outputs:
+    """The files a command writes into ``--out``.
+
+    Each is written under a hidden temporary name, and :meth:`commit` renames
+    them all into place once every write has succeeded and no target is a
+    directory. Until then a failed run changes no file in ``--out``, and
+    :meth:`discard` removes the temporary files. An ``OSError`` names the
+    output file, not its temporary name.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.staged = []  # (temporary, target)
+
+    def write(self, name: str, fill) -> None:
+        """Write the file ``name`` by calling ``fill(path)``."""
+        target = self.out / name
+        temporary = self.out / f".{name}.{os.getpid()}.tmp"
+        try:
+            open(temporary, "x").close()  # never clobbers a file in --out
+            self.staged.append((temporary, target))
+            fill(temporary)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(target)) from exc
+
+    def write_json(self, name: str, payload) -> None:
+        self.write(name, lambda path: path.write_text(
+            json.dumps(payload, indent=2, allow_nan=False) + "\n"))
+
+    def commit(self) -> None:
+        for _, target in self.staged:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(target))
+        for temporary, target in self.staged:
+            try:
+                os.replace(temporary, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        self.staged = []
+
+    def discard(self) -> None:
+        for temporary, _ in self.staged:  # a renamed one is gone already
+            try:
+                temporary.unlink()
+            except OSError:
+                pass
+        self.staged = []
+
+
 def _remove_dirs(dirs) -> None:
     for d in dirs:
         try:
@@ -409,10 +457,11 @@ def _remove_dirs(dirs) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made, code = [], 1
+    outputs = _Outputs(Path(args.out))
     try:
         # before the work, so an unusable --out fails fast
         made = _make_out_dir(args.out)
-        code = args.handler(args)
+        code = args.handler(args, outputs)
     except (ConfigError, InfeasibleDesignError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
@@ -427,7 +476,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         code = EXIT_CONFIG
     finally:
-        if code != 0:  # a failed run leaves no output directory behind
+        # a failed run leaves no output file or directory behind
+        outputs.discard()
+        if code != 0:
             _remove_dirs(made)
     return code
 

@@ -503,6 +503,42 @@ def test_failed_write_removes_the_out_directories_it_made(tmp_path, capsys,
     assert not (tmp_path / "a").exists()
 
 
+def test_failed_design_leaves_the_files_in_out_as_they_were(tmp_path, capsys):
+    # the fourth output cannot be written: the first three, written before
+    # it, must not replace the files already there or stay behind
+    cfg = _write(tmp_path, "job.json", DESIGN_CFG)
+    out = tmp_path / "out"
+    (out / "events_top.json").mkdir(parents=True)
+    (out / "result.json").write_text("kept")
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 2
+    assert str(out / "events_top.json") in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["events_top.json",
+                                                     "result.json"]
+    assert (out / "result.json").read_text() == "kept"
+
+
+@pytest.mark.parametrize("made", [False, True], ids=["existing", "made"])
+def test_failed_sweep_write_leaves_the_files_in_out_as_they_were(
+        tmp_path, capsys, monkeypatch, made):
+    # the disk fills up halfway through the table
+    def full_disk(table, path):
+        Path(path).write_text("v0_m_per_s,")
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(wiresplit.sweep.SweepTable, "write_csv", full_disk)
+    out = tmp_path / "a" / "b"
+    if not made:
+        out.mkdir(parents=True)
+        (out / "sweep.csv").write_text("kept")
+    assert main(["sweep", "--out", str(out)]) == 2
+    assert str(out / "sweep.csv") in capsys.readouterr().err
+    if made:
+        assert not (tmp_path / "a").exists()
+    else:
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+        assert (out / "sweep.csv").read_text() == "kept"
+
+
 # prints to stderr the top-level names of the numpy and scipy modules loaded
 # after ``import wiresplit``, then after each ``cli.main`` job of argv
 # (command, config, out)

@@ -26,6 +26,7 @@ from wiresplit.designer import (
     _brentq,
     triangular_deflector_position,
 )
+from wiresplit.integrator import DEFAULT_CONTROL
 
 V0, B, X0, TAU = 0.01, 0.5e-6, 300e-6, 0.1
 
@@ -284,12 +285,13 @@ class TestShootingWork:
         # kernel. A triangular trial runs to the closure and the accepted one
         # is the top branch; an inverse trial runs to the turn, and the top
         # branch is one full run at the accepted current
-        closures, turns, runs = [], [], []
+        closures, turns, runs = [], [], []  # closures: (current, control, miss)
         closure_trial, turn_trial = designer._closure_trial, designer._turn_trial
 
         def counted_closure(wires, *args):
-            closures.append(wires[1].current)
-            return closure_trial(wires, *args)
+            miss, branch = closure_trial(wires, *args)
+            closures.append((wires[1].current, args[-1], miss))
+            return miss, branch
 
         def counted_turn(wires, *args):
             turns.append(wires[1].current)
@@ -309,14 +311,34 @@ class TestShootingWork:
             DesignSpec(scheme=scheme, inputs=paper_inputs))
         current = result.wires[1].current
         if scheme == "triangular":
+            # once at each control, and at both only when the coarse miss
+            # was not a valid miss of b or more
+            coarse = designer._coarse_control(DEFAULT_CONTROL)
             assert turns == []
-            assert len(set(closures)) == len(closures)
-            assert current in closures
+            controls = {}
+            coarse_miss = {}
+            for c, control, miss in closures:
+                controls.setdefault(c, []).append(control)
+                if control == coarse:
+                    coarse_miss[c] = miss
+            for c, seq in controls.items():
+                assert seq in ([coarse], [DEFAULT_CONTROL],
+                               [coarse, DEFAULT_CONTROL])
+                if len(seq) == 2:
+                    assert not B <= abs(coarse_miss[c]) < 0.5 * CLOSURE_SENTINEL
+            assert coarse in {control for _, control, _ in closures}
+            # from the first design-control miss under b on, every run is at
+            # the design control, the accepted current's last one included
+            near = next(i for i, (_, control, miss) in enumerate(closures)
+                        if control == DEFAULT_CONTROL and abs(miss) < B)
+            assert {control for _, control, _ in closures[near:]} == {
+                DEFAULT_CONTROL}
+            assert controls[current][-1] == DEFAULT_CONTROL
             assert runs == [_kernel_py.STOP_CLOSURE] * len(closures)
         else:
             assert len(set(turns)) == len(turns)
             assert current in turns
-            assert closures == [current]
+            assert [c for c, _, _ in closures] == [current]
             assert runs == ([_kernel_py.STOP_TURN] * len(turns)
                             + [_kernel_py.STOP_CLOSURE])
 
@@ -363,6 +385,94 @@ class TestShootingWork:
         root = _brentq(miss, current * (1 - 1e-5), current * (1 + 1e-5),
                        xtol=1e-12 * current, rtol=8.9e-16, maxiter=80)
         assert current == pytest.approx(root, rel=1e-6)
+
+
+def _closure_runs(monkeypatch, spec, control=DEFAULT_CONTROL):
+    """Design ``spec``; return the result and each closure run's (current,
+    control, miss), in order."""
+    runs = []
+    closure_trial = designer._closure_trial
+
+    def recorded(wires, *args):
+        miss, branch = closure_trial(wires, *args)
+        runs.append((wires[1].current, args[-1], miss))
+        return miss, branch
+
+    monkeypatch.setattr(designer, "_closure_trial", recorded)
+    return designer.design_trajectories(spec, control=control)[0], runs
+
+
+class TestCoarseTrials:
+    """A triangular trial whose coarse run misses by b or more keeps that
+    run; every other runs at the design's control."""
+
+    def test_coarse_control(self):
+        coarse = designer._coarse_control
+        default = coarse(DEFAULT_CONTROL)
+        assert default.rtol == pytest.approx(1e-8, rel=1e-12)
+        assert default.atol == pytest.approx(1e-10, rel=1e-12)
+        ten = coarse(StepControl(rtol=1e-9, atol=0.0))
+        assert (ten.rtol, ten.atol) == (pytest.approx(1e-8, rel=1e-12), 0.0)
+        relative_free = coarse(StepControl(rtol=0.0, atol=1e-13))
+        assert relative_free.rtol == 0.0
+        assert relative_free.atol == pytest.approx(1e-10, rel=1e-12)
+        for control in (StepControl(rtol=1e-8), StepControl(rtol=1e-6),
+                        StepControl(atol=1e306)):
+            assert coarse(control) is None
+
+    def test_near_and_accepted_trials_run_at_the_design_control(
+            self, paper_inputs, monkeypatch):
+        result, runs = _closure_runs(
+            monkeypatch, DesignSpec(scheme="triangular", inputs=paper_inputs))
+        kept = {c: (control, miss) for c, control, miss in runs}  # last run
+        assert DEFAULT_CONTROL != kept[runs[0][0]][0]  # the seed's is coarse
+        for control, miss in kept.values():
+            if abs(miss) < B:
+                assert control == DEFAULT_CONTROL
+        assert kept[result.wires[1].current][0] == DEFAULT_CONTROL
+
+    def test_coarse_miss_at_the_seed_within_a_percent(self, paper_inputs,
+                                                      monkeypatch, medium):
+        result, runs = _closure_runs(
+            monkeypatch, DesignSpec(scheme="triangular", inputs=paper_inputs))
+        seed, control, coarse_miss = runs[0]
+        assert control == designer._coarse_control(DEFAULT_CONTROL)
+        splitting, upper, lower = result.wires
+        wires = (splitting, replace(upper, current=seed),
+                 replace(lower, current=seed))
+        initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
+        miss = closure_error(wires, initial, medium, TAU)
+        assert abs(miss) >= B
+        assert coarse_miss == pytest.approx(miss, rel=1e-2)
+
+    def test_no_coarse_trial_at_rtol_1e_8(self, paper_inputs, monkeypatch):
+        control = StepControl(rtol=1e-8)
+        _, runs = _closure_runs(
+            monkeypatch, DesignSpec(scheme="triangular", inputs=paper_inputs),
+            control)
+        assert [c for c, _, _ in runs] == list(dict.fromkeys(
+            c for c, _, _ in runs))
+        assert {control for _, control, _ in runs} == {control}
+
+    def test_inverse_trials_unchanged(self, paper_inputs, monkeypatch):
+        # no coarse pass: the miss read at the turn is swamped by a control
+        # even ten times looser
+        calls = []
+        turn_trial = designer._turn_trial
+
+        def recorded(wires, initial, medium, tau, control, gain):
+            calls.append((wires[1].current.hex(), control))
+            return turn_trial(wires, initial, medium, tau, control, gain)
+
+        monkeypatch.setattr(designer, "_turn_trial", recorded)
+        result, runs = _closure_runs(
+            monkeypatch, DesignSpec(scheme="inverse", inputs=paper_inputs))
+        assert calls == [(h, DEFAULT_CONTROL) for h in (
+            "0x1.d282071d0b0b8p-8", "0x1.1563241749dddp-7",
+            "0x1.105ee8b07a926p-7", "0x1.0ff56697c9c0cp-7")]
+        assert runs == [(result.wires[1].current, DEFAULT_CONTROL,
+                         1.832587547502481e-11)]
+        assert result.wires[1].current.hex() == "0x1.0ff56697c9c0cp-7"
 
 
 def _counted(objective):
