@@ -12,10 +12,11 @@ The bracket scan steps the current from the analytic seed by x2^(1/4),
 x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
 at 0.85-0.98 of the designed current, so it brackets in one step instead of
 first overshooting into currents whose branch never returns. Shooting stops
-at the first trial, in any phase, that closes within
-``closure_tolerance / 100`` (see :class:`DesignSpec`). Each trial is
-memoised per design: a current is integrated at most once at each control,
-and a repeat counts toward the budget without running again.
+at the first trial, in any phase, that closes: its miss is within
+``closure_tolerance / 100`` and the secant step to the root is within 3e-7
+of the current (see :class:`DesignSpec`). :func:`_shoot` keeps one record of
+a design's trials: a current runs at most once, and a repeat counts toward
+the budget without running again.
 
 A triangular trial integrates the branch to its closure, and the accepted
 trial is the design's top branch. Until a run at the design's control
@@ -26,10 +27,9 @@ The accept threshold lies below b, so the accepted trial always comes from
 a run at the design's control. The inverse branch runs head-on into the
 deflector, stops and retraces its path, so its closure is decided at the
 turn: an inverse trial integrates only up to the turn and estimates the
-miss from the angular momentum left there (:func:`_turn_trial`), and it
-also needs the secant step to the root within ``_ACCEPT_STEP`` of the
-current to close. One full run at the accepted current then gives the top
-branch and the reported, measured closure miss.
+miss from the angular momentum left there (:func:`_turn_trial`). One full
+run at the accepted current then gives the top branch and the reported,
+measured closure miss.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ launch plane within the time budget; vastly larger than any real miss."""
 _TIME_MARGIN = 0.1  # fraction of tau allowed beyond the nominal flight time
 _ACCEPT_FRACTION = 0.01  # of closure_tolerance; see DesignSpec
 _SHOOT_BUDGET = 80  # trials per design; see DesignSpec
-_ACCEPT_STEP = 3e-7  # inverse: relative secant step to the root; see DesignSpec
+_ACCEPT_STEP = 3e-7  # relative secant step to the root; see DesignSpec
 _COARSE_RTOL = 1e-8  # triangular: loosest rtol of a coarse trial; see DesignSpec
 _COARSE_FACTOR = 1000.0  # most by which a coarse trial loosens the control
 
@@ -92,22 +92,23 @@ class _Closed(Exception):
 class DesignSpec:
     """What to design: scheme, launch parameters, closure tolerance.
 
-    Shooting returns the first trial current that closes within
-    ``closure_tolerance / 100``: a miss m shifts the current by
-    m / (I |dz_c/dI|) = m / 1.1e-4 m relative at the stiffer reference
-    (inverse, 8.30e-3 A, 1.35e-2 m/A), so the scale family's 1e-6 relative
-    bound needs m <= 1.1e-10 m, about 8x the scatter of the numerical miss
-    across nearby currents at one step control.
+    Shooting returns the first trial current that closes: its miss is
+    within ``closure_tolerance / 100``, and the secant step to the root,
+    taken from the last valid trial at another current, is within 3e-7 of
+    the current. A miss m shifts the current by m / (I |dz_c/dI|) =
+    m / 1.1e-4 m relative at the stiffer reference (inverse, 8.30e-3 A,
+    1.35e-2 m/A), so the scale family's 1e-6 relative bound needs
+    m <= 1.1e-10 m, about 8x the scatter of the numerical miss across
+    nearby currents at one step control. The step bound holds the current
+    where a smaller I |dz_c/dI| than the reference's would let it drift
+    further: on perfbench's design_mix seeds 1-2 the 60 inverse currents
+    lie within 2.8e-7 of the root of the closure miss itself. A first trial
+    never closes on its own.
 
     An inverse trial runs only to the branch's turn, and its miss is
-    estimated from the turn state. It closes when that estimate is within
-    ``closure_tolerance / 100`` and the secant step to the root is within
-    3e-7 of the current, since a design with a smaller I |dz_c/dI| than
-    the reference's would otherwise drift further in current. On perfbench's
-    design_mix seeds 1-2 the 60 inverse currents then lie within 2.8e-7 of
-    the root of the closure miss itself. The reported ``closure_error`` is
-    measured on one full run at the accepted current, and a miss above
-    ``closure_tolerance`` there raises :class:`DesignFailure`.
+    estimated from the turn state. The reported ``closure_error`` of either
+    scheme is measured on a full run at the accepted current, and a miss
+    above ``closure_tolerance`` there raises :class:`DesignFailure`.
 
     A triangular trial far from the root is read at a coarse control: until
     a run at the design's control misses by less than ``inputs.b``, a trial
@@ -336,55 +337,55 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
         f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _shoot(objective, seed: float, budget: int, tolerance: float,
-           step_tolerance: float | None = None) -> float:
+def _shoot(trial, seed: float, budget: int, tolerance: float):
     """Bracket by geometric scan from the seed, then polish with Brent's method.
 
-    Near its root the objective decreases through zero as the deflector
-    current grows: too little current leaves the branch over-high (or lost
+    ``trial(current)`` returns ``(miss, branch)``; the accepted trial comes
+    back as ``(current, miss, branch)``. Each current runs at most once, and
+    a repeat counts toward ``budget`` without running again. A trial that
+    raises :class:`WireSingularityError` reads as the sentinel.
+
+    Near its root the miss decreases through zero as the deflector current
+    grows: too little current leaves the branch over-high (or lost
     entirely, the sentinel case), too much slams it below the launch
     height. The scan walks that direction first and falls back to the
     opposite one, so a locally inverted regime still brackets if a root
     exists at all.
 
     A trial closes when its miss is within ``_ACCEPT_FRACTION * tolerance``
-    and, given a ``step_tolerance``, the secant step to the root from the
-    last valid trial at another current is within ``step_tolerance`` of
-    the current.
+    and the secant step to the root, from the last valid trial at another
+    current, is within ``_ACCEPT_STEP`` of the current; so a first trial
+    never closes on its own.
     """
+    trials = {}  # current -> (miss, branch), in the order the trials ran
     evals = 0
-    best = (None, math.inf)
-    history = []  # (current, miss) of the valid trials, in order
+
+    def failure(message):
+        valid = [(c, miss) for c, (miss, _) in trials.items() if _valid(miss)]
+        best = min(valid, key=lambda t: abs(t[1]), default=(None, None))
+        return DesignFailure(message, best_current=best[0], best_error=best[1])
 
     def f(current):
-        nonlocal evals, best
+        nonlocal evals
         if evals >= budget:
-            raise DesignFailure(
-                "shooting iteration budget exhausted",
-                best_current=best[0], best_error=best[1],
-            )
+            raise failure("shooting iteration budget exhausted")
         evals += 1
-        try:
-            err = objective(current)
-        except WireSingularityError:
-            # packet swallowed by a wire: invalid trial, same as no return
-            err = CLOSURE_SENTINEL
+        if current not in trials:
+            try:
+                trials[current] = trial(current)
+            except WireSingularityError:
+                # packet swallowed by a wire: invalid trial, same as no return
+                trials[current] = (CLOSURE_SENTINEL, None)
+        err = trials[current][0]
         logger.debug("shoot: I = %.9e A -> closure error %.6e m", current, err)
-        if not _valid(err):
-            return err
-        if abs(err) < abs(best[1]):
-            best = (current, err)
-        closes = abs(err) <= _ACCEPT_FRACTION * tolerance
-        if closes and step_tolerance is not None:
-            prev = next(((c, e) for c, e in reversed(history)
-                         if c != current), None)
-            # |err / secant slope| <= step_tolerance * |current|
-            closes = prev is not None and (
-                abs(err * (current - prev[0]))
-                <= step_tolerance * abs(current) * abs(err - prev[1]))
-        history.append((current, err))
-        if closes:
-            raise _Closed(current)
+        if _valid(err) and abs(err) <= _ACCEPT_FRACTION * tolerance:
+            prev = next(((c, miss) for c, (miss, _) in reversed(trials.items())
+                         if c != current and _valid(miss)), None)
+            # |err / secant slope| <= _ACCEPT_STEP * |current|
+            if prev is not None and (
+                    abs(err * (current - prev[0]))
+                    <= _ACCEPT_STEP * abs(current) * abs(err - prev[1])):
+                raise _Closed(current)
         return err
 
     def walk(widest):
@@ -424,27 +425,18 @@ def _shoot(objective, seed: float, budget: int, tolerance: float,
             start_i *= 2.0
             start_e = f(start_i)
             if start_i > seed * 2.0**16:
-                raise DesignFailure("could not find a returning trajectory",
-                                    best_current=best[0], best_error=best[1])
+                raise failure("could not find a returning trajectory")
         widest = 2.0 if start_e > 0.0 else 0.5
         bracket = walk(widest)
         if bracket is None:
             bracket = walk(1.0 / widest)
         if bracket is None:
-            raise DesignFailure("failed to bracket a closure root",
-                                best_current=best[0], best_error=best[1])
-        root = _brentq(f, min(bracket), max(bracket), xtol=1e-12 * seed,
-                       rtol=8.9e-16, maxiter=budget)
-        final = f(root)
+            raise failure("failed to bracket a closure root")
+        current = _brentq(f, min(bracket), max(bracket), xtol=1e-12 * seed,
+                          rtol=8.9e-16, maxiter=budget)
     except _Closed as closed:
-        return closed.args[0]
-    if abs(final) > tolerance:
-        raise DesignFailure(
-            f"converged current misses closure tolerance: |{final:.3e}| m "
-            f"> {tolerance:.3e} m",
-            best_current=best[0], best_error=best[1],
-        )
-    return root
+        current = closed.args[0]
+    return (current, *trials[current])
 
 
 def _design(spec: DesignSpec, medium: Medium, control: StepControl,
@@ -466,53 +458,41 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     if inverse:
         gain = _turn_gain(splitting_current, v0, b, x0, dz_w, medium)
 
-    # Brent's method re-asks for the bracket ends the scan has just tried,
-    # and the designer for the accepted trial's branch; each current is
-    # integrated at most once at each control. Until a run at the design's
-    # control misses by less than b, a triangular trial first runs at the
-    # coarse control, and only a valid miss of b or more is kept from it
+    # until a run at the design's control misses by less than b, a
+    # triangular trial first runs at the coarse control, and only a valid
+    # miss of b or more is kept from it
     coarse = None if inverse else _coarse_control(control)
-    trials = {}
 
     def trial(current):
         nonlocal coarse
-        if current in trials:
-            return trials[current]
         args = (wires_for(current), initial, medium, tau)
         if inverse:
-            result = _turn_trial(*args, control, gain)
-        else:
-            result = None
-            if coarse is not None:
-                try:
-                    result = _closure_trial(*args, coarse)
-                except Exception:  # the run at the design's control decides
-                    pass
-                if result is not None and not (
-                        _valid(result[0]) and abs(result[0]) >= b):
-                    logger.debug("coarse miss %.3e m at I = %.9e A: re-run",
-                                 result[0], current)
-                    result = None
-            if result is None:
-                result = _closure_trial(*args, control)
-                if _valid(result[0]) and abs(result[0]) < b:
-                    coarse = None
-        trials[current] = result
-        return result
+            return _turn_trial(*args, control, gain)
+        if coarse is not None:
+            try:
+                miss, branch = _closure_trial(*args, coarse)
+            except Exception:  # the run at the design's control decides
+                miss = CLOSURE_SENTINEL
+            if _valid(miss) and abs(miss) >= b:
+                return miss, branch
+            # re-run a coarse sentinel: coarse runs can lose returning branches
+            logger.debug("coarse miss %.3e m at I = %.9e A: re-run", miss, current)
+        miss, branch = _closure_trial(*args, control)
+        if _valid(miss) and abs(miss) < b:
+            coarse = None
+        return miss, branch
 
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
-    current = _shoot(lambda c: trial(c)[0], seed, _SHOOT_BUDGET,
-                     spec.closure_tolerance, _ACCEPT_STEP if inverse else None)
+    current, miss, top = _shoot(trial, seed, _SHOOT_BUDGET,
+                                spec.closure_tolerance)
 
     # an accepted triangular trial is the top branch; an inverse trial
     # stopped at the turn, so the top branch is one full run
     wires = wires_for(current)
-    miss, top = (_closure_trial(wires, initial, medium, tau, control)
-                 if inverse else trial(current))
-
-    closure = top.events.closure
-    if closure is None:
+    if inverse:
+        miss, top = _closure_trial(wires, initial, medium, tau, control)
+    if not _valid(miss):
         raise DesignFailure("converged design lost its closure crossing",
                             best_current=current)
     if abs(miss) > spec.closure_tolerance:
@@ -520,6 +500,7 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             f"measured closure miss |{miss:.3e}| m > "
             f"{spec.closure_tolerance:.3e} m", best_current=current)
 
+    closure = top.events.closure
     peri = top.events.periapsis_per_wire
     # z -> -z symmetry: the bottom branch sees the mirror wire at the same
     # distance, so the per-wire minimum over both branches is the top

@@ -21,11 +21,12 @@ import math
 from .model import MU0
 
 GUARD_RADIUS = 1.0e-9
-"""Default exclusion radius around each wire, m.
+"""Exclusion radius around each wire, m; fixed, not a setting.
 
 :func:`b_field` queries closer than this raise :class:`WireSingularityError`
-instead of returning values from the 1/r pole; ``StepControl`` takes it as
-its default.
+instead of returning values from the 1/r pole. ``simulate`` raises the same
+for a launch this close to a wire, and hands the radius to the kernels,
+which stop a path that comes this close.
 """
 
 

@@ -17,7 +17,7 @@ from wiresplit import (
     mirror_trajectory,
     triangular_max_size,
 )
-from wiresplit import _kernel_py, designer, integrator
+from wiresplit import WireSingularityError, _kernel_py, designer, integrator
 from wiresplit.cli import main
 from wiresplit.designer import (
     CLOSURE_SENTINEL,
@@ -246,11 +246,12 @@ class TestSpecValidation:
 
     def test_budget_exhaustion_reports_best_iterate(self):
         # a step miss never comes within a hundredth of the tolerance, so
-        # Brent's method bisects the bracket until the budget of 8 runs out
+        # Brent's method bisects the bracket until the budget of 8 runs out;
+        # its two repeats of the bracket ends count but do not run again
         f, calls = _counted(lambda current: 1e-3 if current < 1.0 else -1e-3)
         with pytest.raises(DesignFailure, match="budget exhausted") as exc:
             designer._shoot(f, 0.5, 8, 1e-8)
-        assert len(calls) == 8
+        assert len(calls) == len(set(calls)) == 6
         assert (exc.value.best_current, exc.value.best_error) == (0.5, 1e-3)
 
 
@@ -265,7 +266,7 @@ class TestDesignFailure:
                                                            capsys):
         # a shot current whose sampled run never recrosses the launch plane:
         # with dead turning wires the inverse branch escapes
-        monkeypatch.setattr(designer, "_shoot", lambda *args: 0.0)
+        monkeypatch.setattr(designer, "_shoot", lambda *args: (0.0, None, None))
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"scheme": "inverse", "v0_m_per_s": 0.01,
                                    "b_um": 0.5, "x0_um": 300.0,
@@ -476,11 +477,13 @@ class TestCoarseTrials:
 
 
 def _counted(objective):
+    """A shooting trial of ``objective``'s miss, with no branch, and the
+    currents it ran, in order."""
     calls = []
 
     def f(current):
         calls.append(current)
-        return objective(current)
+        return objective(current), None
 
     return f, calls
 
@@ -493,10 +496,10 @@ def test_shoot_stops_in_integrator_noise():
                 + 1.3e-11 * math.sin(1e9 * current))
 
     f, calls = _counted(miss)
-    current = designer._shoot(f, 6e-3, 80, 1e-8)
-    # seed, two scan steps (x2^(1/4), x2^(1/2)), both bracket ends again,
-    # then the first interpolated trial
-    assert len(calls) == 6 and len(set(calls)) == 4
+    current, _, _ = designer._shoot(f, 6e-3, 80, 1e-8)
+    # seed, two scan steps (x2^(1/4), x2^(1/2)), then the first interpolated
+    # trial; Brent's method asks for both bracket ends again, which do not run
+    assert len(calls) == len(set(calls)) == 4
     assert current == calls[-1]
     assert abs(miss(current)) <= 1e-10
     # a miss within 1e-10 m keeps the current within 1e-6 relative
@@ -510,19 +513,59 @@ def test_shoot_step_tolerance_bounds_the_current():
         return 1e-9 * (8.2995e-3 - current)
 
     f, calls = _counted(miss)
-    assert designer._shoot(f, 6e-3, 80, 1e-8) == 6e-3
-    f, calls = _counted(miss)
-    current = designer._shoot(f, 6e-3, 80, 1e-8, step_tolerance=3e-7)
-    assert len(set(calls)) > 1
+    current, _, _ = designer._shoot(f, 6e-3, 80, 1e-8)
+    assert len(calls) > 1
     assert current == pytest.approx(8.2995e-3, rel=3e-7)
 
 
 def test_shoot_returns_a_seed_that_closes():
-    # exactly, and at either edge of closure_tolerance / 100
+    # exactly, and at either edge of closure_tolerance / 100; a first trial
+    # has no secant step, so one scan step confirms it
     for seed_miss in (0.0, 1e-10, -1e-10):
         f, calls = _counted(lambda current: seed_miss + (6e-3 - current))
-        assert designer._shoot(f, 6e-3, 80, 1e-8) == 6e-3
-        assert calls == [6e-3]
+        assert designer._shoot(f, 6e-3, 80, 1e-8) == (6e-3, seed_miss, None)
+        assert len(calls) == 2 and calls[0] == 6e-3
+
+
+def test_shoot_failure_without_a_bracket_reports_best_iterate():
+    # a miss of one sign everywhere: both scan directions run out
+    f, calls = _counted(
+        lambda current: 1e-3 * (2.0 - math.exp(-abs(current - 0.5))))
+    with pytest.raises(DesignFailure, match="failed to bracket") as exc:
+        designer._shoot(f, 0.5, 100, 1e-8)
+    # the seed, then 40 scan steps each way
+    assert len(calls) == len(set(calls)) == 81
+    assert (exc.value.best_current, exc.value.best_error) == (0.5, 1e-3)
+
+
+def test_shoot_failure_without_a_return_has_no_best_iterate():
+    f, calls = _counted(lambda current: CLOSURE_SENTINEL)
+    with pytest.raises(DesignFailure,
+                       match="could not find a returning trajectory$") as exc:
+        designer._shoot(f, 0.5, 80, 1e-8)
+    assert calls == [0.5 * 2.0**k for k in range(18)]
+    assert (exc.value.best_current, exc.value.best_error) == (None, None)
+
+
+def test_shoot_reads_a_wire_singularity_as_the_sentinel():
+    # a seed swallowed by a wire sends the scan upward as a lost seed does
+    def shoot(seed_trial):
+        calls = []
+
+        def trial(current):
+            calls.append(current)
+            if current == 6e-3:
+                return seed_trial()
+            return 1.35e-2 * (8.2995e-3 - current), current
+
+        return designer._shoot(trial, 6e-3, 80, 1e-8), calls
+
+    def singular():
+        raise WireSingularityError(1, (0.0, 0.0))
+
+    closed, calls = shoot(singular)
+    assert (closed, calls) == shoot(lambda: (CLOSURE_SENTINEL, None))
+    assert calls[:2] == [6e-3, 1.2e-2]
 
 
 class TestScaleFamily:
