@@ -11,12 +11,18 @@ flight, not just the nominal encounters.
 The bracket scan steps the current from the analytic seed by x2^(1/4),
 x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
 at 0.85-0.98 of the designed current, so it brackets in one step instead of
-first overshooting into currents whose branch never returns. Shooting stops
-at the first trial, in any phase, that closes: its miss is within
-``closure_tolerance / 100`` and the secant step to the root is within 3e-7
-of the current (see :class:`DesignSpec`). :func:`_shoot` keeps one record of
-a design's trials: a current runs at most once, and a repeat counts toward
-the budget without running again.
+first overshooting into currents whose branch never returns. The inverse
+scheme shoots where its miss is a straight line: I times the miss against
+I^2, for deflector current I (:func:`_turn_trial` gives the law). There,
+after the seed and one scan step, the scan takes the secant root whenever
+it lies within x2: on perfbench's design_mix seeds 1-3, inverse seeds at
+0.31-1.48 of the designed current close in 3.3 turn trials on average
+(6.5 with the geometric scan alone). Shooting stops at the first trial,
+in any phase, that closes: its miss is within ``closure_tolerance / 100``
+and the secant step to the root is within 3e-7 of the current (see
+:class:`DesignSpec`). :func:`_shoot` keeps one record of a design's trials:
+a current runs at most once, and a repeat counts toward the budget without
+running again.
 
 A triangular trial integrates the branch to its closure, and the accepted
 trial is the design's top branch. Until a run at the design's control
@@ -101,9 +107,17 @@ class DesignSpec:
     m <= 1.1e-10 m, about 8x the scatter of the numerical miss across
     nearby currents at one step control. The step bound holds the current
     where a smaller I |dz_c/dI| than the reference's would let it drift
-    further: on perfbench's design_mix seeds 1-2 the 60 inverse currents
-    lie within 2.8e-7 of the root of the closure miss itself. A first trial
-    never closes on its own.
+    further: on perfbench's design_mix seeds 1-3 the 90 inverse currents
+    lie within 3.7e-7 of the root of the closure miss itself (3.4e-7 with
+    the geometric scan alone; the turn estimate's ~4e-11 m jitter at the
+    flattest designs sets the difference, not the accept rule). A first
+    trial never closes on its own.
+
+    The inverse scheme brackets and polishes in (I^2, I miss), where its
+    turn estimate is a straight line (see :func:`_turn_trial`), and the
+    triangular scheme in (I, miss): its miss is no straight line in
+    (I^2, miss) or (I^2, I miss), and on perfbench's design_mix seeds 1-3
+    either form cost 11% or 20% more triangular step attempts.
 
     An inverse trial runs only to the branch's turn, and its miss is
     estimated from the turn state. The reported ``closure_error`` of either
@@ -220,6 +234,14 @@ def _turn_trial(wires, initial: PacketState, medium: Medium, tau: float,
     (|d theta_s / d b| z_d x0 - z_d - x0), where the bracket is the
     ``gain`` of :func:`_turn_gain`. At the inverse reference this agrees
     with the measured miss of full runs to 1e-3 relative.
+
+    The design shoots on this estimate where it is a straight line. Near
+    closure phi ~ pi L / (sqrt(alpha) I). L comes from two torques over the
+    flight: the splitting wire's, whose current the scheme fixes, and the
+    mirror deflectors', whose force grows as I^2; so L ~ L_s + L_m I^2, and
+    I times the miss is a line in I^2. On the first four inverse designs
+    of perfbench's design_mix seed 1, miss / (I / I* - I* / I), for root
+    I*, stays constant to 4e-6 relative from 0.35 I* to 2 I*.
     """
     duration = tau * (1.0 + _TIME_MARGIN)
     traj = simulate(initial, wires, medium, duration, control,
@@ -337,8 +359,9 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
         f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _shoot(trial, seed: float, budget: int, tolerance: float):
-    """Bracket by geometric scan from the seed, then polish with Brent's method.
+def _shoot(trial, seed: float, budget: int, tolerance: float,
+           power: int = 1):
+    """Bracket by a scan from the seed, then polish with Brent's method.
 
     ``trial(current)`` returns ``(miss, branch)``; the accepted trial comes
     back as ``(current, miss, branch)``. Each current runs at most once, and
@@ -351,6 +374,16 @@ def _shoot(trial, seed: float, budget: int, tolerance: float):
     height. The scan walks that direction first and falls back to the
     opposite one, so a locally inverted regime still brackets if a root
     exists at all.
+
+    Brent's method runs on y = I^(power-1) miss against s = I^power, where
+    I is the current, and each bracket end maps back to its exact current.
+    At ``power`` 1 that is the miss against the current, and the scan is
+    geometric. A higher power states that y(s) is a straight line (the
+    inverse scheme's, see :func:`_turn_trial`): after the seed and the
+    first scan step, each trial of the scan's sign is followed by the
+    secant root in (s, y) when it lies within the scan's widest step, and
+    by the geometric step when it lies further. The scan turns geometric
+    for good once a trial's |y| stops falling or a trial is lost.
 
     A trial closes when its miss is within ``_ACCEPT_FRACTION * tolerance``
     and the secant step to the root, from the last valid trial at another
@@ -388,14 +421,26 @@ def _shoot(trial, seed: float, budget: int, tolerance: float):
                 raise _Closed(current)
         return err
 
+    def line(current, miss):
+        return current ** power, current ** (power - 1) * miss
+
     def walk(widest):
         # steps widest**(1/4), widest**(1/2), then widest: a seed near its
         # root brackets at once, and a lost trial stops the growth for good
         growth = [widest ** 0.5, widest]
         step = widest ** 0.25
         prev_i, prev_e = start_i, start_e
+        secant = power != 1  # until |y| stops falling or a trial is lost
+        back = None  # the valid trial before prev, once the secant applies
         for _ in range(40):
-            cur_i = prev_i * step
+            stride = step
+            if back is not None:
+                (s0, y0), (s1, y1) = line(*back), line(prev_i, prev_e)
+                ratio = (s1 - y1 * (s1 - s0) / (y1 - y0)) / s1  # root's s / s1
+                if (ratio <= widest ** power if widest > 1.0
+                        else ratio >= widest ** power):
+                    stride = ratio ** (1.0 / power)
+            cur_i = prev_i * stride
             cur_e = f(cur_i)
             if _valid(cur_e) and (cur_e > 0.0) != (prev_e > 0.0):
                 return (prev_i, cur_i)
@@ -407,13 +452,17 @@ def _shoot(trial, seed: float, budget: int, tolerance: float):
                         "I %.3e -> %.3e A, err %.3e -> %.3e m",
                         prev_i, cur_i, prev_e, cur_e,
                     )
+                secant = secant and (abs(line(cur_i, cur_e)[1])
+                                     < abs(line(prev_i, prev_e)[1]))
+                back = (prev_i, prev_e) if secant else None
                 prev_i, prev_e = cur_i, cur_e
                 if growth:
                     step = growth.pop(0)
             else:
                 # lost the trajectory; shrink toward the valid side
                 growth = []
-                step = math.sqrt(step)
+                step = math.sqrt(stride)
+                secant, back = False, None
                 if abs(step - 1.0) < 1e-3:
                     return None
         return None
@@ -432,8 +481,15 @@ def _shoot(trial, seed: float, budget: int, tolerance: float):
             bracket = walk(1.0 / widest)
         if bracket is None:
             raise failure("failed to bracket a closure root")
-        current = _brentq(f, min(bracket), max(bracket), xtol=1e-12 * seed,
-                          rtol=8.9e-16, maxiter=budget)
+        ends = {c ** power: c for c in bracket}  # exact currents of the ends
+
+        def g(s):
+            current = ends.get(s, s ** (1.0 / power))
+            return line(current, f(current))[1]
+
+        s = _brentq(g, min(ends), max(ends), xtol=1e-12 * seed ** power,
+                    rtol=8.9e-16, maxiter=budget)
+        current = ends.get(s, s ** (1.0 / power))
     except _Closed as closed:
         current = closed.args[0]
     return (current, *trials[current])
@@ -485,7 +541,8 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
     current, miss, top = _shoot(trial, seed, _SHOOT_BUDGET,
-                                spec.closure_tolerance)
+                                spec.closure_tolerance,
+                                power=2 if inverse else 1)
 
     # an accepted triangular trial is the top branch; an inverse trial
     # stopped at the turn, so the top branch is one full run

@@ -266,7 +266,8 @@ class TestDesignFailure:
                                                            capsys):
         # a shot current whose sampled run never recrosses the launch plane:
         # with dead turning wires the inverse branch escapes
-        monkeypatch.setattr(designer, "_shoot", lambda *args: (0.0, None, None))
+        monkeypatch.setattr(designer, "_shoot",
+                            lambda *args, power: (0.0, None, None))
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"scheme": "inverse", "v0_m_per_s": 0.01,
                                    "b_um": 0.5, "x0_um": 300.0,
@@ -362,7 +363,7 @@ class TestShootingWork:
         # Brent's tolerance in current is far below the integrator's noise,
         # so it must not be the stop
         assert len({current for current, _ in trials}) <= {
-            "triangular": 5, "inverse": 4}[scheme]
+            "triangular": 5, "inverse": 3}[scheme]
         accept = spec.closure_tolerance / 100
         closed = [abs(miss) <= accept for _, miss in trials]
         assert closed.index(True) == len(trials) - 1
@@ -386,6 +387,33 @@ class TestShootingWork:
         root = _brentq(miss, current * (1 - 1e-5), current * (1 + 1e-5),
                        xtol=1e-12 * current, rtol=8.9e-16, maxiter=80)
         assert current == pytest.approx(root, rel=1e-6)
+
+    def test_inverse_turn_miss_is_a_line_in_current_squared(
+            self, inverse_design, medium):
+        # I miss against I^2 at the inverse reference, from half to twice
+        # the designed current: the middle trial sits on the line through
+        # the outer two, while the miss against I bends by a sixth of its
+        # range there
+        result, _, _ = inverse_design
+        splitting, upper, lower = result.wires
+        gain = designer._turn_gain(splitting.current, V0, B, X0, upper.z,
+                                   medium)
+        initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
+        points = []
+        for q in (0.5, 1.0, 2.0):
+            i = q * upper.current
+            wires = (splitting, replace(upper, current=i),
+                     replace(lower, current=i))
+            miss, _ = designer._turn_trial(wires, initial, medium, TAU,
+                                           DEFAULT_CONTROL, gain)
+            points.append((i, miss))
+
+        def bend(xy):
+            (x0, y0), (x1, y1), (x2, y2) = xy
+            return abs(y1 - y0 - (y2 - y0) * (x1 - x0) / (x2 - x0)) / abs(y2 - y0)
+
+        assert bend([(i * i, i * miss) for i, miss in points]) <= 1e-3
+        assert bend(points) > 0.1
 
 
 def _closure_runs(monkeypatch, spec, control=DEFAULT_CONTROL):
@@ -468,12 +496,13 @@ class TestCoarseTrials:
         monkeypatch.setattr(designer, "_turn_trial", recorded)
         result, runs = _closure_runs(
             monkeypatch, DesignSpec(scheme="inverse", inputs=paper_inputs))
+        # the seed, one scan step, then the secant root in (I^2, I miss)
         assert calls == [(h, DEFAULT_CONTROL) for h in (
             "0x1.d282071d0b0b8p-8", "0x1.1563241749dddp-7",
-            "0x1.105ee8b07a926p-7", "0x1.0ff56697c9c0cp-7")]
+            "0x1.0ff569c6c95d0p-7")]
         assert runs == [(result.wires[1].current, DEFAULT_CONTROL,
-                         1.832587547502481e-11)]
-        assert result.wires[1].current.hex() == "0x1.0ff56697c9c0cp-7"
+                         5.022213567717012e-12)]
+        assert result.wires[1].current.hex() == "0x1.0ff569c6c95d0p-7"
 
 
 def _counted(objective):
@@ -504,6 +533,23 @@ def test_shoot_stops_in_integrator_noise():
     assert abs(miss(current)) <= 1e-10
     # a miss within 1e-10 m keeps the current within 1e-6 relative
     assert current == pytest.approx(8.2995e-3, rel=1e-6)
+
+
+def test_shoot_closes_a_turn_law_miss_within_four_trials():
+    # the inverse turn estimate's law, miss = A (I / I* - I* / I): I miss is
+    # a line in I^2, so from any seed over the inverse seeds' spread the
+    # secant root in (I^2, I miss) lands on the root once it is within the
+    # scan's widest step
+    root, amplitude = 8.2995e-3, -5.6e-5  # 1.35e-2 m/A at the root
+
+    def miss(current):
+        return amplitude * (current / root - root / current)
+
+    for q in (0.35, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.75):
+        f, calls = _counted(miss)
+        current, _, _ = designer._shoot(f, q * root, 80, 1e-8, power=2)
+        assert len(calls) == len(set(calls)) <= 4
+        assert current == calls[-1] == pytest.approx(root, rel=1e-9)
 
 
 def test_shoot_step_tolerance_bounds_the_current():
