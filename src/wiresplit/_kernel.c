@@ -4,10 +4,11 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, the twin's stop modes (none, closure, turn), the
- * samples as two bytes of native doubles ("t", n times, and "states", n rows
- * x, z, vx, vz), and a zero error scale (atol = 0) counting 0 in the
- * initial-step norms, 0/0 as 0 and err/0 as inf in the step error norm.
+ * functions and sides, the twin's stop modes (none, closure, turn) and its
+ * "resume" layout of a turn run's continuation, the samples as two bytes of
+ * native doubles ("t", n times, and "states", n rows x, z, vx, vz), and a
+ * zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0 as
+ * 0 and err/0 as inf in the step error norm.
  * Every floating-point operation is in the twin's order, comparisons and
  * min() treat NaN as Python does, and the file must be built without FMA
  * contraction (-ffp-contract=off), so both backends return equal doubles.
@@ -167,6 +168,8 @@ static int push(Buf *b, const double *v, size_t m)
 {
     if (b->len + m > b->cap) {
         size_t cap = b->cap ? 2 * b->cap : 1024;
+        while (cap < b->len + m)
+            cap *= 2;
         double *nv = PyMem_Realloc(b->v, cap * sizeof(double));
         if (nv == NULL) {
             PyErr_NoMemory();
@@ -224,18 +227,24 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         "x0", "z0", "vx0", "vz0", "t0", "duration",
         "wires_x", "wires_z", "wires_current", "alpha",
         "rtol", "atol", "guard_radius", "max_steps",
-        "stop_mode", NULL};
+        "stop_mode", "resume", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
     double max_steps;
     int stop_mode;
-    PyObject *seq_x, *seq_z, *seq_i;
+    PyObject *seq_x, *seq_z, *seq_i, *resume = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddOOOdddddi:integrate", kwlist,
+            args, kwargs, "ddddddOOOdddddi|O:integrate", kwlist,
             &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
-            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_mode))
+            &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_mode,
+            &resume))
         return NULL;
 
-    PyObject *result = NULL;
+    /* the continuation to take up, and the turn run's t and states */
+    Py_buffer rb[3] = {{0}};
+    if (resume != Py_None
+        && !PyArg_ParseTuple(resume, "y*y*y*", &rb[0], &rb[1], &rb[2]))
+        return NULL;
+    PyObject *result = NULL, *cont = NULL;  /* this run's continuation */
     double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL, *powered = NULL;
     Buf t_buf = {NULL, 0, 0}, y_buf = {NULL, 0, 0};  /* the samples */
     Py_ssize_t n, nz, ni;
@@ -280,8 +289,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         if (wi[i] != 0.0)
             u += 0.5 * alpha * wi[i] * wi[i] / r2;
     }
-    if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
-        goto done;
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
     double e0 = 0.5 * (y[2] * y[2] + y[3] * y[3]) + u;
@@ -293,44 +300,76 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     long n_steps = 0, n_rejected = 0;
     double k[7][4], ys[4], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
 
-    /* initial step size (Hairer-style heuristic); a component whose scale
-     * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
-    deriv(&f, y, k[0]);
-    for (int c = 0; c < 4; c++) {
-        sc[c] = atol + rtol * fabs(y[c]);
-        q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
+    double h, h_floor;
+    long base[3] = {0, 0, 0};  /* the counters taken up, as in the twin */
+    if (resume == Py_None) {
+        if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
+            goto done;
+        /* initial step size (Hairer-style heuristic); a component whose scale
+         * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
+        deriv(&f, y, k[0]);
+        for (int c = 0; c < 4; c++) {
+            sc[c] = atol + rtol * fabs(y[c]);
+            q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
+        }
+        double d0 = rms4(q);
+        for (int c = 0; c < 4; c++)
+            q[c] = sc[c] != 0.0 ? k[0][c] / sc[c] : 0.0;
+        double d1 = rms4(q);
+        double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+        if (h0 > duration)
+            h0 = duration;
+        for (int c = 0; c < 4; c++)
+            ys[c] = y[c] + h0 * k[0][c];
+        deriv(&f, ys, k[1]);
+        for (int c = 0; c < 4; c++)
+            q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
+        double d2 = rms4(q) / h0;
+        double dm = d1 > d2 ? d1 : d2;
+        double h1;
+        if (dm <= 1e-15)
+            h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+        else
+            h1 = pow(0.01 / dm, 0.2);
+        h = 100.0 * h0;  /* min(100 h0, h1, duration), as Python's min */
+        if (h1 < h)
+            h = h1;
+        if (duration < h)
+            h = duration;
+        if (!(h > 0.0) || h != h)
+            h = duration * 1e-6;
+        /* a first step under the step floor starts at the floor, unless the
+         * floor exceeds the whole duration, as in the twin */
+        h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
+        if (h < h_floor && h_floor < duration)
+            h = h_floor;
+    } else {
+        /* take up a turn-mode run at the start of its turn step, the last
+         * row it keeps of that run's samples */
+        const double *c = rb[0].buf;
+        if (rb[0].len != (Py_ssize_t)((13 + 6 * n) * sizeof(double))
+            || !(c[10] >= 0.0 && c[10] < (double)(rb[1].len / 8)
+                 && c[10] < (double)(rb[2].len / 32))) {
+            PyErr_SetString(PyExc_ValueError, "continuation does not fit this run");
+            goto done;
+        }
+        base[0] = n_steps = (long)c[10];
+        base[1] = n_rejected = (long)c[11];
+        base[2] = f.n_rhs = (long)c[12];
+        if (push(&t_buf, rb[1].buf, n_steps + 1) < 0
+            || push(&y_buf, rb[2].buf, 4 * (n_steps + 1)) < 0)
+            goto done;
+        t = t_buf.v[n_steps];
+        memcpy(y, y_buf.v + 4 * n_steps, sizeof y);
+        double k1[4] = {y[2], y[3], c[0], c[1]};
+        memcpy(k[0], k1, sizeof k1);
+        h = c[2];
+        memcpy(apex, c + 3, sizeof apex);
+        best_apex_absz = fabs(apex[2]);
+        drift = c[8];
+        min_step = c[9];
+        memcpy(peri, c + 13, 6 * n * sizeof(double));
     }
-    double d0 = rms4(q);
-    for (int c = 0; c < 4; c++)
-        q[c] = sc[c] != 0.0 ? k[0][c] / sc[c] : 0.0;
-    double d1 = rms4(q);
-    double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
-    if (h0 > duration)
-        h0 = duration;
-    for (int c = 0; c < 4; c++)
-        ys[c] = y[c] + h0 * k[0][c];
-    deriv(&f, ys, k[1]);
-    for (int c = 0; c < 4; c++)
-        q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
-    double d2 = rms4(q) / h0;
-    double dm = d1 > d2 ? d1 : d2;
-    double h1;
-    if (dm <= 1e-15)
-        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
-    else
-        h1 = pow(0.01 / dm, 0.2);
-    double h = 100.0 * h0;  /* min(100 h0, h1, duration), as Python's min */
-    if (h1 < h)
-        h = h1;
-    if (duration < h)
-        h = duration;
-    if (!(h > 0.0) || h != h)
-        h = duration * 1e-6;
-    /* a first step under the step floor starts at the floor, unless the
-     * floor exceeds the whole duration, as in the twin */
-    double h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
-    if (h < h_floor && h_floor < duration)
-        h = h_floor;
 
     while (!(t >= t_bound)) {
         if (n_steps + n_rejected >= max_steps) {
@@ -344,6 +383,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             t_fail = t;
             break;
         }
+        double h_try = h;  /* before the cut to the end of the run */
         int last = 0;
         if (t + h >= t_bound) {
             h = t_bound - t;
@@ -392,6 +432,19 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         /* turn: the first vz sign change from > 0 to < 0 ends a turn-mode
          * run, and its step's events are found up to the turn */
         if (stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0) {
+            if (!have_closure) {  /* else a closure-mode run ended before */
+                double head[13] = {
+                    k[0][2], k[0][3], h_try, apex[0], apex[1], apex[2],
+                    apex[3], apex[4], drift, min_step, n_steps, n_rejected,
+                    f.n_rhs - 6};
+                cont = PyBytes_FromStringAndSize(
+                    NULL, sizeof head + 6 * n * sizeof(double));
+                if (cont == NULL)
+                    goto done;
+                memcpy(PyBytes_AS_STRING(cont), head, sizeof head);
+                memcpy(PyBytes_AS_STRING(cont) + sizeof head, peri,
+                       6 * n * sizeof(double));
+            }
             hi = 1.0;
             bisect(g_apex, NULL, 1, &st, &lo, &hi);
             theta_end = hi;
@@ -513,15 +566,17 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d}",
+        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d,s:N}",
         "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
         "t", (const char *)t_buf.v, (Py_ssize_t)(t_buf.len * sizeof(double)),
         "states", (const char *)y_buf.v, (Py_ssize_t)(y_buf.len * sizeof(double)),
         "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
         "periapsis_state", peri_state,
-        "closure", clo, "n_steps", n_steps, "n_rejected", n_rejected,
-        "n_rhs", f.n_rhs, "min_step", min_step,
-        "energy_drift", drift / (e0 != 0.0 ? fabs(e0) : 1.0));
+        "closure", clo, "n_steps", n_steps - base[0],
+        "n_rejected", n_rejected - base[1], "n_rhs", f.n_rhs - base[2],
+        "min_step", min_step, "energy_drift", drift / (e0 != 0.0 ? fabs(e0) : 1.0),
+        "resume", cont ? cont : Py_NewRef(Py_None));
+    cont = NULL;  /* stolen */
 
 done:
     PyMem_Free(wx);
@@ -531,6 +586,9 @@ done:
     PyMem_Free(powered);
     PyMem_Free(t_buf.v);
     PyMem_Free(y_buf.v);
+    Py_XDECREF(cont);
+    for (int i = 0; i < 3; i++)
+        PyBuffer_Release(&rb[i]);  /* a no-op without a continuation */
     return result;
 }
 

@@ -116,7 +116,7 @@ def _bisect(dense, g, side, hi, h):
 
 def integrate(x0, z0, vx0, vz0, t0, duration,
               wires_x, wires_z, wires_current, alpha,
-              rtol, atol, guard_radius, max_steps, stop_mode):
+              rtol, atol, guard_radius, max_steps, stop_mode, resume=None):
     """Integrate one packet through the wire array.
 
     Returns a plain dict; the integrator module wraps it.
@@ -129,6 +129,15 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     The last row is then the dense state at the bisected bracket's hi, and
     the events of that step are found up to it. Any other value, such as
     ``STOP_NONE``, runs the whole duration.
+
+    A turn-mode run whose closure did not come before its turn step also
+    returns ``resume``: at the start of that step as tried, one ``bytes``
+    of native doubles ax, az (the first stage), h, the apex (t, x, z, vx,
+    vz), the drift, ``min_step``, the counters, then the periapsis
+    distances and states (6 per wire); every other run returns None. Its
+    samples less the last row end in the step's start. With the same other
+    arguments, ``resume=(that bytes, its t, its states)`` takes the run up
+    there, bitwise the fresh run but for counters of only its own work.
     """
     n = len(wires_x)
     wx = [float(v) for v in wires_x]
@@ -183,9 +192,11 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             u += c / r2 if r2 != 0.0 else c * _INF
     closure = None
 
-    # one sample per row: its time, and its state (x, z, vx, vz)
+    # one sample per row: its time, and its state (x, z, vx, vz); rows
+    # taken up from a turn run stay its bytes
     ts = [t]
     states = [x, z, vx, vz]
+    t_pre = s_pre = b""
     # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
     # largest |E - E0| over the rows so far (NaN once any is NaN)
     e0 = 0.5 * (vx * vx + vz * vz) + u
@@ -198,43 +209,67 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     n_rejected = 0
     min_step = duration
 
-    # initial step size (Hairer-style heuristic); a component whose scale
-    # is exactly 0 (atol = 0 and the value 0) counts 0 in the norms d0, d1
-    # and d2
-    y = (x, z, vx, vz)
-    k1 = (vx, vz) + accel(x, z)
-    n_rhs += 1
-    sc = [atol + rtol * abs(v) for v in y]
+    base = (0, 0, 0)  # the counters taken up
+    if resume is None:
+        # initial step size (Hairer-style heuristic); a component whose
+        # scale is exactly 0 (atol = 0 and the value 0) counts 0 in the
+        # norms d0, d1 and d2
+        y = (x, z, vx, vz)
+        k1 = (vx, vz) + accel(x, z)
+        n_rhs += 1
+        sc = [atol + rtol * abs(v) for v in y]
 
-    def rms(v):
-        q = [v[c] / sc[c] if sc[c] != 0.0 else 0.0 for c in range(4)]
-        return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
+        def rms(v):
+            q = [v[c] / sc[c] if sc[c] != 0.0 else 0.0 for c in range(4)]
+            return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
 
-    d0 = rms(y)
-    d1 = rms(k1)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if h0 > duration:
-        h0 = duration
-    ys = [y[c] + h0 * k1[c] for c in range(4)]
-    k2 = (ys[2], ys[3]) + accel(ys[0], ys[1])
-    n_rhs += 1
-    rms2 = rms([k2[c] - k1[c] for c in range(4)])
-    d2 = rms2 / h0 if h0 != 0.0 else rms2 * _INF
-    dm = d1 if d1 > d2 else d2
-    if dm <= 1e-15:
-        h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
+        d0 = rms(y)
+        d1 = rms(k1)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        if h0 > duration:
+            h0 = duration
+        ys = [y[c] + h0 * k1[c] for c in range(4)]
+        k2 = (ys[2], ys[3]) + accel(ys[0], ys[1])
+        n_rhs += 1
+        rms2 = rms([k2[c] - k1[c] for c in range(4)])
+        d2 = rms2 / h0 if h0 != 0.0 else rms2 * _INF
+        dm = d1 if d1 > d2 else d2
+        if dm <= 1e-15:
+            h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
+        else:
+            h1 = (0.01 / dm) ** 0.2
+        h = min(100.0 * h0, h1, duration)
+        if not (h > 0.0) or h != h:
+            h = duration * 1e-6
+        # a first step under the step floor (a tiny nonzero component's
+        # tiny scale at atol = 0) starts at the floor instead, unless the
+        # floor exceeds the whole duration
+        h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
+        if h < h_floor < duration:
+            h = h_floor
+        k1x, k1z, k1vx, k1vz = k1
     else:
-        h1 = (0.01 / dm) ** 0.2
-    h = min(100.0 * h0, h1, duration)
-    if not (h > 0.0) or h != h:
-        h = duration * 1e-6
-    # a first step under the step floor (a tiny nonzero component's tiny
-    # scale at atol = 0) starts at the floor instead, unless the floor
-    # exceeds the whole duration
-    h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
-    if h < h_floor < duration:
-        h = h_floor
-    k1x, k1z, k1vx, k1vz = k1
+        # take up a turn-mode run at the start of its turn step, the last
+        # row it keeps of that run's samples
+        packed, t_buf, s_buf = resume
+        c = memoryview(packed).cast("d").tolist()
+        if len(c) != 13 + 6 * n or not 0.0 <= c[10] < min(len(t_buf) // 8,
+                                                           len(s_buf) // 32):
+            raise ValueError("continuation does not fit this run")
+        base = tuple(int(v) for v in c[10:13])
+        n_steps, n_rejected, n_rhs = base
+        t_pre = memoryview(t_buf).cast("B")[:8 * n_steps + 8]
+        s_pre = memoryview(s_buf).cast("B")[:32 * n_steps + 32]
+        ts, states = [], []
+        t = t_pre.cast("d")[-1]
+        x, z, vx, vz = s_pre.cast("d")[-4:].tolist()
+        k1x, k1z, k1vx, k1vz, h = vx, vz, *c[:3]
+        apex = tuple(c[3:8])
+        best_apex_absz = abs(apex[2])
+        drift, min_step = c[8:10]
+        peri_dist = c[13:13 + n]
+        peri_state = [tuple(c[13 + n + 5 * i:18 + n + 5 * i]) for i in range(n)]
+    cont = None  # this run's continuation
 
     while True:
         if t >= t_bound:
@@ -248,6 +283,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             status = STATUS_UNDERFLOW
             t_fail = t
             break
+        h_try = h  # before the cut to the end of the run
         last = False
         if t + h >= t_bound:
             h = t_bound - t
@@ -350,6 +386,11 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         # turn: the first vz sign change from > 0 to < 0 ends a turn-mode
         # run, and its step's events are found up to the turn
         if stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0:
+            if closure is None:  # else a closure-mode run ended before
+                cont = array("d", (
+                    k1vx, k1vz, h_try, *apex, drift, min_step, n_steps,
+                    n_rejected, n_rhs - 6, *peri_dist,
+                    *(v for row in peri_state for v in row))).tobytes()
             lo, hi = _bisect(dense, lambda s: s[3], True, 1.0, h)
             theta_end = hi
             t_end = t + hi * h
@@ -457,15 +498,16 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "status": status,
         "fail_wire": fail_wire,
         "t_fail": t_fail,
-        "t": array("d", ts).tobytes(),
-        "states": array("d", states).tobytes(),
+        "t": b"".join((t_pre, array("d", ts))),
+        "states": b"".join((s_pre, array("d", states))),
         "apex": apex,
         "periapsis_distance": peri_dist,
         "periapsis_state": peri_state,
         "closure": closure,
-        "n_steps": n_steps,
-        "n_rejected": n_rejected,
-        "n_rhs": n_rhs,
+        "n_steps": n_steps - base[0],
+        "n_rejected": n_rejected - base[1],
+        "n_rhs": n_rhs - base[2],
         "min_step": min_step,
         "energy_drift": drift / (abs(e0) if e0 != 0.0 else 1.0),
+        "resume": cont,
     }

@@ -10,32 +10,44 @@ flight, not just the nominal encounters.
 
 The bracket scan steps the current from the analytic seed by x2^(1/4),
 x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
-at 0.85-0.98 of the designed current, so it brackets in one step instead of
-first overshooting into currents whose branch never returns. The inverse
-scheme shoots where its miss is a straight line: I times the miss against
-I^2, for deflector current I (:func:`_turn_trial` gives the law). There,
-after the seed and one scan step, the scan takes the secant root whenever
-it lies within x2: on perfbench's design_mix seeds 1-3, inverse seeds at
-0.31-1.48 of the designed current close in 3.3 turn trials on average
-(6.5 with the geometric scan alone). Shooting stops at the first trial,
-in any phase, that closes: its miss is within ``closure_tolerance / 100``
-and the secant step to the root is within 3e-7 of the current (see
-:class:`DesignSpec`). :func:`_shoot` keeps one record of a design's trials:
-a current runs at most once, and a repeat counts toward the budget without
-running again.
+at 0.85-0.98 of the designed current, and usually brackets in one step. On
+perfbench's design_mix seeds 1-3, 29 of the 180 triangular designs first
+step onto a current whose branch never returns, 28 of them at the first
+x2^(1/4) step. That trial runs for the whole 1.1 tau at the design's
+control, in 28 of them after a coarse run that did the same. On seed 1
+those are the 7 heaviest triangular designs: 15.0k-15.9k RHS evaluations,
+against a median of 10.0k. The inverse scheme shoots where its miss is a
+straight line: I times the miss against I^2, for deflector current I
+(:func:`_turn_trial` gives the law). There, after the seed and one scan
+step, the scan takes the secant root whenever it lies within x2: on
+perfbench's design_mix seeds 1-3, inverse seeds at 0.31-1.48 of the
+designed current close in 3.3 turn trials on average (6.5 with the
+geometric scan alone). Shooting stops at the first trial, in any phase,
+that closes: its miss is within ``closure_tolerance / 100`` and the secant
+step to the root is within 3e-7 of the current (see :class:`DesignSpec`).
+:func:`_shoot` keeps one record of a design's trials: a current runs at
+most once, and a repeat counts toward the budget without running again.
 
 A triangular trial integrates the branch to its closure, and the accepted
 trial is the design's top branch. Until a run at the design's control
 misses by less than the initial split b, each triangular trial first runs
 at a coarse control (:func:`_coarse_control`). Its miss is kept when it is
 one of b or more; otherwise the trial runs again at the design's control.
-The accept threshold lies below b, so the accepted trial always comes from
-a run at the design's control. The inverse branch runs head-on into the
-deflector, stops and retraces its path, so its closure is decided at the
-turn: an inverse trial integrates only up to the turn and estimates the
-miss from the angular momentum left there (:func:`_turn_trial`). One full
-run at the accepted current then gives the top branch and the reported,
-measured closure miss.
+A kept coarse miss under ``_COARSE_END`` b also ends the coarse pass: the
+next trial then usually misses by less than b, and would otherwise run
+twice. The accept threshold lies below b, so the accepted trial always
+comes from a run at the design's control. The inverse branch runs head-on
+into the deflector, stops and retraces its path, so its closure is decided
+at the turn: an inverse trial integrates only up to the turn and estimates
+the miss from the angular momentum left there (:func:`_turn_trial`). The
+top branch continues the accepted trial from the start of its turn step
+to the closure (``integrator._resumed``). It is bitwise the full run at
+that current, and gives the reported, measured closure miss. So an
+inverse design integrates each trial current once. A triangular one does
+too, unless a coarse run returns the sentinel or misses by less than b:
+on perfbench's design_mix seeds 1-3, 35 of the 963 triangular runs (28
+and 7) repeat a current, against 209 of 1137 without the end of the
+coarse pass.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from .integrator import (
     DEFAULT_CONTROL,
     StepControl,
     Trajectory,
+    _resumed,
     mirror_trajectory,
     simulate,
 )
@@ -75,6 +88,7 @@ _SHOOT_BUDGET = 80  # trials per design; see DesignSpec
 _ACCEPT_STEP = 3e-7  # relative secant step to the root; see DesignSpec
 _COARSE_RTOL = 1e-8  # triangular: loosest rtol of a coarse trial; see DesignSpec
 _COARSE_FACTOR = 1000.0  # most by which a coarse trial loosens the control
+_COARSE_END = 20.0  # b: a kept coarse miss under this ends the pass; see DesignSpec
 
 
 class DesignFailure(RuntimeError):
@@ -121,8 +135,10 @@ class DesignSpec:
 
     An inverse trial runs only to the branch's turn, and its miss is
     estimated from the turn state. The reported ``closure_error`` of either
-    scheme is measured on a full run at the accepted current, and a miss
-    above ``closure_tolerance`` there raises :class:`DesignFailure`.
+    scheme is measured on the full branch at the accepted current, and a
+    miss above ``closure_tolerance`` there raises :class:`DesignFailure`.
+    The inverse branch continues the accepted turn trial from its turn
+    step, bitwise the fresh full run.
 
     A triangular trial far from the root is read at a coarse control: until
     a run at the design's control misses by less than ``inputs.b``, a trial
@@ -130,10 +146,15 @@ class DesignSpec:
     by 1000 at rtol 0. The cap never loosens rtol past 1e-8, and a design
     at rtol 1e-8 or looser has no coarse pass. A coarse miss of b or more is
     kept; a smaller one, the sentinel or an error runs the trial again at
-    the design's control. Over the 706 valid coarse trials of perfbench's
-    design_mix seeds 1-3 the coarse miss lay within 4.4e-9 m of the
-    design-control one, at least 70 times under b. Both b and rtol scale
-    with the geometry, so under ``atol = 0`` the trial sequence still does.
+    the design's control. A kept coarse miss under 20 b ends the coarse
+    pass. On perfbench's design_mix seeds 1-3 that takes the coarse runs
+    per triangular design from 4.08 to 3.11, with 2.24 (2.23 without it)
+    at the design's control, and no design does more work than without
+    it; ends at 10 b and 30 b keep that too, while at 50 b 19 designs do
+    more. Over the 706 valid coarse trials there without the end, the
+    coarse miss lay within 4.4e-9 m of the design-control one, at least 70
+    times under b. Both b and rtol scale with the geometry, so under
+    ``atol = 0`` the trial sequence still does.
     The inverse scheme has no coarse pass: a tenfold looser control swamps
     the miss read at the turn.
 
@@ -514,9 +535,10 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
     if inverse:
         gain = _turn_gain(splitting_current, v0, b, x0, dz_w, medium)
 
-    # until a run at the design's control misses by less than b, a
-    # triangular trial first runs at the coarse control, and only a valid
-    # miss of b or more is kept from it
+    # until a run at the design's control misses by less than b, or a
+    # coarse one by less than _COARSE_END b, a triangular trial first runs
+    # at the coarse control, and only a valid miss of b or more is kept
+    # from it
     coarse = None if inverse else _coarse_control(control)
 
     def trial(current):
@@ -530,6 +552,8 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             except Exception:  # the run at the design's control decides
                 miss = CLOSURE_SENTINEL
             if _valid(miss) and abs(miss) >= b:
+                if abs(miss) < _COARSE_END * b:
+                    coarse = None
                 return miss, branch
             # re-run a coarse sentinel: coarse runs can lose returning branches
             logger.debug("coarse miss %.3e m at I = %.9e A: re-run", miss, current)
@@ -545,10 +569,11 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
                                 power=2 if inverse else 1)
 
     # an accepted triangular trial is the top branch; an inverse trial
-    # stopped at the turn, so the top branch is one full run
+    # stopped at the turn, so the top branch continues it to the closure
     wires = wires_for(current)
     if inverse:
-        miss, top = _closure_trial(wires, initial, medium, tau, control)
+        miss, top = _closure_trial(wires, _resumed(initial, top), medium, tau,
+                                   control)
     if not _valid(miss):
         raise DesignFailure("converged design lost its closure crossing",
                             best_current=current)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import _kernel_py
 from .field import GUARD_RADIUS, WireSingularityError
@@ -120,6 +120,39 @@ class Trajectory:
                            t=self.t[-1])
 
 
+@dataclass(frozen=True)
+class _TurnRun(Trajectory):
+    """A ``stop_at_turn`` run, with the kernel's ``resume`` argument that
+    takes it up at its turn step; see :func:`_resumed`."""
+
+    resume: tuple = field(repr=False)
+
+
+@dataclass(frozen=True)
+class _Resumed(PacketState):
+    """A launch state, with the ``resume`` of a :class:`_TurnRun` from it."""
+
+    resume: tuple = field(default=(), repr=False)
+
+
+def _resumed(initial: PacketState, turn) -> PacketState:
+    """``initial``, from which ``simulate`` takes up ``turn``, a
+    ``stop_at_turn`` run from it with the same other arguments, at the
+    start of its turn step, and re-takes that step whole. The run is
+    bitwise the fresh one, except that its counters count only its own
+    work: with ``turn``'s, less that step's 1 step and 6 RHS evaluations,
+    they add up to the fresh run's. Without a continuation (``turn`` did
+    not turn, or crossed the closure first), ``initial`` itself.
+
+    The continuation rides on ``simulate``'s own argument and result, so
+    a continued run passes through ``simulate`` like any other, and
+    through a wrapper set on it, such as perfbench's tracer.
+    """
+    if not isinstance(turn, _TurnRun):
+        return initial
+    return _Resumed(**vars(initial), resume=turn.resume)
+
+
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
              control: StepControl = DEFAULT_CONTROL, *,
              stop_at_closure: bool = False,
@@ -171,6 +204,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         control.rtol, control.atol, GUARD_RADIUS, MAX_STEPS,
         _kernel_py.STOP_CLOSURE if stop_at_closure
         else _kernel_py.STOP_TURN if stop_at_turn else _kernel_py.STOP_NONE,
+        initial.resume if isinstance(initial, _Resumed) else None,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
@@ -208,6 +242,9 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     )
     t = memoryview(raw["t"]).cast("d")
     states = memoryview(raw["states"]).cast("d", (len(t), 4))
+    if raw["resume"] is not None:
+        return _TurnRun(t, states, events, stats,
+                        (raw["resume"], raw["t"], raw["states"]))
     return Trajectory(t=t, states=states, events=events, stats=stats)
 
 

@@ -129,19 +129,33 @@ def test_bottom_branch_matches_a_fresh_mirrored_launch(design, request,
 @pytest.mark.parametrize("design", ["triangular_design", "inverse_design"])
 def test_top_branch_is_a_fresh_run_at_the_designed_wires(design, request,
                                                        medium):
-    # the designer hands out its accepted trial as the top branch instead of
-    # integrating the designed current again; that must not change the branch
+    # the designer hands out its accepted triangular trial as the top
+    # branch, and continues its accepted inverse trial from the turn step;
+    # neither must change the branch
     result, top, _ = request.getfixturevalue(design)
     initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
-    fresh = integrator.simulate(initial, result.wires, medium,
-                                TAU * (1.0 + designer._TIME_MARGIN),
+    duration = TAU * (1.0 + designer._TIME_MARGIN)
+    fresh = integrator.simulate(initial, result.wires, medium, duration,
                                 stop_at_closure=True)
     assert np.array_equal(top.t, fresh.t)
     assert np.array_equal(top.states, fresh.states)
-    assert top.stats == fresh.stats
     assert fresh.events.separation_max is None
     assert top.events == replace(fresh.events,
                                  separation_max=top.events.separation_max)
+    assert (top.stats.min_step, top.stats.energy_drift) == (
+        fresh.stats.min_step, fresh.stats.energy_drift)
+    if design == "triangular_design":
+        assert top.stats == fresh.stats
+    else:
+        # the continued branch counts only its own work: with the turn
+        # trial's, less its turn step (1 step, 6 RHS), the fresh run's
+        turn = integrator.simulate(initial, result.wires, medium, duration,
+                                   stop_at_turn=True).stats
+        assert (top.stats.n_steps + turn.n_steps - 1,
+                top.stats.n_rejected + turn.n_rejected,
+                top.stats.n_rhs_evals + turn.n_rhs_evals - 6) == (
+            fresh.stats.n_steps, fresh.stats.n_rejected,
+            fresh.stats.n_rhs_evals)
 
 
 class TestInverse:
@@ -286,7 +300,7 @@ class TestShootingWork:
         # for the accepted trial's branch; those repeats must not reach the
         # kernel. A triangular trial runs to the closure and the accepted one
         # is the top branch; an inverse trial runs to the turn, and the top
-        # branch is one full run at the accepted current
+        # branch continues the accepted one from its turn step
         closures, turns, runs = [], [], []  # closures: (current, control, miss)
         closure_trial, turn_trial = designer._closure_trial, designer._turn_trial
 
@@ -296,53 +310,50 @@ class TestShootingWork:
             return miss, branch
 
         def counted_turn(wires, *args):
-            turns.append(wires[1].current)
-            return turn_trial(wires, *args)
+            miss, branch = turn_trial(wires, *args)
+            turns.append((wires[1].current, branch))
+            return miss, branch
 
         kernel = integrator._kernel
 
         def counted_integrate(*args):
-            runs.append(args[-1])  # the stop mode
+            runs.append((args[8][1], args[14], args[15]))  # current, stop, resume
             return kernel.integrate(*args)
 
         monkeypatch.setattr(designer, "_closure_trial", counted_closure)
         monkeypatch.setattr(designer, "_turn_trial", counted_turn)
         monkeypatch.setattr(integrator, "_kernel",
                             SimpleNamespace(integrate=counted_integrate))
-        result, _, _ = designer.design_trajectories(
+        result, top, _ = designer.design_trajectories(
             DesignSpec(scheme=scheme, inputs=paper_inputs))
         current = result.wires[1].current
         if scheme == "triangular":
-            # once at each control, and at both only when the coarse miss
-            # was not a valid miss of b or more
+            # no current runs twice: the coarse pass ends at its first kept
+            # miss under _COARSE_END b, and every later trial, the accepted
+            # one included, runs at the design's control
             coarse = designer._coarse_control(DEFAULT_CONTROL)
             assert turns == []
-            controls = {}
-            coarse_miss = {}
-            for c, control, miss in closures:
-                controls.setdefault(c, []).append(control)
-                if control == coarse:
-                    coarse_miss[c] = miss
-            for c, seq in controls.items():
-                assert seq in ([coarse], [DEFAULT_CONTROL],
-                               [coarse, DEFAULT_CONTROL])
-                if len(seq) == 2:
-                    assert not B <= abs(coarse_miss[c]) < 0.5 * CLOSURE_SENTINEL
-            assert coarse in {control for _, control, _ in closures}
-            # from the first design-control miss under b on, every run is at
-            # the design control, the accepted current's last one included
-            near = next(i for i, (_, control, miss) in enumerate(closures)
-                        if control == DEFAULT_CONTROL and abs(miss) < B)
-            assert {control for _, control, _ in closures[near:]} == {
-                DEFAULT_CONTROL}
-            assert controls[current][-1] == DEFAULT_CONTROL
-            assert runs == [_kernel_py.STOP_CLOSURE] * len(closures)
+            currents = [c for c, _, _ in closures]
+            assert len(set(currents)) == len(currents) == len(runs)
+            end = next(i for i, (_, control, miss) in enumerate(closures)
+                       if control == coarse
+                       and B <= abs(miss) < designer._COARSE_END * B)
+            assert [control for _, control, _ in closures] == (
+                [coarse] * (end + 1)
+                + [DEFAULT_CONTROL] * (len(closures) - end - 1))
+            assert currents[-1] == current
+            assert runs == [(c, _kernel_py.STOP_CLOSURE, None)
+                            for c in currents]
         else:
-            assert len(set(turns)) == len(turns)
-            assert current in turns
+            # n turn runs, then one closure run that continues the last
+            assert len({c for c, _ in turns}) == len(turns)
+            (accepted,) = [branch for c, branch in turns if c == current]
             assert [c for c, _, _ in closures] == [current]
-            assert runs == ([_kernel_py.STOP_TURN] * len(turns)
-                            + [_kernel_py.STOP_CLOSURE])
+            assert runs == ([(c, _kernel_py.STOP_TURN, None) for c, _ in turns]
+                            + [(current, _kernel_py.STOP_CLOSURE,
+                                accepted.resume)])
+            # it integrates only from the turn step on
+            assert top.stats.n_steps == len(top.t) - len(accepted.t) + 1
 
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_shooting_stops_at_first_trial_within_a_hundredth(
@@ -433,7 +444,8 @@ def _closure_runs(monkeypatch, spec, control=DEFAULT_CONTROL):
 
 class TestCoarseTrials:
     """A triangular trial whose coarse run misses by b or more keeps that
-    run; every other runs at the design's control."""
+    run; every other runs at the design's control, and so does every trial
+    after a kept coarse miss under ``_COARSE_END`` b."""
 
     def test_coarse_control(self):
         coarse = designer._coarse_control

@@ -85,8 +85,9 @@ def _bitwise_case(name, medium):
     elif name == "stop_at_closure":
         initial, wires = _headon()
         stop = _kernel_py.STOP_CLOSURE
-    elif name == "stop_at_turn":
-        # the inverse reference layout run to its turn at the deflector
+    elif name in ("stop_at_turn", "resumed_at_turn"):
+        # the inverse reference layout run to its turn at the deflector, or
+        # to its closure from the twin's continuation of that run
         initial, wires = _inverse_scenario()
         duration, stop = 0.11, _kernel_py.STOP_TURN
     elif name == "no_wires":
@@ -133,12 +134,23 @@ def _bitwise_case(name, medium):
             [w.x for w in wires], [w.z for w in wires],
             [w.current for w in wires], medium.alpha,
             control.rtol, control.atol, guard, max_steps, stop)
+    if name == "resumed_at_turn":
+        args = (*args[:-1], _kernel_py.STOP_CLOSURE,
+                _resume_args(_kernel_py.integrate(*args)))
     return args, status
 
 
 def _doubles(buf):
     """The native doubles of a kernel's ``t`` or ``states`` bytes."""
     return memoryview(buf).cast("d").tolist()
+
+
+def _resume_args(turn):
+    """A kernel's ``resume`` argument that takes up the turn-mode ``turn``."""
+    return turn["resume"], turn["t"], turn["states"]
+
+
+COUNTERS = ("n_steps", "n_rejected", "n_rhs")
 
 
 def _bits(obj):
@@ -154,7 +166,8 @@ def _bits(obj):
 
 @pytest.mark.parametrize("case", ["three_wire", "singularity", "max_steps",
                                   "underflow", "stop_at_closure",
-                                  "stop_at_turn", "no_wires",
+                                  "stop_at_turn", "resumed_at_turn",
+                                  "no_wires",
                                   "dead_wire", "uneven_current",
                                   "triangular_closure",
                                   "triangular_closure_mirror", "bisection_cap",
@@ -170,6 +183,11 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
         assert slow["closure"] is not None and _doubles(slow["t"])[-1] < 0.02
     if case == "stop_at_turn":
         assert slow["closure"] is None and _doubles(slow["t"])[-1] < 0.06
+    if case == "resumed_at_turn":
+        # past the turn to the end of the run, whose branch misses the
+        # launch plane, stepping only from the turn step on
+        assert slow["closure"] is None and _doubles(slow["t"])[-1] == 0.11
+        assert slow["n_steps"] < len(_doubles(slow["t"])) - 1
     assert _bits(fast) == _bits(slow)
 
 
@@ -228,12 +246,27 @@ def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
     x, z, vx, vz = launch
     xw, offset, current = wire
     duration = 3.0 * (xw - x) / vx
-    for stop in (_kernel_py.STOP_CLOSURE, _kernel_py.STOP_TURN):
-        args = (*launch, 0.0, duration, [xw], [z + (xw - x) * vz / vx + offset],
-                [current], medium.alpha, 1e-11, 1e-13, GUARD_RADIUS, 20000,
-                stop)
-        assert _bits(compiled_kernel.integrate(*args)) == \
-            _bits(_kernel_py.integrate(*args))
+    args = (*launch, 0.0, duration, [xw], [z + (xw - x) * vz / vx + offset],
+            [current], medium.alpha, 1e-11, 1e-13, GUARD_RADIUS, 20000)
+    kernels = (compiled_kernel, _kernel_py)
+    closure, turn = ([kernel.integrate(*args, stop) for kernel in kernels]
+                     for stop in (_kernel_py.STOP_CLOSURE, _kernel_py.STOP_TURN))
+    assert _bits(closure[0]) == _bits(closure[1])
+    assert _bits(turn[0]) == _bits(turn[1])
+    if turn[1]["resume"] is None:
+        return
+    # a run that turned, taken up in closure mode by each backend from the
+    # other's continuation, is the fresh closure run: only the counters
+    # differ, and with the continuation's they add up to its own
+    fresh = closure[1]
+    prefix = memoryview(turn[1]["resume"]).cast("d")[10:13].tolist()
+    for kernel, source in zip(kernels, reversed(turn)):
+        resumed = kernel.integrate(*args, _kernel_py.STOP_CLOSURE,
+                                   _resume_args(source))
+        assert _bits({**resumed, **{k: fresh[k] for k in COUNTERS}}) == \
+            _bits(fresh)
+        assert [resumed[k] + p for k, p in zip(COUNTERS, prefix)] == [
+            fresh[k] for k in COUNTERS]
 
 
 def _reference_energy_drift(traj, wires, medium):
