@@ -4,9 +4,10 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, the twin's stop modes (none, closure, turn) and its
- * "resume" layout of a turn run's continuation, the samples as two bytes of
- * native doubles ("t", n times, and "states", n rows x, z, vx, vz), and a
+ * functions and sides, the twin's stop modes (none, closure, turn), the
+ * "resume" snapshot of a turn run's continuation (its layout is in the
+ * twin's integrate() docstring), the samples as two bytes of native doubles
+ * ("t", n times, and "states", n rows x, z, vx, vz), and a
  * zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0 as
  * 0 and err/0 as inf in the step error norm.
  * Every floating-point operation is in the twin's order, comparisons and
@@ -239,10 +240,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             &resume))
         return NULL;
 
-    /* the continuation to take up, and the turn run's t and states */
-    Py_buffer rb[3] = {{0}};
-    if (resume != Py_None
-        && !PyArg_ParseTuple(resume, "y*y*y*", &rb[0], &rb[1], &rb[2]))
+    Py_buffer rb = {0};  /* the snapshot to take up */
+    if (resume != Py_None && PyObject_GetBuffer(resume, &rb, PyBUF_SIMPLE) < 0)
         return NULL;
     PyObject *result = NULL, *cont = NULL;  /* this run's continuation */
     double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL, *powered = NULL;
@@ -301,7 +300,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     double k[7][4], ys[4], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
 
     double h, h_floor;
-    long base[3] = {0, 0, 0};  /* the counters taken up, as in the twin */
     if (resume == Py_None) {
         if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
             goto done;
@@ -344,31 +342,22 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         if (h < h_floor && h_floor < duration)
             h = h_floor;
     } else {
-        /* take up a turn-mode run at the start of its turn step, the last
-         * row it keeps of that run's samples */
-        const double *c = rb[0].buf;
-        if (rb[0].len != (Py_ssize_t)((13 + 6 * n) * sizeof(double))
-            || !(c[10] >= 0.0 && c[10] < (double)(rb[1].len / 8)
-                 && c[10] < (double)(rb[2].len / 32))) {
+        /* take up a turn-mode run at the start of its turn step; the rows
+         * up to that step's start are the turn run's */
+        const double *c = rb.buf;
+        if (rb.len != (Py_ssize_t)((15 + 6 * n) * sizeof(double))) {
             PyErr_SetString(PyExc_ValueError, "continuation does not fit this run");
             goto done;
         }
-        base[0] = n_steps = (long)c[10];
-        base[1] = n_rejected = (long)c[11];
-        base[2] = f.n_rhs = (long)c[12];
-        if (push(&t_buf, rb[1].buf, n_steps + 1) < 0
-            || push(&y_buf, rb[2].buf, 4 * (n_steps + 1)) < 0)
-            goto done;
-        t = t_buf.v[n_steps];
-        memcpy(y, y_buf.v + 4 * n_steps, sizeof y);
-        double k1[4] = {y[2], y[3], c[0], c[1]};
-        memcpy(k[0], k1, sizeof k1);
-        h = c[2];
-        memcpy(apex, c + 3, sizeof apex);
+        t = c[0];
+        memcpy(y, c + 1, sizeof y);
+        memcpy(k[0], c + 3, sizeof k[0]);  /* vx, vz, ax, az */
+        h = c[7];
+        memcpy(apex, c + 8, sizeof apex);
         best_apex_absz = fabs(apex[2]);
-        drift = c[8];
-        min_step = c[9];
-        memcpy(peri, c + 13, 6 * n * sizeof(double));
+        drift = c[13];
+        min_step = c[14];
+        memcpy(peri, c + 15, 6 * n * sizeof(double));
     }
 
     while (!(t >= t_bound)) {
@@ -433,10 +422,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
          * run, and its step's events are found up to the turn */
         if (stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0) {
             if (!have_closure) {  /* else a closure-mode run ended before */
-                double head[13] = {
-                    k[0][2], k[0][3], h_try, apex[0], apex[1], apex[2],
-                    apex[3], apex[4], drift, min_step, n_steps, n_rejected,
-                    f.n_rhs - 6};
+                double head[15] = {
+                    t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h_try,
+                    apex[0], apex[1], apex[2], apex[3], apex[4], drift,
+                    min_step};
                 cont = PyBytes_FromStringAndSize(
                     NULL, sizeof head + 6 * n * sizeof(double));
                 if (cont == NULL)
@@ -571,9 +560,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         "t", (const char *)t_buf.v, (Py_ssize_t)(t_buf.len * sizeof(double)),
         "states", (const char *)y_buf.v, (Py_ssize_t)(y_buf.len * sizeof(double)),
         "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
-        "periapsis_state", peri_state,
-        "closure", clo, "n_steps", n_steps - base[0],
-        "n_rejected", n_rejected - base[1], "n_rhs", f.n_rhs - base[2],
+        "periapsis_state", peri_state, "closure", clo,
+        "n_steps", n_steps, "n_rejected", n_rejected, "n_rhs", f.n_rhs,
         "min_step", min_step, "energy_drift", drift / (e0 != 0.0 ? fabs(e0) : 1.0),
         "resume", cont ? cont : Py_NewRef(Py_None));
     cont = NULL;  /* stolen */
@@ -587,8 +575,7 @@ done:
     PyMem_Free(t_buf.v);
     PyMem_Free(y_buf.v);
     Py_XDECREF(cont);
-    for (int i = 0; i < 3; i++)
-        PyBuffer_Release(&rb[i]);  /* a no-op without a continuation */
+    PyBuffer_Release(&rb);  /* a no-op without a snapshot */
     return result;
 }
 

@@ -131,13 +131,18 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     ``STOP_NONE``, runs the whole duration.
 
     A turn-mode run whose closure did not come before its turn step also
-    returns ``resume``: at the start of that step as tried, one ``bytes``
-    of native doubles ax, az (the first stage), h, the apex (t, x, z, vx,
-    vz), the drift, ``min_step``, the counters, then the periapsis
-    distances and states (6 per wire); every other run returns None. Its
-    samples less the last row end in the step's start. With the same other
-    arguments, ``resume=(that bytes, its t, its states)`` takes the run up
-    there, bitwise the fresh run but for counters of only its own work.
+    returns ``resume``, a snapshot of the stepping state at the start of
+    that step as tried: one ``bytes`` of 15 + 6 n native doubles for n
+    wires. They are t, x, z, vx, vz of the step's start row, the first
+    stage's ax and az, h, the apex (t, x, z, vx, vz), the drift before its
+    division by |E0|, ``min_step``, then each wire's periapsis distance
+    (n values) and periapsis state (t, x, z, vx, vz; 5 n values). Every
+    other run returns None. With the same other arguments,
+    ``resume=snapshot`` re-takes that step whole and runs on. Its rows are
+    the fresh run's after the start row, bitwise, and its counters count
+    only its own work, against ``max_steps`` too. A snapshot of any other
+    length raises ``ValueError``, and an object that is no bytes-like
+    buffer ``TypeError``.
     """
     n = len(wires_x)
     wx = [float(v) for v in wires_x]
@@ -192,11 +197,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             u += c / r2 if r2 != 0.0 else c * _INF
     closure = None
 
-    # one sample per row: its time, and its state (x, z, vx, vz); rows
-    # taken up from a turn run stay its bytes
+    # one sample per row: its time, and its state (x, z, vx, vz)
     ts = [t]
     states = [x, z, vx, vz]
-    t_pre = s_pre = b""
     # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
     # largest |E - E0| over the rows so far (NaN once any is NaN)
     e0 = 0.5 * (vx * vx + vz * vz) + u
@@ -209,7 +212,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     n_rejected = 0
     min_step = duration
 
-    base = (0, 0, 0)  # the counters taken up
     if resume is None:
         # initial step size (Hairer-style heuristic); a component whose
         # scale is exactly 0 (atol = 0 and the value 0) counts 0 in the
@@ -249,26 +251,20 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             h = h_floor
         k1x, k1z, k1vx, k1vz = k1
     else:
-        # take up a turn-mode run at the start of its turn step, the last
-        # row it keeps of that run's samples
-        packed, t_buf, s_buf = resume
-        c = memoryview(packed).cast("d").tolist()
-        if len(c) != 13 + 6 * n or not 0.0 <= c[10] < min(len(t_buf) // 8,
-                                                           len(s_buf) // 32):
+        # take up a turn-mode run at the start of its turn step; the rows
+        # up to that step's start are the turn run's
+        c = memoryview(resume).cast("B")
+        if len(c) != 8 * (15 + 6 * n):
             raise ValueError("continuation does not fit this run")
-        base = tuple(int(v) for v in c[10:13])
-        n_steps, n_rejected, n_rhs = base
-        t_pre = memoryview(t_buf).cast("B")[:8 * n_steps + 8]
-        s_pre = memoryview(s_buf).cast("B")[:32 * n_steps + 32]
-        ts, states = [], []
-        t = t_pre.cast("d")[-1]
-        x, z, vx, vz = s_pre.cast("d")[-4:].tolist()
-        k1x, k1z, k1vx, k1vz, h = vx, vz, *c[:3]
-        apex = tuple(c[3:8])
+        c = c.cast("d").tolist()
+        t, x, z, vx, vz, k1vx, k1vz, h = c[:8]
+        k1x, k1z = vx, vz
+        apex = tuple(c[8:13])
         best_apex_absz = abs(apex[2])
-        drift, min_step = c[8:10]
-        peri_dist = c[13:13 + n]
-        peri_state = [tuple(c[13 + n + 5 * i:18 + n + 5 * i]) for i in range(n)]
+        drift, min_step = c[13:15]
+        peri_dist = c[15:15 + n]
+        peri_state = [tuple(c[15 + n + 5 * i:20 + n + 5 * i]) for i in range(n)]
+        ts, states = [], []
     cont = None  # this run's continuation
 
     while True:
@@ -388,9 +384,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         if stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0:
             if closure is None:  # else a closure-mode run ended before
                 cont = array("d", (
-                    k1vx, k1vz, h_try, *apex, drift, min_step, n_steps,
-                    n_rejected, n_rhs - 6, *peri_dist,
-                    *(v for row in peri_state for v in row))).tobytes()
+                    t, x, z, vx, vz, k1vx, k1vz, h_try, *apex, drift, min_step,
+                    *peri_dist, *(v for row in peri_state for v in row))).tobytes()
             lo, hi = _bisect(dense, lambda s: s[3], True, 1.0, h)
             theta_end = hi
             t_end = t + hi * h
@@ -498,15 +493,15 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "status": status,
         "fail_wire": fail_wire,
         "t_fail": t_fail,
-        "t": b"".join((t_pre, array("d", ts))),
-        "states": b"".join((s_pre, array("d", states))),
+        "t": array("d", ts).tobytes(),
+        "states": array("d", states).tobytes(),
         "apex": apex,
         "periapsis_distance": peri_dist,
         "periapsis_state": peri_state,
         "closure": closure,
-        "n_steps": n_steps - base[0],
-        "n_rejected": n_rejected - base[1],
-        "n_rhs": n_rhs - base[2],
+        "n_steps": n_steps,
+        "n_rejected": n_rejected,
+        "n_rhs": n_rhs,
         "min_step": min_step,
         "energy_drift": drift / (abs(e0) if e0 != 0.0 else 1.0),
         "resume": cont,

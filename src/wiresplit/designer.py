@@ -21,10 +21,10 @@ straight line: I times the miss against I^2, for deflector current I
 (:func:`_turn_trial` gives the law). There, after the seed and one scan
 step, the scan takes the secant root whenever it lies within x2: on
 perfbench's design_mix seeds 1-3, inverse seeds at 0.31-1.48 of the
-designed current close in 3.3 turn trials on average (6.5 with the
-geometric scan alone). Shooting stops at the first trial, in any phase,
-that closes: its miss is within ``closure_tolerance / 100`` and the secant
-step to the root is within 3e-7 of the current (see :class:`DesignSpec`).
+designed current close in 3.3 turn trials on average. Shooting stops at
+the first trial, in any phase, that closes: its miss is within
+``closure_tolerance / 100`` and the secant step to the root is within 3e-7
+of the current (see :class:`DesignSpec`).
 :func:`_shoot` keeps one record of a design's trials: a current runs at
 most once, and a repeat counts toward the budget without running again.
 
@@ -46,8 +46,7 @@ that current, and gives the reported, measured closure miss. So an
 inverse design integrates each trial current once. A triangular one does
 too, unless a coarse run returns the sentinel or misses by less than b:
 on perfbench's design_mix seeds 1-3, 35 of the 963 triangular runs (28
-and 7) repeat a current, against 209 of 1137 without the end of the
-coarse pass.
+and 7) repeat a current.
 """
 
 from __future__ import annotations
@@ -122,9 +121,7 @@ class DesignSpec:
     nearby currents at one step control. The step bound holds the current
     where a smaller I |dz_c/dI| than the reference's would let it drift
     further: on perfbench's design_mix seeds 1-3 the 90 inverse currents
-    lie within 3.7e-7 of the root of the closure miss itself (3.4e-7 with
-    the geometric scan alone; the turn estimate's ~4e-11 m jitter at the
-    flattest designs sets the difference, not the accept rule). A first
+    lie within 3.7e-7 of the root of the closure miss itself. A first
     trial never closes on its own.
 
     The inverse scheme brackets and polishes in (I^2, I miss), where its
@@ -148,13 +145,12 @@ class DesignSpec:
     kept; a smaller one, the sentinel or an error runs the trial again at
     the design's control. A kept coarse miss under 20 b ends the coarse
     pass. On perfbench's design_mix seeds 1-3 that takes the coarse runs
-    per triangular design from 4.08 to 3.11, with 2.24 (2.23 without it)
-    at the design's control, and no design does more work than without
-    it; ends at 10 b and 30 b keep that too, while at 50 b 19 designs do
-    more. Over the 706 valid coarse trials there without the end, the
-    coarse miss lay within 4.4e-9 m of the design-control one, at least 70
-    times under b. Both b and rtol scale with the geometry, so under
-    ``atol = 0`` the trial sequence still does.
+    per triangular design from 4.08 to 3.11, with 2.24 at the design's
+    control, and no design does more work than without it. Over the 706
+    valid coarse trials there without the end, the coarse miss lay within
+    4.4e-9 m of the design-control one, at least 70 times under b. Both b
+    and rtol scale with the geometry, so under ``atol = 0`` the trial
+    sequence still does.
     The inverse scheme has no coarse pass: a tenfold looser control swamps
     the miss read at the turn.
 

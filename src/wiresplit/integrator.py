@@ -122,8 +122,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _TurnRun(Trajectory):
-    """A ``stop_at_turn`` run, with the kernel's ``resume`` argument that
-    takes it up at its turn step; see :func:`_resumed`."""
+    """A ``stop_at_turn`` run, with what continues it from its turn step:
+    the kernel's snapshot, and the bytes of ``t`` and ``states`` less the
+    last row; see :func:`_resumed`."""
 
     resume: tuple = field(repr=False)
 
@@ -138,11 +139,15 @@ class _Resumed(PacketState):
 def _resumed(initial: PacketState, turn) -> PacketState:
     """``initial``, from which ``simulate`` takes up ``turn``, a
     ``stop_at_turn`` run from it with the same other arguments, at the
-    start of its turn step, and re-takes that step whole. The run is
-    bitwise the fresh one, except that its counters count only its own
-    work: with ``turn``'s, less that step's 1 step and 6 RHS evaluations,
-    they add up to the fresh run's. Without a continuation (``turn`` did
-    not turn, or crossed the closure first), ``initial`` itself.
+    start of its turn step, and re-takes that step whole. The kernel runs
+    on from the snapshot (its layout is in ``_kernel_py.integrate``), and
+    ``simulate`` puts ``turn``'s rows up to that step's start in front of
+    the new ones. The run is bitwise the fresh one, except that its
+    counters count only its own work, and so does its :data:`MAX_STEPS`
+    budget: with ``turn``'s, less that step's 1 step and 6 RHS
+    evaluations, they add up to the fresh run's. Without a continuation
+    (``turn`` did not turn, or crossed the closure first), ``initial``
+    itself.
 
     The continuation rides on ``simulate``'s own argument and result, so
     a continued run passes through ``simulate`` like any other, and
@@ -195,6 +200,8 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         if math.hypot(initial.x - w.x, initial.z - w.z) <= GUARD_RADIUS:
             raise WireSingularityError(i, (initial.x, initial.z), initial.t)
 
+    snapshot, t_pre, s_pre = (initial.resume if isinstance(initial, _Resumed)
+                              else (None, None, None))
     # looked up per call, so a wrapper set on the module (perfbench's
     # tracer) sees every run
     raw = _kernel.integrate(
@@ -204,7 +211,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         control.rtol, control.atol, GUARD_RADIUS, MAX_STEPS,
         _kernel_py.STOP_CLOSURE if stop_at_closure
         else _kernel_py.STOP_TURN if stop_at_turn else _kernel_py.STOP_NONE,
-        initial.resume if isinstance(initial, _Resumed) else None,
+        snapshot,
     )
 
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
@@ -240,11 +247,14 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         min_step=raw["min_step"],
         energy_drift=raw["energy_drift"],
     )
-    t = memoryview(raw["t"]).cast("d")
-    states = memoryview(raw["states"]).cast("d", (len(t), 4))
+    t_buf, s_buf = raw["t"], raw["states"]
+    if snapshot is not None:  # the turn run's rows come first
+        t_buf, s_buf = b"".join((t_pre, t_buf)), b"".join((s_pre, s_buf))
+    t = memoryview(t_buf).cast("d")
+    states = memoryview(s_buf).cast("d", (len(t), 4))
     if raw["resume"] is not None:
-        return _TurnRun(t, states, events, stats,
-                        (raw["resume"], raw["t"], raw["states"]))
+        return _TurnRun(t, states, events, stats, (
+            raw["resume"], memoryview(t_buf)[:-8], memoryview(s_buf)[:-32]))
     return Trajectory(t=t, states=states, events=events, stats=stats)
 
 

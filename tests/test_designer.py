@@ -351,7 +351,7 @@ class TestShootingWork:
             assert [c for c, _, _ in closures] == [current]
             assert runs == ([(c, _kernel_py.STOP_TURN, None) for c, _ in turns]
                             + [(current, _kernel_py.STOP_CLOSURE,
-                                accepted.resume)])
+                                accepted.resume[0])])
             # it integrates only from the turn step on
             assert top.stats.n_steps == len(top.t) - len(accepted.t) + 1
 

@@ -126,6 +126,16 @@ def _bitwise_case(name, medium):
         # down to 1e-12 s and the bisection runs all 80 halvings
         initial = PacketState(x=0.0, z=0.0, vx=0.01, vz=0.0)
         wires, duration = (Wire(1e9, 1.0, 0.0),), 5e11
+    elif name.startswith("near_wire"):
+        # a 25 us run launched a few b = 0.5 um from one wire, at (x/b,
+        # z/b, vx, vz, I): energy_drift, a maximum over the rows, moves when
+        # one end-of-step row's potential changes in the last bit
+        x, z, vx, vz, current = {
+            "near_wire_1": (-4.0, -1.0, 0.005, -0.01, 1.57),
+            "near_wire_2": (-3.0, 1.0, 0.01, 0.0, 2.0),
+            "near_wire_3": (1.0, 3.0, 0.01, 0.0, 1.57)}[name]
+        initial = PacketState(x=x * 0.5e-6, z=z * 0.5e-6, vx=vx, vz=vz)
+        wires, duration = (Wire(0.0, 0.0, current),), 25e-6
     elif name == "uneven_current":
         # (alpha I) I and alpha (I I) differ in the last bit for this I (not
         # for 2.0 or 1.57), so the force coefficient's rounding shows
@@ -136,18 +146,13 @@ def _bitwise_case(name, medium):
             control.rtol, control.atol, guard, max_steps, stop)
     if name == "resumed_at_turn":
         args = (*args[:-1], _kernel_py.STOP_CLOSURE,
-                _resume_args(_kernel_py.integrate(*args)))
+                _kernel_py.integrate(*args)["resume"])
     return args, status
 
 
 def _doubles(buf):
     """The native doubles of a kernel's ``t`` or ``states`` bytes."""
     return memoryview(buf).cast("d").tolist()
-
-
-def _resume_args(turn):
-    """A kernel's ``resume`` argument that takes up the turn-mode ``turn``."""
-    return turn["resume"], turn["t"], turn["states"]
 
 
 COUNTERS = ("n_steps", "n_rejected", "n_rhs")
@@ -169,6 +174,7 @@ def _bits(obj):
                                   "stop_at_turn", "resumed_at_turn",
                                   "no_wires",
                                   "dead_wire", "uneven_current",
+                                  "near_wire_1", "near_wire_2", "near_wire_3",
                                   "triangular_closure",
                                   "triangular_closure_mirror", "bisection_cap",
                                   "vz0_pure_relative", "z_axis_pure_relative",
@@ -185,9 +191,9 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
         assert slow["closure"] is None and _doubles(slow["t"])[-1] < 0.06
     if case == "resumed_at_turn":
         # past the turn to the end of the run, whose branch misses the
-        # launch plane, stepping only from the turn step on
+        # launch plane: one row per step, from the turn step on
         assert slow["closure"] is None and _doubles(slow["t"])[-1] == 0.11
-        assert slow["n_steps"] < len(_doubles(slow["t"])) - 1
+        assert slow["n_steps"] == len(_doubles(slow["t"]))
     assert _bits(fast) == _bits(slow)
 
 
@@ -256,17 +262,59 @@ def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
     if turn[1]["resume"] is None:
         return
     # a run that turned, taken up in closure mode by each backend from the
-    # other's continuation, is the fresh closure run: only the counters
-    # differ, and with the continuation's they add up to its own
+    # other's snapshot, is the fresh closure run after the turn step's start
+    # row. Its rows are the fresh run's after that row, and its counters
+    # with the turn run's, less the turn step's 1 step and 6 RHS
+    # evaluations, add up to the fresh run's
     fresh = closure[1]
-    prefix = memoryview(turn[1]["resume"]).cast("d")[10:13].tolist()
+    start = turn[1]["n_steps"]  # rows up to the turn step's start
     for kernel, source in zip(kernels, reversed(turn)):
         resumed = kernel.integrate(*args, _kernel_py.STOP_CLOSURE,
-                                   _resume_args(source))
-        assert _bits({**resumed, **{k: fresh[k] for k in COUNTERS}}) == \
-            _bits(fresh)
-        assert [resumed[k] + p for k, p in zip(COUNTERS, prefix)] == [
+                                   source["resume"])
+        assert _bits(_doubles(resumed["t"])) == \
+            _bits(_doubles(fresh["t"])[start:])
+        assert _bits(_doubles(resumed["states"])) == \
+            _bits(_doubles(fresh["states"])[4 * start:])
+        rows = {"t": fresh["t"], "states": fresh["states"]}
+        assert _bits({**resumed, **rows, **{k: fresh[k] for k in COUNTERS}}) \
+            == _bits(fresh)
+        assert [resumed[k] + turn[1][k] - d
+                for k, d in zip(COUNTERS, (1, 0, 6))] == [
             fresh[k] for k in COUNTERS]
+
+
+def test_continued_run_budget_counts_only_its_own_steps(medium,
+                                                        compiled_kernel):
+    # max_steps bounds the continued run's own step attempts, rejected ones
+    # included: it completes on exactly that many, the turn run's steps
+    # aside, and runs out on one fewer
+    args, _ = _bitwise_case("resumed_at_turn", medium)
+    for kernel in (compiled_kernel, _kernel_py):
+        own = kernel.integrate(*args)
+        budget = own["n_steps"] + own["n_rejected"]
+        exact = kernel.integrate(*args[:13], budget, *args[14:])
+        assert _bits(exact) == _bits(own)
+        short = kernel.integrate(*args[:13], budget - 1, *args[14:])
+        assert short["status"] == _kernel_py.STATUS_MAXSTEPS
+
+
+def test_backends_reject_a_continuation_that_does_not_fit(medium,
+                                                          compiled_kernel):
+    # a snapshot of 15 + 6 n doubles fits only a run through n wires: one
+    # taken with a fourth, dead wire, or 7 bytes, is a ValueError, and a
+    # str of the right length a TypeError, on both backends
+    args, _ = _bitwise_case("stop_at_turn", medium)
+    four = [*args[:6], *([*v, w] for v, w in zip(args[6:9], (-150e-6, 20e-6, 0.0))),
+            *args[9:]]
+    snapshot = _kernel_py.integrate(*four)["resume"]
+    assert len(snapshot) == 8 * (15 + 6 * 4)
+    closure = (*args[:-1], _kernel_py.STOP_CLOSURE)
+    for kernel in (compiled_kernel, _kernel_py):
+        for resume in (snapshot, bytes(7)):
+            with pytest.raises(ValueError, match="does not fit this run"):
+                kernel.integrate(*closure, resume)
+        with pytest.raises(TypeError):
+            kernel.integrate(*closure, "\0" * (8 * (15 + 6 * 3)))
 
 
 def _reference_energy_drift(traj, wires, medium):
