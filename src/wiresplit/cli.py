@@ -109,6 +109,13 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _text(v) -> str:
+    # str() would take true as "True" and 1 as "1"
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {json.dumps(v)}")
+    return v
+
+
 def _um(v):
     return _real(v) * _UM
 
@@ -149,7 +156,7 @@ def _control_from(params: dict) -> StepControl:
 
 
 _DESIGN_SCHEMA = {
-    "scheme": (True, str),
+    "scheme": (True, _text),
     "v0_m_per_s": (True, _real),
     "b_um": (True, _um),
     "x0_um": (True, _um),

@@ -9,22 +9,25 @@ throughout, so the objective sees every wire's repulsion over the whole
 flight, not just the nominal encounters.
 
 The bracket scan steps the current from the analytic seed by x2^(1/4),
-x2^(1/2), then x2 per trial (or their reciprocals). A triangular seed lies
-at 0.85-0.98 of the designed current, and usually brackets in one step. On
-perfbench's design_mix seeds 1-3, 29 of the 180 triangular designs first
-step onto a current whose branch never returns, 28 of them at the first
-x2^(1/4) step. That trial runs for the whole 1.1 tau at the design's
-control, in 28 of them after a coarse run that did the same. On seed 1
+x2^(1/2), then x2 per trial (or their reciprocals). After the seed and one
+scan step, a step goes to the secant root instead when that lies within
+x2, until the miss stops falling toward zero or a trial is lost. The
+schemes scan and polish on different lines: the triangular one on the miss
+against the current I, the inverse one on I times the miss against I^2,
+where that is a straight line (:func:`_turn_trial` gives the law). A
+triangular seed lies at 0.83-0.98 of the designed current, and usually
+brackets in one step. On perfbench's design_mix seeds 1-3, 28 of the 180
+triangular designs first step onto a current whose branch never returns,
+all at the first x2^(1/4) step. That trial runs for the whole 1.1 tau at
+the design's control, after a coarse run that did the same. On seed 1
 those are the 7 heaviest triangular designs: 15.0k-15.9k RHS evaluations,
-against a median of 10.0k. The inverse scheme shoots where its miss is a
-straight line: I times the miss against I^2, for deflector current I
-(:func:`_turn_trial` gives the law). There, after the seed and one scan
-step, the scan takes the secant root whenever it lies within x2: on
-perfbench's design_mix seeds 1-3, inverse seeds at 0.31-1.48 of the
-designed current close in 3.3 turn trials on average. Shooting stops at
-the first trial, in any phase, that closes: its miss is within
-``closure_tolerance / 100`` and the secant step to the root is within 3e-7
-of the current (see :class:`DesignSpec`).
+against a median of 10.0k. 179 of the 180 end in the polish. Inverse seeds
+lie at 0.31-1.75 of the designed current and close in 3.3 turn trials on
+average; 22 of the 90 reach the polish. The polish interpolates between
+the bracket ends and bisects where the interpolation strays (see
+:func:`_shoot`). Shooting stops at the first trial, in any phase, that
+closes: its miss is within ``closure_tolerance / 100`` and the secant step
+to the root is within 3e-7 of the current (see :class:`DesignSpec`).
 :func:`_shoot` keeps one record of a design's trials: a current runs at
 most once, and a repeat counts toward the budget without running again.
 
@@ -45,7 +48,7 @@ to the closure (``integrator._resumed``). It is bitwise the full run at
 that current, and gives the reported, measured closure miss. So an
 inverse design integrates each trial current once. A triangular one does
 too, unless a coarse run returns the sentinel or misses by less than b:
-on perfbench's design_mix seeds 1-3, 35 of the 963 triangular runs (28
+on perfbench's design_mix seeds 1-3, 35 of the 957 triangular runs (28
 and 7) repeat a current.
 """
 
@@ -121,14 +124,14 @@ class DesignSpec:
     nearby currents at one step control. The step bound holds the current
     where a smaller I |dz_c/dI| than the reference's would let it drift
     further: on perfbench's design_mix seeds 1-3 the 90 inverse currents
-    lie within 3.7e-7 of the root of the closure miss itself. A first
-    trial never closes on its own.
+    lie within 6.0e-7 of the root of the closure miss itself, as a secant
+    from 1e-5 either side finds it. A first trial never closes on its own.
 
-    The inverse scheme brackets and polishes in (I^2, I miss), where its
+    The inverse scheme scans and polishes in (I^2, I miss), where its
     turn estimate is a straight line (see :func:`_turn_trial`), and the
     triangular scheme in (I, miss): its miss is no straight line in
     (I^2, miss) or (I^2, I miss), and on perfbench's design_mix seeds 1-3
-    either form cost 11% or 20% more triangular step attempts.
+    the first costs 19% more triangular step attempts, the second 0.1%.
 
     An inverse trial runs only to the branch's turn, and its miss is
     estimated from the turn state. The reported ``closure_error`` of either
@@ -145,8 +148,8 @@ class DesignSpec:
     kept; a smaller one, the sentinel or an error runs the trial again at
     the design's control. A kept coarse miss under 20 b ends the coarse
     pass. On perfbench's design_mix seeds 1-3 that takes the coarse runs
-    per triangular design from 4.08 to 3.11, with 2.24 at the design's
-    control, and no design does more work than without it. Over the 706
+    per triangular design from 4.07 to 3.11, with 2.21 at the design's
+    control, and no design does more work than without it. Over the 705
     valid coarse trials there without the end, the coarse miss lay within
     4.4e-9 m of the design-control one, at least 70 times under b. Both b
     and rtol scale with the geometry, so under ``atol = 0`` the trial
@@ -308,77 +311,9 @@ def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
     return b_eff * (v0 / math.sqrt(medium.alpha)) * math.sqrt(k2 - 1.0)
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Brent's root finder (Brent 1973, ch. 4), step for step as scipy's
-    ``brentq.c``, so the evaluation sequence and root are scipy's bitwise.
-
-    ``f(xa)`` and ``f(xb)`` must differ in sign. A NaN value raises
-    ``ValueError``, and no convergence within ``maxiter`` iterations raises
-    ``RuntimeError``, as scipy does.
-    """
-    def fn(x):
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = fn(xpre)
-    fcur = fn(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        # an infinite trial step fails the test below and bisects, as the
-        # inf or NaN that C gets from a division by zero does
-        stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                pass
-        bound = 3 * abs(sbis) - delta
-        if abs(spre) < bound:  # C's MIN(), not Python's min(), on NaN
-            bound = abs(spre)
-        if 2 * abs(stry) < bound:  # good short step
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fn(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {maxiter} iterations, value is {xcur}")
-
-
 def _shoot(trial, seed: float, budget: int, tolerance: float,
            power: int = 1):
-    """Bracket by a scan from the seed, then polish with Brent's method.
+    """Bracket by a scan from the seed, then polish by interpolation.
 
     ``trial(current)`` returns ``(miss, branch)``; the accepted trial comes
     back as ``(current, miss, branch)``. Each current runs at most once, and
@@ -392,15 +327,26 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
     opposite one, so a locally inverted regime still brackets if a root
     exists at all.
 
-    Brent's method runs on y = I^(power-1) miss against s = I^power, where
-    I is the current, and each bracket end maps back to its exact current.
-    At ``power`` 1 that is the miss against the current, and the scan is
-    geometric. A higher power states that y(s) is a straight line (the
-    inverse scheme's, see :func:`_turn_trial`): after the seed and the
-    first scan step, each trial of the scan's sign is followed by the
-    secant root in (s, y) when it lies within the scan's widest step, and
-    by the geometric step when it lies further. The scan turns geometric
-    for good once a trial's |y| stops falling or a trial is lost.
+    Both phases run on y = I^(power-1) miss against s = I^power, where I
+    is the current: at ``power`` 1 the miss against the current, at a
+    higher power a line on which y(s) is straight (the inverse scheme's,
+    see :func:`_turn_trial`). After the seed and the first scan step, each
+    valid trial of the scan's sign is followed by the secant root in
+    (s, y) when it lies within the scan's widest step, and by the
+    geometric step when it lies further. The scan turns geometric for good
+    once a trial's |y| stops falling or a trial is lost.
+
+    The polish asks for both bracket ends again, in ascending order, so a
+    seed or scan trial can close once it has a neighbour. It then steps
+    from its latest trial, an end of the bracket: by the secant through
+    the two ends first, then by inverse quadratic interpolation through
+    the last three trials. A step is taken only when it lands strictly
+    inside the bracket and is under half the previous one; otherwise, or
+    when the interpolation divides by zero (equal or underflowing y), the
+    polish bisects the bracket in s. Each trial keeps its exact current.
+    A lost trial reads as a positive miss. The polish stops at a zero
+    miss, or once the bracket is within 1e-12 seed^power + 8.9e-16 |s|,
+    and returns the end with the smaller |y|.
 
     A trial closes when its miss is within ``_ACCEPT_FRACTION * tolerance``
     and the secant step to the root, from the last valid trial at another
@@ -447,7 +393,7 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
         growth = [widest ** 0.5, widest]
         step = widest ** 0.25
         prev_i, prev_e = start_i, start_e
-        secant = power != 1  # until |y| stops falling or a trial is lost
+        secant = True  # until |y| stops falling or a trial is lost
         back = None  # the valid trial before prev, once the secant applies
         for _ in range(40):
             stride = step
@@ -462,13 +408,6 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
             if _valid(cur_e) and (cur_e > 0.0) != (prev_e > 0.0):
                 return (prev_i, cur_i)
             if _valid(cur_e):
-                monotone = cur_e < prev_e if step > 1.0 else cur_e > prev_e
-                if not monotone:
-                    logger.debug(
-                        "closure error not monotone across scan: "
-                        "I %.3e -> %.3e A, err %.3e -> %.3e m",
-                        prev_i, cur_i, prev_e, cur_e,
-                    )
                 secant = secant and (abs(line(cur_i, cur_e)[1])
                                      < abs(line(prev_i, prev_e)[1]))
                 back = (prev_i, prev_e) if secant else None
@@ -498,15 +437,38 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
             bracket = walk(1.0 / widest)
         if bracket is None:
             raise failure("failed to bracket a closure root")
-        ends = {c ** power: c for c in bracket}  # exact currents of the ends
-
-        def g(s):
-            current = ends.get(s, s ** (1.0 / power))
-            return line(current, f(current))[1]
-
-        s = _brentq(g, min(ends), max(ends), xtol=1e-12 * seed ** power,
-                    rtol=8.9e-16, maxiter=budget)
-        current = ends.get(s, s ** (1.0 / power))
+        # the polish's (current, s, y) points: both ends asked again, in
+        # ascending order, then the better end interpolated from first
+        lo, hi = [(c, *line(c, f(c))) for c in sorted(bracket)]
+        points = sorted((lo, hi), key=lambda p: -abs(p[2]))
+        moved = hi[1] - lo[1]  # the previous polish step in s
+        while True:
+            last = points[-1]  # always a bracket end
+            far = lo if last is hi else hi
+            s2, y2 = last[1:]
+            if y2 == 0.0 or abs(far[1] - s2) <= (1e-12 * seed ** power
+                                                 + 8.9e-16 * abs(s2)):
+                break
+            step = (far[1] - s2) / 2  # bisect, unless the interpolation holds
+            try:
+                if len(points) == 2:  # secant
+                    guess = -y2 * (s2 - far[1]) / (y2 - far[2])
+                else:  # inverse quadratic through the last three trials
+                    (_, s0, y0), (_, s1, y1) = points[-3:-1]
+                    d0, d1 = (y0 - y2) / (s0 - s2), (y1 - y2) / (s1 - s2)
+                    guess = -y2 * (y0 * d0 - y1 * d1) / (d0 * d1 * (y0 - y1))
+                if lo[1] < s2 + guess < hi[1] and abs(guess) < moved / 2:
+                    step = guess
+            except ZeroDivisionError:  # equal or underflowing y
+                pass
+            moved = abs(step)
+            current = (s2 + step) ** (1.0 / power)
+            points.append((current, *line(current, f(current))))
+            if (points[-1][2] > 0.0) == (lo[2] > 0.0):
+                lo = points[-1]
+            else:
+                hi = points[-1]
+        current = min(lo, hi, key=lambda p: abs(p[2]))[0]
     except _Closed as closed:
         current = closed.args[0]
     return (current, *trials[current])

@@ -410,9 +410,11 @@ def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
     ("sweep", {"n_points": 2.5}, "n_points"),
     ("sweep", {"n_points": True}, "n_points"),
     ("validate", {"b_um_list": [0.5, True]}, "b_um_list"),
+    ("design", {**DESIGN_CFG, "scheme": True}, "scheme"),
 ], ids=["design_boolean_b", "simulate_boolean_duration",
         "simulate_boolean_current", "sweep_fractional_points",
-        "sweep_boolean_points", "validate_boolean_b"])
+        "sweep_boolean_points", "validate_boolean_b",
+        "design_boolean_scheme"])
 def test_booleans_and_fractional_integers_rejected(tmp_path, capsys, command,
                                                    cfg_data, field):
     # json gives true as a bool, which float() and int() would take as 1, and

@@ -23,7 +23,6 @@ from wiresplit.designer import (
     CLOSURE_SENTINEL,
     DesignFailure,
     DesignSpec,
-    _brentq,
     triangular_deflector_position,
 )
 from wiresplit.integrator import DEFAULT_CONTROL
@@ -260,7 +259,7 @@ class TestSpecValidation:
 
     def test_budget_exhaustion_reports_best_iterate(self):
         # a step miss never comes within a hundredth of the tolerance, so
-        # Brent's method bisects the bracket until the budget of 8 runs out;
+        # the polish bisects the bracket until the budget of 8 runs out;
         # its two repeats of the bracket ends count but do not run again
         f, calls = _counted(lambda current: 1e-3 if current < 1.0 else -1e-3)
         with pytest.raises(DesignFailure, match="budget exhausted") as exc:
@@ -296,7 +295,7 @@ class TestShootingWork:
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_each_trial_current_integrated_once(self, scheme, paper_inputs,
                                                 monkeypatch):
-        # Brent's method asks again for the bracket ends, and the designer
+        # the polish asks again for the bracket ends, and the designer
         # for the accepted trial's branch; those repeats must not reach the
         # kernel. A triangular trial runs to the closure and the accepted one
         # is the top branch; an inverse trial runs to the turn, and the top
@@ -371,8 +370,8 @@ class TestShootingWork:
         monkeypatch.setattr(designer, name, counted_trial)
         spec = DesignSpec(scheme=scheme, inputs=paper_inputs)
         result, _, _ = designer.design_trajectories(spec)
-        # Brent's tolerance in current is far below the integrator's noise,
-        # so it must not be the stop
+        # the polish's tolerance in current is far below the integrator's
+        # noise, so it must not be the stop
         assert len({current for current, _ in trials}) <= {
             "triangular": 5, "inverse": 3}[scheme]
         accept = spec.closure_tolerance / 100
@@ -383,8 +382,8 @@ class TestShootingWork:
 
     def test_inverse_current_within_1e6_of_the_closure_root(
             self, inverse_design, medium):
-        # the accepted turn-trial current against the root that Brent's
-        # method converges to on the closure miss itself
+        # the accepted turn-trial current against the root of the closure
+        # miss itself, found by a secant of its own, not by _shoot
         result, _, _ = inverse_design
         current = result.wires[1].current
         initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
@@ -395,9 +394,15 @@ class TestShootingWork:
                      replace(lower, current=i))
             return closure_error(wires, initial, medium, TAU)
 
-        root = _brentq(miss, current * (1 - 1e-5), current * (1 + 1e-5),
-                       xtol=1e-12 * current, rtol=8.9e-16, maxiter=80)
-        assert current == pytest.approx(root, rel=1e-6)
+        (i0, m0), (i1, m1) = ((i, miss(i)) for i in (current * (1 - 1e-5),
+                                                       current * (1 + 1e-5)))
+        for _ in range(80):  # in the miss's noise the secant wanders a little
+            if abs(i1 - i0) <= 1e-12 * current or m1 == m0:
+                break
+            (i0, m0), i1 = (i1, m1), i1 - m1 * (i1 - i0) / (m1 - m0)
+            m1 = miss(i1)
+        assert abs(i1 - i0) <= 1e-12 * current
+        assert current == pytest.approx(i1, rel=1e-6)
 
     def test_inverse_turn_miss_is_a_line_in_current_squared(
             self, inverse_design, medium):
@@ -539,7 +544,7 @@ def test_shoot_stops_in_integrator_noise():
     f, calls = _counted(miss)
     current, _, _ = designer._shoot(f, 6e-3, 80, 1e-8)
     # seed, two scan steps (x2^(1/4), x2^(1/2)), then the first interpolated
-    # trial; Brent's method asks for both bracket ends again, which do not run
+    # trial; the polish asks for both bracket ends again, which do not run
     assert len(calls) == len(set(calls)) == 4
     assert current == calls[-1]
     assert abs(miss(current)) <= 1e-10
@@ -583,6 +588,46 @@ def test_shoot_returns_a_seed_that_closes():
         f, calls = _counted(lambda current: seed_miss + (6e-3 - current))
         assert designer._shoot(f, 6e-3, 80, 1e-8) == (6e-3, seed_miss, None)
         assert len(calls) == 2 and calls[0] == 6e-3
+
+
+def test_shoot_polishes_a_square_root_kink():
+    # the interpolation keeps landing on one side of a kink; a step that
+    # does not halve the previous one bisects instead
+    f, calls = _counted(
+        lambda current: math.copysign(math.sqrt(abs(current - 0.5)),
+                                      0.5 - current))
+    current, miss, _ = designer._shoot(f, 0.45, 80, 1e-8)
+    assert len(calls) == len(set(calls)) <= 20
+    assert (current, miss) == (0.5, 0.0)
+
+
+def test_shoot_bisects_where_the_interpolation_underflows():
+    # in (I^2, I miss) a linear miss is no line, so the polish interpolates
+    # after its first secant; at 1e-300 the inverse quadratic's
+    # denominator, a product of y differences, underflows to zero, and the
+    # polish takes the bracket's midpoint in s instead
+    for scale in (1.0, 1e-300):
+        f, calls = _counted(lambda current: scale * (1.0 - current))
+        current, _, _ = designer._shoot(f, 0.7, 80, 1e-8, power=2)
+        assert current == pytest.approx(1.0, rel=3e-7)
+        # the scan's last two trials bracket the root, the secant trial
+        # lands below it
+        assert calls[2] > 1.0 > calls[3] > calls[1]
+        s2, far = calls[3] ** 2, calls[2] ** 2
+        midpoint = (s2 + (far - s2) / 2) ** 0.5
+        assert (calls[4] == midpoint) == (scale == 1e-300)
+
+
+def test_shoot_polishes_across_a_lost_band():
+    # the sentinel reads as a positive miss, so a lost trial inside the
+    # bracket moves its positive end, and the polish still converges
+    f, calls = _counted(lambda current: (
+        CLOSURE_SENTINEL if 0.9 < current < 0.99
+        else 1e-3 * (1.0 - current ** 3)))
+    current, _, _ = designer._shoot(f, 0.6, 80, 1e-8)
+    assert any(0.9 < c < 0.99 for c in calls[3:])
+    assert len(calls) == len(set(calls)) <= 12
+    assert current == calls[-1] == pytest.approx(1.0, rel=3e-7)
 
 
 def test_shoot_failure_without_a_bracket_reports_best_iterate():
@@ -662,30 +707,3 @@ def test_deflector_position_between_candidate_heights():
     assert x == pytest.approx(-X0 / 2.0, rel=1e-12)
     assert semi_minor < z < semi_minor + B
     assert z == pytest.approx(semi_minor + B / 2.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("a, b", [(0.1, 3.0), (3.0, 0.1), (-2.0, 0.7)])
-@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
-def test_brentq_matches_scipy(a, b, xtol):
-    """The port takes scipy's evaluation sequence to the same root, bitwise."""
-    optimize = pytest.importorskip("scipy.optimize")
-
-    def objectives():
-        yield lambda x: x * x - 2.0
-        yield lambda x: math.tanh(4.0 * (x - 0.3)) + 0.01 * x ** 3
-        yield lambda x: math.exp(x) - 1.5
-        # a kink, so Brent has to mix interpolation and bisection
-        yield lambda x: math.copysign(math.sqrt(abs(x - 0.5)), x - 0.5)
-
-    for g in objectives():
-        seqs = ([], [])
-
-        def traced(seq):
-            return lambda x: seq.append(x) or g(x)
-
-        ref = optimize.brentq(traced(seqs[0]), a, b, xtol=xtol,
-                              rtol=8.9e-16, maxiter=100)
-        root = _brentq(traced(seqs[1]), a, b, xtol=xtol, rtol=8.9e-16,
-                       maxiter=100)
-        assert [x.hex() for x in seqs[1]] == [x.hex() for x in seqs[0]]
-        assert root.hex() == ref.hex()
