@@ -4,12 +4,14 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, the twin's stop modes (none, closure, turn), the
- * "resume" snapshot of a turn run's continuation (its layout is in the
- * twin's integrate() docstring), the samples as two bytes of native doubles
- * ("t", n times, and "states", n rows x, z, vx, vz), and a
+ * functions and sides, the twin's stop modes (none, closure, turn), and a
  * zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0 as
  * 0 and err/0 as inf in the step error norm.
+ * The boundary carries the twin's packed native doubles both ways: the
+ * "wires" buffer in; out, the samples ("t", n times, and "states", n rows
+ * x, z, vx, vz), the "events" state and the "resume" snapshot of a turn
+ * run's continuation. Their layouts are in the twin's integrate()
+ * docstring, and one put_state() writes the event state of both.
  * Every floating-point operation is in the twin's order, comparisons and
  * min() treat NaN as Python does, and the file must be built without FMA
  * contraction (-ffp-contract=off), so both backends return equal doubles.
@@ -22,7 +24,7 @@
  * at least 1.3e-78 m; a direct caller must pass at least that, and simulate()
  * passes field.GUARD_RADIUS (1 nm).
  *
- * The kernel returns "energy_drift", the twin's: max |E - E0| over the sample
+ * The events carry the twin's energy drift: max |E - E0| over the sample
  * rows over |E0| (over 1 when E0 = 0), E = 0.5 (vx^2 + vz^2) + u, with each
  * row's potential u summed, as in the twin, in the wire loop that measures
  * the row (the launch loop, then the end-of-step periapsis loop).
@@ -127,7 +129,7 @@ static void dense(double *out, double theta, const Step *s)
 }
 
 /* event functions g(y; p) of a dense state y for bisect(): the closure
- * (p = the launch x0), the apex, and a periapsis (p = the wire's x, z) */
+ * (p = the launch x0), the apex, and a periapsis (p = the wire's x, z, current) */
 typedef double (*EventFn)(const double *y, const double *p);
 static double g_closure(const double *y, const double *p) { return y[0] - p[0]; }
 static double g_apex(const double *y, const double *p) { (void)p; return y[3]; }
@@ -184,76 +186,49 @@ static int push(Buf *b, const double *v, size_t m)
     return 0;
 }
 
-/* dst[0..len) = the twin's [float(v) for v in seq]; -1 on error */
-static int as_doubles(PyObject *seq, double **dst, Py_ssize_t *len)
+/* the twin's _state(): at dst, the apex, drift and min_step, then the n
+ * periapsis distances and states of peri; returns the end of what it wrote */
+static double *put_state(double *dst, const double *apex, double drift,
+                         double min_step, const double *peri, Py_ssize_t n)
 {
-    PyObject *fast = PySequence_Fast(seq, "wire coordinates must be a sequence");
-    if (fast == NULL)
-        return -1;
-    *len = PySequence_Fast_GET_SIZE(fast);
-    *dst = PyMem_Malloc(*len * sizeof(double));
-    int rc = *dst ? 0 : (PyErr_NoMemory(), -1);
-    for (Py_ssize_t i = 0; rc == 0 && i < *len; i++) {
-        (*dst)[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
-        if ((*dst)[i] == -1.0 && PyErr_Occurred())
-            rc = -1;
-    }
-    Py_DECREF(fast);
-    return rc;
-}
-
-static PyObject *tuple5(const double *v)
-{
-    return Py_BuildValue("(ddddd)", v[0], v[1], v[2], v[3], v[4]);
-}
-
-/* a list of the m doubles at v */
-static PyObject *float_list(const double *v, Py_ssize_t m)
-{
-    PyObject *list = PyList_New(m);
-    for (Py_ssize_t i = 0; list != NULL && i < m; i++) {
-        PyObject *item = PyFloat_FromDouble(v[i]);
-        if (item == NULL)
-            Py_CLEAR(list);
-        else
-            PyList_SET_ITEM(list, i, item);
-    }
-    return list;
+    memcpy(dst, apex, 5 * sizeof(double));
+    dst[5] = drift;
+    dst[6] = min_step;
+    memcpy(dst + 7, peri, 6 * n * sizeof(double));
+    return dst + 7 + 6 * n;
 }
 
 static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     (void)self;
     static char *kwlist[] = {
-        "x0", "z0", "vx0", "vz0", "t0", "duration",
-        "wires_x", "wires_z", "wires_current", "alpha",
-        "rtol", "atol", "guard_radius", "max_steps",
-        "stop_mode", "resume", NULL};
+        "x0", "z0", "vx0", "vz0", "t0", "duration", "wires", "alpha", "rtol",
+        "atol", "guard_radius", "max_steps", "stop_mode", "resume", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
     double max_steps;
     int stop_mode;
-    PyObject *seq_x, *seq_z, *seq_i, *resume = Py_None;
+    Py_buffer wb;  /* the wires: (x, z, current) per wire */
+    PyObject *resume = Py_None;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddOOOdddddi|O:integrate", kwlist,
-            &x0, &z0, &vx0, &vz0, &t0, &duration, &seq_x, &seq_z, &seq_i,
+            args, kwargs, "ddddddy*dddddi|O:integrate", kwlist,
+            &x0, &z0, &vx0, &vz0, &t0, &duration, &wb,
             &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_mode,
             &resume))
         return NULL;
 
     Py_buffer rb = {0};  /* the snapshot to take up */
-    if (resume != Py_None && PyObject_GetBuffer(resume, &rb, PyBUF_SIMPLE) < 0)
-        return NULL;
-    PyObject *result = NULL, *cont = NULL;  /* this run's continuation */
-    double *wx = NULL, *wz = NULL, *wi = NULL, *peri = NULL, *powered = NULL;
+    PyObject *result = NULL, *events = NULL;
+    PyObject *cont = NULL;  /* this run's continuation */
+    double *peri = NULL, *powered = NULL;
     Buf t_buf = {NULL, 0, 0}, y_buf = {NULL, 0, 0};  /* the samples */
-    Py_ssize_t n, nz, ni;
-    if (as_doubles(seq_x, &wx, &n) < 0 || as_doubles(seq_z, &wz, &nz) < 0
-        || as_doubles(seq_i, &wi, &ni) < 0)
-        goto done;
-    if (nz < n || ni < n) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
+    const double *wires = wb.buf;
+    Py_ssize_t n = wb.len / (Py_ssize_t)(3 * sizeof(double));
+    if (wb.len % (Py_ssize_t)(3 * sizeof(double)) != 0) {
+        PyErr_SetString(PyExc_ValueError, "wires must be (x, z, current) triples");
         goto done;
     }
+    if (resume != Py_None && PyObject_GetBuffer(resume, &rb, PyBUF_SIMPLE) < 0)
+        goto done;
     /* per wire: periapsis distance, then its state (t, x, z, vx, vz) */
     peri = PyMem_Malloc(6 * n * sizeof(double));
     powered = PyMem_Malloc(3 * n * sizeof(double));
@@ -264,11 +239,12 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     double *peri_st = peri + n;
     Py_ssize_t n_powered = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        if (wi[i] != 0.0) {
-            double *w = powered + 3 * n_powered++;
-            w[0] = wx[i];
-            w[1] = wz[i];
-            w[2] = alpha * wi[i] * wi[i];
+        const double *w = wires + 3 * i;
+        if (w[2] != 0.0) {
+            double *p = powered + 3 * n_powered++;
+            p[0] = w[0];
+            p[1] = w[1];
+            p[2] = alpha * w[2] * w[2];
         }
     }
 
@@ -282,11 +258,12 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     int have_closure = 0;
     set5(apex, t, y);
     for (Py_ssize_t i = 0; i < n; i++) {
-        double dx = y[0] - wx[i], dz = y[1] - wz[i], r2 = dx * dx + dz * dz;
+        const double *w = wires + 3 * i;
+        double dx = y[0] - w[0], dz = y[1] - w[1], r2 = dx * dx + dz * dz;
         peri[i] = sqrt(r2);
         set5(peri_st + 5 * i, t, y);
-        if (wi[i] != 0.0)
-            u += 0.5 * alpha * wi[i] * wi[i] / r2;
+        if (w[2] != 0.0)
+            u += 0.5 * alpha * w[2] * w[2] / r2;
     }
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
@@ -422,17 +399,15 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
          * run, and its step's events are found up to the turn */
         if (stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0) {
             if (!have_closure) {  /* else a closure-mode run ended before */
-                double head[15] = {
-                    t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h_try,
-                    apex[0], apex[1], apex[2], apex[3], apex[4], drift,
-                    min_step};
+                double head[8] = {
+                    t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h_try};
                 cont = PyBytes_FromStringAndSize(
-                    NULL, sizeof head + 6 * n * sizeof(double));
+                    NULL, sizeof head + (7 + 6 * n) * sizeof(double));
                 if (cont == NULL)
                     goto done;
-                memcpy(PyBytes_AS_STRING(cont), head, sizeof head);
-                memcpy(PyBytes_AS_STRING(cont) + sizeof head, peri,
-                       6 * n * sizeof(double));
+                double *c = (double *)PyBytes_AS_STRING(cont);
+                memcpy(c, head, sizeof head);
+                put_state(c + 8, apex, drift, min_step, peri, n);
             }
             hi = 1.0;
             bisect(g_apex, NULL, 1, &st, &lo, &hi);
@@ -475,23 +450,23 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
          * row's distance to each wire also gives its potential u */
         u = 0.0;
         for (Py_ssize_t i = 0; i < n; i++) {
-            double dx0 = y[0] - wx[i], dz0 = y[1] - wz[i];
+            const double *w = wires + 3 * i;
+            double dx0 = y[0] - w[0], dz0 = y[1] - w[1];
             double g0 = dx0 * y[2] + dz0 * y[3];
-            double dx1 = ye[0] - wx[i], dz1 = ye[1] - wz[i];
+            double dx1 = ye[0] - w[0], dz1 = ye[1] - w[1];
             double g1 = dx1 * ye[2] + dz1 * ye[3];
             if (g0 < 0.0 && g1 >= 0.0) {
-                double wire[2] = {wx[i], wz[i]};
                 hi = theta_end;
-                bisect(g_periapsis, wire, 1, &st, &lo, &hi);
+                bisect(g_periapsis, w, 1, &st, &lo, &hi);
                 th = 0.5 * (lo + hi);
                 dense(yd, th, &st);
-                double dxp = yd[0] - wx[i], dzp = yd[1] - wz[i];
+                double dxp = yd[0] - w[0], dzp = yd[1] - w[1];
                 double dist = sqrt(dxp * dxp + dzp * dzp);
                 if (dist < peri[i]) {
                     peri[i] = dist;
                     set5(peri_st + 5 * i, t + th * h, yd);
                 }
-                if (wi[i] != 0.0 && dist * dist <= guard2) {
+                if (w[2] != 0.0 && dist * dist <= guard2) {
                     status = STATUS_SINGULARITY;
                     fail_wire = i;
                     t_fail = t + th * h;
@@ -502,9 +477,9 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
                 peri[i] = d_end;
                 set5(peri_st + 5 * i, t_end, ye);
             }
-            if (wi[i] == 0.0)
+            if (w[2] == 0.0)
                 continue;
-            u += 0.5 * alpha * wi[i] * wi[i] / r2;
+            u += 0.5 * alpha * w[2] * w[2] / r2;
             if (d_end * d_end <= guard2) {
                 status = STATUS_SINGULARITY;
                 fail_wire = i;
@@ -536,8 +511,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             fac = SAFETY * pow(err_norm, -0.2);
             if (fac > MAX_FACTOR)
                 fac = MAX_FACTOR;
-            else if (fac < MIN_FACTOR)
-                fac = MIN_FACTOR;
         }
         h = h * fac;
     }
@@ -545,37 +518,35 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     if (fabs(y[1]) > best_apex_absz)
         set5(apex, t, y);
 
-    PyObject *peri_state = PyList_New(n);
-    for (Py_ssize_t i = 0; peri_state && i < n; i++) {
-        PyObject *st = tuple5(peri_st + 5 * i);
-        if (st == NULL)
-            Py_CLEAR(peri_state);
-        else
-            PyList_SET_ITEM(peri_state, i, st);
-    }
-    PyObject *clo = have_closure ? tuple5(closure) : Py_NewRef(Py_None);
+    /* the event state, then the closure only when there is one */
+    events = PyBytes_FromStringAndSize(
+        NULL, (7 + 6 * n + 5 * have_closure) * sizeof(double));
+    if (events == NULL)
+        goto done;
+    double *end = put_state((double *)PyBytes_AS_STRING(events), apex,
+                            drift / (e0 != 0.0 ? fabs(e0) : 1.0), min_step,
+                            peri, n);
+    if (have_closure)
+        memcpy(end, closure, sizeof closure);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:N,s:N,s:N,s:l,s:l,s:l,s:d,s:d,s:N}",
+        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:l,s:l,s:l,s:N}",
         "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
         "t", (const char *)t_buf.v, (Py_ssize_t)(t_buf.len * sizeof(double)),
         "states", (const char *)y_buf.v, (Py_ssize_t)(y_buf.len * sizeof(double)),
-        "apex", tuple5(apex), "periapsis_distance", float_list(peri, n),
-        "periapsis_state", peri_state, "closure", clo,
+        "events", events,
         "n_steps", n_steps, "n_rejected", n_rejected, "n_rhs", f.n_rhs,
-        "min_step", min_step, "energy_drift", drift / (e0 != 0.0 ? fabs(e0) : 1.0),
         "resume", cont ? cont : Py_NewRef(Py_None));
-    cont = NULL;  /* stolen */
+    events = cont = NULL;  /* stolen */
 
 done:
-    PyMem_Free(wx);
-    PyMem_Free(wz);
-    PyMem_Free(wi);
     PyMem_Free(peri);
     PyMem_Free(powered);
     PyMem_Free(t_buf.v);
     PyMem_Free(y_buf.v);
+    Py_XDECREF(events);
     Py_XDECREF(cont);
     PyBuffer_Release(&rb);  /* a no-op without a snapshot */
+    PyBuffer_Release(&wb);
     return result;
 }
 
@@ -594,14 +565,5 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m == NULL
-        || PyModule_AddIntConstant(m, "STATUS_OK", STATUS_OK) < 0
-        || PyModule_AddIntConstant(m, "STATUS_SINGULARITY", STATUS_SINGULARITY) < 0
-        || PyModule_AddIntConstant(m, "STATUS_UNDERFLOW", STATUS_UNDERFLOW) < 0
-        || PyModule_AddIntConstant(m, "STATUS_MAXSTEPS", STATUS_MAXSTEPS) < 0) {
-        Py_XDECREF(m);
-        return NULL;
-    }
-    return m;
+    return PyModule_Create(&module);
 }

@@ -9,10 +9,12 @@ measured cost against the extension.
 
 The samples, the launch and then each accepted step, are returned as two
 ``bytes`` of native doubles, each converted once from a list at the end:
-``t`` (n times) and ``states`` (n rows x, z, vx, vz). One ``_bisect``
-refines every event: at most 80 halvings of the step fraction [lo, hi] =
-[0, hi] down to ``EVENT_DT`` seconds, with lo = mid exactly when
-``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0, the apex
+``t`` (n times) and ``states`` (n rows x, z, vx, vz). Beside them,
+``events`` holds the event state as native doubles, in the layout that
+``integrate`` documents; ``_state`` writes it and ``_unstate`` reads it.
+One ``_bisect`` refines every event: at most 80 halvings of the step
+fraction [lo, hi] = [0, hi] down to ``EVENT_DT`` seconds, with lo = mid
+exactly when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0, the apex
 g = vz with side ``vz > 0.0`` at the step's start, a periapsis
 g = -((x - xw) vx + (z - zw) vz); else side is true.
 
@@ -37,7 +39,7 @@ State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
 so each deflection is a clean single-wire scattering. Its potential,
 u = sum_i alpha I_i^2 / (2 r_i^2), is evaluated only in the kernels. The
-returned ``energy_drift`` is max |E - E0| over the sample rows, divided by
+energy drift in ``events`` is max |E - E0| over the sample rows, divided by
 |E0| (by 1 when E0 = 0), of the specific energy E = 0.5 (vx^2 + vz^2) + u,
 and a NaN E makes the drift NaN. Each row's u is summed in the loop over
 the wires that already measures that row, the launch loop for row 0 and
@@ -50,6 +52,7 @@ as the designs assume.
 
 import math
 from array import array
+from itertools import chain
 
 STATUS_OK = 0
 STATUS_SINGULARITY = 1
@@ -114,15 +117,42 @@ def _bisect(dense, g, side, hi, h):
     return lo, hi
 
 
-def integrate(x0, z0, vx0, vz0, t0, duration,
-              wires_x, wires_z, wires_current, alpha,
+def _state(apex, drift, min_step, peri_dist, peri_state, closure=()):
+    """The event state as the bytes of its native doubles, in the layout of
+    :func:`integrate`'s ``events``."""
+    return array("d", [*apex, drift, min_step, *peri_dist,
+                       *chain.from_iterable(peri_state), *closure]).tobytes()
+
+
+def _unstate(buf, n):
+    """``(apex, drift, min_step, periapsis distances, periapsis states,
+    closure)`` of the event state in the bytes-like ``buf`` for n wires,
+    as :func:`_state` writes it; the closure is None when ``buf`` ends
+    before it. The distances and states are lists, the rest tuples."""
+    v = memoryview(buf).cast("d").tolist()
+    states = 7 + n
+    return (tuple(v[:5]), v[5], v[6], v[7:states],
+            [tuple(v[states + 5 * i:states + 5 * i + 5]) for i in range(n)],
+            tuple(v[states + 5 * n:]) or None)
+
+
+def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
               rtol, atol, guard_radius, max_steps, stop_mode, resume=None):
     """Integrate one packet through the wire array.
 
-    Returns a plain dict; the integrator module wraps it.
+    ``wires`` is a bytes-like buffer of native doubles, (x, z, current) per
+    wire; a length that is not a whole number of triples raises
+    ``ValueError``, and an object that is no bytes-like buffer
+    ``TypeError``. Returns a plain dict; the integrator module wraps it.
     Events -- apex of |z|, per-wire periapsis, first re-crossing of the
     launch plane moving in -x -- are located by sign-change bracketing on
     the dense output and refined by bisection to ``EVENT_DT`` seconds.
+
+    The result's ``events`` is one ``bytes`` of native doubles: the apex
+    (t, x, z, vx, vz), the energy drift divided by |E0|, ``min_step``,
+    each wire's periapsis distance (n values) and periapsis state (t, x, z,
+    vx, vz; 5 n values), then the closure (t, x, z, vx, vz) only when there
+    is one: 7 + 6 n doubles without a closure, 12 + 6 n with one.
 
     ``stop_mode`` ends the run early: ``STOP_CLOSURE`` at the closure,
     ``STOP_TURN`` in the first accepted step where vz goes from > 0 to < 0.
@@ -134,20 +164,21 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
     returns ``resume``, a snapshot of the stepping state at the start of
     that step as tried: one ``bytes`` of 15 + 6 n native doubles for n
     wires. They are t, x, z, vx, vz of the step's start row, the first
-    stage's ax and az, h, the apex (t, x, z, vx, vz), the drift before its
-    division by |E0|, ``min_step``, then each wire's periapsis distance
-    (n values) and periapsis state (t, x, z, vx, vz; 5 n values). Every
-    other run returns None. With the same other arguments,
+    stage's ax and az, h, then the event state in the layout of
+    ``events``, without a closure and with the drift before its division
+    by |E0|. Every other run returns None. With the same other arguments,
     ``resume=snapshot`` re-takes that step whole and runs on. Its rows are
     the fresh run's after the start row, bitwise, and its counters count
     only its own work, against ``max_steps`` too. A snapshot of any other
     length raises ``ValueError``, and an object that is no bytes-like
     buffer ``TypeError``.
     """
-    n = len(wires_x)
-    wx = [float(v) for v in wires_x]
-    wz = [float(v) for v in wires_z]
-    wi = [float(v) for v in wires_current]
+    w = memoryview(wires).cast("B")
+    if len(w) % 24:
+        raise ValueError("wires must be (x, z, current) triples")
+    w = w.cast("d").tolist()
+    wx, wz, wi = w[0::3], w[1::3], w[2::3]
+    n = len(wi)
     alpha = float(alpha)
     guard2 = guard_radius * guard_radius
     tiny_r2 = guard2 * 1e-6
@@ -256,14 +287,10 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         c = memoryview(resume).cast("B")
         if len(c) != 8 * (15 + 6 * n):
             raise ValueError("continuation does not fit this run")
-        c = c.cast("d").tolist()
-        t, x, z, vx, vz, k1vx, k1vz, h = c[:8]
+        t, x, z, vx, vz, k1vx, k1vz, h = c[:64].cast("d").tolist()
         k1x, k1z = vx, vz
-        apex = tuple(c[8:13])
+        apex, drift, min_step, peri_dist, peri_state, _ = _unstate(c[64:], n)
         best_apex_absz = abs(apex[2])
-        drift, min_step = c[13:15]
-        peri_dist = c[15:15 + n]
-        peri_state = [tuple(c[15 + n + 5 * i:20 + n + 5 * i]) for i in range(n)]
         ts, states = [], []
     cont = None  # this run's continuation
 
@@ -383,9 +410,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         # run, and its step's events are found up to the turn
         if stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0:
             if closure is None:  # else a closure-mode run ended before
-                cont = array("d", (
-                    t, x, z, vx, vz, k1vx, k1vz, h_try, *apex, drift, min_step,
-                    *peri_dist, *(v for row in peri_state for v in row))).tobytes()
+                cont = (array("d", (t, x, z, vx, vz, k1vx, k1vz, h_try)).tobytes()
+                        + _state(apex, drift, min_step, peri_dist, peri_state))
             lo, hi = _bisect(dense, lambda s: s[3], True, 1.0, h)
             theta_end = hi
             t_end = t + hi * h
@@ -480,8 +506,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
             fac = _SAFETY * err_norm**-0.2
             if fac > _MAX_FACTOR:
                 fac = _MAX_FACTOR
-            elif fac < _MIN_FACTOR:
-                fac = _MIN_FACTOR
         h = h * fac
 
     # trajectory endpoints compete for the apex
@@ -495,14 +519,10 @@ def integrate(x0, z0, vx0, vz0, t0, duration,
         "t_fail": t_fail,
         "t": array("d", ts).tobytes(),
         "states": array("d", states).tobytes(),
-        "apex": apex,
-        "periapsis_distance": peri_dist,
-        "periapsis_state": peri_state,
-        "closure": closure,
+        "events": _state(apex, drift / (abs(e0) if e0 != 0.0 else 1.0),
+                         min_step, peri_dist, peri_state, closure or ()),
         "n_steps": n_steps,
         "n_rejected": n_rejected,
         "n_rhs": n_rhs,
-        "min_step": min_step,
-        "energy_drift": drift / (abs(e0) if e0 != 0.0 else 1.0),
         "resume": cont,
     }

@@ -63,6 +63,7 @@ from .field import WireSingularityError, b_field
 from .integrator import (
     DEFAULT_CONTROL,
     StepControl,
+    StiffnessError,
     Trajectory,
     _resumed,
     mirror_trajectory,
@@ -341,12 +342,14 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
     from its latest trial, an end of the bracket: by the secant through
     the two ends first, then by inverse quadratic interpolation through
     the last three trials. A step is taken only when it lands strictly
-    inside the bracket and is under half the previous one; otherwise, or
-    when the interpolation divides by zero (equal or underflowing y), the
-    polish bisects the bracket in s. Each trial keeps its exact current.
-    A lost trial reads as a positive miss. The polish stops at a zero
-    miss, or once the bracket is within 1e-12 seed^power + 8.9e-16 |s|,
-    and returns the end with the smaller |y|.
+    inside the bracket and is under half the step before the last, as in
+    Brent's method; otherwise, or when the interpolation divides by zero
+    (equal or underflowing y), the polish bisects the bracket in s, and
+    the bisection counts as both the last step and the one before it.
+    Each trial keeps its exact current. A lost trial reads as a positive
+    miss. The polish stops at a zero miss, or once the bracket is within
+    1e-12 seed^power + 8.9e-16 |s|, and returns the end with the smaller
+    |y|.
 
     A trial closes when its miss is within ``_ACCEPT_FRACTION * tolerance``
     and the secant step to the root, from the last valid trial at another
@@ -441,7 +444,9 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
         # ascending order, then the better end interpolated from first
         lo, hi = [(c, *line(c, f(c))) for c in sorted(bracket)]
         points = sorted((lo, hi), key=lambda p: -abs(p[2]))
-        moved = hi[1] - lo[1]  # the previous polish step in s
+        # the last polish step in s and the one before it, as Brent's method
+        # keeps them; both start at the bracket's width
+        before = moved = hi[1] - lo[1]
         while True:
             last = points[-1]  # always a bracket end
             far = lo if last is hi else hi
@@ -449,7 +454,10 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
             if y2 == 0.0 or abs(far[1] - s2) <= (1e-12 * seed ** power
                                                  + 8.9e-16 * abs(s2)):
                 break
-            step = (far[1] - s2) / 2  # bisect, unless the interpolation holds
+            # bisect, unless the interpolation holds; a bisection resets both
+            # remembered steps
+            step = (far[1] - s2) / 2
+            next_before = abs(step)
             try:
                 if len(points) == 2:  # secant
                     guess = -y2 * (s2 - far[1]) / (y2 - far[2])
@@ -457,11 +465,11 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
                     (_, s0, y0), (_, s1, y1) = points[-3:-1]
                     d0, d1 = (y0 - y2) / (s0 - s2), (y1 - y2) / (s1 - s2)
                     guess = -y2 * (y0 * d0 - y1 * d1) / (d0 * d1 * (y0 - y1))
-                if lo[1] < s2 + guess < hi[1] and abs(guess) < moved / 2:
-                    step = guess
+                if lo[1] < s2 + guess < hi[1] and abs(guess) < before / 2:
+                    step, next_before = guess, moved
             except ZeroDivisionError:  # equal or underflowing y
                 pass
-            moved = abs(step)
+            before, moved = next_before, abs(step)
             current = (s2 + step) ** (1.0 / power)
             points.append((current, *line(current, f(current))))
             if (points[-1][2] > 0.0) == (lo[2] > 0.0):
@@ -507,7 +515,8 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
         if coarse is not None:
             try:
                 miss, branch = _closure_trial(*args, coarse)
-            except Exception:  # the run at the design's control decides
+            except (WireSingularityError, StiffnessError):
+                # the run at the design's control decides
                 miss = CLOSURE_SENTINEL
             if _valid(miss) and abs(miss) >= b:
                 if abs(miss) < _COARSE_END * b:

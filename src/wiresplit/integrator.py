@@ -206,7 +206,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     # tracer) sees every run
     raw = _kernel.integrate(
         initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
-        [w.x for w in wires], [w.z for w in wires], [w.current for w in wires],
+        array("d", [v for w in wires for v in (w.x, w.z, w.current)]),
         medium.alpha,
         control.rtol, control.atol, GUARD_RADIUS, MAX_STEPS,
         _kernel_py.STOP_CLOSURE if stop_at_closure
@@ -214,9 +214,12 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         snapshot,
     )
 
+    # the event state's layout is in _kernel_py.integrate
+    apex, drift, min_step, dist, peri_state, closure = _kernel_py._unstate(
+        raw["events"], len(wires))
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
         # the kernels keep the failing point as that wire's periapsis state
-        t, x, z = raw["periapsis_state"][raw["fail_wire"]][:3]
+        t, x, z = peri_state[raw["fail_wire"]][:3]
         raise WireSingularityError(raw["fail_wire"], (x, z), t)
     if raw["status"] == _kernel_py.STATUS_UNDERFLOW:
         raise StiffnessError(
@@ -231,21 +234,19 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     def as_state(tup):
         return PacketState(t=tup[0], x=tup[1], z=tup[2], vx=tup[3], vz=tup[4])
 
-    peri = tuple(
-        PeriapsisEvent(i, raw["periapsis_distance"][i], as_state(raw["periapsis_state"][i]))
-        for i in range(len(wires))
-    )
+    peri = tuple(PeriapsisEvent(i, dist[i], as_state(peri_state[i]))
+                 for i in range(len(wires)))
     events = EventLog(
-        apex=as_state(raw["apex"]),
+        apex=as_state(apex),
         periapsis_per_wire=peri,
-        closure=as_state(raw["closure"]) if raw["closure"] is not None else None,
+        closure=as_state(closure) if closure is not None else None,
     )
     stats = TrajectoryStats(
         n_steps=raw["n_steps"],
         n_rejected=raw["n_rejected"],
         n_rhs_evals=raw["n_rhs"],
-        min_step=raw["min_step"],
-        energy_drift=raw["energy_drift"],
+        min_step=min_step,
+        energy_drift=drift,
     )
     t_buf, s_buf = raw["t"], raw["states"]
     if snapshot is not None:  # the turn run's rows come first

@@ -25,7 +25,7 @@ from wiresplit.designer import (
     DesignSpec,
     triangular_deflector_position,
 )
-from wiresplit.integrator import DEFAULT_CONTROL
+from wiresplit.integrator import DEFAULT_CONTROL, StiffnessError
 
 V0, B, X0, TAU = 0.01, 0.5e-6, 300e-6, 0.1
 
@@ -316,7 +316,9 @@ class TestShootingWork:
         kernel = integrator._kernel
 
         def counted_integrate(*args):
-            runs.append((args[8][1], args[14], args[15]))  # current, stop, resume
+            # wire 1's current, from the wires buffer; the stop mode; resume
+            current = memoryview(args[6]).cast("B").cast("d")[5]
+            runs.append((current, args[12], args[13]))
             return kernel.integrate(*args)
 
         monkeypatch.setattr(designer, "_closure_trial", counted_closure)
@@ -500,6 +502,48 @@ class TestCoarseTrials:
             c for c, _, _ in runs))
         assert {control for _, control, _ in runs} == {control}
 
+    @staticmethod
+    def _failing_coarse_runs(monkeypatch, error):
+        """Make every coarse closure run raise ``error``; return each closure
+        run's (current, control), in order."""
+        calls = []
+        closure_trial = designer._closure_trial
+        coarse = designer._coarse_control(DEFAULT_CONTROL)
+
+        def failing(wires, *args):
+            calls.append((wires[1].current, args[-1]))
+            if args[-1] == coarse:
+                raise error
+            return closure_trial(wires, *args)
+
+        monkeypatch.setattr(designer, "_closure_trial", failing)
+        return calls
+
+    def test_coarse_stiffness_error_reruns_at_the_design_control(
+            self, paper_inputs, monkeypatch):
+        # a coarse run that fails as an integration reads as the sentinel:
+        # the trial runs again at the design's control, and the design closes
+        calls = self._failing_coarse_runs(
+            monkeypatch, StiffnessError("step size underflow"))
+        spec = DesignSpec(scheme="triangular", inputs=paper_inputs)
+        result, _, _ = designer.design_trajectories(spec)
+        assert result.closure_error <= spec.closure_tolerance
+        coarse = designer._coarse_control(DEFAULT_CONTROL)
+        assert calls[0][1] == coarse
+        for (current, control), after in zip(calls, calls[1:]):
+            if control == coarse:
+                assert after == (current, DEFAULT_CONTROL)
+
+    def test_coarse_programming_error_propagates(self, paper_inputs,
+                                                 monkeypatch):
+        # only an integration failure re-runs a coarse trial; any other
+        # exception is a fault, and the design must not hide it
+        calls = self._failing_coarse_runs(monkeypatch, TypeError("a fault"))
+        with pytest.raises(TypeError, match="a fault"):
+            designer.design_trajectories(
+                DesignSpec(scheme="triangular", inputs=paper_inputs))
+        assert calls == [(calls[0][0], designer._coarse_control(DEFAULT_CONTROL))]
+
     def test_inverse_trials_unchanged(self, paper_inputs, monkeypatch):
         # no coarse pass: the miss read at the turn is swamped by a control
         # even ten times looser
@@ -592,13 +636,19 @@ def test_shoot_returns_a_seed_that_closes():
 
 def test_shoot_polishes_a_square_root_kink():
     # the interpolation keeps landing on one side of a kink; a step that
-    # does not halve the previous one bisects instead
-    f, calls = _counted(
-        lambda current: math.copysign(math.sqrt(abs(current - 0.5)),
-                                      0.5 - current))
-    current, miss, _ = designer._shoot(f, 0.45, 80, 1e-8)
-    assert len(calls) == len(set(calls)) <= 20
-    assert (current, miss) == (0.5, 0.0)
+    # does not halve the step before the last bisects instead, and the
+    # bisection counts as both. From every seed, the decreasing miss closes
+    # within 40 trials (20 from 0.45), and the increasing one, which the
+    # scan first walks away from, within the budget of 80
+    for sign in (1.0, -1.0):
+        for seed in [k / 20 for k in range(1, 21)]:
+            f, calls = _counted(
+                lambda current: sign * math.copysign(
+                    math.sqrt(abs(current - 0.5)), 0.5 - current))
+            current, miss, _ = designer._shoot(f, seed, 80, 1e-8)
+            bound = 80 if sign < 0.0 else 20 if seed == 0.45 else 40
+            assert len(calls) == len(set(calls)) <= bound
+            assert (current, miss) == (0.5, 0.0)
 
 
 def test_shoot_bisects_where_the_interpolation_underflows():

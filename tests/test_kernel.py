@@ -1,6 +1,7 @@
 """Stepper mechanics and backend agreement."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def _inverse_scenario():
 def _headon():
     # b = 0: the packet stalls short of the wire and retraces its path
     return PacketState(x=-50e-6, z=0.0, vx=0.01, vz=0.0), (Wire(0.0, 0.0, 2.0),)
+
+
+def _wires(triples):
+    """The kernels' ``wires`` buffer of (x, z, current) ``triples``."""
+    return array("d", [v for triple in triples for v in triple]).tobytes()
+
+
+def _events(raw, wires):
+    """``_kernel_py._unstate`` of a kernel result's ``events`` for the
+    ``wires`` buffer it ran on: 7 + 6 n doubles for n wires, then the
+    closure's 5 when there is one."""
+    n = len(wires) // 24
+    assert len(raw["events"]) in (8 * (7 + 6 * n), 8 * (12 + 6 * n))
+    return _kernel_py._unstate(raw["events"], n)
 
 
 def _bitwise_case(name, medium):
@@ -141,8 +156,7 @@ def _bitwise_case(name, medium):
         # for 2.0 or 1.57), so the force coefficient's rounding shows
         wires = (Wire(-150e-6, 20e-6, 0.0), Wire(0.0, 0.0, 0.616467))
     args = (initial.x, initial.z, initial.vx, initial.vz, initial.t, duration,
-            [w.x for w in wires], [w.z for w in wires],
-            [w.current for w in wires], medium.alpha,
+            _wires((w.x, w.z, w.current) for w in wires), medium.alpha,
             control.rtol, control.atol, guard, max_steps, stop)
     if name == "resumed_at_turn":
         args = (*args[:-1], _kernel_py.STOP_CLOSURE,
@@ -184,15 +198,15 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     fast = compiled_kernel.integrate(*args)
     slow = _kernel_py.integrate(*args)
     assert slow["status"] == status
-    assert isinstance(slow["energy_drift"], float)
+    closure = _events(slow, args[6])[5]
     if case == "stop_at_closure":
-        assert slow["closure"] is not None and _doubles(slow["t"])[-1] < 0.02
+        assert closure is not None and _doubles(slow["t"])[-1] < 0.02
     if case == "stop_at_turn":
-        assert slow["closure"] is None and _doubles(slow["t"])[-1] < 0.06
+        assert closure is None and _doubles(slow["t"])[-1] < 0.06
     if case == "resumed_at_turn":
         # past the turn to the end of the run, whose branch misses the
         # launch plane: one row per step, from the turn step on
-        assert slow["closure"] is None and _doubles(slow["t"])[-1] == 0.11
+        assert closure is None and _doubles(slow["t"])[-1] == 0.11
         assert slow["n_steps"] == len(_doubles(slow["t"]))
     assert _bits(fast) == _bits(slow)
 
@@ -225,8 +239,7 @@ def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
                                        control, duration, stop):
     # the 2000-step budget bounds each draw's cost
     rtol, atol, guard_radius = control
-    args = (*launch, 0.0, duration, [w[0] for w in wires],
-            [w[1] for w in wires], [w[2] for w in wires], medium.alpha,
+    args = (*launch, 0.0, duration, _wires(wires), medium.alpha,
             rtol, atol, guard_radius, 2000, stop)
     outcomes = []
     for kernel in (compiled_kernel, _kernel_py):
@@ -252,8 +265,9 @@ def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
     x, z, vx, vz = launch
     xw, offset, current = wire
     duration = 3.0 * (xw - x) / vx
-    args = (*launch, 0.0, duration, [xw], [z + (xw - x) * vz / vx + offset],
-            [current], medium.alpha, 1e-11, 1e-13, GUARD_RADIUS, 20000)
+    args = (*launch, 0.0, duration,
+            _wires([(xw, z + (xw - x) * vz / vx + offset, current)]),
+            medium.alpha, 1e-11, 1e-13, GUARD_RADIUS, 20000)
     kernels = (compiled_kernel, _kernel_py)
     closure, turn = ([kernel.integrate(*args, stop) for kernel in kernels]
                      for stop in (_kernel_py.STOP_CLOSURE, _kernel_py.STOP_TURN))
@@ -292,9 +306,9 @@ def test_continued_run_budget_counts_only_its_own_steps(medium,
     for kernel in (compiled_kernel, _kernel_py):
         own = kernel.integrate(*args)
         budget = own["n_steps"] + own["n_rejected"]
-        exact = kernel.integrate(*args[:13], budget, *args[14:])
+        exact = kernel.integrate(*args[:11], budget, *args[12:])
         assert _bits(exact) == _bits(own)
-        short = kernel.integrate(*args[:13], budget - 1, *args[14:])
+        short = kernel.integrate(*args[:11], budget - 1, *args[12:])
         assert short["status"] == _kernel_py.STATUS_MAXSTEPS
 
 
@@ -304,8 +318,7 @@ def test_backends_reject_a_continuation_that_does_not_fit(medium,
     # taken with a fourth, dead wire, or 7 bytes, is a ValueError, and a
     # str of the right length a TypeError, on both backends
     args, _ = _bitwise_case("stop_at_turn", medium)
-    four = [*args[:6], *([*v, w] for v, w in zip(args[6:9], (-150e-6, 20e-6, 0.0))),
-            *args[9:]]
+    four = (*args[:6], args[6] + _wires([(-150e-6, 20e-6, 0.0)]), *args[7:])
     snapshot = _kernel_py.integrate(*four)["resume"]
     assert len(snapshot) == 8 * (15 + 6 * 4)
     closure = (*args[:-1], _kernel_py.STOP_CLOSURE)
@@ -315,6 +328,17 @@ def test_backends_reject_a_continuation_that_does_not_fit(medium,
                 kernel.integrate(*closure, resume)
         with pytest.raises(TypeError):
             kernel.integrate(*closure, "\0" * (8 * (15 + 6 * 3)))
+
+
+def test_backends_reject_wires_that_are_not_triples(medium, compiled_kernel):
+    # two doubles are no (x, z, current) triple: a ValueError, and a list of
+    # wires, which is no bytes-like buffer, a TypeError, on both backends
+    args, _ = _bitwise_case("three_wire", medium)
+    for kernel in (compiled_kernel, _kernel_py):
+        with pytest.raises(ValueError, match="triples"):
+            kernel.integrate(*args[:6], bytes(16), *args[7:])
+        with pytest.raises(TypeError):
+            kernel.integrate(*args[:6], [[0.0, 0.0, 2.0]], *args[7:])
 
 
 def _reference_energy_drift(traj, wires, medium):
@@ -485,12 +509,12 @@ def test_guard_radius_violation_raises(medium):
     # the error names the failing point on the path, which the kernel keeps
     # as the wire's periapsis state, not the wire's centre
     assert math.hypot(*exc.value.point) <= GUARD_RADIUS
+    buf = _wires([(0.0, 0.0, current)])
     raw = _kernel_py.integrate(
-        initial.x, initial.z, initial.vx, initial.vz, initial.t, 0.02,
-        [0.0], [0.0], [current], medium.alpha, StepControl().rtol,
-        StepControl().atol, GUARD_RADIUS, integrator.MAX_STEPS,
-        _kernel_py.STOP_NONE)
-    t, x, z = raw["periapsis_state"][0][:3]
+        initial.x, initial.z, initial.vx, initial.vz, initial.t, 0.02, buf,
+        medium.alpha, StepControl().rtol, StepControl().atol, GUARD_RADIUS,
+        integrator.MAX_STEPS, _kernel_py.STOP_NONE)
+    t, x, z = _events(raw, buf)[4][0][:3]
     assert (exc.value.t, *exc.value.point) == (t, x, z)
 
 
