@@ -186,6 +186,10 @@ static int push(Buf *b, const double *v, size_t m)
     return 0;
 }
 
+/* b's doubles for "y#", which makes None of a NULL pointer: a run that
+ * accepts no step, such as a continuation without budget, grows no Buf */
+static const char *bytes_of(const Buf *b) { return b->v ? (const char *)b->v : ""; }
+
 /* the twin's _state(): at dst, the apex, drift and min_step, then the n
  * periapsis distances and states of peri; returns the end of what it wrote */
 static double *put_state(double *dst, const double *apex, double drift,
@@ -254,7 +258,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     double y[4] = {x0, z0, vx0, vz0};
 
     /* event accumulators, and the launch row's potential u */
-    double best_apex_absz = fabs(y[1]), apex[5], closure[5] = {0}, u = 0.0;
+    double apex[5], closure[5] = {0}, u = 0.0;
     int have_closure = 0;
     set5(apex, t, y);
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -272,11 +276,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
     int status = STATUS_OK;
     Py_ssize_t fail_wire = -1;
-    double t_fail = 0.0, min_step = duration;
     long n_steps = 0, n_rejected = 0;
     double k[7][4], ys[4], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
 
-    double h, h_floor;
+    double h, h_floor, min_step = duration;
     if (resume == Py_None) {
         if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
             goto done;
@@ -311,7 +314,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             h = h1;
         if (duration < h)
             h = duration;
-        if (!(h > 0.0) || h != h)
+        if (!(h > 0.0))
             h = duration * 1e-6;
         /* a first step under the step floor starts at the floor, unless the
          * floor exceeds the whole duration, as in the twin */
@@ -331,7 +334,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         memcpy(k[0], c + 3, sizeof k[0]);  /* vx, vz, ax, az */
         h = c[7];
         memcpy(apex, c + 8, sizeof apex);
-        best_apex_absz = fabs(apex[2]);
         drift = c[13];
         min_step = c[14];
         memcpy(peri, c + 15, 6 * n * sizeof(double));
@@ -340,13 +342,11 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     while (!(t >= t_bound)) {
         if (n_steps + n_rejected >= max_steps) {
             status = STATUS_MAXSTEPS;
-            t_fail = t;
             break;
         }
         h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
         if (h < h_floor) {
             status = STATUS_UNDERFLOW;
-            t_fail = t;
             break;
         }
         double h_try = h;  /* before the cut to the end of the run */
@@ -371,7 +371,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         for (int c = 0; c < 4; c++) {
             sc[c] = atol + rtol * (fabs(y[c]) > fabs(yn[c]) ? fabs(y[c]) : fabs(yn[c]));
             q[c] = sc[c] != 0.0 ? err[c] / sc[c]
-                                : (err[c] == 0.0 ? 0.0 : err[c] * INFINITY);
+                                : (err[c] == 0.0 ? 0.0 : err[c] * HUGE_VAL);
         }
         double err_norm = rms4(q), fac;
 
@@ -440,10 +440,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             bisect(g_apex, NULL, y[3] > 0.0, &st, &lo, &hi);
             th = 0.5 * (lo + hi);
             dense(yd, th, &st);
-            if (fabs(yd[1]) > best_apex_absz) {
-                best_apex_absz = fabs(yd[1]);
+            if (fabs(yd[1]) > fabs(apex[2]))
                 set5(apex, t + th * h, yd);
-            }
         }
 
         /* per-wire periapsis: radial speed changes sign - -> +; the end
@@ -469,7 +467,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
                 if (w[2] != 0.0 && dist * dist <= guard2) {
                     status = STATUS_SINGULARITY;
                     fail_wire = i;
-                    t_fail = t + th * h;
                 }
             }
             double r2 = dx1 * dx1 + dz1 * dz1, d_end = sqrt(r2);
@@ -483,7 +480,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             if (d_end * d_end <= guard2) {
                 status = STATUS_SINGULARITY;
                 fail_wire = i;
-                t_fail = t_end;
             }
         }
 
@@ -515,7 +511,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         h = h * fac;
     }
     /* trajectory endpoints compete for the apex */
-    if (fabs(y[1]) > best_apex_absz)
+    if (fabs(y[1]) > fabs(apex[2]))
         set5(apex, t, y);
 
     /* the event state, then the closure only when there is one */
@@ -529,10 +525,10 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     if (have_closure)
         memcpy(end, closure, sizeof closure);
     result = Py_BuildValue(
-        "{s:i,s:n,s:d,s:y#,s:y#,s:N,s:l,s:l,s:l,s:N}",
-        "status", status, "fail_wire", fail_wire, "t_fail", t_fail,
-        "t", (const char *)t_buf.v, (Py_ssize_t)(t_buf.len * sizeof(double)),
-        "states", (const char *)y_buf.v, (Py_ssize_t)(y_buf.len * sizeof(double)),
+        "{s:i,s:n,s:y#,s:y#,s:N,s:l,s:l,s:l,s:N}",
+        "status", status, "fail_wire", fail_wire,
+        "t", bytes_of(&t_buf), (Py_ssize_t)(t_buf.len * sizeof(double)),
+        "states", bytes_of(&y_buf), (Py_ssize_t)(y_buf.len * sizeof(double)),
         "events", events,
         "n_steps", n_steps, "n_rejected", n_rejected, "n_rhs", f.n_rhs,
         "resume", cont ? cont : Py_NewRef(Py_None));

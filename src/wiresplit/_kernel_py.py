@@ -212,7 +212,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     vz = float(vz0)
 
     # event accumulators, and the launch row's potential u (c / 0 is IEEE's)
-    best_apex_absz = abs(z)
     apex = (t, x, z, vx, vz)
     peri_dist = [0.0] * n
     peri_state = [None] * n
@@ -238,7 +237,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
 
     status = STATUS_OK
     fail_wire = -1
-    t_fail = 0.0
     n_steps = 0
     n_rejected = 0
     min_step = duration
@@ -272,7 +270,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         else:
             h1 = (0.01 / dm) ** 0.2
         h = min(100.0 * h0, h1, duration)
-        if not (h > 0.0) or h != h:
+        if not (h > 0.0):
             h = duration * 1e-6
         # a first step under the step floor (a tiny nonzero component's
         # tiny scale at atol = 0) starts at the floor instead, unless the
@@ -290,7 +288,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         t, x, z, vx, vz, k1vx, k1vz, h = c[:64].cast("d").tolist()
         k1x, k1z = vx, vz
         apex, drift, min_step, peri_dist, peri_state, _ = _unstate(c[64:], n)
-        best_apex_absz = abs(apex[2])
         ts, states = [], []
     cont = None  # this run's continuation
 
@@ -299,12 +296,10 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             break
         if n_steps + n_rejected >= max_steps:
             status = STATUS_MAXSTEPS
-            t_fail = t
             break
         h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
         if h < h_floor:
             status = STATUS_UNDERFLOW
-            t_fail = t
             break
         h_try = h  # before the cut to the end of the run
         last = False
@@ -434,8 +429,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             lo, hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h)
             th = 0.5 * (lo + hi)
             xa, za, vxa, vza = dense(th)
-            if abs(za) > best_apex_absz:
-                best_apex_absz = abs(za)
+            if abs(za) > abs(apex[2]):
                 apex = (t + th * h, xa, za, vxa, vza)
 
         # per-wire periapsis: radial speed changes sign - -> +; the end row's
@@ -462,7 +456,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
                 if wi[i] != 0.0 and dist * dist <= guard2:
                     status = STATUS_SINGULARITY
                     fail_wire = i
-                    t_fail = t + th * h
             r2 = dx1 * dx1 + dz1 * dz1
             d_end = sqrt(r2)
             if d_end < peri_dist[i]:
@@ -474,7 +467,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
                 if d_end * d_end <= guard2:
                     status = STATUS_SINGULARITY
                     fail_wire = i
-                    t_fail = t_end
 
         ts.append(t_end)
         states += (x_end, z_end, vx_end, vz_end)
@@ -509,14 +501,12 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         h = h * fac
 
     # trajectory endpoints compete for the apex
-    if abs(z) > best_apex_absz:
-        best_apex_absz = abs(z)
+    if abs(z) > abs(apex[2]):
         apex = (t, x, z, vx, vz)
 
     return {
         "status": status,
         "fail_wire": fail_wire,
-        "t_fail": t_fail,
         "t": array("d", ts).tobytes(),
         "states": array("d", states).tobytes(),
         "events": _state(apex, drift / (abs(e0) if e0 != 0.0 else 1.0),

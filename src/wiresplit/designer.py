@@ -8,48 +8,32 @@ re-crosses the launch plane at its starting height. All wires stay powered
 throughout, so the objective sees every wire's repulsion over the whole
 flight, not just the nominal encounters.
 
-The bracket scan steps the current from the analytic seed by x2^(1/4),
-x2^(1/2), then x2 per trial (or their reciprocals). After the seed and one
-scan step, a step goes to the secant root instead when that lies within
-x2, until the miss stops falling toward zero or a trial is lost. The
-schemes scan and polish on different lines: the triangular one on the miss
-against the current I, the inverse one on I times the miss against I^2,
-where that is a straight line (:func:`_turn_trial` gives the law). A
-triangular seed lies at 0.83-0.98 of the designed current, and usually
-brackets in one step. On perfbench's design_mix seeds 1-3, 28 of the 180
-triangular designs first step onto a current whose branch never returns,
-all at the first x2^(1/4) step. That trial runs for the whole 1.1 tau at
-the design's control, after a coarse run that did the same. On seed 1
-those are the 7 heaviest triangular designs: 15.0k-15.9k RHS evaluations,
-against a median of 10.0k. 179 of the 180 end in the polish. Inverse seeds
-lie at 0.31-1.75 of the designed current and close in 3.3 turn trials on
-average; 22 of the 90 reach the polish. The polish interpolates between
-the bracket ends and bisects where the interpolation strays (see
-:func:`_shoot`). Shooting stops at the first trial, in any phase, that
-closes: its miss is within ``closure_tolerance / 100`` and the secant step
-to the root is within 3e-7 of the current (see :class:`DesignSpec`).
-:func:`_shoot` keeps one record of a design's trials: a current runs at
-most once, and a repeat counts toward the budget without running again.
+What differs between the schemes -- the splitting current, the deflector
+position, the seed and the trial -- is chosen in one place,
+:func:`design_trajectories`, with the reason for each rule there.
+:func:`_shoot` does the rest for both: it brackets the root by a scan from
+the seed, polishes it by interpolation, and keeps one record of a design's
+trials, so a current runs at most once. What closes a design is
+:class:`DesignSpec`'s.
 
 A triangular trial integrates the branch to its closure, and the accepted
-trial is the design's top branch. Until a run at the design's control
-misses by less than the initial split b, each triangular trial first runs
-at a coarse control (:func:`_coarse_control`). Its miss is kept when it is
-one of b or more; otherwise the trial runs again at the design's control.
-A kept coarse miss under ``_COARSE_END`` b also ends the coarse pass: the
-next trial then usually misses by less than b, and would otherwise run
-twice. The accept threshold lies below b, so the accepted trial always
-comes from a run at the design's control. The inverse branch runs head-on
-into the deflector, stops and retraces its path, so its closure is decided
-at the turn: an inverse trial integrates only up to the turn and estimates
-the miss from the angular momentum left there (:func:`_turn_trial`). The
-top branch continues the accepted trial from the start of its turn step
-to the closure (``integrator._resumed``). It is bitwise the full run at
-that current, and gives the reported, measured closure miss. So an
-inverse design integrates each trial current once. A triangular one does
-too, unless a coarse run returns the sentinel or misses by less than b:
-on perfbench's design_mix seeds 1-3, 35 of the 957 triangular runs (28
-and 7) repeat a current.
+trial is the design's top branch. The inverse branch runs head-on into the
+deflector, stops and retraces its path, so its closure is decided at the
+turn: an inverse trial integrates only up to the turn and estimates the
+miss from the angular momentum left there (:func:`_turn_trial`). The top
+branch continues the accepted trial from the start of its turn step to the
+closure (``integrator._resumed``). It is bitwise the full run at that
+current, and gives the reported, measured closure miss.
+
+On perfbench's design_mix seeds 1-3, a triangular seed lies at 0.83-0.98
+of the designed current and usually brackets in one step. 28 of the 180
+triangular designs first step onto a current whose branch never returns,
+all at the first x2^(1/4) step; that trial runs for the whole 1.1 tau,
+and on seed 1 those are the 7 heaviest triangular designs (15.0k-15.9k
+RHS evaluations, against a median of 10.0k). 35 of the 957 triangular
+runs repeat a current, after a coarse run that returned the sentinel or
+missed by less than b. Inverse seeds lie at 0.31-1.75 of the designed
+current and close in 3.3 turn trials on average.
 """
 
 from __future__ import annotations
@@ -89,9 +73,9 @@ _TIME_MARGIN = 0.1  # fraction of tau allowed beyond the nominal flight time
 _ACCEPT_FRACTION = 0.01  # of closure_tolerance; see DesignSpec
 _SHOOT_BUDGET = 80  # trials per design; see DesignSpec
 _ACCEPT_STEP = 3e-7  # relative secant step to the root; see DesignSpec
-_COARSE_RTOL = 1e-8  # triangular: loosest rtol of a coarse trial; see DesignSpec
+_COARSE_RTOL = 1e-8  # triangular: loosest rtol of a coarse trial
 _COARSE_FACTOR = 1000.0  # most by which a coarse trial loosens the control
-_COARSE_END = 20.0  # b: a kept coarse miss under this ends the pass; see DesignSpec
+_COARSE_END = 20.0  # b: a coarse miss under this ends the coarse pass
 
 
 class DesignFailure(RuntimeError):
@@ -128,35 +112,10 @@ class DesignSpec:
     lie within 6.0e-7 of the root of the closure miss itself, as a secant
     from 1e-5 either side finds it. A first trial never closes on its own.
 
-    The inverse scheme scans and polishes in (I^2, I miss), where its
-    turn estimate is a straight line (see :func:`_turn_trial`), and the
-    triangular scheme in (I, miss): its miss is no straight line in
-    (I^2, miss) or (I^2, I miss), and on perfbench's design_mix seeds 1-3
-    the first costs 19% more triangular step attempts, the second 0.1%.
-
     An inverse trial runs only to the branch's turn, and its miss is
     estimated from the turn state. The reported ``closure_error`` of either
     scheme is measured on the full branch at the accepted current, and a
     miss above ``closure_tolerance`` there raises :class:`DesignFailure`.
-    The inverse branch continues the accepted turn trial from its turn
-    step, bitwise the fresh full run.
-
-    A triangular trial far from the root is read at a coarse control: until
-    a run at the design's control misses by less than ``inputs.b``, a trial
-    first runs with rtol and atol multiplied by min(1000, 1e-8 / rtol), or
-    by 1000 at rtol 0. The cap never loosens rtol past 1e-8, and a design
-    at rtol 1e-8 or looser has no coarse pass. A coarse miss of b or more is
-    kept; a smaller one, the sentinel or an error runs the trial again at
-    the design's control. A kept coarse miss under 20 b ends the coarse
-    pass. On perfbench's design_mix seeds 1-3 that takes the coarse runs
-    per triangular design from 4.07 to 3.11, with 2.21 at the design's
-    control, and no design does more work than without it. Over the 705
-    valid coarse trials there without the end, the coarse miss lay within
-    4.4e-9 m of the design-control one, at least 70 times under b. Both b
-    and rtol scale with the geometry, so under ``atol = 0`` the trial
-    sequence still does.
-    The inverse scheme has no coarse pass: a tenfold looser control swamps
-    the miss read at the turn.
 
     The miss is that of the numerical branch, not of the model. At the
     default ``StepControl`` the inverse designs' true miss, re-integrated at
@@ -165,8 +124,9 @@ class DesignSpec:
     1e-10 m; the triangular designs' true miss stays under 4e-11 m.
 
     The shooting budget is fixed at 80 trials per design, repeats included;
-    the robustness suite's designs take at most 34. The step control's
-    guard radius and step budget are fixed too (see ``StepControl``).
+    the robustness suite's designs take at most 20, those that fail to
+    bracket included. The step control's guard radius and step budget are
+    fixed too (see ``StepControl``).
     """
 
     scheme: str  # "triangular" | "inverse"
@@ -286,9 +246,7 @@ def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
     asymptote (offset b on the wire side), reads off the impact parameter
     with respect to the deflector wire and the turn angle needed to head
     back to the launch point, and inverts the single-wire deflection
-    formulas. When the deflector sits on the asymptote (retrace geometry)
-    the impact parameter degenerates to zero; then the seed instead targets
-    a head-on turning radius of a few percent of the initial split.
+    formulas.
     """
     k_split = analytic.stiffness_k(splitting_current, b, v0, medium)
     theta_s = analytic.scattering_angle(k_split)
@@ -297,9 +255,6 @@ def _deflector_seed(splitting_current, v0, b, x0, wire_x, wire_z,
     px, pz = -uz * b, ux * b
     s = ux * (wire_z - pz) - uz * (wire_x - px)
     b_eff = abs(s)
-    if b_eff < 1e-3 * b:
-        d0_target = b / 50.0
-        return d0_target * v0 / math.sqrt(medium.alpha)
     rx, rz = -x0 - wire_x, b - wire_z
     rn = math.hypot(rx, rz)
     dot = (ux * rx + uz * rz) / rn
@@ -325,8 +280,7 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
     grows: too little current leaves the branch over-high (or lost
     entirely, the sentinel case), too much slams it below the launch
     height. The scan walks that direction first and falls back to the
-    opposite one, so a locally inverted regime still brackets if a root
-    exists at all.
+    opposite one, so a locally inverted regime still brackets.
 
     Both phases run on y = I^(power-1) miss against s = I^power, where I
     is the current: at ``power`` 1 the miss against the current, at a
@@ -335,7 +289,13 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
     valid trial of the scan's sign is followed by the secant root in
     (s, y) when it lies within the scan's widest step, and by the
     geometric step when it lies further. The scan turns geometric for good
-    once a trial's |y| stops falling or a trial is lost.
+    once a trial's |y| stops falling or a trial is lost. It turns back as
+    soon as a valid trial's |y| exceeds that of its start, the first
+    returning current from the seed up: that direction leads away from
+    the root, so the other one starts at once, and once both have turned
+    back the design fails to bracket. A root beyond such a rise is not
+    sought. The triangular one there pins the branch to the axis, where it
+    bounces off the splitting wire and returns unsplit.
 
     The polish asks for both bracket ends again, in ascending order, so a
     seed or scan trial can close once it has a neighbour. It then steps
@@ -396,6 +356,7 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
         growth = [widest ** 0.5, widest]
         step = widest ** 0.25
         prev_i, prev_e = start_i, start_e
+        start_y = abs(line(start_i, start_e)[1])
         secant = True  # until |y| stops falling or a trial is lost
         back = None  # the valid trial before prev, once the secant applies
         for _ in range(40):
@@ -411,8 +372,10 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
             if _valid(cur_e) and (cur_e > 0.0) != (prev_e > 0.0):
                 return (prev_i, cur_i)
             if _valid(cur_e):
-                secant = secant and (abs(line(cur_i, cur_e)[1])
-                                     < abs(line(prev_i, prev_e)[1]))
+                y = abs(line(cur_i, cur_e)[1])
+                if y > start_y:  # walking away from the root
+                    return None
+                secant = secant and y < abs(line(prev_i, prev_e)[1])
                 back = (prev_i, prev_e) if secant else None
                 prev_i, prev_e = cur_i, cur_e
                 if growth:
@@ -482,13 +445,71 @@ def _shoot(trial, seed: float, budget: int, tolerance: float,
     return (current, *trials[current])
 
 
-def _design(spec: DesignSpec, medium: Medium, control: StepControl,
-            splitting_current: float, deflector_xz
-            ) -> tuple[DesignResult, Trajectory, Trajectory]:
+def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
+                        control: StepControl = DEFAULT_CONTROL
+                        ) -> tuple[DesignResult, Trajectory, Trajectory]:
+    """Run a design and return ``(result, top_branch, bottom_branch)``."""
+    medium = medium if medium is not None else default_medium()
     v0, b, x0, tau = (spec.inputs.v0, spec.inputs.b,
                       spec.inputs.x0, spec.inputs.tau)
-    dx_w, dz_w = deflector_xz
+    analytic._require_feasible(v0, tau, x0)
     initial = PacketState(x=-x0, z=b, vx=v0, vz=0.0, t=0.0)
+
+    inverse = spec.scheme == "inverse"
+    if inverse:
+        splitting_current = analytic.inverse_current_ratio(v0, medium) * b
+        dx_w, dz_w = -b, v0 * tau / 2.0 - x0
+        # the deflector sits on the outgoing asymptote, which leaves no
+        # impact parameter to invert: aim at a head-on turning radius of b/50
+        seed = (b / 50.0) * v0 / math.sqrt(medium.alpha)
+        gain = _turn_gain(splitting_current, v0, b, x0, dz_w, medium)
+        # shoot on I miss against I^2, where the turn estimate is a straight
+        # line (see _turn_trial). There is no coarse pass: a control even
+        # ten times looser swamps the miss read at the turn
+        power = 2
+
+        def trial(current):
+            return _turn_trial(wires_for(current), initial, medium, tau,
+                               control, gain)
+    else:
+        splitting_current = (
+            analytic.triangular_current_ratio(v0, tau, x0, medium) * b)
+        dx_w, dz_w = triangular_deflector_position(x0, b, v0, tau)
+        seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
+        # the miss bends in I^2: on perfbench's design_mix seeds 1-3,
+        # shooting in (I^2, miss) costs 19% more step attempts, in
+        # (I^2, I miss) 0.1% more
+        power = 1
+        # Far from the root the miss needs little accuracy, so until the
+        # coarse pass ends a trial first runs at the coarse control. With
+        # the pass never ended early, the 705 valid coarse misses of
+        # design_mix seeds 1-3 lay within 4.4e-9 m of the design-control
+        # ones, at least 70 times under b; so a coarse miss of b or more is
+        # kept. A smaller one, the sentinel (a coarse run can lose a
+        # returning branch) or an integration error runs the trial again at
+        # the design's control. The first valid coarse miss under
+        # _COARSE_END b ends the pass: the next trial then usually misses by
+        # less than b, and would run twice. The accept threshold lies below
+        # b, so the accepted trial always comes from a design-control run.
+        # b and rtol scale with the geometry, so under atol = 0 the trial
+        # sequence does too
+        coarse = _coarse_control(control)
+
+        def trial(current):
+            nonlocal coarse
+            args = (wires_for(current), initial, medium, tau)
+            if coarse is not None:
+                try:
+                    miss, branch = _closure_trial(*args, coarse)
+                except (WireSingularityError, StiffnessError):
+                    miss = CLOSURE_SENTINEL
+                if _valid(miss) and abs(miss) < _COARSE_END * b:
+                    coarse = None
+                if _valid(miss) and abs(miss) >= b:
+                    return miss, branch
+                logger.debug("coarse miss %.3e m at I = %.9e A: re-run",
+                             miss, current)
+            return _closure_trial(*args, control)
 
     def wires_for(current):
         return (
@@ -497,43 +518,9 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
             Wire(dx_w, -dz_w, current),
         )
 
-    inverse = spec.scheme == "inverse"
-    if inverse:
-        gain = _turn_gain(splitting_current, v0, b, x0, dz_w, medium)
-
-    # until a run at the design's control misses by less than b, or a
-    # coarse one by less than _COARSE_END b, a triangular trial first runs
-    # at the coarse control, and only a valid miss of b or more is kept
-    # from it
-    coarse = None if inverse else _coarse_control(control)
-
-    def trial(current):
-        nonlocal coarse
-        args = (wires_for(current), initial, medium, tau)
-        if inverse:
-            return _turn_trial(*args, control, gain)
-        if coarse is not None:
-            try:
-                miss, branch = _closure_trial(*args, coarse)
-            except (WireSingularityError, StiffnessError):
-                # the run at the design's control decides
-                miss = CLOSURE_SENTINEL
-            if _valid(miss) and abs(miss) >= b:
-                if abs(miss) < _COARSE_END * b:
-                    coarse = None
-                return miss, branch
-            # re-run a coarse sentinel: coarse runs can lose returning branches
-            logger.debug("coarse miss %.3e m at I = %.9e A: re-run", miss, current)
-        miss, branch = _closure_trial(*args, control)
-        if _valid(miss) and abs(miss) < b:
-            coarse = None
-        return miss, branch
-
-    seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
     current, miss, top = _shoot(trial, seed, _SHOOT_BUDGET,
-                                spec.closure_tolerance,
-                                power=2 if inverse else 1)
+                                spec.closure_tolerance, power=power)
 
     # an accepted triangular trial is the top branch; an inverse trial
     # stopped at the turn, so the top branch continues it to the closure
@@ -579,23 +566,6 @@ def _design(spec: DesignSpec, medium: Medium, control: StepControl,
         return_time=closure.t - initial.t,
     )
     return result, top, bottom
-
-
-def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
-                        control: StepControl = DEFAULT_CONTROL
-                        ) -> tuple[DesignResult, Trajectory, Trajectory]:
-    """Run a design and return ``(result, top_branch, bottom_branch)``."""
-    medium = medium if medium is not None else default_medium()
-    v0, b, x0, tau = (spec.inputs.v0, spec.inputs.b,
-                      spec.inputs.x0, spec.inputs.tau)
-    analytic._require_feasible(v0, tau, x0)
-    if spec.scheme == "triangular":
-        ratio = analytic.triangular_current_ratio(v0, tau, x0, medium)
-        deflector = triangular_deflector_position(x0, b, v0, tau)
-    else:
-        ratio = analytic.inverse_current_ratio(v0, medium)
-        deflector = (-b, v0 * tau / 2.0 - x0)
-    return _design(spec, medium, control, ratio * b, deflector)
 
 
 def triangular_deflector_position(x0: float, b: float, v0: float, tau: float):

@@ -214,21 +214,25 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         snapshot,
     )
 
+    t_buf, s_buf = raw["t"], raw["states"]
+    if snapshot is not None:  # the turn run's rows come first
+        t_buf, s_buf = b"".join((t_pre, t_buf)), b"".join((s_pre, s_buf))
+    t = memoryview(t_buf).cast("d")  # the last row is where a run stopped
     # the event state's layout is in _kernel_py.integrate
     apex, drift, min_step, dist, peri_state, closure = _kernel_py._unstate(
         raw["events"], len(wires))
     if raw["status"] == _kernel_py.STATUS_SINGULARITY:
         # the kernels keep the failing point as that wire's periapsis state
-        t, x, z = peri_state[raw["fail_wire"]][:3]
-        raise WireSingularityError(raw["fail_wire"], (x, z), t)
+        t_fail, x, z = peri_state[raw["fail_wire"]][:3]
+        raise WireSingularityError(raw["fail_wire"], (x, z), t_fail)
     if raw["status"] == _kernel_py.STATUS_UNDERFLOW:
         raise StiffnessError(
-            f"step size underflow at t = {raw['t_fail']:.9e} s "
+            f"step size underflow at t = {t[-1]:.9e} s "
             "(force too stiff for the requested tolerances)"
         )
     if raw["status"] == _kernel_py.STATUS_MAXSTEPS:
         raise StiffnessError(
-            f"step budget ({MAX_STEPS}) exhausted at t = {raw['t_fail']:.9e} s"
+            f"step budget ({MAX_STEPS}) exhausted at t = {t[-1]:.9e} s"
         )
 
     def as_state(tup):
@@ -248,10 +252,6 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
         min_step=min_step,
         energy_drift=drift,
     )
-    t_buf, s_buf = raw["t"], raw["states"]
-    if snapshot is not None:  # the turn run's rows come first
-        t_buf, s_buf = b"".join((t_pre, t_buf)), b"".join((s_pre, s_buf))
-    t = memoryview(t_buf).cast("d")
     states = memoryview(s_buf).cast("d", (len(t), 4))
     if raw["resume"] is not None:
         return _TurnRun(t, states, events, stats, (

@@ -25,7 +25,7 @@ from wiresplit.designer import (
     DesignSpec,
     triangular_deflector_position,
 )
-from wiresplit.integrator import DEFAULT_CONTROL, StiffnessError
+from wiresplit.integrator import DEFAULT_CONTROL, StiffnessError, simulate
 
 V0, B, X0, TAU = 0.01, 0.5e-6, 300e-6, 0.1
 
@@ -329,9 +329,10 @@ class TestShootingWork:
             DesignSpec(scheme=scheme, inputs=paper_inputs))
         current = result.wires[1].current
         if scheme == "triangular":
-            # no current runs twice: the coarse pass ends at its first kept
-            # miss under _COARSE_END b, and every later trial, the accepted
-            # one included, runs at the design's control
+            # no current runs twice: the coarse pass ends at its first valid
+            # miss under _COARSE_END b, here one of b or more that is kept,
+            # and every later trial, the accepted one included, runs at the
+            # design's control
             coarse = designer._coarse_control(DEFAULT_CONTROL)
             assert turns == []
             currents = [c for c, _, _ in closures]
@@ -355,6 +356,29 @@ class TestShootingWork:
                                 accepted.resume[0])])
             # it integrates only from the turn step on
             assert top.stats.n_steps == len(top.t) - len(accepted.t) + 1
+
+    @pytest.mark.parametrize("scheme,work", [
+        ("triangular", (5, 1443, 230, 10048)),
+        ("inverse", (4, 1550, 216, 10602)),
+    ])
+    def test_reference_design_work(self, scheme, work, paper_inputs,
+                                   monkeypatch):
+        # kernel runs, steps, rejected steps and RHS evaluations of all the
+        # design's simulate runs, equal on both backends: a change of the
+        # designer's or the kernel's algorithm changes them, and is declared
+        totals = [0, 0, 0, 0]
+
+        def counted(*args, **kwargs):
+            traj = simulate(*args, **kwargs)
+            for i, n in enumerate((1, traj.stats.n_steps, traj.stats.n_rejected,
+                                   traj.stats.n_rhs_evals)):
+                totals[i] += n
+            return traj
+
+        monkeypatch.setattr(designer, "simulate", counted)
+        designer.design_trajectories(DesignSpec(scheme=scheme,
+                                                inputs=paper_inputs))
+        assert tuple(totals) == work
 
     @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
     def test_shooting_stops_at_first_trial_within_a_hundredth(
@@ -452,7 +476,7 @@ def _closure_runs(monkeypatch, spec, control=DEFAULT_CONTROL):
 class TestCoarseTrials:
     """A triangular trial whose coarse run misses by b or more keeps that
     run; every other runs at the design's control, and so does every trial
-    after a kept coarse miss under ``_COARSE_END`` b."""
+    after the first valid coarse miss under ``_COARSE_END`` b."""
 
     def test_coarse_control(self):
         coarse = designer._coarse_control
@@ -637,16 +661,16 @@ def test_shoot_returns_a_seed_that_closes():
 def test_shoot_polishes_a_square_root_kink():
     # the interpolation keeps landing on one side of a kink; a step that
     # does not halve the step before the last bisects instead, and the
-    # bisection counts as both. From every seed, the decreasing miss closes
-    # within 40 trials (20 from 0.45), and the increasing one, which the
-    # scan first walks away from, within the budget of 80
+    # bisection counts as both. From every seed, either miss closes within
+    # 40 trials, the decreasing one within 20 from 0.45: the scan turns back
+    # from the increasing one at its first step away from the root
     for sign in (1.0, -1.0):
         for seed in [k / 20 for k in range(1, 21)]:
             f, calls = _counted(
                 lambda current: sign * math.copysign(
                     math.sqrt(abs(current - 0.5)), 0.5 - current))
             current, miss, _ = designer._shoot(f, seed, 80, 1e-8)
-            bound = 80 if sign < 0.0 else 20 if seed == 0.45 else 40
+            bound = 20 if sign > 0.0 and seed == 0.45 else 40
             assert len(calls) == len(set(calls)) <= bound
             assert (current, miss) == (0.5, 0.0)
 
@@ -681,13 +705,14 @@ def test_shoot_polishes_across_a_lost_band():
 
 
 def test_shoot_failure_without_a_bracket_reports_best_iterate():
-    # a miss of one sign everywhere: both scan directions run out
+    # a miss of one sign everywhere, least at the seed: each scan direction
+    # turns back at its first step, which misses by more than the seed
     f, calls = _counted(
         lambda current: 1e-3 * (2.0 - math.exp(-abs(current - 0.5))))
     with pytest.raises(DesignFailure, match="failed to bracket") as exc:
         designer._shoot(f, 0.5, 100, 1e-8)
-    # the seed, then 40 scan steps each way
-    assert len(calls) == len(set(calls)) == 81
+    # the seed, then one scan step each way
+    assert len(calls) == len(set(calls)) == 3
     assert (exc.value.best_current, exc.value.best_error) == (0.5, 1e-3)
 
 

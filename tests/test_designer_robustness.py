@@ -47,14 +47,14 @@ def test_tight_retrace_geometry_fails_with_best_iterate(kw):
 
 
 @pytest.mark.parametrize("kw,best,runs", [
-    (TIGHT_RETRACE[0], (1.197158e-2, -3.663e-4), 33),
-    (TIGHT_RETRACE[1], (3.563161e-4, -6.208e-6), 34),
+    (TIGHT_RETRACE[0], (8.465188e-3, -4.255e-4), 16),
+    (TIGHT_RETRACE[1], (3.563161e-4, -6.208e-6), 15),
 ])
 def test_tight_retrace_failure_costs_no_more_kernel_runs(kw, best, runs,
                                                          monkeypatch):
-    # the secant scan in (I^2, I miss) turns geometric once its |I miss|
-    # stops falling or its root lies beyond the scan's widest step, so a
-    # design with no root fails as the geometric scan alone did
+    # the scan in (I^2, I miss) turns back once its |I miss| exceeds that
+    # of its start, so a design with no root fails after a few steps each
+    # way
     calls = []
     kernel = integrator._kernel
 
@@ -70,3 +70,16 @@ def test_tight_retrace_failure_costs_no_more_kernel_runs(kw, best, runs,
     assert (exc.value.best_current, exc.value.best_error) == (
         pytest.approx(best[0], rel=1e-6), pytest.approx(best[1], rel=1e-3))
     assert len(calls) <= runs
+
+
+def test_far_root_that_never_splits_fails():
+    # the miss falls from the seed to a positive minimum, rises, and only
+    # crosses zero at 8.6 times the best current, where the deflectors pin
+    # the branch to the axis: it bounces head-on off the splitting wire and
+    # comes back unsplit, with a separation of exactly 2 b. The scan turns
+    # back at the rise instead of walking on to that root
+    spec = DesignSpec(scheme="triangular", inputs=ScatteringInputs(
+        v0=0.5, b=2e-6, x0=200e-6, tau=1.28e-3))
+    with pytest.raises(DesignFailure, match="failed to bracket") as exc:
+        design_trajectories(spec)
+    assert exc.value.best_current == pytest.approx(5.436652e2, rel=1e-6)

@@ -301,7 +301,8 @@ def test_continued_run_budget_counts_only_its_own_steps(medium,
                                                         compiled_kernel):
     # max_steps bounds the continued run's own step attempts, rejected ones
     # included: it completes on exactly that many, the turn run's steps
-    # aside, and runs out on one fewer
+    # aside, and runs out on one fewer. With none, it accepts no step and
+    # returns no rows, as empty bytes on both backends
     args, _ = _bitwise_case("resumed_at_turn", medium)
     for kernel in (compiled_kernel, _kernel_py):
         own = kernel.integrate(*args)
@@ -310,6 +311,9 @@ def test_continued_run_budget_counts_only_its_own_steps(medium,
         assert _bits(exact) == _bits(own)
         short = kernel.integrate(*args[:11], budget - 1, *args[12:])
         assert short["status"] == _kernel_py.STATUS_MAXSTEPS
+        none = kernel.integrate(*args[:11], 0, *args[12:])
+        assert none["status"] == _kernel_py.STATUS_MAXSTEPS
+        assert (none["t"], none["states"]) == (b"", b"")
 
 
 def test_backends_reject_a_continuation_that_does_not_fit(medium,
