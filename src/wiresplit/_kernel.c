@@ -4,14 +4,16 @@
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
  * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
  * Hermite dense output, one bisect() for every event with the twin's event
- * functions and sides, the twin's stop modes (none, closure, turn), and a
- * zero error scale (atol = 0) counting 0 in the initial-step norms, 0/0 as
- * 0 and err/0 as inf in the step error norm.
+ * functions and sides and every event at its bracket's upper end, the
+ * twin's stop modes (none, closure, turn: a turn run ends after its whole
+ * turn step), and a zero error scale (atol = 0) counting 0 in the
+ * initial-step norms, 0/0 as 0 and err/0 as inf in the step error norm.
  * The boundary carries the twin's packed native doubles both ways: the
  * "wires" buffer in; out, the samples ("t", n times, and "states", n rows
  * x, z, vx, vz), the "events" state and the "resume" snapshot of a turn
- * run's continuation. Their layouts are in the twin's integrate()
- * docstring, and one put_state() writes the event state of both.
+ * run's continuation, the stepping state at the end of the turn step.
+ * Their layouts are in the twin's integrate() docstring, and one
+ * put_state() writes the event state of both.
  * Every floating-point operation is in the twin's order, comparisons and
  * min() treat NaN as Python does, and the file must be built without FMA
  * contraction (-ffp-contract=off), so both backends return equal doubles.
@@ -138,21 +140,22 @@ static double g_periapsis(const double *y, const double *p)
     return -((y[0] - p[0]) * y[2] + (y[1] - p[1]) * y[3]);
 }
 
-/* At most 80 halvings of [*lo, *hi] = [0, *hi] down to EVENT_DT seconds,
- * *lo = mid exactly when (g(dense(mid)) > 0) == side */
-static void bisect(EventFn g, const double *p, int side, const Step *s,
-                   double *lo, double *hi)
+/* The event's step fraction: at most 80 halvings of [lo, hi] = [0, hi] down
+ * to EVENT_DT seconds, lo = mid exactly when (g(dense(mid)) > 0) == side,
+ * and the event at the bracket's upper end hi */
+static double bisect(EventFn g, const double *p, int side, const Step *s,
+                     double hi)
 {
-    double yd[4];
-    *lo = 0.0;
-    for (int it = 0; it < 80 && (*hi - *lo) * s->h > EVENT_DT; it++) {
-        double mid = 0.5 * (*lo + *hi);
+    double yd[4], lo = 0.0;
+    for (int it = 0; it < 80 && (hi - lo) * s->h > EVENT_DT; it++) {
+        double mid = 0.5 * (lo + hi);
         dense(yd, mid, s);
         if ((g(yd, p) > 0.0) == side)
-            *lo = mid;
+            lo = mid;
         else
-            *hi = mid;
+            hi = mid;
     }
+    return hi;
 }
 
 static void set5(double *dst, double t, const double *y)
@@ -322,8 +325,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         if (h < h_floor && h_floor < duration)
             h = h_floor;
     } else {
-        /* take up a turn-mode run at the start of its turn step; the rows
-         * up to that step's start are the turn run's */
+        /* take up a turn-mode run after its turn step, whose rows are the
+         * turn run's */
         const double *c = rb.buf;
         if (rb.len != (Py_ssize_t)((15 + 6 * n) * sizeof(double))) {
             PyErr_SetString(PyExc_ValueError, "continuation does not fit this run");
@@ -349,7 +352,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             status = STATUS_UNDERFLOW;
             break;
         }
-        double h_try = h;  /* before the cut to the end of the run */
         int last = 0;
         if (t + h >= t_bound) {
             h = t_bound - t;
@@ -389,38 +391,17 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         }
 
         /* --- accepted --- */
-        double theta_end = 1.0, t_end = last ? t_bound : t + h;
-        double lo, hi, th;
-        int truncated = 0;
+        double theta_end = 1.0, t_end = last ? t_bound : t + h, hi;
         Step st = {h, y, yn, k[0], k[6]};
         memcpy(ye, yn, sizeof ye);
+        /* the turn, the first step along which vz goes from > 0 to < 0,
+         * ends a turn-mode run after the whole step */
+        int ends = stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0;
 
-        /* turn: the first vz sign change from > 0 to < 0 ends a turn-mode
-         * run, and its step's events are found up to the turn */
-        if (stop_mode == STOP_TURN && y[3] > 0.0 && ye[3] < 0.0) {
-            if (!have_closure) {  /* else a closure-mode run ended before */
-                double head[8] = {
-                    t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h_try};
-                cont = PyBytes_FromStringAndSize(
-                    NULL, sizeof head + (7 + 6 * n) * sizeof(double));
-                if (cont == NULL)
-                    goto done;
-                double *c = (double *)PyBytes_AS_STRING(cont);
-                memcpy(c, head, sizeof head);
-                put_state(c + 8, apex, drift, min_step, peri, n);
-            }
-            hi = 1.0;
-            bisect(g_apex, NULL, 1, &st, &lo, &hi);
-            theta_end = hi;
-            t_end = t + hi * h;
-            dense(ye, hi, &st);
-            truncated = 1;
-        }
-
-        /* closure: first crossing of the launch plane x = x0 moving in -x */
+        /* closure: first crossing of the launch plane x = x0 moving in -x;
+         * a closure-mode run ends there, cut */
         if (!have_closure && y[0] - x0 > 0.0 && ye[0] - x0 <= 0.0) {
-            hi = theta_end;
-            bisect(g_closure, &x0, 1, &st, &lo, &hi);
+            hi = bisect(g_closure, &x0, 1, &st, theta_end);
             dense(yd, hi, &st);
             if (yd[2] < 0.0) {
                 have_closure = 1;
@@ -429,19 +410,17 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
                     theta_end = hi;
                     memcpy(ye, yd, sizeof ye);
                     t_end = closure[0];
-                    truncated = 1;
+                    ends = 1;
                 }
             }
         }
 
         /* apex: interior extremum of z (vz sign change) */
         if (y[3] * ye[3] < 0.0) {
-            hi = theta_end;
-            bisect(g_apex, NULL, y[3] > 0.0, &st, &lo, &hi);
-            th = 0.5 * (lo + hi);
-            dense(yd, th, &st);
+            hi = bisect(g_apex, NULL, y[3] > 0.0, &st, theta_end);
+            dense(yd, hi, &st);
             if (fabs(yd[1]) > fabs(apex[2]))
-                set5(apex, t + th * h, yd);
+                set5(apex, t + hi * h, yd);
         }
 
         /* per-wire periapsis: radial speed changes sign - -> +; the end
@@ -454,15 +433,13 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             double dx1 = ye[0] - w[0], dz1 = ye[1] - w[1];
             double g1 = dx1 * ye[2] + dz1 * ye[3];
             if (g0 < 0.0 && g1 >= 0.0) {
-                hi = theta_end;
-                bisect(g_periapsis, w, 1, &st, &lo, &hi);
-                th = 0.5 * (lo + hi);
-                dense(yd, th, &st);
+                hi = bisect(g_periapsis, w, 1, &st, theta_end);
+                dense(yd, hi, &st);
                 double dxp = yd[0] - w[0], dzp = yd[1] - w[1];
                 double dist = sqrt(dxp * dxp + dzp * dzp);
                 if (dist < peri[i]) {
                     peri[i] = dist;
-                    set5(peri_st + 5 * i, t + th * h, yd);
+                    set5(peri_st + 5 * i, t + hi * h, yd);
                 }
                 if (w[2] != 0.0 && dist * dist <= guard2) {
                     status = STATUS_SINGULARITY;
@@ -497,8 +474,6 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         t = t_end;
         memcpy(y, ye, sizeof y);
-        if (truncated)
-            break;
         memcpy(k[0], k[6], sizeof k[0]);
 
         if (err_norm == 0.0) {
@@ -509,6 +484,19 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
                 fac = MAX_FACTOR;
         }
         h = h * fac;
+        if (ends) {
+            if (!have_closure) {  /* a turn-mode run that has not closed */
+                double head[8] = {t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h};
+                cont = PyBytes_FromStringAndSize(
+                    NULL, sizeof head + (7 + 6 * n) * sizeof(double));
+                if (cont == NULL)
+                    goto done;
+                double *c = (double *)PyBytes_AS_STRING(cont);
+                memcpy(c, head, sizeof head);
+                put_state(c + 8, apex, drift, min_step, peri, n);
+            }
+            break;
+        }
     }
     /* trajectory endpoints compete for the apex */
     if (fabs(y[1]) > fabs(apex[2]))

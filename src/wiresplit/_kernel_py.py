@@ -16,7 +16,8 @@ One ``_bisect`` refines every event: at most 80 halvings of the step
 fraction [lo, hi] = [0, hi] down to ``EVENT_DT`` seconds, with lo = mid
 exactly when ``(g(dense(mid)) > 0.0) == side``. The closure has g = x - x0, the apex
 g = vz with side ``vz > 0.0`` at the step's start, a periapsis
-g = -((x - xw) vx + (z - zw) vz); else side is true.
+g = -((x - xw) vx + (z - zw) vz); else side is true. Every event lies at
+its bracket's upper end: time t + hi h, state dense(hi).
 
 Error norms use the scale ``atol + rtol * |value|`` per component. With
 ``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
@@ -104,7 +105,8 @@ EVENT_DT = 1e-12  # event bisection resolution, s
 
 
 def _bisect(dense, g, side, hi, h):
-    """The event bracket ``(lo, hi)`` within [0, hi]; see the module docstring."""
+    """The event's step fraction, the upper end of its bracket within
+    [0, hi]; see the module docstring."""
     lo = 0.0
     for _ in range(80):
         if (hi - lo) * h <= EVENT_DT:
@@ -114,7 +116,7 @@ def _bisect(dense, g, side, hi, h):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return hi
 
 
 def _state(apex, drift, min_step, peri_dist, peri_state, closure=()):
@@ -155,23 +157,23 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     is one: 7 + 6 n doubles without a closure, 12 + 6 n with one.
 
     ``stop_mode`` ends the run early: ``STOP_CLOSURE`` at the closure,
-    ``STOP_TURN`` in the first accepted step where vz goes from > 0 to < 0.
-    The last row is then the dense state at the bisected bracket's hi, and
-    the events of that step are found up to it. Any other value, such as
+    whose dense state is then the last row and ends the step's events, and
+    ``STOP_TURN`` after the turn step, the first accepted step where vz goes
+    from > 0 to < 0, which is not cut. Any other value, such as
     ``STOP_NONE``, runs the whole duration.
 
-    A turn-mode run whose closure did not come before its turn step also
-    returns ``resume``, a snapshot of the stepping state at the start of
-    that step as tried: one ``bytes`` of 15 + 6 n native doubles for n
-    wires. They are t, x, z, vx, vz of the step's start row, the first
-    stage's ax and az, h, then the event state in the layout of
-    ``events``, without a closure and with the drift before its division
-    by |E0|. Every other run returns None. With the same other arguments,
-    ``resume=snapshot`` re-takes that step whole and runs on. Its rows are
-    the fresh run's after the start row, bitwise, and its counters count
-    only its own work, against ``max_steps`` too. A snapshot of any other
-    length raises ``ValueError``, and an object that is no bytes-like
-    buffer ``TypeError``.
+    A turn-mode run that has not closed by the end of its turn step also
+    returns ``resume``, a snapshot of the stepping state at the end of that
+    step: one ``bytes`` of 15 + 6 n native doubles for n wires. They are
+    t, x, z, vx, vz of the last row, their derivative's ax and az, the next
+    step's h, then the event state in the layout of ``events``, without a
+    closure and with the drift before its division by |E0|. Every other run
+    returns None. With the same other arguments, ``resume=snapshot`` runs
+    on from there as the fresh run does: its rows are the fresh run's after
+    the turn run's, bitwise, and its counters count only its own work,
+    against ``max_steps`` too, so with the turn run's they add up to the
+    fresh run's. A snapshot of any other length raises ``ValueError``, and
+    an object that is no bytes-like buffer ``TypeError``.
     """
     w = memoryview(wires).cast("B")
     if len(w) % 24:
@@ -280,8 +282,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             h = h_floor
         k1x, k1z, k1vx, k1vz = k1
     else:
-        # take up a turn-mode run at the start of its turn step; the rows
-        # up to that step's start are the turn run's
+        # take up a turn-mode run after its turn step, whose rows are the
+        # turn run's
         c = memoryview(resume).cast("B")
         if len(c) != 8 * (15 + 6 * n):
             raise ValueError("continuation does not fit this run")
@@ -301,7 +303,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         if h < h_floor:
             status = STATUS_UNDERFLOW
             break
-        h_try = h  # before the cut to the end of the run
         last = False
         if t + h >= t_bound:
             h = t_bound - t
@@ -399,38 +400,28 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         vx_end = vx_new
         vz_end = vz_new
         t_end = t_new
-        truncated = False
+        # the turn, the first step along which vz goes from > 0 to < 0,
+        # ends a turn-mode run after the whole step
+        ends = stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0
 
-        # turn: the first vz sign change from > 0 to < 0 ends a turn-mode
-        # run, and its step's events are found up to the turn
-        if stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0:
-            if closure is None:  # else a closure-mode run ended before
-                cont = (array("d", (t, x, z, vx, vz, k1vx, k1vz, h_try)).tobytes()
-                        + _state(apex, drift, min_step, peri_dist, peri_state))
-            lo, hi = _bisect(dense, lambda s: s[3], True, 1.0, h)
-            theta_end = hi
-            t_end = t + hi * h
-            x_end, z_end, vx_end, vz_end = dense(hi)
-            truncated = True
-
-        # closure: first crossing of the launch plane x = x0 moving in -x
+        # closure: first crossing of the launch plane x = x0 moving in -x;
+        # a closure-mode run ends there, cut
         if closure is None and x - x0 > 0.0 and x_end - x0 <= 0.0:
-            lo, hi = _bisect(dense, lambda s: s[0] - x0, True, theta_end, h)
+            hi = _bisect(dense, lambda s: s[0] - x0, True, theta_end, h)
             xc, zc, vxc, vzc = dense(hi)
             if vxc < 0.0:
                 closure = (t + hi * h, xc, zc, vxc, vzc)
                 if stop_mode == STOP_CLOSURE:
                     theta_end = hi
                     t_end, x_end, z_end, vx_end, vz_end = closure
-                    truncated = True
+                    ends = True
 
         # apex: interior extremum of z (vz sign change)
         if vz * vz_end < 0.0:
-            lo, hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h)
-            th = 0.5 * (lo + hi)
-            xa, za, vxa, vza = dense(th)
+            hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h)
+            xa, za, vxa, vza = dense(hi)
             if abs(za) > abs(apex[2]):
-                apex = (t + th * h, xa, za, vxa, vza)
+                apex = (t + hi * h, xa, za, vxa, vza)
 
         # per-wire periapsis: radial speed changes sign - -> +; the end row's
         # distance to each wire also gives its potential u
@@ -443,16 +434,15 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             dz1 = z_end - wz[i]
             g1 = dx1 * vx_end + dz1 * vz_end
             if g0 < 0.0 and g1 >= 0.0:
-                lo, hi = _bisect(dense, lambda s: -((s[0] - wx[i]) * s[2] + (s[1] - wz[i]) * s[3]),
-                                 True, theta_end, h)
-                th = 0.5 * (lo + hi)
-                xp, zp, vxp, vzp = dense(th)
+                hi = _bisect(dense, lambda s: -((s[0] - wx[i]) * s[2] + (s[1] - wz[i]) * s[3]),
+                             True, theta_end, h)
+                xp, zp, vxp, vzp = dense(hi)
                 dxp = xp - wx[i]
                 dzp = zp - wz[i]
                 dist = sqrt(dxp * dxp + dzp * dzp)
                 if dist < peri_dist[i]:
                     peri_dist[i] = dist
-                    peri_state[i] = (t + th * h, xp, zp, vxp, vzp)
+                    peri_state[i] = (t + hi * h, xp, zp, vxp, vzp)
                 if wi[i] != 0.0 and dist * dist <= guard2:
                     status = STATUS_SINGULARITY
                     fail_wire = i
@@ -485,8 +475,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         z = z_end
         vx = vx_end
         vz = vz_end
-        if truncated:
-            break
         k1x = k7x
         k1z = k7z
         k1vx = k7vx
@@ -499,6 +487,11 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             if fac > _MAX_FACTOR:
                 fac = _MAX_FACTOR
         h = h * fac
+        if ends:
+            if closure is None:  # a turn-mode run that has not closed
+                cont = (array("d", (t, x, z, vx, vz, k1vx, k1vz, h)).tobytes()
+                        + _state(apex, drift, min_step, peri_dist, peri_state))
+            break
 
     # trajectory endpoints compete for the apex
     if abs(z) > abs(apex[2]):

@@ -21,8 +21,8 @@ trial is the design's top branch. The inverse branch runs head-on into the
 deflector, stops and retraces its path, so its closure is decided at the
 turn: an inverse trial integrates only up to the turn and estimates the
 miss from the angular momentum left there (:func:`_turn_trial`). The top
-branch continues the accepted trial from the start of its turn step to the
-closure (``integrator._resumed``). It is bitwise the full run at that
+branch continues the accepted trial after its turn step to the closure
+(``integrator._resumed``). It is bitwise the full run at that
 current, and gives the reported, measured closure miss.
 
 On perfbench's design_mix seeds 1-3, a triangular seed lies at 0.83-0.98
@@ -201,7 +201,8 @@ def _turn_trial(wires, initial: PacketState, medium: Medium, tau: float,
     """One inverse shooting trial, run to the turn: the estimated closure
     miss (m), or :data:`CLOSURE_SENTINEL` when the branch does not turn or
     turns by a right angle or less, which retraces nothing; and the branch
-    up to the turn.
+    up to the end of the step that holds the turn. The turn is that step's
+    apex, where its vz goes from > 0 to <= 0.
 
     The estimate takes each encounter as a single-wire scattering joined by
     straight asymptotes. The branch turns at the deflector ``wires[1]``
@@ -224,13 +225,11 @@ def _turn_trial(wires, initial: PacketState, medium: Medium, tau: float,
     of perfbench's design_mix seed 1, miss / (I / I* - I* / I), for root
     I*, stays constant to 4e-6 relative from 0.35 I* to 2 I*.
     """
-    duration = tau * (1.0 + _TIME_MARGIN)
-    traj = simulate(initial, wires, medium, duration, control,
-                    stop_at_turn=True)
-    end = traj.final
-    if end.t == initial.t + duration:  # ran the whole time without turning
+    traj = simulate(initial, wires, medium, tau * (1.0 + _TIME_MARGIN),
+                    control, stop_at_turn=True)
+    if not traj.states[-2, 3] > 0.0 > traj.states[-1, 3]:  # never turned
         return CLOSURE_SENTINEL, traj
-    turner = wires[1]
+    turner, end = wires[1], traj.events.apex  # the turn, in the last step
     ang = (end.x - turner.x) * end.vz - (end.z - turner.z) * end.vx
     phi = math.pi * ang / math.hypot(ang, math.sqrt(medium.alpha) * turner.current)
     if abs(phi) >= 0.5 * math.pi:

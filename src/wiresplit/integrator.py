@@ -122,32 +122,30 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _TurnRun(Trajectory):
-    """A ``stop_at_turn`` run, with what continues it from its turn step:
-    the kernel's snapshot, and the bytes of ``t`` and ``states`` less the
-    last row; see :func:`_resumed`."""
+    """A ``stop_at_turn`` run, with the kernel's snapshot that continues it
+    after its turn step; see :func:`_resumed`."""
 
-    resume: tuple = field(repr=False)
+    resume: bytes = field(repr=False)
 
 
 @dataclass(frozen=True)
 class _Resumed(PacketState):
-    """A launch state, with the ``resume`` of a :class:`_TurnRun` from it."""
+    """A launch state, with the snapshot, ``t`` and ``states`` of a
+    :class:`_TurnRun` from it."""
 
     resume: tuple = field(default=(), repr=False)
 
 
 def _resumed(initial: PacketState, turn) -> PacketState:
     """``initial``, from which ``simulate`` takes up ``turn``, a
-    ``stop_at_turn`` run from it with the same other arguments, at the
-    start of its turn step, and re-takes that step whole. The kernel runs
-    on from the snapshot (its layout is in ``_kernel_py.integrate``), and
-    ``simulate`` puts ``turn``'s rows up to that step's start in front of
-    the new ones. The run is bitwise the fresh one, except that its
-    counters count only its own work, and so does its :data:`MAX_STEPS`
-    budget: with ``turn``'s, less that step's 1 step and 6 RHS
-    evaluations, they add up to the fresh run's. Without a continuation
-    (``turn`` did not turn, or crossed the closure first), ``initial``
-    itself.
+    ``stop_at_turn`` run from it with the same other arguments, after its
+    turn step. The kernel runs on from the snapshot (its layout is in
+    ``_kernel_py.integrate``), and ``simulate`` puts ``turn``'s rows in
+    front of the new ones. The run is bitwise the fresh one, except that
+    its counters count only its own work, and so does its
+    :data:`MAX_STEPS` budget: with ``turn``'s, they add up to the fresh
+    run's. Without a continuation (``turn`` did not turn, or closed by the
+    end of its turn step), ``initial`` itself.
 
     The continuation rides on ``simulate``'s own argument and result, so
     a continued run passes through ``simulate`` like any other, and
@@ -155,7 +153,7 @@ def _resumed(initial: PacketState, turn) -> PacketState:
     """
     if not isinstance(turn, _TurnRun):
         return initial
-    return _Resumed(**vars(initial), resume=turn.resume)
+    return _Resumed(**vars(initial), resume=(turn.resume, turn.t, turn.states))
 
 
 def simulate(initial: PacketState, wires, medium: Medium, duration: float,
@@ -167,9 +165,9 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     Events are recorded along the way; the closure is the first crossing
     of the launch plane ``x = initial.x`` with vx < 0. With
     ``stop_at_closure`` the run ends at the closure crossing instead of
-    the full duration. With ``stop_at_turn`` it ends at the turn, the
-    first point where vz goes from positive to negative, located as the
-    apex is; the events are then those up to the turn. An inverse branch
+    the full duration. With ``stop_at_turn`` it ends with the step that
+    holds the turn, the first point where vz goes from positive to
+    negative, and the turn is located as the apex is. An inverse branch
     turns at its deflector, where it retraces its path.
 
     Raises ``ValueError`` for both stop flags set, a duration that is not
@@ -254,8 +252,7 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     )
     states = memoryview(s_buf).cast("d", (len(t), 4))
     if raw["resume"] is not None:
-        return _TurnRun(t, states, events, stats, (
-            raw["resume"], memoryview(t_buf)[:-8], memoryview(s_buf)[:-32]))
+        return _TurnRun(t, states, events, stats, raw["resume"])
     return Trajectory(t=t, states=states, events=events, stats=stats)
 
 

@@ -129,7 +129,7 @@ def test_bottom_branch_matches_a_fresh_mirrored_launch(design, request,
 def test_top_branch_is_a_fresh_run_at_the_designed_wires(design, request,
                                                        medium):
     # the designer hands out its accepted triangular trial as the top
-    # branch, and continues its accepted inverse trial from the turn step;
+    # branch, and continues its accepted inverse trial after its turn step;
     # neither must change the branch
     result, top, _ = request.getfixturevalue(design)
     initial = PacketState(x=-X0, z=B, vx=V0, vz=0.0)
@@ -147,12 +147,12 @@ def test_top_branch_is_a_fresh_run_at_the_designed_wires(design, request,
         assert top.stats == fresh.stats
     else:
         # the continued branch counts only its own work: with the turn
-        # trial's, less its turn step (1 step, 6 RHS), the fresh run's
+        # trial's, the fresh run's
         turn = integrator.simulate(initial, result.wires, medium, duration,
                                    stop_at_turn=True).stats
-        assert (top.stats.n_steps + turn.n_steps - 1,
+        assert (top.stats.n_steps + turn.n_steps,
                 top.stats.n_rejected + turn.n_rejected,
-                top.stats.n_rhs_evals + turn.n_rhs_evals - 6) == (
+                top.stats.n_rhs_evals + turn.n_rhs_evals) == (
             fresh.stats.n_steps, fresh.stats.n_rejected,
             fresh.stats.n_rhs_evals)
 
@@ -299,7 +299,7 @@ class TestShootingWork:
         # for the accepted trial's branch; those repeats must not reach the
         # kernel. A triangular trial runs to the closure and the accepted one
         # is the top branch; an inverse trial runs to the turn, and the top
-        # branch continues the accepted one from its turn step
+        # branch continues the accepted one after its turn step
         closures, turns, runs = [], [], []  # closures: (current, control, miss)
         closure_trial, turn_trial = designer._closure_trial, designer._turn_trial
 
@@ -353,13 +353,35 @@ class TestShootingWork:
             assert [c for c, _, _ in closures] == [current]
             assert runs == ([(c, _kernel_py.STOP_TURN, None) for c, _ in turns]
                             + [(current, _kernel_py.STOP_CLOSURE,
-                                accepted.resume[0])])
-            # it integrates only from the turn step on
-            assert top.stats.n_steps == len(top.t) - len(accepted.t) + 1
+                                accepted.resume)])
+            # it integrates only after the turn step
+            assert top.stats.n_steps == len(top.t) - len(accepted.t)
+
+    def test_turn_trials_read_the_turn_in_their_last_step(self, paper_inputs,
+                                                          monkeypatch):
+        # _turn_trial reads the turn from the apex, which lies at the upper
+        # end of its bracket in the turn run's last step, the first along
+        # which vz goes from > 0 to < 0
+        branches = []
+        turn_trial = designer._turn_trial
+
+        def counted_turn(wires, *args):
+            miss, branch = turn_trial(wires, *args)
+            branches.append(branch)
+            return miss, branch
+
+        monkeypatch.setattr(designer, "_turn_trial", counted_turn)
+        designer.design_trajectories(DesignSpec(scheme="inverse",
+                                                inputs=paper_inputs))
+        assert branches
+        for branch in branches:
+            apex = branch.events.apex
+            assert branch.t[-2] < apex.t <= branch.t[-1]
+            assert apex.vz <= 0.0 < branch.states[-2, 3]
 
     @pytest.mark.parametrize("scheme,work", [
         ("triangular", (5, 1443, 230, 10048)),
-        ("inverse", (4, 1550, 216, 10602)),
+        ("inverse", (4, 1549, 216, 10596)),
     ])
     def test_reference_design_work(self, scheme, work, paper_inputs,
                                    monkeypatch):

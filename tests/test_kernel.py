@@ -205,7 +205,7 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
         assert closure is None and _doubles(slow["t"])[-1] < 0.06
     if case == "resumed_at_turn":
         # past the turn to the end of the run, whose branch misses the
-        # launch plane: one row per step, from the turn step on
+        # launch plane: one row per step, after the turn step
         assert closure is None and _doubles(slow["t"])[-1] == 0.11
         assert slow["n_steps"] == len(_doubles(slow["t"]))
     assert _bits(fast) == _bits(slow)
@@ -260,8 +260,10 @@ def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
 @given(launch=st.tuples(st.floats(-50e-6, -20e-6), st.floats(-2e-6, 2e-6),
                         st.floats(0.005, 0.02), st.floats(1e-6, 1e-4)),
        wire=st.tuples(st.floats(0.0, 30e-6), st.floats(-1e-6, 1e-6),
-                      st.floats(0.5, 3.0) | st.floats(-3.0, -0.5)))
-def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
+                      st.floats(0.5, 3.0) | st.floats(-3.0, -0.5)),
+       data=st.data())
+def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire,
+                                        data):
     x, z, vx, vz = launch
     xw, offset, current = wire
     duration = 3.0 * (xw - x) / vx
@@ -276,25 +278,37 @@ def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire):
     if turn[1]["resume"] is None:
         return
     # a run that turned, taken up in closure mode by each backend from the
-    # other's snapshot, is the fresh closure run after the turn step's start
-    # row. Its rows are the fresh run's after that row, and its counters
-    # with the turn run's, less the turn step's 1 step and 6 RHS
-    # evaluations, add up to the fresh run's
+    # other's snapshot, is the fresh closure run after the turn run's rows,
+    # under the run's own budget and under one drawn up to the fresh run's
+    # remaining step attempts and one more. With enough, its rows are the
+    # fresh run's tail, its events the fresh run's, and its counters with
+    # the turn run's add up to the fresh run's; with less, it runs out
+    # after a prefix of that tail
     fresh = closure[1]
-    start = turn[1]["n_steps"]  # rows up to the turn step's start
-    for kernel, source in zip(kernels, reversed(turn)):
-        resumed = kernel.integrate(*args, _kernel_py.STOP_CLOSURE,
-                                   source["resume"])
-        assert _bits(_doubles(resumed["t"])) == \
-            _bits(_doubles(fresh["t"])[start:])
-        assert _bits(_doubles(resumed["states"])) == \
-            _bits(_doubles(fresh["states"])[4 * start:])
-        rows = {"t": fresh["t"], "states": fresh["states"]}
-        assert _bits({**resumed, **rows, **{k: fresh[k] for k in COUNTERS}}) \
-            == _bits(fresh)
-        assert [resumed[k] + turn[1][k] - d
-                for k, d in zip(COUNTERS, (1, 0, 6))] == [
-            fresh[k] for k in COUNTERS]
+    start = len(turn[1]["t"]) // 8  # the turn run's rows
+    tail = (_doubles(fresh["t"])[start:], _doubles(fresh["states"])[4 * start:])
+    remaining = (fresh["n_steps"] + fresh["n_rejected"]
+                 - turn[1]["n_steps"] - turn[1]["n_rejected"])
+    for budget in (args[11], data.draw(st.integers(0, remaining + 1),
+                                       label="max_steps")):
+        resumed = [kernel.integrate(*args[:11], budget, _kernel_py.STOP_CLOSURE,
+                                    source["resume"])
+                   for kernel, source in zip(kernels, reversed(turn))]
+        assert _bits(resumed[0]) == _bits(resumed[1])
+        for run in resumed:
+            rows = (_doubles(run["t"]), _doubles(run["states"]))
+            assert len(rows[0]) == run["n_steps"]
+            if budget >= remaining:
+                assert _bits(rows) == _bits(tail)
+                assert _bits({**run, "t": fresh["t"], "states": fresh["states"],
+                              **{k: fresh[k] for k in COUNTERS}}) == _bits(fresh)
+                assert [run[k] + turn[1][k] for k in COUNTERS] == [
+                    fresh[k] for k in COUNTERS]
+            else:
+                assert run["status"] == _kernel_py.STATUS_MAXSTEPS
+                assert run["n_steps"] + run["n_rejected"] == budget
+                assert _bits(rows) == _bits((tail[0][:len(rows[0])],
+                                             tail[1][:len(rows[1])]))
 
 
 def test_continued_run_budget_counts_only_its_own_steps(medium,
@@ -482,13 +496,12 @@ def test_stop_at_turn_ends_at_first_descending_vz_zero(medium):
     vz = full_states[:, 3]
     # the first step along which vz goes from > 0 to < 0
     i = next(i for i in range(len(vz) - 1) if vz[i] > 0.0 > vz[i + 1])
-    n = len(half.t)
-    # the same steps up to it, then that step cut at the turn
-    assert n == i + 2
-    assert np.array_equal(np.asarray(half.states)[:-1], full_states[:i + 1])
-    assert full.t[i] < half.final.t < full.t[i + 1]
-    assert half.final.vz <= 0.0 < half.states[-2, 3]
-    assert half.events.apex.t == pytest.approx(half.final.t, abs=2e-12)
+    # the same steps up to it and that step whole, with the turn inside it
+    assert len(half.t) == i + 2
+    assert np.array_equal(half.t, full.t[:i + 2])
+    assert np.array_equal(half.states, full_states[:i + 2])
+    assert full.t[i] < half.events.apex.t <= full.t[i + 1]
+    assert half.events.apex.vz <= 0.0 < half.states[-2, 3]
     assert half.events.closure is None
 
 
