@@ -6,8 +6,9 @@
  * Hermite dense output, one bisect() for every event with the twin's event
  * functions and sides and every event at its bracket's upper end, the
  * twin's stop modes (none, closure, turn: a turn run ends after its whole
- * turn step), and a zero error scale (atol = 0) counting 0 in the
- * initial-step norms, 0/0 as 0 and err/0 as inf in the step error norm.
+ * turn step), the twin's first step from the launch geometry, and a zero
+ * error scale (atol = 0) counting 0/0 as 0 and err/0 as inf in the step
+ * error norm.
  * The boundary carries the twin's packed native doubles both ways: the
  * "wires" buffer in; out, the samples ("t", n times, and "states", n rows
  * x, z, vx, vz), the "events" state and the "resume" snapshot of a turn
@@ -18,10 +19,9 @@
  * min() treat NaN as Python does, and the file must be built without FMA
  * contraction (-ffp-contract=off), so both backends return equal doubles.
  *
- * Every division is IEEE and none is trapped. A zero h0 in the initial-step
- * heuristic (atol = 0 at a launch coordinate near 1e-300) makes d2 inf, or
- * NaN for a zero numerator, and the first step falls back to
- * duration * 1e-6, as in the twin. deriv() divides by r2 * r2 only for
+ * Every division is IEEE and none is trapped: a launch at rest makes the
+ * first step's 0.1 d_min / |v| inf or NaN, and the step is then the whole
+ * duration, as in the twin. deriv() divides by r2 * r2 only for
  * r2 > guard_radius^2 * 1e-6, which never rounds to 0 for a guard_radius of
  * at least 1.3e-78 m; a direct caller must pass at least that, and simulate()
  * passes field.GUARD_RADIUS (1 nm).
@@ -107,11 +107,6 @@ static void combine(double *out, const double *y, double h, const double *a,
                 s += a[j] * k[j][c];
         out[c] = y ? y[c] + h * s : h * s;
     }
-}
-
-static double rms4(const double *q)
-{
-    return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]));
 }
 
 /* one accepted step of size h from y (derivative k1) to yn (k7) */
@@ -260,8 +255,9 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     double t = t0, t_bound = t0 + duration;
     double y[4] = {x0, z0, vx0, vz0};
 
-    /* event accumulators, and the launch row's potential u */
-    double apex[5], closure[5] = {0}, u = 0.0;
+    /* event accumulators, the launch row's potential u and the distance
+     * d_min to the nearest powered wire */
+    double apex[5], closure[5] = {0}, u = 0.0, d_min = HUGE_VAL;
     int have_closure = 0;
     set5(apex, t, y);
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -269,8 +265,11 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         double dx = y[0] - w[0], dz = y[1] - w[1], r2 = dx * dx + dz * dz;
         peri[i] = sqrt(r2);
         set5(peri_st + 5 * i, t, y);
-        if (w[2] != 0.0)
-            u += 0.5 * alpha * w[2] * w[2] / r2;
+        if (w[2] == 0.0)
+            continue;
+        u += 0.5 * alpha * w[2] * w[2] / r2;
+        if (peri[i] < d_min)
+            d_min = peri[i];
     }
     /* the launch row's energy, and the largest |E - E0| over the rows so far
      * (NaN once any is NaN) */
@@ -286,39 +285,13 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     if (resume == Py_None) {
         if (push(&t_buf, &t, 1) < 0 || push(&y_buf, y, 4) < 0)
             goto done;
-        /* initial step size (Hairer-style heuristic); a component whose scale
-         * is exactly 0 contributes 0 to the norms d0, d1 and d2 */
+        /* the first step carries the packet a tenth of the way to the
+         * nearest powered wire at its launch speed, and at most the whole
+         * duration: at rest 0.1 d_min / 0 is inf or NaN, the twin's inf */
         deriv(&f, y, k[0]);
-        for (int c = 0; c < 4; c++) {
-            sc[c] = atol + rtol * fabs(y[c]);
-            q[c] = sc[c] != 0.0 ? y[c] / sc[c] : 0.0;
-        }
-        double d0 = rms4(q);
-        for (int c = 0; c < 4; c++)
-            q[c] = sc[c] != 0.0 ? k[0][c] / sc[c] : 0.0;
-        double d1 = rms4(q);
-        double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
-        if (h0 > duration)
-            h0 = duration;
-        for (int c = 0; c < 4; c++)
-            ys[c] = y[c] + h0 * k[0][c];
-        deriv(&f, ys, k[1]);
-        for (int c = 0; c < 4; c++)
-            q[c] = sc[c] != 0.0 ? (k[1][c] - k[0][c]) / sc[c] : 0.0;
-        double d2 = rms4(q) / h0;
-        double dm = d1 > d2 ? d1 : d2;
-        double h1;
-        if (dm <= 1e-15)
-            h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
-        else
-            h1 = pow(0.01 / dm, 0.2);
-        h = 100.0 * h0;  /* min(100 h0, h1, duration), as Python's min */
-        if (h1 < h)
-            h = h1;
-        if (duration < h)
+        h = 0.1 * d_min / sqrt(y[2] * y[2] + y[3] * y[3]);
+        if (!(h < duration))
             h = duration;
-        if (!(h > 0.0))
-            h = duration * 1e-6;
         /* a first step under the step floor starts at the floor, unless the
          * floor exceeds the whole duration, as in the twin */
         h_floor = 16.0 * EPS * (fabs(t) > fabs(t_bound) ? fabs(t) : fabs(t_bound));
@@ -375,7 +348,8 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             q[c] = sc[c] != 0.0 ? err[c] / sc[c]
                                 : (err[c] == 0.0 ? 0.0 : err[c] * HUGE_VAL);
         }
-        double err_norm = rms4(q), fac;
+        double fac, err_norm = sqrt(0.25 * (q[0] * q[0] + q[1] * q[1]
+                                            + q[2] * q[2] + q[3] * q[3]));
 
         if (!(err_norm <= 1.0)) {
             n_rejected++;

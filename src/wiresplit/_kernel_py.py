@@ -19,21 +19,21 @@ g = vz with side ``vz > 0.0`` at the step's start, a periapsis
 g = -((x - xw) vx + (z - zw) vz); else side is true. Every event lies at
 its bracket's upper end: time t + hi h, state dense(hi).
 
-Error norms use the scale ``atol + rtol * |value|`` per component. With
-``atol = 0`` a component that is exactly 0 has scale 0; it counts 0 in the
-initial-step heuristic's norms, and in a step's error norm 0/0 counts 0
-while any other error counts err/0.0 as IEEE division gives it (+-inf, or
-NaN for a NaN error), so the step is rejected.
+The first step carries the packet a tenth of the way to the nearest
+powered wire at its launch speed, ``0.1 * d_min / |v|``, and at most the
+whole duration, which it is at rest or without a powered wire; a first
+step under the step floor starts at the floor, unless the floor exceeds
+the duration. A step's error norm uses the scale ``atol + rtol * |value|``
+per component. With ``atol = 0`` a component that is exactly 0 has scale
+0; then 0/0 counts 0, while any other error counts err/0.0 as IEEE
+division gives it (+-inf, or NaN for a NaN error), so the step is
+rejected.
 
-Every division follows IEEE rules and none raises. The only divisor that
-can be 0 unguarded is the initial-step heuristic's h0, for example when
-atol = 0 and a launch coordinate is near 1e-300, so that d1 is inf. Then
-d2 = rms/h0 is inf (NaN for rms = 0), the first step
-min(100 h0, h1, duration) is 0, and it falls back to ``duration * 1e-6``.
-The force divides by r2 * r2 only for r2 > guard_radius^2 * 1e-6, which
-stays positive for a guard_radius of (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or
-more; a direct caller must pass at least that, and ``simulate`` passes
-``field.GUARD_RADIUS`` (1 nm). The potential divides by r2 unguarded, and
+Every division follows IEEE rules and none raises: at rest, the first
+step's 0.1 d_min / 0 counts inf. The force divides by r2 * r2 only for
+r2 > guard_radius^2 * 1e-6, which stays positive for a guard_radius of
+(2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or more; a direct caller must pass at
+least that, and ``simulate`` passes ``field.GUARD_RADIUS`` (1 nm). The potential divides by r2 unguarded, and
 r2 = 0 gives alpha I^2 / 2 / 0 as IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
@@ -148,7 +148,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     ``TypeError``. Returns a plain dict; the integrator module wraps it.
     Events -- apex of |z|, per-wire periapsis, first re-crossing of the
     launch plane moving in -x -- are located by sign-change bracketing on
-    the dense output and refined by bisection to ``EVENT_DT`` seconds.
+    the dense output and refined by bisection to ``EVENT_DT`` seconds. The
+    first step is a tenth of the launch distance to the nearest powered
+    wire over the launch speed, at most ``duration`` (module docstring).
 
     The result's ``events`` is one ``bytes`` of native doubles: the apex
     (t, x, z, vx, vz), the energy drift divided by |E0|, ``min_step``,
@@ -213,11 +215,13 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     vx = float(vx0)
     vz = float(vz0)
 
-    # event accumulators, and the launch row's potential u (c / 0 is IEEE's)
+    # event accumulators, the launch row's potential u (c / 0 is IEEE's)
+    # and the distance d_min to the nearest powered wire
     apex = (t, x, z, vx, vz)
     peri_dist = [0.0] * n
     peri_state = [None] * n
     u = 0.0
+    d_min = _INF
     for i in range(n):
         dx = x - wx[i]
         dz = z - wz[i]
@@ -227,6 +231,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         if wi[i] != 0.0:
             c = 0.5 * alpha * wi[i] * wi[i]
             u += c / r2 if r2 != 0.0 else c * _INF
+            if peri_dist[i] < d_min:
+                d_min = peri_dist[i]
     closure = None
 
     # one sample per row: its time, and its state (x, z, vx, vz)
@@ -244,43 +250,21 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     min_step = duration
 
     if resume is None:
-        # initial step size (Hairer-style heuristic); a component whose
-        # scale is exactly 0 (atol = 0 and the value 0) counts 0 in the
-        # norms d0, d1 and d2
-        y = (x, z, vx, vz)
-        k1 = (vx, vz) + accel(x, z)
+        # the first step carries the packet a tenth of the way to the
+        # nearest powered wire at its launch speed, and at most the whole
+        # duration (so the whole duration at rest or without a powered wire)
+        k1vx, k1vz = accel(x, z)
         n_rhs += 1
-        sc = [atol + rtol * abs(v) for v in y]
-
-        def rms(v):
-            q = [v[c] / sc[c] if sc[c] != 0.0 else 0.0 for c in range(4)]
-            return sqrt(0.25 * (q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
-
-        d0 = rms(y)
-        d1 = rms(k1)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        if h0 > duration:
-            h0 = duration
-        ys = [y[c] + h0 * k1[c] for c in range(4)]
-        k2 = (ys[2], ys[3]) + accel(ys[0], ys[1])
-        n_rhs += 1
-        rms2 = rms([k2[c] - k1[c] for c in range(4)])
-        d2 = rms2 / h0 if h0 != 0.0 else rms2 * _INF
-        dm = d1 if d1 > d2 else d2
-        if dm <= 1e-15:
-            h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
-        else:
-            h1 = (0.01 / dm) ** 0.2
-        h = min(100.0 * h0, h1, duration)
-        if not (h > 0.0):
-            h = duration * 1e-6
-        # a first step under the step floor (a tiny nonzero component's
-        # tiny scale at atol = 0) starts at the floor instead, unless the
-        # floor exceeds the whole duration
+        speed = sqrt(vx * vx + vz * vz)
+        h = 0.1 * d_min / speed if speed != 0.0 else _INF
+        if not (h < duration):
+            h = duration
+        # a first step under the step floor (a launch on a wire, or far
+        # into the future) starts at the floor instead, unless the floor
+        # exceeds the whole duration
         h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
         if h < h_floor < duration:
             h = h_floor
-        k1x, k1z, k1vx, k1vz = k1
     else:
         # take up a turn-mode run after its turn step, whose rows are the
         # turn run's
@@ -288,9 +272,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         if len(c) != 8 * (15 + 6 * n):
             raise ValueError("continuation does not fit this run")
         t, x, z, vx, vz, k1vx, k1vz, h = c[:64].cast("d").tolist()
-        k1x, k1z = vx, vz
         apex, drift, min_step, peri_dist, peri_state, _ = _unstate(c[64:], n)
         ts, states = [], []
+    k1x, k1z = vx, vz
     cont = None  # this run's continuation
 
     while True:

@@ -48,9 +48,9 @@ class StepControl:
     Each state component has the error scale ``atol + rtol * |value|``.
     ``atol=0`` is pure relative control, which carries no length unit and
     so keeps runs covariant under a change of scale. A component that is
-    exactly 0 then has scale 0: it counts 0 in the initial-step heuristic,
-    and in a step's error norm it counts 0 when its error is 0 and rejects
-    the step otherwise.
+    exactly 0 then has scale 0: in a step's error norm it counts 0 when its
+    error is 0 and rejects the step otherwise. Neither tolerance enters the
+    first step, which comes from the launch geometry (see ``_kernel_py``).
 
     The rest is fixed: the guard radius around each wire is
     ``field.GUARD_RADIUS`` (1 nm), the step budget is :data:`MAX_STEPS`, and

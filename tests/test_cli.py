@@ -173,10 +173,10 @@ class TestSimulateCommand:
         events = json.loads((out / "events.json").read_text())
         assert events["stats"]["n_steps"] > 0
 
-    def test_zero_initial_step_exit_code(self, tmp_path):
-        # atol = 0 and x = 1e-300 m: the initial-step heuristic's h0 is 0,
-        # d2 = rms / h0 is inf under IEEE rules, and the first step falls
-        # back to duration * 1e-6
+    def test_tiny_launch_coordinate_exit_code(self, tmp_path):
+        # atol = 0 and x = 1e-300 m: x's launch error scale rtol |x| is
+        # subnormal, and vx over it overflows to inf; no such ratio may
+        # reach the first step, which must be finite and positive
         cfg_data = {
             **SIM_CFG,
             "wires": [{"x_um": 0.0, "z_um": 300.0, "current_a": 2.0}],

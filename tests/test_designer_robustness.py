@@ -48,7 +48,7 @@ def test_tight_retrace_geometry_fails_with_best_iterate(kw):
 
 @pytest.mark.parametrize("kw,best,runs", [
     (TIGHT_RETRACE[0], (8.465188e-3, -4.255e-4), 16),
-    (TIGHT_RETRACE[1], (3.563161e-4, -6.208e-6), 15),
+    (TIGHT_RETRACE[1], (3.563161e-4, -6.250e-6), 15),
 ])
 def test_tight_retrace_failure_costs_no_more_kernel_runs(kw, best, runs,
                                                          monkeypatch):

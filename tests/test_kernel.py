@@ -112,14 +112,14 @@ def _bitwise_case(name, medium):
         if name.startswith("z_axis"):
             initial, wires = _symmetric_scenario()
         elif name.startswith("tiny_vz"):
-            # vz's error scale rtol |vz| = 1e-41 m/s makes the initial-step
-            # heuristic's first step fall under the step floor at t = 0
+            # vz's launch error scale is rtol |vz| = 1e-41 m/s; each step's
+            # scale takes the larger end, so the run steps as at vz = 0
             initial = PacketState(x=-300e-6, z=0.5e-6, vx=0.01, vz=1e-30)
         duration, control = 0.06, PURE_RELATIVE
     elif name == "extreme_launch":
-        # atol = 0 and x = 1e-300: vx / (rtol |x|) overflows to inf in the
-        # initial-step heuristic, so its h0 is 0 and d2 = rms / h0 is inf;
-        # the first step falls back to duration * 1e-6
+        # atol = 0 and x = 1e-300: x's launch error scale rtol |x| is
+        # subnormal, and vx / (rtol |x|) overflows to inf; the first step
+        # comes from the distance to the wire, which no scale enters
         initial = PacketState(x=1e-300, z=0.5e-6, vx=0.01, vz=0.0)
         wires = (Wire(0.0, 300e-6, 2.0),)
         duration, control = 0.01, PURE_RELATIVE
@@ -400,8 +400,8 @@ def test_energy_drift_matches_numpy_reference(request, medium, case):
 
 
 def test_pure_relative_control_with_zero_vz(medium):
-    # vz = 0 at launch gives vz a zero error scale in the initial-step
-    # heuristic; the run must complete and agree with the default control
+    # vz = 0 at launch gives vz a zero error scale at the launch; the run
+    # must complete and agree with the default control
     initial, wires = _fig_scenario()
     traj = simulate(initial, wires, medium, 0.06, PURE_RELATIVE)
     ref = simulate(initial, wires, medium, 0.06)
