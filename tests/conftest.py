@@ -1,7 +1,9 @@
 import importlib.util
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -71,10 +73,11 @@ def compiled_kernel(tmp_path_factory):
     runs only as a script).
 
     It is compiled into a temporary directory, so a build left in the source
-    tree (or none) does not matter. Skips only without a C compiler or
-    ``Python.h``.
+    tree (or none) does not matter. The compiler is ``CC`` from the
+    environment when set, as setup.py's build takes it, else Python's
+    configured one. Skips only without that compiler or ``Python.h``.
     """
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
     include = sysconfig.get_paths()["include"]
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler ({cc[0]})")
@@ -88,7 +91,15 @@ def compiled_kernel(tmp_path_factory):
     flags = setup_module.KERNEL.extra_compile_args
     subprocess.run([*cc, *flags, "-shared", "-fPIC", f"-I{include}",
                     str(KERNEL_SOURCE), "-o", str(out)], check=True)
-    spec = importlib.util.spec_from_file_location("wiresplit._kernel", out)
+    # loading an extension enters it in sys.modules, where a later
+    # ``from wiresplit import _kernel`` would find it: keep the entry as it was
+    name = "wiresplit._kernel"
+    previous = sys.modules.get(name)
+    spec = importlib.util.spec_from_file_location(name, out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if previous is None:
+        sys.modules.pop(name, None)
+    else:
+        sys.modules[name] = previous
     return module

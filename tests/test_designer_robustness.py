@@ -1,11 +1,16 @@
 """Designer behaviour away from the reference configuration."""
 
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiresplit import ScatteringInputs, integrator
+from wiresplit import InfeasibleDesignError, ScatteringInputs, _kernel_py, integrator
 from wiresplit.designer import DesignFailure, DesignSpec, design_trajectories
+from wiresplit.integrator import event_log_dict
 
 
 @pytest.mark.parametrize("scheme,kw", [
@@ -83,3 +88,70 @@ def test_far_root_that_never_splits_fails():
     with pytest.raises(DesignFailure, match="failed to bracket") as exc:
         design_trajectories(spec)
     assert exc.value.best_current == pytest.approx(5.436652e2, rel=1e-6)
+
+
+def _design_outcome(spec, kernel):
+    """``design_trajectories(spec)`` on ``kernel``: the result and both
+    branches, or the exception it raised."""
+    default, integrator._kernel = integrator._kernel, kernel
+    try:
+        return design_trajectories(spec)
+    except Exception as exc:
+        return exc
+    finally:
+        integrator._kernel = default
+
+
+def _bits(obj):
+    """``obj`` with every float replaced by its hex form, so == is bitwise."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    return obj
+
+
+def _record(outcome):
+    """Everything a design hands back, as comparable data."""
+    if isinstance(outcome, Exception):
+        return (type(outcome), str(outcome),
+                _bits([getattr(outcome, "best_current", None),
+                       getattr(outcome, "best_error", None)]))
+    result, top, bottom = outcome
+    return (_bits(result.to_dict()),
+            [(branch.t.tobytes(), branch.states.tobytes(),
+              _bits(event_log_dict(branch))) for branch in (top, bottom)])
+
+
+# the input domain of the paper's designs: launch speed (log-uniform over
+# 5 mm/s-1 m/s), initial half-split b, launch distance x0, and the flight
+# margin s = v0 tau / (2 x0). 30 draws add about 2 s to Tier-1 on the
+# Python backend (each draw designs on both backends)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(scheme=st.sampled_from(["triangular", "inverse"]),
+       v0=st.floats(math.log(5e-3), 0.0).map(math.exp),
+       b=st.floats(0.1e-6, 2e-6), x0=st.floats(150e-6, 500e-6),
+       s=st.floats(1.55, 2.5))
+def test_designs_across_the_domain_agree_on_both_backends(
+        compiled_kernel, scheme, v0, b, x0, s):
+    spec = DesignSpec(scheme=scheme, inputs=ScatteringInputs(
+        v0=v0, b=b, x0=x0, tau=2.0 * s * x0 / v0))
+    twin = _design_outcome(spec, _kernel_py)
+    assert _record(_design_outcome(spec, compiled_kernel)) == _record(twin)
+    if isinstance(twin, Exception):
+        assert type(twin) in (DesignFailure, InfeasibleDesignError), twin
+        return
+    result, top, bottom = twin
+    assert result.closure_error <= spec.closure_tolerance
+    # the bottom branch is the top's exact z-mirror
+    assert bottom.t.tobytes() == top.t.tobytes()
+    assert np.array_equal(np.asarray(bottom.states),
+                          np.asarray(top.states) * [1.0, -1.0, 1.0, -1.0])
+    closure = top.events.closure
+    assert abs(closure.x + x0) <= _kernel_py.EVENT_DT * abs(closure.vx)
+    # a split design separates the branches far beyond the initial split
+    # 2 b (at least 85 times over 300 random specs); an unsplit one returns
+    # with exactly 2 b
+    assert result.max_separation > 10.0 * (2.0 * b)

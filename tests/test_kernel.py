@@ -151,6 +151,24 @@ def _bitwise_case(name, medium):
             "near_wire_3": (1.0, 3.0, 0.01, 0.0, 1.57)}[name]
         initial = PacketState(x=x * 0.5e-6, z=z * 0.5e-6, vx=vx, vz=vz)
         wires, duration = (Wire(0.0, 0.0, current),), 25e-6
+    elif name == "at_rest":
+        # at rest 300 um from the wire: the first step's 0.1 d_min / |v| is
+        # inf, so it tries the whole duration, and the controller accepts it
+        initial = PacketState(x=-300e-6, z=0.5e-6, vx=0.0, vz=0.0)
+    elif name == "no_powered_wire":
+        # d_min is inf: one step over the whole duration
+        wires = (Wire(0.0, 0.0, 0.0),)
+    elif name == "guard_launch":
+        # launched 1.5 GUARD_RADIUS from the wire toward it, a first try of
+        # 1.5e-8 s; at this vz, sqrt(vx^2 + vz^2) and libm's hypot(vx, vz)
+        # differ in the last bit, so the rows show how |v| is rounded
+        initial = PacketState(x=-1.5 * GUARD_RADIUS, z=0.0, vx=0.01, vz=1e-4)
+        duration = 1e-3
+    elif name == "late_launch":
+        # at t0 = 1e6 s the step floor 16 eps |t| is 3.55e-9 s, and the
+        # first step 0.1 * 20 nm / (1 m/s) = 2e-9 s starts at the floor
+        initial = PacketState(x=-20e-9, z=0.0, vx=-1.0, vz=0.0, t=1e6)
+        wires, duration = (Wire(0.0, 0.0, 1e-3),), 1e-6
     elif name == "uneven_current":
         # (alpha I) I and alpha (I I) differ in the last bit for this I (not
         # for 2.0 or 1.57), so the force coefficient's rounding shows
@@ -162,6 +180,34 @@ def _bitwise_case(name, medium):
         args = (*args[:-1], _kernel_py.STOP_CLOSURE,
                 _kernel_py.integrate(*args)["resume"])
     return args, status
+
+
+# launches whose first step is an edge of the rule 0.1 d_min / |v|
+FIRST_STEP_CASES = ["at_rest", "no_powered_wire", "guard_launch", "late_launch"]
+
+
+@pytest.mark.parametrize("case", FIRST_STEP_CASES)
+def test_first_step_cases_complete_under_simulate(medium, case):
+    args, _ = _bitwise_case(case, medium)
+    x, z, vx, vz, t0, duration, wires = args[:7]
+    w = memoryview(wires).cast("d").tolist()
+    traj = simulate(PacketState(x=x, z=z, vx=vx, vz=vz, t=t0),
+                    [Wire(*w[i:i + 3]) for i in range(0, len(w), 3)], medium,
+                    duration, StepControl(rtol=args[8], atol=args[9]))
+    assert traj.t[-1] == t0 + duration
+    assert traj.t.tobytes() == _kernel_py.integrate(*args)["t"]
+
+
+def test_first_step_is_a_tenth_of_the_way_to_the_nearest_wire(
+        triangular_design):
+    # the reference top branch's first step is accepted whole; d_min and
+    # |v| are computed as the kernels compute them
+    result, top, _ = triangular_design
+    x, z, vx, vz = top.states.tolist()[0]
+    d_min = min(math.sqrt((x - w.x) * (x - w.x) + (z - w.z) * (z - w.z))
+                for w in result.wires if w.current != 0.0)
+    assert top.t[1] - top.t[0] == 0.1 * d_min / math.sqrt(vx * vx + vz * vz)
+    assert top.t[1] - top.t[0] == 0.0030000041666637728
 
 
 def _doubles(buf):
@@ -192,13 +238,20 @@ def _bits(obj):
                                   "triangular_closure",
                                   "triangular_closure_mirror", "bisection_cap",
                                   "vz0_pure_relative", "z_axis_pure_relative",
-                                  "tiny_vz_pure_relative", "extreme_launch"])
+                                  "tiny_vz_pure_relative", "extreme_launch",
+                                  *FIRST_STEP_CASES])
 def test_backends_bitwise_identical(medium, compiled_kernel, case):
     args, status = _bitwise_case(case, medium)
     fast = compiled_kernel.integrate(*args)
     slow = _kernel_py.integrate(*args)
     assert slow["status"] == status
     closure = _events(slow, args[6])[5]
+    if case in ("at_rest", "no_powered_wire", "no_wires"):
+        assert slow["n_steps"] == 1 and slow["n_rejected"] == 0
+        assert _doubles(slow["t"]) == [0.0, args[5]]
+    if case == "late_launch":
+        t_bound = args[4] + args[5]
+        assert _events(slow, args[6])[2] == 16.0 * _kernel_py._EPS * t_bound
     if case == "stop_at_closure":
         assert closure is not None and _doubles(slow["t"])[-1] < 0.02
     if case == "stop_at_turn":
