@@ -33,8 +33,9 @@ Every division follows IEEE rules and none raises: at rest, the first
 step's 0.1 d_min / 0 counts inf. The force divides by r2 * r2 only for
 r2 > guard_radius^2 * 1e-6, which stays positive for a guard_radius of
 (2^-1075 / 1e-12)^(1/4) = 1.3e-78 m or more; a direct caller must pass at
-least that, and ``simulate`` passes ``field.GUARD_RADIUS`` (1 nm). The potential divides by r2 unguarded, and
-r2 = 0 gives alpha I^2 / 2 / 0 as IEEE does.
+least that, and ``simulate`` passes ``field.GUARD_RADIUS`` (1 nm). The
+potential divides by r2 unguarded, and r2 = 0 gives alpha I^2 / 2 / 0 as
+IEEE does.
 
 State vector: (x, z, vx, vz). The force is the superposition of
 independent single-wire repulsions, a = sum_i alpha I_i^2 / r_i^3 * rhat_i,
@@ -259,8 +260,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         h = 0.1 * d_min / speed if speed != 0.0 else _INF
         if not (h < duration):
             h = duration
-        # a first step under the step floor (a launch on a wire, or far
-        # into the future) starts at the floor instead, unless the floor
+        # a first step under the step floor (a launch very near a wire, or
+        # late in time) starts at the floor instead, unless the floor
         # exceeds the whole duration
         h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
         if h < h_floor < duration:

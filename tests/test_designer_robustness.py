@@ -12,6 +12,8 @@ from wiresplit import InfeasibleDesignError, ScatteringInputs, _kernel_py, integ
 from wiresplit.designer import DesignFailure, DesignSpec, design_trajectories
 from wiresplit.integrator import event_log_dict
 
+from test_kernel import _bits
+
 
 @pytest.mark.parametrize("scheme,kw", [
     ("triangular", dict(v0=0.005, b=0.25e-6, x0=200e-6, tau=0.12)),
@@ -100,17 +102,6 @@ def _design_outcome(spec, kernel):
         return exc
     finally:
         integrator._kernel = default
-
-
-def _bits(obj):
-    """``obj`` with every float replaced by its hex form, so == is bitwise."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, (list, tuple)):
-        return [_bits(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _bits(v) for k, v in obj.items()}
-    return obj
 
 
 def _record(outcome):
