@@ -3,7 +3,9 @@
 Jobs are described by flat JSON config files whose field names carry their
 units (``b_um``, ``v0_m_per_s``, ``tau_s``, ...); micrometre fields are
 converted to SI on load so that every number in every output file is SI.
-The human-readable summary on stdout uses micrometres and amperes.
+The human-readable summary on stdout uses micrometres and amperes. Each
+command's schema names the library argument of each of its fields, and a
+field the config leaves out takes the library's default.
 
 Exit codes: 0 success, 2 invalid config or unusable ``--out``, 3 design
 failure, 4 integration failure.
@@ -37,7 +39,6 @@ from .model import (
     PacketState,
     ScatteringInputs,
     Wire,
-    default_medium,
     make_medium,
 )
 from .sweep import (
@@ -75,15 +76,28 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _take(cfg: dict, schema: dict, where: str) -> dict:
-    """Pull and convert fields per schema {name: (required, converter)}."""
-    out = {}
-    for name, (required, convert) in schema.items():
+def _config(args, schema: dict) -> tuple[dict, dict]:
+    """The command's config, ``{}`` without ``--config``, and its library
+    keyword arguments per ``schema``."""
+    cfg = _load_config(args.config) if args.config else {}
+    return cfg, _take(cfg, schema, f"{args.command} config")
+
+
+def _take(cfg, schema: dict, where: str) -> dict:
+    """The library keyword arguments of the object ``cfg``, per schema
+    {field: (argument, converter, required)}; a field whose argument is None
+    is checked and dropped."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
+    kwargs = {}
+    for name, (argument, convert, required) in schema.items():
         if name in cfg:
             try:
-                out[name] = convert(cfg[name])
+                value = convert(cfg[name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"field {name!r} in {where}: {exc}") from exc
+            if argument is not None:
+                kwargs[argument] = value
         elif required:
             raise ConfigError(f"missing required field {name!r} in {where}")
     unknown = set(cfg) - set(schema)
@@ -91,7 +105,12 @@ def _take(cfg: dict, schema: dict, where: str) -> dict:
         raise ConfigError(
             f"unknown field(s) in {where}: {', '.join(sorted(unknown))}"
         )
-    return out
+    return kwargs
+
+
+def _pop(kwargs: dict, *names) -> dict:
+    """Remove ``names`` from ``kwargs`` and return those that were set."""
+    return {name: kwargs.pop(name) for name in names if name in kwargs}
 
 
 def _real(v) -> float:
@@ -138,52 +157,33 @@ def _um_list(v):
     return [_um(x) for x in _array(v)]
 
 
-def _medium_from(params: dict):
-    if "chi_m_m3_per_kg" in params:
-        return make_medium(params["chi_m_m3_per_kg"])
-    return default_medium()
-
-
-def _library_args(params: dict, names: dict) -> dict:
-    """The config fields that are set, under the library's parameter names,
-    so that the library's own defaults fill in the rest."""
-    return {arg: params[field] for field, arg in names.items() if field in params}
-
-
-def _control_from(params: dict) -> StepControl:
-    return StepControl(**_library_args(params, {
-        "rtol": "rtol", "atol_m": "atol"}))
-
+# the fields commands share: the medium, a packet's mass (metadata only; the
+# dynamics is mass-free) and the step control of the commands that integrate
+_MEDIUM_FIELDS = {"chi_m_m3_per_kg": ("chi_m", _real, False)}
+_MASS_FIELD = {"mass_kg": (None, _real, False)}
+_CONTROL_FIELDS = {"rtol": ("rtol", _real, False),
+                   "atol_m": ("atol", _real, False)}
 
 _DESIGN_SCHEMA = {
-    "scheme": (True, _text),
-    "v0_m_per_s": (True, _real),
-    "b_um": (True, _um),
-    "x0_um": (True, _um),
-    "tau_s": (True, _real),
-    "chi_m_m3_per_kg": (False, _real),
-    "closure_tolerance_m": (False, _real),
-    "mass_kg": (False, _real),  # metadata only; the dynamics is mass-free
-    "rtol": (False, _real),
-    "atol_m": (False, _real),
+    "scheme": ("scheme", _text, True),
+    "v0_m_per_s": ("v0", _real, True),
+    "b_um": ("b", _um, True),
+    "x0_um": ("x0", _um, True),
+    "tau_s": ("tau", _real, True),
+    **_MEDIUM_FIELDS,
+    "closure_tolerance_m": ("closure_tolerance", _real, False),
+    **_MASS_FIELD, **_CONTROL_FIELDS,
 }
 
 
 def _cmd_design(args, outputs) -> int:
-    cfg = _load_config(args.config)
-    params = _take(cfg, _DESIGN_SCHEMA, "design config")
-    inputs = ScatteringInputs(
-        v0=params["v0_m_per_s"], b=params["b_um"],
-        x0=params["x0_um"], tau=params["tau_s"],
-    )
+    cfg, kwargs = _config(args, _DESIGN_SCHEMA)
     spec = DesignSpec(
-        scheme=params["scheme"],
-        inputs=inputs,
-        **_library_args(params, {
-            "closure_tolerance_m": "closure_tolerance"}),
+        inputs=ScatteringInputs(**_pop(kwargs, "v0", "b", "x0", "tau")),
+        **_pop(kwargs, "scheme", "closure_tolerance"),
     )
-    medium = _medium_from(params)
-    control = _control_from(params)
+    medium = make_medium(**_pop(kwargs, "chi_m"))
+    control = StepControl(**_pop(kwargs, "rtol", "atol"))
 
     result, top, bottom = design_trajectories(spec, medium, control)
 
@@ -220,47 +220,33 @@ def _cmd_design(args, outputs) -> int:
 
 
 _SIMULATE_SCHEMA = {
-    "wires": (True, _array),
-    "initial": (True, _object),
-    "duration_s": (True, _real),
-    "chi_m_m3_per_kg": (False, _real),
-    "mass_kg": (False, _real),
-    "rtol": (False, _real),
-    "atol_m": (False, _real),
+    "wires": ("wires", _array, True),
+    "initial": ("initial", _object, True),
+    "duration_s": ("duration", _real, True),
+    **_MEDIUM_FIELDS, **_MASS_FIELD, **_CONTROL_FIELDS,
 }
 
-_WIRE_SCHEMA = {
-    "x_um": (True, _um),
-    "z_um": (True, _um),
-    "current_a": (True, _real),
-}
-
+# a wire's position and the packet's launch point
+_POINT_FIELDS = {"x_um": ("x", _um, True), "z_um": ("z", _um, True)}
+_WIRE_SCHEMA = {**_POINT_FIELDS, "current_a": ("current", _real, True)}
 _INITIAL_SCHEMA = {
-    "x_um": (True, _um),
-    "z_um": (True, _um),
-    "vx_m_per_s": (True, _real),
-    "vz_m_per_s": (True, _real),
-    "t_s": (False, _real),
+    **_POINT_FIELDS,
+    "vx_m_per_s": ("vx", _real, True),
+    "vz_m_per_s": ("vz", _real, True),
+    "t_s": ("t", _real, False),
 }
 
 
 def _cmd_simulate(args, outputs) -> int:
-    cfg = _load_config(args.config)
-    params = _take(cfg, _SIMULATE_SCHEMA, "simulate config")
-    wires = []
-    for i, wcfg in enumerate(params["wires"]):
-        if not isinstance(wcfg, dict):
-            raise ConfigError(f"wires[{i}] must be an object")
-        w = _take(wcfg, _WIRE_SCHEMA, f"wires[{i}]")
-        wires.append(Wire(w["x_um"], w["z_um"], w["current_a"]))
-    icfg = _take(params["initial"], _INITIAL_SCHEMA, "initial")
-    initial = PacketState(**_library_args(icfg, {
-        "x_um": "x", "z_um": "z", "vx_m_per_s": "vx", "vz_m_per_s": "vz",
-        "t_s": "t"}))
-    medium = _medium_from(params)
-    control = _control_from(params)
+    cfg, kwargs = _config(args, _SIMULATE_SCHEMA)
+    wires = [Wire(**_take(w, _WIRE_SCHEMA, f"wires[{i}]"))
+             for i, w in enumerate(kwargs["wires"])]
+    initial = PacketState(**_take(kwargs["initial"], _INITIAL_SCHEMA,
+                                  "initial"))
+    medium = make_medium(**_pop(kwargs, "chi_m"))
+    control = StepControl(**_pop(kwargs, "rtol", "atol"))
 
-    traj = simulate(initial, wires, medium, params["duration_s"], control)
+    traj = simulate(initial, wires, medium, kwargs["duration"], control)
 
     outputs.write("trajectory.csv",
                   lambda path: write_trajectory_csv(traj, path))
@@ -278,13 +264,13 @@ def _cmd_simulate(args, outputs) -> int:
 
 
 _SWEEP_SCHEMA = {
-    "v0_min_m_per_s": (False, _real),
-    "v0_max_m_per_s": (False, _real),
-    "n_points": (False, _integer),
-    "b_um": (False, _um),
-    "x0_um": (False, _um),
-    "tau_s": (False, _real),
-    "chi_m_m3_per_kg": (False, _real),
+    "v0_min_m_per_s": ("v_min", _real, False),
+    "v0_max_m_per_s": ("v_max", _real, False),
+    "n_points": ("n_points", _integer, False),
+    "b_um": ("b", _um, False),
+    "x0_um": ("x0", _um, False),
+    "tau_s": ("tau", _real, False),
+    **_MEDIUM_FIELDS,
 }
 
 
@@ -294,29 +280,24 @@ _MAX_POINTS = 10**6
 
 
 def _cmd_sweep(args, outputs) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    params = _take(cfg, _SWEEP_SCHEMA, "sweep config")
-    flight = _library_args(params, {"x0_um": "x0", "tau_s": "tau"})
-    if "n_points" in params and not 1 <= params["n_points"] <= _MAX_POINTS:
+    cfg, kwargs = _config(args, _SWEEP_SCHEMA)
+    if not 1 <= kwargs.get("n_points", 1) <= _MAX_POINTS:
+        raise ConfigError(f"field 'n_points': must be from 1 to {_MAX_POINTS}")
+    flight = _pop(kwargs, "x0", "tau")
+    # an end the config leaves open is the default grid's: the lower one just
+    # above feasibility
+    default = default_velocity_grid(**flight)
+    ends = _pop(kwargs, "v_min", "v_max")
+    v_min = ends.get("v_min", default[0])
+    v_max = ends.get("v_max", default[-1])
+    if ends and not 0.0 < v_min <= v_max:
         raise ConfigError(
-            f"field 'n_points': must be from 1 to {_MAX_POINTS}")
-    if "v0_min_m_per_s" in params or "v0_max_m_per_s" in params:
-        # an end the config leaves open is the default grid's: the lower one
-        # just above feasibility
-        default = default_velocity_grid(**flight)
-        v_min = params.get("v0_min_m_per_s", default[0])
-        v_max = params.get("v0_max_m_per_s", default[-1])
-        if not 0.0 < v_min <= v_max:
-            raise ConfigError(
-                "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
-                f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
-        grid = velocity_grid(v_min, v_max, params.get("n_points", len(default)))
-    else:
-        grid = default_velocity_grid(**flight, **_library_args(
-            params, {"n_points": "n_points"}))
+            "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
+            f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
+    grid = velocity_grid(v_min, v_max, kwargs.pop("n_points", len(default)))
 
-    table = velocity_sweep(grid, medium=_medium_from(params), **flight,
-                           **_library_args(params, {"b_um": "b"}))
+    table = velocity_sweep(grid, medium=make_medium(**_pop(kwargs, "chi_m")),
+                           **flight, **kwargs)
 
     if args.format == "json":
         name = "sweep.json"
@@ -330,27 +311,21 @@ def _cmd_sweep(args, outputs) -> int:
 
 
 _VALIDATE_SCHEMA = {
-    "b_um_list": (False, _um_list),
-    "current_a": (False, _real),
-    "v0_m_per_s": (False, _real),
-    "launch_distance_um": (False, _um),
-    "region_radius_um": (False, _um),
-    "chi_m_m3_per_kg": (False, _real),
-    "rtol": (False, _real),
-    "atol_m": (False, _real),
+    "b_um_list": ("b_values", _um_list, False),
+    "current_a": ("current", _real, False),
+    "v0_m_per_s": ("v0", _real, False),
+    "launch_distance_um": ("launch_distance", _um, False),
+    "region_radius_um": ("region_radius", _um, False),
+    **_MEDIUM_FIELDS, **_CONTROL_FIELDS,
 }
 
 
 def _cmd_validate(args, outputs) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    params = _take(cfg, _VALIDATE_SCHEMA, "validate config")
+    cfg, kwargs = _config(args, _VALIDATE_SCHEMA)
     rows = validate_analytic(
-        medium=_medium_from(params),
-        control=_control_from(params),
-        **_library_args(params, {
-            "b_um_list": "b_values", "current_a": "current", "v0_m_per_s": "v0",
-            "launch_distance_um": "launch_distance",
-            "region_radius_um": "region_radius"}),
+        medium=make_medium(**_pop(kwargs, "chi_m")),
+        control=StepControl(**_pop(kwargs, "rtol", "atol")),
+        **kwargs,
     )
     outputs.write_json("validation.json", {
         "config": cfg,
