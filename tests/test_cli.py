@@ -9,9 +9,22 @@ from pathlib import Path
 import pytest
 
 import wiresplit
-from wiresplit import stiffness_k
+from wiresplit import (
+    DesignSpec,
+    PacketState,
+    ScatteringInputs,
+    StepControl,
+    Wire,
+    design_trajectories,
+    make_medium,
+    simulate,
+    stiffness_k,
+    validate_analytic,
+    velocity_sweep,
+)
 from wiresplit.cli import main
-from wiresplit.integrator import TRAJECTORY_CSV_COLUMNS
+from wiresplit.integrator import TRAJECTORY_CSV_COLUMNS, event_log_dict
+from wiresplit.sweep import velocity_grid
 
 DESIGN_CFG = {
     "scheme": "triangular",
@@ -279,6 +292,79 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, command, flag):
     assert exc.value.code == 2
 
 
+# each command with every optional field off its default, and the library
+# call that the config describes: a field that fed the wrong argument, or
+# none, changes the output. The micrometre fields convert as the CLI does
+_UM = 1e-6
+_ALL_FIELDS = {
+    "design": {**DESIGN_CFG, "chi_m_m3_per_kg": -5e-9,
+               "closure_tolerance_m": 1e-10, "rtol": 1e-10, "atol_m": 1e-12,
+               "mass_kg": 1e-15},
+    "simulate": {**SIM_CFG, "initial": {**SIM_CFG["initial"], "t_s": 2.5},
+                 "chi_m_m3_per_kg": -5e-9, "rtol": 1e-9, "atol_m": 1e-12,
+                 "mass_kg": 1e-15},
+    "validate": {"b_um_list": [0.5, 2.0], "current_a": 1.5,
+                 "v0_m_per_s": 0.02, "launch_distance_um": 250.0,
+                 "region_radius_um": 30.0, "chi_m_m3_per_kg": -5e-9,
+                 "rtol": 1e-10, "atol_m": 1e-14},
+    "sweep": {"v0_min_m_per_s": 0.02, "v0_max_m_per_s": 0.9, "n_points": 9,
+              "b_um": 0.7, "x0_um": 250.0, "tau_s": 0.12,
+              "chi_m_m3_per_kg": -5e-9},
+}
+
+
+def _library_output(command, cfg):
+    """What the library returns for ``cfg``, as the command writes it."""
+    medium = make_medium(cfg["chi_m_m3_per_kg"])
+    control = StepControl(rtol=cfg.get("rtol", 1e-11),
+                          atol=cfg.get("atol_m", 1e-13))
+    if command == "design":
+        inputs = ScatteringInputs(v0=cfg["v0_m_per_s"], b=cfg["b_um"] * _UM,
+                                  x0=cfg["x0_um"] * _UM, tau=cfg["tau_s"])
+        spec = DesignSpec(cfg["scheme"], inputs, cfg["closure_tolerance_m"])
+        return design_trajectories(spec, medium, control)[0].to_dict()
+    if command == "simulate":
+        w, i = cfg["wires"][0], cfg["initial"]
+        traj = simulate(
+            PacketState(i["x_um"] * _UM, i["z_um"] * _UM, i["vx_m_per_s"],
+                        i["vz_m_per_s"], i["t_s"]),
+            [Wire(w["x_um"] * _UM, w["z_um"] * _UM, w["current_a"])],
+            medium, cfg["duration_s"], control)
+        return event_log_dict(traj)
+    if command == "validate":
+        rows = validate_analytic(
+            b_values=[b * _UM for b in cfg["b_um_list"]],
+            current=cfg["current_a"], v0=cfg["v0_m_per_s"], medium=medium,
+            launch_distance=cfg["launch_distance_um"] * _UM,
+            region_radius=cfg["region_radius_um"] * _UM, control=control)
+        return {"rows": [r.to_dict() for r in rows]}
+    grid = velocity_grid(cfg["v0_min_m_per_s"], cfg["v0_max_m_per_s"],
+                         cfg["n_points"])
+    table = velocity_sweep(grid, b=cfg["b_um"] * _UM, x0=cfg["x0_um"] * _UM,
+                           tau=cfg["tau_s"], medium=medium)
+    return {"rows": table.to_dicts()}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("design", "result.json"), ("simulate", "events.json"),
+    ("validate", "validation.json"), ("sweep", "sweep.json"),
+], ids=["design", "simulate", "validate", "sweep"])
+def test_every_field_reaches_its_library_argument(tmp_path, command, name):
+    cfg_data = _ALL_FIELDS[command]
+    cfg = _write(tmp_path, "job.json", cfg_data)
+    out = tmp_path / "out"
+    flags = ["--format", "json"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+    written = json.loads((out / name).read_text())
+    assert written.pop("config") == cfg_data
+    written.pop("backend", None)
+    written.pop("scheme", None)
+    expected = json.loads(json.dumps(_library_output(command, cfg_data),
+                                     allow_nan=False))
+    # json keeps a float's repr, so equal floats are bitwise equal
+    assert written == expected
+
+
 # every number field of design (on the inverse scheme, whose trials stop at
 # the turn), simulate, validate and sweep as (command, path into the config);
 # mass_kg is left out, as the dynamics never reads it
@@ -383,6 +469,11 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
      "b = 1e+294"),
     ("sweep", {"tau_s": 1e300}, "tau = 1e+300"),
     ("sweep", {"n_points": 1e300}, "n_points"),
+    # a config file that is missing, one that is not an object, and a wire
+    # that is not an object
+    ("design", None, "job.json"),
+    ("validate", [0.5], "job.json"),
+    ("simulate", {**SIM_CFG, "wires": [1]}, "wires[0]"),
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
         "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min",
         "validate_k_underflow", "design_alpha_underflow", "design_half_turn",
@@ -391,10 +482,13 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
         "simulate_kinetic_overflow", "validate_k_exactly_one",
         "design_integer_overflows_float", "design_v0_squared_overflows",
         "design_b_squared_overflows", "sweep_v0_squared_underflows",
-        "sweep_grid_too_large"])
+        "sweep_grid_too_large", "design_missing_config",
+        "validate_config_not_an_object", "simulate_wire_not_an_object"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
                                        field):
-    cfg = _write(tmp_path, "job.json", cfg_data)
+    # cfg_data None: no config file is written
+    cfg = (str(tmp_path / "job.json") if cfg_data is None
+           else _write(tmp_path, "job.json", cfg_data))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
