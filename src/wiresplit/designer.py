@@ -480,9 +480,11 @@ def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
             analytic.triangular_current_ratio(v0, tau, x0, medium) * b)
         dx_w, dz_w = triangular_deflector_position(x0, b, v0, tau)
         seed = _deflector_seed(splitting_current, v0, b, x0, dx_w, dz_w, medium)
-        # the miss bends in I^2: on perfbench's design_mix seeds 1-3,
-        # shooting in (I^2, miss) costs 19% more step attempts, in
-        # (I^2, I miss) 0.1% more
+        # shoot on the miss against I. On perfbench's design_mix seeds 1-3,
+        # shooting in (I^2, miss) costs the triangular designs 16% more step
+        # attempts and RHS evaluations; in (I^2, I miss) it saves 0.2%
+        # (1,823,049 -> 1,819,484 RHS), which is left to a declared change
+        # of the trial sequence
         power = 1
         # Far from the root the miss needs little accuracy, so until the
         # coarse pass ends a trial first runs at the coarse control. With
