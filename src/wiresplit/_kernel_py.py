@@ -105,15 +105,51 @@ _INF = float("inf")
 EVENT_DT = 1e-12  # event bisection resolution, s
 
 
-def _bisect(dense, g, side, hi, h):
-    """The event's step fraction, the upper end of its bracket within
-    [0, hi]; see the module docstring."""
+def _dense(step, theta):
+    """The cubic Hermite interpolant of an accepted ``step`` at the step
+    fraction theta: the state (x, z, vx, vz). ``step`` is (h, x, z, vx, vz,
+    ax, az, x_new, z_new, vx_new, vz_new, ax_new, az_new), the step's size,
+    its start and end states and their accelerations; the velocities are
+    the positions' derivatives."""
+    h, x, z, vx, vz, ax, az, xn, zn, vxn, vzn, axn, azn = step
+    om = 1.0 - theta
+    h00 = (1.0 + 2.0 * theta) * om * om
+    h10 = theta * om * om
+    h01 = theta * theta * (3.0 - 2.0 * theta)
+    h11 = theta * theta * (theta - 1.0)
+    return (
+        h00 * x + h10 * h * vx + h01 * xn + h11 * h * vxn,
+        h00 * z + h10 * h * vz + h01 * zn + h11 * h * vzn,
+        h00 * vx + h10 * h * ax + h01 * vxn + h11 * h * axn,
+        h00 * vz + h10 * h * az + h01 * vzn + h11 * h * azn,
+    )
+
+
+# event functions g(s, p) of a dense state s for _bisect: the closure (p is
+# the launch x0), the apex, and a periapsis (p is the wire's (x, z, ...))
+def _g_closure(s, x0):
+    return s[0] - x0
+
+
+def _g_apex(s, p):
+    return s[3]
+
+
+def _g_periapsis(s, w):
+    return -((s[0] - w[0]) * s[2] + (s[1] - w[1]) * s[3])
+
+
+def _bisect(step, g, p, side, hi):
+    """The event's step fraction in the accepted ``step`` (see
+    :func:`_dense`), the upper end of its bracket within [0, hi]; see the
+    module docstring."""
+    h = step[0]
     lo = 0.0
     for _ in range(80):
         if (hi - lo) * h <= EVENT_DT:
             break
         mid = 0.5 * (lo + hi)
-        if (g(dense(mid)) > 0.0) == side:
+        if (g(_dense(step, mid), p) > 0.0) == side:
             lo = mid
         else:
             hi = mid
@@ -182,18 +218,26 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     if len(w) % 24:
         raise ValueError("wires must be (x, z, current) triples")
     w = w.cast("d").tolist()
-    wx, wz, wi = w[0::3], w[1::3], w[2::3]
-    n = len(wi)
+    n = len(w) // 3
     alpha = float(alpha)
     guard2 = guard_radius * guard_radius
     tiny_r2 = guard2 * 1e-6
     sqrt = math.sqrt
+    abs_ = abs
 
     n_rhs = 0
 
-    # (x, z, alpha I^2) of each wire that carries current, in wire order
-    powered = tuple((wx[i], wz[i], alpha * wi[i] * wi[i])
-                    for i in range(n) if wi[i] != 0.0)
+    # (x, z, alpha I^2) of each wire that carries current, in wire order,
+    # and per wire (x, z, its potential's ((0.5 alpha) I) I), None if dead
+    powered = []
+    wire_u = []
+    for i in range(n):
+        xw, zw, current = w[3 * i:3 * i + 3]
+        if current != 0.0:
+            powered.append((xw, zw, alpha * current * current))
+            wire_u.append((xw, zw, 0.5 * alpha * current * current))
+        else:
+            wire_u.append((xw, zw, None))
 
     def accel(px, pz):
         ax = 0.0
@@ -211,6 +255,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
 
     t = float(t0)
     t_bound = t0 + duration
+    abs_t_bound = abs_(t_bound)
     x = float(x0)
     z = float(z0)
     vx = float(vx0)
@@ -224,13 +269,13 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     u = 0.0
     d_min = _INF
     for i in range(n):
-        dx = x - wx[i]
-        dz = z - wz[i]
+        xw, zw, c = wire_u[i]
+        dx = x - xw
+        dz = z - zw
         r2 = dx * dx + dz * dz
         peri_dist[i] = sqrt(r2)
         peri_state[i] = (t, x, z, vx, vz)
-        if wi[i] != 0.0:
-            c = 0.5 * alpha * wi[i] * wi[i]
+        if c is not None:
             u += c / r2 if r2 != 0.0 else c * _INF
             if peri_dist[i] < d_min:
                 d_min = peri_dist[i]
@@ -242,7 +287,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     # specific energy 0.5 (vx^2 + vz^2) + u of the launch row, and the
     # largest |E - E0| over the rows so far (NaN once any is NaN)
     e0 = 0.5 * (vx * vx + vz * vz) + u
-    drift = abs(e0 - e0)
+    drift = abs_(e0 - e0)
 
     status = STATUS_OK
     fail_wire = -1
@@ -263,7 +308,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         # a first step under the step floor (a launch very near a wire, or
         # late in time) starts at the floor instead, unless the floor
         # exceeds the whole duration
-        h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
+        h_floor = 16.0 * _EPS * (abs_(t) if abs_(t) > abs_t_bound else abs_t_bound)
         if h < h_floor < duration:
             h = h_floor
     else:
@@ -275,16 +320,27 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         t, x, z, vx, vz, k1vx, k1vz, h = c[:64].cast("d").tolist()
         apex, drift, min_step, peri_dist, peri_state, _ = _unstate(c[64:], n)
         ts, states = [], []
-    k1x, k1z = vx, vz
     cont = None  # this run's continuation
+    turn_mode = stop_mode == STOP_TURN
+    # each wire's radial product (x - xw) vx + (z - zw) vz at the step's
+    # start; the step's end carries it to the next step
+    radial = [0.0] * n
+    for i in range(n):
+        xw, zw, _ = wire_u[i]
+        radial[i] = (x - xw) * vx + (z - zw) * vz
 
+    # Each tableau coefficient is written in place, such as 3.0 / 40.0 for
+    # _A31, which CPython folds into one constant of the same double. The
+    # position's derivative is the velocity: k1 = (vx, vz, k1vx, k1vz), and
+    # the FSAL stage k7 = (vx_new, vz_new, k7vx, k7vz).
     while True:
         if t >= t_bound:
             break
         if n_steps + n_rejected >= max_steps:
             status = STATUS_MAXSTEPS
             break
-        h_floor = 16.0 * _EPS * (abs(t) if abs(t) > abs(t_bound) else abs(t_bound))
+        abs_t = abs_(t)
+        h_floor = 16.0 * _EPS * (abs_t if abs_t > abs_t_bound else abs_t_bound)
         if h < h_floor:
             status = STATUS_UNDERFLOW
             break
@@ -294,56 +350,78 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             last = True
 
         # stages 2..6
-        xs2 = x + h * (_A21 * k1x)
-        zs2 = z + h * (_A21 * k1z)
-        k2x = vx + h * (_A21 * k1vx)
-        k2z = vz + h * (_A21 * k1vz)
+        xs2 = x + h * (0.2 * vx)
+        zs2 = z + h * (0.2 * vz)
+        k2x = vx + h * (0.2 * k1vx)
+        k2z = vz + h * (0.2 * k1vz)
         k2vx, k2vz = accel(xs2, zs2)
 
-        xs3 = x + h * (_A31 * k1x + _A32 * k2x)
-        zs3 = z + h * (_A31 * k1z + _A32 * k2z)
-        k3x = vx + h * (_A31 * k1vx + _A32 * k2vx)
-        k3z = vz + h * (_A31 * k1vz + _A32 * k2vz)
+        xs3 = x + h * (3.0 / 40.0 * vx + 9.0 / 40.0 * k2x)
+        zs3 = z + h * (3.0 / 40.0 * vz + 9.0 / 40.0 * k2z)
+        k3x = vx + h * (3.0 / 40.0 * k1vx + 9.0 / 40.0 * k2vx)
+        k3z = vz + h * (3.0 / 40.0 * k1vz + 9.0 / 40.0 * k2vz)
         k3vx, k3vz = accel(xs3, zs3)
 
-        xs4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-        zs4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
-        k4x = vx + h * (_A41 * k1vx + _A42 * k2vx + _A43 * k3vx)
-        k4z = vz + h * (_A41 * k1vz + _A42 * k2vz + _A43 * k3vz)
+        xs4 = x + h * (44.0 / 45.0 * vx + -56.0 / 15.0 * k2x + 32.0 / 9.0 * k3x)
+        zs4 = z + h * (44.0 / 45.0 * vz + -56.0 / 15.0 * k2z + 32.0 / 9.0 * k3z)
+        k4x = vx + h * (44.0 / 45.0 * k1vx + -56.0 / 15.0 * k2vx + 32.0 / 9.0 * k3vx)
+        k4z = vz + h * (44.0 / 45.0 * k1vz + -56.0 / 15.0 * k2vz + 32.0 / 9.0 * k3vz)
         k4vx, k4vz = accel(xs4, zs4)
 
-        xs5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-        zs5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
-        k5x = vx + h * (_A51 * k1vx + _A52 * k2vx + _A53 * k3vx + _A54 * k4vx)
-        k5z = vz + h * (_A51 * k1vz + _A52 * k2vz + _A53 * k3vz + _A54 * k4vz)
+        xs5 = x + h * (19372.0 / 6561.0 * vx + -25360.0 / 2187.0 * k2x
+                       + 64448.0 / 6561.0 * k3x + -212.0 / 729.0 * k4x)
+        zs5 = z + h * (19372.0 / 6561.0 * vz + -25360.0 / 2187.0 * k2z
+                       + 64448.0 / 6561.0 * k3z + -212.0 / 729.0 * k4z)
+        k5x = vx + h * (19372.0 / 6561.0 * k1vx + -25360.0 / 2187.0 * k2vx
+                        + 64448.0 / 6561.0 * k3vx + -212.0 / 729.0 * k4vx)
+        k5z = vz + h * (19372.0 / 6561.0 * k1vz + -25360.0 / 2187.0 * k2vz
+                        + 64448.0 / 6561.0 * k3vz + -212.0 / 729.0 * k4vz)
         k5vx, k5vz = accel(xs5, zs5)
 
-        xs6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-        zs6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
-        k6x = vx + h * (_A61 * k1vx + _A62 * k2vx + _A63 * k3vx + _A64 * k4vx + _A65 * k5vx)
-        k6z = vz + h * (_A61 * k1vz + _A62 * k2vz + _A63 * k3vz + _A64 * k4vz + _A65 * k5vz)
+        xs6 = x + h * (9017.0 / 3168.0 * vx + -355.0 / 33.0 * k2x + 46732.0 / 5247.0 * k3x
+                       + 49.0 / 176.0 * k4x + -5103.0 / 18656.0 * k5x)
+        zs6 = z + h * (9017.0 / 3168.0 * vz + -355.0 / 33.0 * k2z + 46732.0 / 5247.0 * k3z
+                       + 49.0 / 176.0 * k4z + -5103.0 / 18656.0 * k5z)
+        k6x = vx + h * (9017.0 / 3168.0 * k1vx + -355.0 / 33.0 * k2vx + 46732.0 / 5247.0 * k3vx
+                        + 49.0 / 176.0 * k4vx + -5103.0 / 18656.0 * k5vx)
+        k6z = vz + h * (9017.0 / 3168.0 * k1vz + -355.0 / 33.0 * k2vz + 46732.0 / 5247.0 * k3vz
+                        + 49.0 / 176.0 * k4vz + -5103.0 / 18656.0 * k5vz)
         k6vx, k6vz = accel(xs6, zs6)
 
         n_rhs += 6
 
         # 5th-order solution; its derivative is the FSAL stage k7
-        x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-        z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-        vx_new = vx + h * (_B1 * k1vx + _B3 * k3vx + _B4 * k4vx + _B5 * k5vx + _B6 * k6vx)
-        vz_new = vz + h * (_B1 * k1vz + _B3 * k3vz + _B4 * k4vz + _B5 * k5vz + _B6 * k6vz)
-        k7x = vx_new
-        k7z = vz_new
+        x_new = x + h * (35.0 / 384.0 * vx + 500.0 / 1113.0 * k3x + 125.0 / 192.0 * k4x
+                         + -2187.0 / 6784.0 * k5x + 11.0 / 84.0 * k6x)
+        z_new = z + h * (35.0 / 384.0 * vz + 500.0 / 1113.0 * k3z + 125.0 / 192.0 * k4z
+                         + -2187.0 / 6784.0 * k5z + 11.0 / 84.0 * k6z)
+        vx_new = vx + h * (35.0 / 384.0 * k1vx + 500.0 / 1113.0 * k3vx + 125.0 / 192.0 * k4vx
+                           + -2187.0 / 6784.0 * k5vx + 11.0 / 84.0 * k6vx)
+        vz_new = vz + h * (35.0 / 384.0 * k1vz + 500.0 / 1113.0 * k3vz + 125.0 / 192.0 * k4vz
+                           + -2187.0 / 6784.0 * k5vz + 11.0 / 84.0 * k6vz)
         k7vx, k7vz = accel(x_new, z_new)
 
-        err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-        err_vx = h * (_E1 * k1vx + _E3 * k3vx + _E4 * k4vx + _E5 * k5vx + _E6 * k6vx + _E7 * k7vx)
-        err_vz = h * (_E1 * k1vz + _E3 * k3vz + _E4 * k4vz + _E5 * k5vz + _E6 * k6vz + _E7 * k7vz)
+        err_x = h * (71.0 / 57600.0 * vx + -71.0 / 16695.0 * k3x + 71.0 / 1920.0 * k4x
+                     + -17253.0 / 339200.0 * k5x + 22.0 / 525.0 * k6x + -1.0 / 40.0 * vx_new)
+        err_z = h * (71.0 / 57600.0 * vz + -71.0 / 16695.0 * k3z + 71.0 / 1920.0 * k4z
+                     + -17253.0 / 339200.0 * k5z + 22.0 / 525.0 * k6z + -1.0 / 40.0 * vz_new)
+        err_vx = h * (71.0 / 57600.0 * k1vx + -71.0 / 16695.0 * k3vx + 71.0 / 1920.0 * k4vx
+                      + -17253.0 / 339200.0 * k5vx + 22.0 / 525.0 * k6vx + -1.0 / 40.0 * k7vx)
+        err_vz = h * (71.0 / 57600.0 * k1vz + -71.0 / 16695.0 * k3vz + 71.0 / 1920.0 * k4vz
+                      + -17253.0 / 339200.0 * k5vz + 22.0 / 525.0 * k6vz + -1.0 / 40.0 * k7vz)
 
-        sc_x = atol + rtol * (abs(x) if abs(x) > abs(x_new) else abs(x_new))
-        sc_z = atol + rtol * (abs(z) if abs(z) > abs(z_new) else abs(z_new))
-        sc_vx = atol + rtol * (abs(vx) if abs(vx) > abs(vx_new) else abs(vx_new))
-        sc_vz = atol + rtol * (abs(vz) if abs(vz) > abs(vz_new) else abs(vz_new))
+        a0 = abs_(x)
+        a1 = abs_(x_new)
+        sc_x = atol + rtol * (a0 if a0 > a1 else a1)
+        a0 = abs_(z)
+        a1 = abs_(z_new)
+        sc_z = atol + rtol * (a0 if a0 > a1 else a1)
+        a0 = abs_(vx)
+        a1 = abs_(vx_new)
+        sc_vx = atol + rtol * (a0 if a0 > a1 else a1)
+        a0 = abs_(vz)
+        a1 = abs_(vz_new)
+        sc_vz = atol + rtol * (a0 if a0 > a1 else a1)
         # over a zero scale: 0/0 counts 0, any other error is err/0.0 under
         # IEEE rules (+-inf, or NaN for NaN), so the step is rejected
         q0 = err_x / sc_x if sc_x != 0.0 else (0.0 if err_x == 0.0 else err_x * _INF)
@@ -365,19 +443,8 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
 
         # --- accepted ---
         t_new = t_bound if last else t + h
-
-        def dense(theta):
-            om = 1.0 - theta
-            h00 = (1.0 + 2.0 * theta) * om * om
-            h10 = theta * om * om
-            h01 = theta * theta * (3.0 - 2.0 * theta)
-            h11 = theta * theta * (theta - 1.0)
-            return (
-                h00 * x + h10 * h * k1x + h01 * x_new + h11 * h * k7x,
-                h00 * z + h10 * h * k1z + h01 * z_new + h11 * h * k7z,
-                h00 * vx + h10 * h * k1vx + h01 * vx_new + h11 * h * k7vx,
-                h00 * vz + h10 * h * k1vz + h01 * vz_new + h11 * h * k7vz,
-            )
+        # the step for _dense, made only when an event's bracket fires
+        step = None
 
         theta_end = 1.0
         x_end = x_new
@@ -387,13 +454,14 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         t_end = t_new
         # the turn, the first step along which vz goes from > 0 to < 0,
         # ends a turn-mode run after the whole step
-        ends = stop_mode == STOP_TURN and vz > 0.0 and vz_end < 0.0
+        ends = turn_mode and vz > 0.0 and vz_end < 0.0
 
         # closure: first crossing of the launch plane x = x0 moving in -x;
         # a closure-mode run ends there, cut
         if closure is None and x - x0 > 0.0 and x_end - x0 <= 0.0:
-            hi = _bisect(dense, lambda s: s[0] - x0, True, theta_end, h)
-            xc, zc, vxc, vzc = dense(hi)
+            step = (h, x, z, vx, vz, k1vx, k1vz, x_new, z_new, vx_new, vz_new, k7vx, k7vz)
+            hi = _bisect(step, _g_closure, x0, True, theta_end)
+            xc, zc, vxc, vzc = _dense(step, hi)
             if vxc < 0.0:
                 closure = (t + hi * h, xc, zc, vxc, vzc)
                 if stop_mode == STOP_CLOSURE:
@@ -403,41 +471,42 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
 
         # apex: interior extremum of z (vz sign change)
         if vz * vz_end < 0.0:
-            hi = _bisect(dense, lambda s: s[3], vz > 0.0, theta_end, h)
-            xa, za, vxa, vza = dense(hi)
-            if abs(za) > abs(apex[2]):
+            step = step or (h, x, z, vx, vz, k1vx, k1vz, x_new, z_new, vx_new, vz_new, k7vx, k7vz)
+            hi = _bisect(step, _g_apex, None, vz > 0.0, theta_end)
+            xa, za, vxa, vza = _dense(step, hi)
+            if abs_(za) > abs_(apex[2]):
                 apex = (t + hi * h, xa, za, vxa, vza)
 
         # per-wire periapsis: radial speed changes sign - -> +; the end row's
         # distance to each wire also gives its potential u
         u = 0.0
         for i in range(n):
-            dx0 = x - wx[i]
-            dz0 = z - wz[i]
-            g0 = dx0 * vx + dz0 * vz
-            dx1 = x_end - wx[i]
-            dz1 = z_end - wz[i]
+            wire = wire_u[i]
+            xw, zw, c = wire
+            dx1 = x_end - xw
+            dz1 = z_end - zw
             g1 = dx1 * vx_end + dz1 * vz_end
-            if g0 < 0.0 and g1 >= 0.0:
-                hi = _bisect(dense, lambda s: -((s[0] - wx[i]) * s[2] + (s[1] - wz[i]) * s[3]),
-                             True, theta_end, h)
-                xp, zp, vxp, vzp = dense(hi)
-                dxp = xp - wx[i]
-                dzp = zp - wz[i]
+            if radial[i] < 0.0 and g1 >= 0.0:
+                step = step or (h, x, z, vx, vz, k1vx, k1vz, x_new, z_new, vx_new, vz_new,
+                                k7vx, k7vz)
+                hi = _bisect(step, _g_periapsis, wire, True, theta_end)
+                xp, zp, vxp, vzp = _dense(step, hi)
+                dxp = xp - xw
+                dzp = zp - zw
                 dist = sqrt(dxp * dxp + dzp * dzp)
                 if dist < peri_dist[i]:
                     peri_dist[i] = dist
                     peri_state[i] = (t + hi * h, xp, zp, vxp, vzp)
-                if wi[i] != 0.0 and dist * dist <= guard2:
+                if c is not None and dist * dist <= guard2:
                     status = STATUS_SINGULARITY
                     fail_wire = i
+            radial[i] = g1
             r2 = dx1 * dx1 + dz1 * dz1
             d_end = sqrt(r2)
             if d_end < peri_dist[i]:
                 peri_dist[i] = d_end
                 peri_state[i] = (t_end, x_end, z_end, vx_end, vz_end)
-            if wi[i] != 0.0:
-                c = 0.5 * alpha * wi[i] * wi[i]
+            if c is not None:
                 u += c / r2 if r2 != 0.0 else c * _INF
                 if d_end * d_end <= guard2:
                     status = STATUS_SINGULARITY
@@ -445,7 +514,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
 
         ts.append(t_end)
         states += (x_end, z_end, vx_end, vz_end)
-        d = abs(0.5 * (vx_end * vx_end + vz_end * vz_end) + u - e0)
+        d = abs_(0.5 * (vx_end * vx_end + vz_end * vz_end) + u - e0)
         if d > drift or d != d:
             drift = d
         n_steps += 1
@@ -460,8 +529,6 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         z = z_end
         vx = vx_end
         vz = vz_end
-        k1x = k7x
-        k1z = k7z
         k1vx = k7vx
         k1vz = k7vz
 
@@ -479,7 +546,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             break
 
     # trajectory endpoints compete for the apex
-    if abs(z) > abs(apex[2]):
+    if abs_(z) > abs_(apex[2]):
         apex = (t, x, z, vx, vz)
 
     return {
@@ -487,7 +554,7 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         "fail_wire": fail_wire,
         "t": array("d", ts).tobytes(),
         "states": array("d", states).tobytes(),
-        "events": _state(apex, drift / (abs(e0) if e0 != 0.0 else 1.0),
+        "events": _state(apex, drift / (abs_(e0) if e0 != 0.0 else 1.0),
                          min_step, peri_dist, peri_state, closure or ()),
         "n_steps": n_steps,
         "n_rejected": n_rejected,
