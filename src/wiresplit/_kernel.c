@@ -2,7 +2,10 @@
  * ``wiresplit._kernel``.
  *
  * Same algorithm as ``wiresplit._kernel_py``, its executable spec:
- * Dormand-Prince 5(4) over the superposed single-wire repulsions, cubic
+ * Dormand-Prince 5(4) over the superposed single-wire repulsions, with the
+ * positions in Runge-Kutta-Nystrom form (stage i at x + h (c_i v + h
+ * sum_l (A^2)_il a_l), the new position x + h (v + h sum_l (b A)_l a_l),
+ * its error h (h sum_l (e A)_l a_l)), so no stage velocity is formed; cubic
  * Hermite dense output, one bisect() for every event with the twin's event
  * functions and sides and every event at its bracket's upper end, the
  * twin's stop modes (none, closure, turn: a turn run ends after its whole
@@ -31,8 +34,9 @@
  * row's potential u summed, as in the twin, in the wire loop that measures
  * the row (the launch loop, then the end-of-step periapsis loop).
  *
- * The state y = (x, z, vx, vz) and each stage derivative k = (vx, vz, ax, az)
- * are arrays of 4, so the twin's per-component formulas become loops.
+ * The state y = (x, z, vx, vz) is an array of 4 and each stage's
+ * acceleration acc = (ax, az) one of 2, so the twin's per-component formulas
+ * become loops.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -42,21 +46,28 @@
 enum { STATUS_OK, STATUS_SINGULARITY, STATUS_UNDERFLOW, STATUS_MAXSTEPS };
 enum { STOP_NONE, STOP_CLOSURE, STOP_TURN };
 
-/* Dormand-Prince 5(4) tableau: rows a_2..a_6, then the 5th-order weights b,
- * then the error weights e (5th-order minus embedded 4th-order). Zero
- * entries are skipped, not added, as the twin leaves those terms out. */
-static const double TAB[7][7] = {
-    {0.2},
-    {3.0 / 40.0, 9.0 / 40.0},
-    {44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0},
-    {19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0},
-    {9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0},
-    {35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0},
-    {71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-     -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0},
+/* Dormand-Prince 5(4) for x'' = a(x) in Runge-Kutta-Nystrom form, with the
+ * twin's weights. Row s = 0..4 is stage s + 2 and row 5 the 5th-order
+ * solution: its time C[s] and its s position weights P[s], (A^2)_i and then
+ * b A, on the accelerations. The solution's velocity weights are B, and the
+ * error weights E on the 7 accelerations for the velocities and EA on the
+ * first 6 for the positions. Zero weights are skipped, not added, as the
+ * twin leaves those terms out. */
+static const double C[6] = {1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0};
+static const double B[6] = {35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+                            -2187.0 / 6784.0, 11.0 / 84.0};
+static const double P[6][5] = {
+    {0.0},
+    {9.0 / 200.0},
+    {-12.0 / 25.0, 4.0 / 5.0},
+    {-12248.0 / 6561.0, 7208.0 / 2187.0, -6784.0 / 6561.0},
+    {-533.0 / 264.0, 91.0 / 22.0, -56.0 / 33.0, 7.0 / 88.0},
+    {35.0 / 384.0, 0.0, 50.0 / 159.0, 25.0 / 192.0, -243.0 / 6784.0},
 };
+static const double E[7] = {71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+                            -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0};
+static const double EA[6] = {611.0 / 230400.0, 0.0, -514.0 / 83475.0,
+                             391.0 / 38400.0, -4617.0 / 1356800.0, -11.0 / 3360.0};
 
 #define SAFETY 0.9
 #define MIN_FACTOR 0.2
@@ -72,47 +83,53 @@ typedef struct {
     long n_rhs;
 } Field;
 
-/* k = f(y): velocity, then the superposed repulsion at (x, z) */
-static void deriv(Field *f, const double *y, double *k)
+/* acc = a(x, z): the superposed repulsion at the position y[0..2) */
+static void deriv(Field *f, const double *y, double *acc)
 {
     double ax = 0.0, az = 0.0;
     f->n_rhs++;
-    k[0] = y[2];
-    k[1] = y[3];
     for (Py_ssize_t i = 0; i < f->n; i++) {
         const double *w = f->powered + 3 * i;
         double dx = y[0] - w[0], dz = y[1] - w[1];
         double r2 = dx * dx + dz * dz;
         if (r2 <= f->tiny_r2) {
-            k[2] = k[3] = NAN;
+            acc[0] = acc[1] = NAN;
             return;
         }
         double c = w[2] / (r2 * r2);
         ax += c * dx;
         az += c * dz;
     }
-    k[2] = ax;
-    k[3] = az;
+    acc[0] = ax;
+    acc[1] = az;
 }
 
-/* out = y + h * (sum_j a_j k_j), the sum left to right over nonzero a_j;
- * out = h * (...) when y is NULL */
-static void combine(double *out, const double *y, double h, const double *a,
-                    int m, double k[][4])
+/* sum_j w_j acc_j[c], left to right over w_0 and the nonzero w_j, j < m */
+static double wsum(const double *w, int m, double acc[][2], int c)
 {
-    for (int c = 0; c < 4; c++) {
-        double s = a[0] * k[0][c];
-        for (int j = 1; j < m; j++)
-            if (a[j] != 0.0)
-                s += a[j] * k[j][c];
-        out[c] = y ? y[c] + h * s : h * s;
+    double s = w[0] * acc[0][c];
+    for (int j = 1; j < m; j++)
+        if (w[j] != 0.0)
+            s += w[j] * acc[j][c];
+    return s;
+}
+
+/* the position of row s from y: x + h (C[s] v + h sum_j P[s][j] acc_j), or
+ * x + h C[s] v for stage 2, which has no position weight */
+static void position(double *out, const double *y, double h, int s,
+                     double acc[][2])
+{
+    for (int c = 0; c < 2; c++) {
+        double p = C[s] * y[c + 2];
+        out[c] = y[c] + h * (s ? p + h * wsum(P[s], s, acc, c) : p);
     }
 }
 
-/* one accepted step of size h from y (derivative k1) to yn (k7) */
-typedef struct { double h; const double *y, *yn, *k1, *k7; } Step;
+/* one accepted step of size h from y (acceleration a1) to yn (a7) */
+typedef struct { double h; const double *y, *yn, *a1, *a7; } Step;
 
-/* cubic Hermite interpolant at the step fraction theta */
+/* cubic Hermite interpolant at the step fraction theta; a position's
+ * derivative is its velocity, a velocity's the acceleration */
 static void dense(double *out, double theta, const Step *s)
 {
     double om = 1.0 - theta;
@@ -120,9 +137,12 @@ static void dense(double *out, double theta, const Step *s)
     double h10 = theta * om * om;
     double h01 = theta * theta * (3.0 - 2.0 * theta);
     double h11 = theta * theta * (theta - 1.0);
-    for (int c = 0; c < 4; c++)
-        out[c] = h00 * s->y[c] + h10 * s->h * s->k1[c] + h01 * s->yn[c]
-                 + h11 * s->h * s->k7[c];
+    for (int c = 0; c < 4; c++) {
+        double d1 = c < 2 ? s->y[c + 2] : s->a1[c - 2];
+        double d7 = c < 2 ? s->yn[c + 2] : s->a7[c - 2];
+        out[c] = h00 * s->y[c] + h10 * s->h * d1 + h01 * s->yn[c]
+                 + h11 * s->h * d7;
+    }
 }
 
 /* event functions g(y; p) of a dense state y for bisect(): the closure
@@ -279,7 +299,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
     int status = STATUS_OK;
     Py_ssize_t fail_wire = -1;
     long n_steps = 0, n_rejected = 0;
-    double k[7][4], ys[4], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
+    double acc[7][2], ys[2], yn[4], ye[4], yd[4], sc[4], q[4], err[4];
 
     double h, h_floor, min_step = duration;
     if (resume == Py_None) {
@@ -288,7 +308,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         /* the first step carries the packet a tenth of the way to the
          * nearest powered wire at its launch speed, and at most the whole
          * duration: at rest 0.1 d_min / 0 is inf or NaN, the twin's inf */
-        deriv(&f, y, k[0]);
+        deriv(&f, y, acc[0]);
         h = 0.1 * d_min / sqrt(y[2] * y[2] + y[3] * y[3]);
         if (!(h < duration))
             h = duration;
@@ -307,7 +327,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         }
         t = c[0];
         memcpy(y, c + 1, sizeof y);
-        memcpy(k[0], c + 3, sizeof k[0]);  /* vx, vz, ax, az */
+        memcpy(acc[0], c + 5, sizeof acc[0]);
         h = c[7];
         memcpy(apex, c + 8, sizeof apex);
         drift = c[13];
@@ -331,15 +351,20 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
             last = 1;
         }
 
-        /* stages 2..6, the 5th-order solution, its derivative k7 (FSAL) and
-         * the error estimate */
-        for (int s = 1; s < 6; s++) {
-            combine(ys, y, h, TAB[s - 1], s, k);
-            deriv(&f, ys, k[s]);
+        /* stages 2..6, the 5th-order solution, its acceleration a7 (FSAL)
+         * and the error estimate */
+        for (int s = 0; s < 5; s++) {
+            position(ys, y, h, s, acc);
+            deriv(&f, ys, acc[s + 1]);
         }
-        combine(yn, y, h, TAB[5], 6, k);
-        deriv(&f, yn, k[6]);
-        combine(err, NULL, h, TAB[6], 7, k);
+        position(yn, y, h, 5, acc);
+        for (int c = 0; c < 2; c++)
+            yn[c + 2] = y[c + 2] + h * wsum(B, 6, acc, c);
+        deriv(&f, yn, acc[6]);
+        for (int c = 0; c < 2; c++) {
+            err[c] = h * (h * wsum(EA, 6, acc, c));
+            err[c + 2] = h * wsum(E, 7, acc, c);
+        }
 
         /* over a zero scale: 0/0 counts 0, any other error is err/0.0 under
          * IEEE rules (+-inf, or NaN for NaN), so the step is rejected */
@@ -366,7 +391,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         /* --- accepted --- */
         double theta_end = 1.0, t_end = last ? t_bound : t + h, hi;
-        Step st = {h, y, yn, k[0], k[6]};
+        Step st = {h, y, yn, acc[0], acc[6]};
         memcpy(ye, yn, sizeof ye);
         /* the turn, the first step along which vz goes from > 0 to < 0,
          * ends a turn-mode run after the whole step */
@@ -448,7 +473,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
 
         t = t_end;
         memcpy(y, ye, sizeof y);
-        memcpy(k[0], k[6], sizeof k[0]);
+        memcpy(acc[0], acc[6], sizeof acc[0]);
 
         if (err_norm == 0.0) {
             fac = MAX_FACTOR;
@@ -460,7 +485,7 @@ static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
         h = h * fac;
         if (ends) {
             if (!have_closure) {  /* a turn-mode run that has not closed */
-                double head[8] = {t, y[0], y[1], y[2], y[3], k[0][2], k[0][3], h};
+                double head[8] = {t, y[0], y[1], y[2], y[3], acc[0][0], acc[0][1], h};
                 cont = PyBytes_FromStringAndSize(
                     NULL, sizeof head + (7 + 6 * n) * sizeof(double));
                 if (cont == NULL)

@@ -19,6 +19,15 @@ g = vz with side ``vz > 0.0`` at the step's start, a periapsis
 g = -((x - xw) vx + (z - zw) vz); else side is true. Every event lies at
 its bracket's upper end: time t + hi h, state dense(hi).
 
+The pair runs in Runge-Kutta-Nystrom form, since x' = v holds exactly.
+Stage i's position is ``x + h*(c_i*vx + h*sum_l (A^2)_il a_l)`` over the
+stage accelerations a_l; the new position is ``x + h*(vx + h*sum_l
+(bA)_l a_l)`` and its error ``h*(h*sum_l (eA)_l a_l)``, where e A takes
+e_7 b for the FSAL row and the velocity term drops because sum e = 0. In
+exact arithmetic this is the pair itself; it only skips the stage
+velocities, which the force does not read. The velocities step as in the
+pair: ``vx + h*sum_l b_l a_l``, with the error ``h*sum_l e_l a_l``.
+
 The first step carries the packet a tenth of the way to the nearest
 powered wire at its launch speed, ``0.1 * d_min / |v|``, and at most the
 whole duration, which it is at rest or without a powered wire; a first
@@ -66,34 +75,51 @@ STOP_NONE = 0
 STOP_CLOSURE = 1
 STOP_TURN = 2
 
-# Dormand-Prince 5(4) tableau
-_A21 = 0.2
-_A31 = 3.0 / 40.0
-_A32 = 9.0 / 40.0
-_A41 = 44.0 / 45.0
-_A42 = -56.0 / 15.0
-_A43 = 32.0 / 9.0
-_A51 = 19372.0 / 6561.0
-_A52 = -25360.0 / 2187.0
-_A53 = 64448.0 / 6561.0
-_A54 = -212.0 / 729.0
-_A61 = 9017.0 / 3168.0
-_A62 = -355.0 / 33.0
-_A63 = 46732.0 / 5247.0
-_A64 = 49.0 / 176.0
-_A65 = -5103.0 / 18656.0
+# Dormand-Prince 5(4) for x'' = a(x) in Runge-Kutta-Nystrom form: x' = v
+# holds exactly, so a stage's position takes the weights A^2 on the stage
+# accelerations instead of a pass through its velocity, which the force
+# does not read; in exact arithmetic it is the same method. Each weight is
+# derived from the tableau's stage rows a_i, which no step reads, and only
+# nonzero weights are named. The velocities' 5th-order weights b:
 _B1 = 35.0 / 384.0
 _B3 = 500.0 / 1113.0
 _B4 = 125.0 / 192.0
 _B5 = -2187.0 / 6784.0
 _B6 = 11.0 / 84.0
-# error = 5th-order minus embedded 4th-order weights
+# the velocities' error weights e: 5th-order minus embedded 4th-order
 _E1 = 71.0 / 57600.0
 _E3 = -71.0 / 16695.0
 _E4 = 71.0 / 1920.0
 _E5 = -17253.0 / 339200.0
 _E6 = 22.0 / 525.0
 _E7 = -1.0 / 40.0
+# the positions: stage times c = A 1, stage rows (A^2)_i, the 5th-order
+# weights b A, and the error weights e A, whose FSAL row is b (so e A takes
+# e_7 b); the error drops its velocity term because sum e = 0
+_C2 = 1.0 / 5.0
+_C3 = 3.0 / 10.0
+_C4 = 4.0 / 5.0
+_C5 = 8.0 / 9.0
+_C6 = 1.0
+_AA31 = 9.0 / 200.0
+_AA41 = -12.0 / 25.0
+_AA42 = 4.0 / 5.0
+_AA51 = -12248.0 / 6561.0
+_AA52 = 7208.0 / 2187.0
+_AA53 = -6784.0 / 6561.0
+_AA61 = -533.0 / 264.0
+_AA62 = 91.0 / 22.0
+_AA63 = -56.0 / 33.0
+_AA64 = 7.0 / 88.0
+_BA1 = 35.0 / 384.0
+_BA3 = 50.0 / 159.0
+_BA4 = 25.0 / 192.0
+_BA5 = -243.0 / 6784.0
+_EA1 = 611.0 / 230400.0
+_EA3 = -514.0 / 83475.0
+_EA4 = 391.0 / 38400.0
+_EA5 = -4617.0 / 1356800.0
+_EA6 = -11.0 / 3360.0
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -329,10 +355,9 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         xw, zw, _ = wire_u[i]
         radial[i] = (x - xw) * vx + (z - zw) * vz
 
-    # Each tableau coefficient is written in place, such as 3.0 / 40.0 for
-    # _A31, which CPython folds into one constant of the same double. The
-    # position's derivative is the velocity: k1 = (vx, vz, k1vx, k1vz), and
-    # the FSAL stage k7 = (vx_new, vz_new, k7vx, k7vz).
+    # Each weight is written in place, such as 3.0 / 10.0 for _C3, which
+    # CPython folds into one constant of the same double. k1vx, k1vz and
+    # k7vx, k7vz are the accelerations at the step's start and end.
     while True:
         if t >= t_bound:
             break
@@ -349,66 +374,58 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
             h = t_bound - t
             last = True
 
-        # stages 2..6
+        # stages 2..6, stage i at x + h (c_i v + h sum_l (A^2)_il k_l) with
+        # k_l stage l's acceleration (klvx, klvz)
         xs2 = x + h * (0.2 * vx)
         zs2 = z + h * (0.2 * vz)
-        k2x = vx + h * (0.2 * k1vx)
-        k2z = vz + h * (0.2 * k1vz)
         k2vx, k2vz = accel(xs2, zs2)
 
-        xs3 = x + h * (3.0 / 40.0 * vx + 9.0 / 40.0 * k2x)
-        zs3 = z + h * (3.0 / 40.0 * vz + 9.0 / 40.0 * k2z)
-        k3x = vx + h * (3.0 / 40.0 * k1vx + 9.0 / 40.0 * k2vx)
-        k3z = vz + h * (3.0 / 40.0 * k1vz + 9.0 / 40.0 * k2vz)
+        xs3 = x + h * (3.0 / 10.0 * vx + h * (9.0 / 200.0 * k1vx))
+        zs3 = z + h * (3.0 / 10.0 * vz + h * (9.0 / 200.0 * k1vz))
         k3vx, k3vz = accel(xs3, zs3)
 
-        xs4 = x + h * (44.0 / 45.0 * vx + -56.0 / 15.0 * k2x + 32.0 / 9.0 * k3x)
-        zs4 = z + h * (44.0 / 45.0 * vz + -56.0 / 15.0 * k2z + 32.0 / 9.0 * k3z)
-        k4x = vx + h * (44.0 / 45.0 * k1vx + -56.0 / 15.0 * k2vx + 32.0 / 9.0 * k3vx)
-        k4z = vz + h * (44.0 / 45.0 * k1vz + -56.0 / 15.0 * k2vz + 32.0 / 9.0 * k3vz)
+        xs4 = x + h * (4.0 / 5.0 * vx + h * (-12.0 / 25.0 * k1vx + 4.0 / 5.0 * k2vx))
+        zs4 = z + h * (4.0 / 5.0 * vz + h * (-12.0 / 25.0 * k1vz + 4.0 / 5.0 * k2vz))
         k4vx, k4vz = accel(xs4, zs4)
 
-        xs5 = x + h * (19372.0 / 6561.0 * vx + -25360.0 / 2187.0 * k2x
-                       + 64448.0 / 6561.0 * k3x + -212.0 / 729.0 * k4x)
-        zs5 = z + h * (19372.0 / 6561.0 * vz + -25360.0 / 2187.0 * k2z
-                       + 64448.0 / 6561.0 * k3z + -212.0 / 729.0 * k4z)
-        k5x = vx + h * (19372.0 / 6561.0 * k1vx + -25360.0 / 2187.0 * k2vx
-                        + 64448.0 / 6561.0 * k3vx + -212.0 / 729.0 * k4vx)
-        k5z = vz + h * (19372.0 / 6561.0 * k1vz + -25360.0 / 2187.0 * k2vz
-                        + 64448.0 / 6561.0 * k3vz + -212.0 / 729.0 * k4vz)
+        xs5 = x + h * (8.0 / 9.0 * vx + h * (-12248.0 / 6561.0 * k1vx + 7208.0 / 2187.0 * k2vx
+                                             - 6784.0 / 6561.0 * k3vx))
+        zs5 = z + h * (8.0 / 9.0 * vz + h * (-12248.0 / 6561.0 * k1vz + 7208.0 / 2187.0 * k2vz
+                                             - 6784.0 / 6561.0 * k3vz))
         k5vx, k5vz = accel(xs5, zs5)
 
-        xs6 = x + h * (9017.0 / 3168.0 * vx + -355.0 / 33.0 * k2x + 46732.0 / 5247.0 * k3x
-                       + 49.0 / 176.0 * k4x + -5103.0 / 18656.0 * k5x)
-        zs6 = z + h * (9017.0 / 3168.0 * vz + -355.0 / 33.0 * k2z + 46732.0 / 5247.0 * k3z
-                       + 49.0 / 176.0 * k4z + -5103.0 / 18656.0 * k5z)
-        k6x = vx + h * (9017.0 / 3168.0 * k1vx + -355.0 / 33.0 * k2vx + 46732.0 / 5247.0 * k3vx
-                        + 49.0 / 176.0 * k4vx + -5103.0 / 18656.0 * k5vx)
-        k6z = vz + h * (9017.0 / 3168.0 * k1vz + -355.0 / 33.0 * k2vz + 46732.0 / 5247.0 * k3vz
-                        + 49.0 / 176.0 * k4vz + -5103.0 / 18656.0 * k5vz)
+        xs6 = x + h * (vx + h * (-533.0 / 264.0 * k1vx + 91.0 / 22.0 * k2vx - 56.0 / 33.0 * k3vx
+                                 + 7.0 / 88.0 * k4vx))
+        zs6 = z + h * (vz + h * (-533.0 / 264.0 * k1vz + 91.0 / 22.0 * k2vz - 56.0 / 33.0 * k3vz
+                                 + 7.0 / 88.0 * k4vz))
         k6vx, k6vz = accel(xs6, zs6)
 
         n_rhs += 6
 
-        # 5th-order solution; its derivative is the FSAL stage k7
-        x_new = x + h * (35.0 / 384.0 * vx + 500.0 / 1113.0 * k3x + 125.0 / 192.0 * k4x
-                         + -2187.0 / 6784.0 * k5x + 11.0 / 84.0 * k6x)
-        z_new = z + h * (35.0 / 384.0 * vz + 500.0 / 1113.0 * k3z + 125.0 / 192.0 * k4z
-                         + -2187.0 / 6784.0 * k5z + 11.0 / 84.0 * k6z)
+        # 5th-order solution, positions with the weights (bA)_l; its
+        # acceleration is the FSAL stage k7
+        x_new = x + h * (vx + h * (35.0 / 384.0 * k1vx + 50.0 / 159.0 * k3vx
+                                   + 25.0 / 192.0 * k4vx - 243.0 / 6784.0 * k5vx))
+        z_new = z + h * (vz + h * (35.0 / 384.0 * k1vz + 50.0 / 159.0 * k3vz
+                                   + 25.0 / 192.0 * k4vz - 243.0 / 6784.0 * k5vz))
         vx_new = vx + h * (35.0 / 384.0 * k1vx + 500.0 / 1113.0 * k3vx + 125.0 / 192.0 * k4vx
-                           + -2187.0 / 6784.0 * k5vx + 11.0 / 84.0 * k6vx)
+                           - 2187.0 / 6784.0 * k5vx + 11.0 / 84.0 * k6vx)
         vz_new = vz + h * (35.0 / 384.0 * k1vz + 500.0 / 1113.0 * k3vz + 125.0 / 192.0 * k4vz
-                           + -2187.0 / 6784.0 * k5vz + 11.0 / 84.0 * k6vz)
+                           - 2187.0 / 6784.0 * k5vz + 11.0 / 84.0 * k6vz)
         k7vx, k7vz = accel(x_new, z_new)
 
-        err_x = h * (71.0 / 57600.0 * vx + -71.0 / 16695.0 * k3x + 71.0 / 1920.0 * k4x
-                     + -17253.0 / 339200.0 * k5x + 22.0 / 525.0 * k6x + -1.0 / 40.0 * vx_new)
-        err_z = h * (71.0 / 57600.0 * vz + -71.0 / 16695.0 * k3z + 71.0 / 1920.0 * k4z
-                     + -17253.0 / 339200.0 * k5z + 22.0 / 525.0 * k6z + -1.0 / 40.0 * vz_new)
-        err_vx = h * (71.0 / 57600.0 * k1vx + -71.0 / 16695.0 * k3vx + 71.0 / 1920.0 * k4vx
-                      + -17253.0 / 339200.0 * k5vx + 22.0 / 525.0 * k6vx + -1.0 / 40.0 * k7vx)
-        err_vz = h * (71.0 / 57600.0 * k1vz + -71.0 / 16695.0 * k3vz + 71.0 / 1920.0 * k4vz
-                      + -17253.0 / 339200.0 * k5vz + 22.0 / 525.0 * k6vz + -1.0 / 40.0 * k7vz)
+        # error estimates; the positions' weights (eA)_l take e_7 b_l for
+        # the FSAL row, and their velocity term sum_i e_i v is 0 (sum e = 0)
+        err_x = h * (h * (611.0 / 230400.0 * k1vx - 514.0 / 83475.0 * k3vx
+                          + 391.0 / 38400.0 * k4vx - 4617.0 / 1356800.0 * k5vx
+                          - 11.0 / 3360.0 * k6vx))
+        err_z = h * (h * (611.0 / 230400.0 * k1vz - 514.0 / 83475.0 * k3vz
+                          + 391.0 / 38400.0 * k4vz - 4617.0 / 1356800.0 * k5vz
+                          - 11.0 / 3360.0 * k6vz))
+        err_vx = h * (71.0 / 57600.0 * k1vx - 71.0 / 16695.0 * k3vx + 71.0 / 1920.0 * k4vx
+                      - 17253.0 / 339200.0 * k5vx + 22.0 / 525.0 * k6vx - 1.0 / 40.0 * k7vx)
+        err_vz = h * (71.0 / 57600.0 * k1vz - 71.0 / 16695.0 * k3vz + 71.0 / 1920.0 * k4vz
+                      - 17253.0 / 339200.0 * k5vz + 22.0 / 525.0 * k6vz - 1.0 / 40.0 * k7vz)
 
         a0 = abs_(x)
         a1 = abs_(x_new)

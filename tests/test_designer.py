@@ -606,10 +606,10 @@ class TestCoarseTrials:
         # the seed, one scan step, then the secant root in (I^2, I miss)
         assert calls == [(h, DEFAULT_CONTROL) for h in (
             "0x1.d282071d0b0b8p-8", "0x1.1563241749dddp-7",
-            "0x1.0ff5c1a63c313p-7")]
+            "0x1.0ff5c2f9c8680p-7")]
         assert runs == [(result.wires[1].current, DEFAULT_CONTROL,
-                         -7.271868295709298e-12)]
-        assert result.wires[1].current.hex() == "0x1.0ff5c1a63c313p-7"
+                         -2.155014669216412e-12)]
+        assert result.wires[1].current.hex() == "0x1.0ff5c2f9c8680p-7"
 
 
 def _counted(objective):
