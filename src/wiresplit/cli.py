@@ -42,6 +42,7 @@ from .model import (
     make_medium,
 )
 from .sweep import (
+    DEFAULT_GRID_POINTS,
     default_velocity_grid,
     validate_analytic,
     velocity_grid,
@@ -281,20 +282,27 @@ _MAX_POINTS = 10**6
 
 def _cmd_sweep(args, outputs) -> int:
     cfg, kwargs = _config(args, _SWEEP_SCHEMA)
-    if not 1 <= kwargs.get("n_points", 1) <= _MAX_POINTS:
+    n_points = kwargs.pop("n_points", DEFAULT_GRID_POINTS)
+    if not 1 <= n_points <= _MAX_POINTS:
         raise ConfigError(f"field 'n_points': must be from 1 to {_MAX_POINTS}")
     flight = _pop(kwargs, "x0", "tau")
-    # an end the config leaves open is the default grid's: the lower one just
-    # above feasibility
-    default = default_velocity_grid(**flight)
     ends = _pop(kwargs, "v_min", "v_max")
-    v_min = ends.get("v_min", default[0])
-    v_max = ends.get("v_max", default[-1])
+    v_min, v_max = ends.get("v_min"), ends.get("v_max")
+    if len(ends) < 2:
+        # an end the config leaves open is the default grid's: the lower one
+        # just above feasibility, the upper one 2 m/s; a launch that puts
+        # the lower one above 2 m/s has no default grid
+        try:
+            default = default_velocity_grid(**flight)
+        except ValueError as exc:
+            raise ConfigError(f"fields 'x0_um' and 'tau_s': {exc}") from exc
+        v_min = default[0] if v_min is None else v_min
+        v_max = default[-1] if v_max is None else v_max
     if ends and not 0.0 < v_min <= v_max:
         raise ConfigError(
             "fields 'v0_min_m_per_s' and 'v0_max_m_per_s': need "
             f"0 < v0_min <= v0_max, got {v_min:g} and {v_max:g}")
-    grid = velocity_grid(v_min, v_max, kwargs.pop("n_points", len(default)))
+    grid = velocity_grid(v_min, v_max, n_points)
 
     table = velocity_sweep(grid, medium=make_medium(**_pop(kwargs, "chi_m")),
                            **flight, **kwargs)

@@ -83,12 +83,23 @@ def velocity_grid(v_min: float, v_max: float,
     return (v_min, *inner, v_max)
 
 
+DEFAULT_GRID_POINTS = 50  # speeds in the default grid
+
+
 def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
-                          n_points: int = 50) -> tuple[float, ...]:
-    """Logarithmic grid from just above the feasibility bound up to 2 m/s."""
+                          n_points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
+    """Logarithmic grid from just above the feasibility bound, 1.05 * 2 x0 /
+    tau, up to 2 m/s. A lower end above 2 m/s, where the grid would run
+    downward, raises ``ValueError`` naming x0 and tau."""
     _require_positive("x0", x0)
     _require_positive("tau", tau)
-    return velocity_grid(1.05 * 2.0 * x0 / tau, 2.0, n_points)
+    v_min = 1.05 * 2.0 * x0 / tau
+    if v_min > 2.0:
+        raise ValueError(
+            f"x0 = {x0:g} m and tau = {tau:g} s put the default grid's lower "
+            f"end, 1.05 * 2 x0 / tau = {v_min:g} m/s, above its upper end, "
+            "2 m/s")
+    return velocity_grid(v_min, 2.0, n_points)
 
 
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,

@@ -254,6 +254,21 @@ class TestSweepCommand:
         assert rows[0]["dz_triangular_m"] == triangular_max_size(
             0.01, 0.1, 300e-6)
 
+    def test_far_launch_with_both_ends_set(self, tmp_path):
+        # the default grid would run downward at this x0 and tau, but a
+        # config that sets both ends needs no default
+        cfg = _write(tmp_path, "job.json", {
+            "x0_um": 1e5, "v0_min_m_per_s": 2.5, "v0_max_m_per_s": 3.0,
+            "n_points": 3,
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        assert [r["v0_m_per_s"] for r in rows] == list(
+            velocity_grid(2.5, 3.0, 3))
+        assert all(r["feasible"] for r in rows)
+
     def test_infeasible_rows_are_null_in_json(self, tmp_path):
         # v0 tau <= 2 x0 has no design: its values are NaN, which strict
         # JSON cannot hold
@@ -469,6 +484,8 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
      "b = 1e+294"),
     ("sweep", {"tau_s": 1e300}, "tau = 1e+300"),
     ("sweep", {"n_points": 1e300}, "n_points"),
+    # a launch whose default grid would run downward, from 2.1 to 2 m/s
+    ("sweep", {"x0_um": 1e5}, "fields 'x0_um' and 'tau_s'"),
     # a config file that is missing, one that is not an object, and a wire
     # that is not an object
     ("design", None, "job.json"),
@@ -482,7 +499,8 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
         "simulate_kinetic_overflow", "validate_k_exactly_one",
         "design_integer_overflows_float", "design_v0_squared_overflows",
         "design_b_squared_overflows", "sweep_v0_squared_underflows",
-        "sweep_grid_too_large", "design_missing_config",
+        "sweep_grid_too_large", "sweep_default_grid_downward",
+        "design_missing_config",
         "validate_config_not_an_object", "simulate_wire_not_an_object"])
 def test_invalid_batch_input_exit_code(tmp_path, capsys, command, cfg_data,
                                        field):
