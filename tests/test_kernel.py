@@ -2,6 +2,7 @@
 
 import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,54 @@ def test_default_backend_is_fastest_available():
         assert kernel_backend() == "python"
     else:
         assert kernel_backend() == "compiled"
+
+
+def _dormand_prince():
+    """The Dormand-Prince 5(4) tableau in exact rationals: the stage rows
+    a_1..a_7, each padded to 7 entries, with the FSAL row a_7 = b; the
+    5th-order weights b; and the error weights e, 5th-order minus embedded
+    4th-order."""
+    F = Fraction
+    b = [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), 0]
+    e = [F(71, 57600), 0, F(-71, 16695), F(71, 1920), F(-17253, 339200),
+         F(22, 525), F(-1, 40)]
+    a = [[], [F(1, 5)], [F(3, 40), F(9, 40)],
+         [F(44, 45), F(-56, 15), F(32, 9)],
+         [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+         [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+          F(-5103, 18656)],
+         b]
+    return [row + [0] * (7 - len(row)) for row in a], b, e
+
+
+def test_nystrom_weights_derive_from_the_tableau():
+    # the twin's named weights are the doubles of c = A 1, A^2, b, b A, e
+    # and e A, with the FSAL row b in A, so e A takes e_7 b; every nonzero
+    # weight is named and no zero one. The position error drops its
+    # velocity term only because sum e = 0
+    a, b, e = _dormand_prince()
+    assert sum(e) == 0
+    rows = range(1, 8)
+    weights = {f"_C{i}": sum(a[i - 1]) for i in range(2, 7)}
+    for i in range(1, 7):  # the stages; row 7's A^2 is b A
+        for l in rows:
+            weights[f"_AA{i}{l}"] = sum(a[i - 1][m] * a[m][l - 1] for m in range(7))
+    for l in rows:
+        weights[f"_B{l}"] = b[l - 1]
+        weights[f"_E{l}"] = e[l - 1]
+        weights[f"_BA{l}"] = sum(b[i] * a[i][l - 1] for i in range(7))
+        weights[f"_EA{l}"] = sum(e[i] * a[i][l - 1] for i in range(7))
+    named = {name: getattr(_kernel_py, name) for name in weights
+             if hasattr(_kernel_py, name)}
+    assert named == {name: float(v) for name, v in weights.items() if v != 0}
+    # integrate writes each weight in place as a constant that CPython
+    # folds: besides its few other constants, its floats are the named
+    # weights up to sign, each of them
+    folded = {abs(v) for v in _kernel_py.integrate.__code__.co_consts
+              if isinstance(v, float)}
+    magnitudes = {abs(v) for v in named.values()}
+    assert magnitudes <= folded
+    assert folded - magnitudes == {0.0, 1e-6, 0.1, 0.25, 0.5, 16.0}
 
 
 def _inverse_scenario():
@@ -264,6 +313,41 @@ def test_backends_bitwise_identical(medium, compiled_kernel, case):
     assert _bits(fast) == _bits(slow)
 
 
+def _energy_drift(raw, wires, alpha):
+    """The energy drift of a fresh kernel run, recomputed from its rows in
+    the order ``_kernel_py`` documents: each row's u summed from 0.0 over
+    the powered ``wires`` in wire order as ``((0.5 * alpha) * I) * I / r2``,
+    E = 0.5 (vx^2 + vz^2) + u, the largest |E - E0| (NaN once any is NaN)
+    over |E0|, or over 1 when E0 = 0."""
+    w = _doubles(wires)
+    rows = _doubles(raw["states"])
+    for j in range(0, len(rows), 4):
+        x, z, vx, vz = rows[j:j + 4]
+        u = 0.0
+        for xw, zw, current in zip(w[0::3], w[1::3], w[2::3]):
+            if current != 0.0:
+                dx = x - xw
+                dz = z - zw
+                r2 = dx * dx + dz * dz
+                c = 0.5 * alpha * current * current
+                u += c / r2 if r2 != 0.0 else c * math.inf
+        energy = 0.5 * (vx * vx + vz * vz) + u
+        if j == 0:
+            e0 = energy
+            drift = abs(e0 - e0)
+        else:
+            d = abs(energy - e0)
+            if d > drift or d != d:
+                drift = d
+    return drift / (abs(e0) if e0 != 0.0 else 1.0)
+
+
+def _assert_energy_drift(raw, wires, alpha):
+    """The run's ``events`` drift is :func:`_energy_drift` of its rows,
+    bitwise."""
+    assert _events(raw, wires)[1].hex() == _energy_drift(raw, wires, alpha).hex()
+
+
 def _log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
@@ -304,6 +388,8 @@ def test_backends_agree_on_random_runs(medium, compiled_kernel, wires, launch,
     if isinstance(outcomes[1], dict):
         times = _doubles(outcomes[1]["t"])
         assert all(a < b for a, b in zip(times, times[1:]))
+        for raw in outcomes:
+            _assert_energy_drift(raw, args[6], args[7])
 
 
 # one powered wire on the line of flight, head-on within 1 um, past a launch
@@ -328,6 +414,8 @@ def test_backends_agree_on_stopped_runs(medium, compiled_kernel, launch, wire,
                      for stop in (_kernel_py.STOP_CLOSURE, _kernel_py.STOP_TURN))
     assert _bits(closure[0]) == _bits(closure[1])
     assert _bits(turn[0]) == _bits(turn[1])
+    for raw in (*closure, *turn):
+        _assert_energy_drift(raw, args[6], args[7])
     if turn[1]["resume"] is None:
         return
     # a run that turned, taken up in closure mode by each backend from the
