@@ -75,12 +75,9 @@ STOP_NONE = 0
 STOP_CLOSURE = 1
 STOP_TURN = 2
 
-# Dormand-Prince 5(4) for x'' = a(x) in Runge-Kutta-Nystrom form: x' = v
-# holds exactly, so a stage's position takes the weights A^2 on the stage
-# accelerations instead of a pass through its velocity, which the force
-# does not read; in exact arithmetic it is the same method. Each weight is
-# derived from the tableau's stage rows a_i, which no step reads, and only
-# nonzero weights are named. The velocities' 5th-order weights b:
+# The Dormand-Prince 5(4) weights of the Runge-Kutta-Nystrom form (module
+# docstring), derived from the tableau; only nonzero weights are named, and
+# integrate writes each in place. The velocities' 5th-order weights b:
 _B1 = 35.0 / 384.0
 _B3 = 500.0 / 1113.0
 _B4 = 125.0 / 192.0
@@ -94,8 +91,7 @@ _E5 = -17253.0 / 339200.0
 _E6 = 22.0 / 525.0
 _E7 = -1.0 / 40.0
 # the positions: stage times c = A 1, stage rows (A^2)_i, the 5th-order
-# weights b A, and the error weights e A, whose FSAL row is b (so e A takes
-# e_7 b); the error drops its velocity term because sum e = 0
+# weights b A, and the error weights e A, whose FSAL row is b
 _C2 = 1.0 / 5.0
 _C3 = 3.0 / 10.0
 _C4 = 4.0 / 5.0
