@@ -47,9 +47,9 @@ enum { STATUS_OK, STATUS_SINGULARITY, STATUS_UNDERFLOW, STATUS_MAXSTEPS };
 enum { STOP_NONE, STOP_CLOSURE, STOP_TURN };
 
 /* Dormand-Prince 5(4) for x'' = a(x) in Runge-Kutta-Nystrom form, with the
- * twin's weights. Row s = 0..4 is stage s + 2 and row 5 the 5th-order
- * solution: its time C[s] and its s position weights P[s], (A^2)_i and then
- * b A, on the accelerations. The solution's velocity weights are B, and the
+ * constants the twin's integrate writes in place. Row s = 0..4 is stage
+ * s + 2 and row 5 the 5th-order solution: its time C[s] and its s position
+ * weights P[s], (A^2)_i and then b A, on the accelerations. The solution's velocity weights are B, and the
  * error weights E on the 7 accelerations for the velocities and EA on the
  * first 6 for the positions. Zero weights are skipped, not added, as the
  * twin leaves those terms out. */

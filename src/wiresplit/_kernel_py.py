@@ -75,48 +75,6 @@ STOP_NONE = 0
 STOP_CLOSURE = 1
 STOP_TURN = 2
 
-# The Dormand-Prince 5(4) weights of the Runge-Kutta-Nystrom form (module
-# docstring), derived from the tableau; only nonzero weights are named, and
-# integrate writes each in place. The velocities' 5th-order weights b:
-_B1 = 35.0 / 384.0
-_B3 = 500.0 / 1113.0
-_B4 = 125.0 / 192.0
-_B5 = -2187.0 / 6784.0
-_B6 = 11.0 / 84.0
-# the velocities' error weights e: 5th-order minus embedded 4th-order
-_E1 = 71.0 / 57600.0
-_E3 = -71.0 / 16695.0
-_E4 = 71.0 / 1920.0
-_E5 = -17253.0 / 339200.0
-_E6 = 22.0 / 525.0
-_E7 = -1.0 / 40.0
-# the positions: stage times c = A 1, stage rows (A^2)_i, the 5th-order
-# weights b A, and the error weights e A, whose FSAL row is b
-_C2 = 1.0 / 5.0
-_C3 = 3.0 / 10.0
-_C4 = 4.0 / 5.0
-_C5 = 8.0 / 9.0
-_C6 = 1.0
-_AA31 = 9.0 / 200.0
-_AA41 = -12.0 / 25.0
-_AA42 = 4.0 / 5.0
-_AA51 = -12248.0 / 6561.0
-_AA52 = 7208.0 / 2187.0
-_AA53 = -6784.0 / 6561.0
-_AA61 = -533.0 / 264.0
-_AA62 = 91.0 / 22.0
-_AA63 = -56.0 / 33.0
-_AA64 = 7.0 / 88.0
-_BA1 = 35.0 / 384.0
-_BA3 = 50.0 / 159.0
-_BA4 = 25.0 / 192.0
-_BA5 = -243.0 / 6784.0
-_EA1 = 611.0 / 230400.0
-_EA3 = -514.0 / 83475.0
-_EA4 = 391.0 / 38400.0
-_EA5 = -4617.0 / 1356800.0
-_EA6 = -11.0 / 3360.0
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -351,9 +309,11 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
         xw, zw, _ = wire_u[i]
         radial[i] = (x - xw) * vx + (z - zw) * vz
 
-    # Each weight is written in place, such as 3.0 / 10.0 for _C3, which
-    # CPython folds into one constant of the same double. k1vx, k1vz and
-    # k7vx, k7vz are the accelerations at the step's start and end.
+    # The weights of the module docstring's form, c = A 1, A^2, b A, b, e A
+    # and e, are written in place, such as 3.0 / 10.0 for c_3, which CPython
+    # folds into one constant of the same double; zero weights are left out.
+    # k1vx, k1vz and k7vx, k7vz are the accelerations at the step's start
+    # and end.
     while True:
         if t >= t_bound:
             break

@@ -86,11 +86,11 @@ def velocity_grid(v_min: float, v_max: float,
 DEFAULT_GRID_POINTS = 50  # speeds in the default grid
 
 
-def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
-                          n_points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
-    """Logarithmic grid from just above the feasibility bound, 1.05 * 2 x0 /
-    tau, up to 2 m/s. A lower end above 2 m/s, where the grid would run
-    downward, raises ``ValueError`` naming x0 and tau."""
+def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1) -> tuple[float, ...]:
+    """Logarithmic grid of ``DEFAULT_GRID_POINTS`` speeds from just above the
+    feasibility bound, 1.05 * 2 x0 / tau, up to 2 m/s. A lower end above
+    2 m/s, where the grid would run downward, raises ``ValueError`` naming
+    x0 and tau."""
     _require_positive("x0", x0)
     _require_positive("tau", tau)
     v_min = 1.05 * 2.0 * x0 / tau
@@ -99,7 +99,7 @@ def default_velocity_grid(x0: float = 300e-6, tau: float = 0.1,
             f"x0 = {x0:g} m and tau = {tau:g} s put the default grid's lower "
             f"end, 1.05 * 2 x0 / tau = {v_min:g} m/s, above its upper end, "
             "2 m/s")
-    return velocity_grid(v_min, 2.0, n_points)
+    return velocity_grid(v_min, 2.0, DEFAULT_GRID_POINTS)
 
 
 def velocity_sweep(v0_values=None, b: float = 0.5e-6, x0: float = 300e-6,
@@ -175,11 +175,18 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
     ``region_radius``, default a tenth of the launch distance); outside it
     the orbit hugs its asymptotes, where the radius-at-angle comparison
     degenerates. With zero current the reference is the straight line
-    ``r = b / sin(theta)`` and the deviation is zero to round-off. A region
-    that holds no sample of some run raises ``ValueError``: a deviation over
-    no samples would read as a perfect overlay.
+    ``r = b / sin(theta)``, but the run is a single step over the whole
+    duration: its only samples are the launch and the end, a launch
+    distance or more from the wire, so only a region that reaches them
+    compares anything, and there the deviation is zero to round-off. No
+    ``b_values``, or a region that holds no sample of some run, raises
+    ``ValueError``: a deviation over no samples would read as a perfect
+    overlay.
     """
     b_values = tuple(b_values)
+    if not b_values:
+        raise ValueError("b_values is empty: a validation needs at least "
+                         "one impact parameter to compare")
     for i, b in enumerate(b_values):
         _require_positive(f"b_values[{i}]", b)
     _require_positive("v0", v0)
@@ -197,16 +204,19 @@ def validate_analytic(b_values=(0.5e-6, 3e-6, 6e-6), current: float = 2.0,
         # long enough to come back out of the comparison region
         duration = 2.2 * launch_distance / v0
         traj = simulate(initial, wires, medium, duration, control)
+        samples = traj.states.tolist()
         devs = []
-        for x, z, _, _ in traj.states.tolist():
+        for x, z, _, _ in samples:
             r = math.hypot(x, z)
             if r <= region_radius:
                 ra = analytic.analytic_orbit(math.atan2(z, x), k, b)
                 devs.append(abs(r - ra) / ra)
         if not devs:
+            r_min = min(math.hypot(x, z) for x, z, _, _ in samples)
             raise ValueError(
                 f"region_radius = {region_radius:g} m holds no sample of the "
-                f"b = {b:g} m run; it must exceed the closest approach")
+                f"b = {b:g} m run: the nearest of its {len(samples)} samples "
+                f"lies {r_min:g} m from the wire")
         rows.append(ValidationRow(
             b=b,
             k=k,

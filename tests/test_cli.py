@@ -457,6 +457,8 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
     ("validate", {"v0_m_per_s": 0}, "v0"),
     ("validate", {"region_radius_um": -5}, "region_radius"),
     ("validate", {"region_radius_um": 0.1}, "region_radius"),
+    # a validation of no impact parameter, which used to exit 0 with no rows
+    ("validate", {"b_um_list": []}, "b_values"),
     ("sweep", {"tau_s": 0}, "tau"),
     ("sweep", {"v0_min_m_per_s": -1}, "v0_min_m_per_s"),
     # inputs that round a divisor of the analytic layer to 0
@@ -492,7 +494,7 @@ def test_extreme_values_never_write_non_finite_numbers(tmp_path, command,
     ("validate", [0.5], "job.json"),
     ("simulate", {**SIM_CFG, "wires": [1]}, "wires[0]"),
 ], ids=["validate_b_zero", "validate_v0_zero", "validate_negative_region",
-        "validate_empty_region", "sweep_tau_zero", "sweep_negative_v0_min",
+        "validate_empty_region", "validate_no_b", "sweep_tau_zero", "sweep_negative_v0_min",
         "validate_k_underflow", "design_alpha_underflow", "design_half_turn",
         "simulate_duration_lost_in_rounding", "sweep_density_overflow",
         "sweep_density_underflow", "design_unknown_scheme",

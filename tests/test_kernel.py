@@ -1,5 +1,7 @@
 """Stepper mechanics and backend agreement."""
 
+import ast
+import inspect
 import math
 from array import array
 from fractions import Fraction
@@ -67,34 +69,59 @@ def _dormand_prince():
     return [row + [0] * (7 - len(row)) for row in a], b, e
 
 
+def _weight_lines(names):
+    """{name: compiled expression} of the line in ``integrate`` that assigns
+    each of ``names``, each assigned once."""
+    lines = {}
+    for node in ast.walk(ast.parse(inspect.getsource(_kernel_py.integrate))):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in names:
+                assert name not in lines  # one line per name
+                lines[name] = compile(ast.Expression(node.value), name, "eval")
+    assert sorted(lines) == sorted(names)
+    return lines
+
+
+def _coefficients(line, c):
+    """A weight line's coefficients on component c's velocity and 7 stage
+    accelerations: its value at h = 1 with every state 0 but that one input
+    set to 1. The other component's inputs must give 0."""
+    other = "z" if c == "x" else "x"
+    inputs, others = ([f"v{d}"] + [f"k{l}v{d}" for l in range(1, 8)]
+                      for d in (c, other))
+
+    def at(name):
+        state = dict.fromkeys(["x", "z", *inputs, *others], 0.0)
+        state.update(h=1.0, **{name: 1.0})
+        return eval(line, {"__builtins__": {}}, state)
+
+    assert [at(name) for name in others] == [0.0] * 8
+    return [at(name) for name in inputs]
+
+
 def test_nystrom_weights_derive_from_the_tableau():
-    # the twin's named weights are the doubles of c = A 1, A^2, b, b A, e
-    # and e A, with the FSAL row b in A, so e A takes e_7 b; every nonzero
-    # weight is named and no zero one. The position error drops its
-    # velocity term only because sum e = 0
+    # each weight line of integrate's loop gives the doubles of its exact
+    # coefficients in the Runge-Kutta-Nystrom form: on the velocity and the
+    # stage accelerations, c = A 1 and A^2 for the stages, 1 and b A for the
+    # 5th-order position, 1 and b for its velocity, and for their errors
+    # sum e and e A, and 0 and e. A's FSAL row is b, so e A takes e_7 b.
+    # The position error has no velocity term only because sum e = 0
     a, b, e = _dormand_prince()
     assert sum(e) == 0
-    rows = range(1, 8)
-    weights = {f"_C{i}": sum(a[i - 1]) for i in range(2, 7)}
-    for i in range(1, 7):  # the stages; row 7's A^2 is b A
-        for l in rows:
-            weights[f"_AA{i}{l}"] = sum(a[i - 1][m] * a[m][l - 1] for m in range(7))
-    for l in rows:
-        weights[f"_B{l}"] = b[l - 1]
-        weights[f"_E{l}"] = e[l - 1]
-        weights[f"_BA{l}"] = sum(b[i] * a[i][l - 1] for i in range(7))
-        weights[f"_EA{l}"] = sum(e[i] * a[i][l - 1] for i in range(7))
-    named = {name: getattr(_kernel_py, name) for name in weights
-             if hasattr(_kernel_py, name)}
-    assert named == {name: float(v) for name, v in weights.items() if v != 0}
-    # integrate writes each weight in place as a constant that CPython
-    # folds: besides its few other constants, its floats are the named
-    # weights up to sign, each of them
-    folded = {abs(v) for v in _kernel_py.integrate.__code__.co_consts
-              if isinstance(v, float)}
-    magnitudes = {abs(v) for v in named.values()}
-    assert magnitudes <= folded
-    assert folded - magnitudes == {0.0, 1e-6, 0.1, 0.25, 0.5, 16.0}
+
+    def times_a(w):
+        return [sum(w[m] * a[m][l] for m in range(7)) for l in range(7)]
+
+    # line name pattern for the component c: (velocity, accelerations)
+    exact = {f"{{c}}s{i}": (sum(a[i - 1]), times_a(a[i - 1])) for i in range(2, 7)}
+    exact.update({"{c}_new": (sum(b), times_a(b)), "v{c}_new": (1, b),
+                  "err_{c}": (sum(e), times_a(e)), "err_v{c}": (0, e)})
+    lines = _weight_lines([p.format(c=c) for p in exact for c in "xz"])
+    for pattern, (v, k) in exact.items():
+        x, z = (_coefficients(lines[pattern.format(c=c)], c) for c in "xz")
+        assert x == z, pattern
+        assert x == [float(w) for w in (v, *k)], pattern
 
 
 def _inverse_scenario():

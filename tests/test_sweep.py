@@ -163,8 +163,15 @@ def test_validation_zero_current_is_exact_line(medium):
     (lambda: validate_analytic(launch_distance=math.inf), "launch_distance"),
     # inside every closest approach: the rows would compare no sample
     (lambda: validate_analytic(region_radius=0.1e-6), "region_radius"),
+    # with no current the run is one step, and both its samples lie 300 um
+    # or more from the wire
+    (lambda: validate_analytic(current=0.0),
+     "region_radius = 3e-05 m holds no sample of the b = 5e-07 m run: the "
+     "nearest of its 2 samples lies 0.0003 m from the wire"),
+    # no run at all would compare nothing
+    (lambda: validate_analytic(b_values=()), "b_values"),
 ], ids=["grid_tau", "grid_downward", "sweep_b", "sweep_nan_v0", "validate_b", "validate_launch",
-        "validate_empty_region"])
+        "validate_empty_region", "validate_zero_current", "validate_no_b"])
 def test_invalid_inputs_name_the_field(call, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         call()
