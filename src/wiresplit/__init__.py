@@ -33,7 +33,6 @@ from .integrator import (
     StiffnessError,
     Trajectory,
     kernel_backend,
-    mirror_trajectory,
     simulate,
 )
 from .model import (
@@ -85,7 +84,6 @@ __all__ = [
     "inverse_max_size",
     "kernel_backend",
     "make_medium",
-    "mirror_trajectory",
     "scattering_angle",
     "simulate",
     "stiffness_k",

@@ -220,19 +220,16 @@ static double *put_state(double *dst, const double *apex, double drift,
     return dst + 7 + 6 * n;
 }
 
-static PyObject *integrate(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *integrate(PyObject *self, PyObject *args)
 {
     (void)self;
-    static char *kwlist[] = {
-        "x0", "z0", "vx0", "vz0", "t0", "duration", "wires", "alpha", "rtol",
-        "atol", "guard_radius", "max_steps", "stop_mode", "resume", NULL};
     double x0, z0, vx0, vz0, t0, duration, alpha, rtol, atol, guard_radius;
     double max_steps;
     int stop_mode;
     Py_buffer wb;  /* the wires: (x, z, current) per wire */
     PyObject *resume = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "ddddddy*dddddi|O:integrate", kwlist,
+    if (!PyArg_ParseTuple(
+            args, "ddddddy*dddddi|O:integrate",
             &x0, &z0, &vx0, &vz0, &t0, &duration, &wb,
             &alpha, &rtol, &atol, &guard_radius, &max_steps, &stop_mode,
             &resume))
@@ -534,8 +531,7 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"integrate", (PyCFunction)(void (*)(void))integrate,
-     METH_VARARGS | METH_KEYWORDS,
+    {"integrate", integrate, METH_VARARGS,
      "Compiled twin of ``wiresplit._kernel_py.integrate``."},
     {NULL, NULL, 0, NULL},
 };

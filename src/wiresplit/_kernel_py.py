@@ -156,8 +156,10 @@ def _unstate(buf, n):
 
 
 def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
-              rtol, atol, guard_radius, max_steps, stop_mode, resume=None):
+              rtol, atol, guard_radius, max_steps, stop_mode, resume=None, /):
     """Integrate one packet through the wire array.
+
+    Every argument is positional only, as in the compiled twin.
 
     ``wires`` is a bytes-like buffer of native doubles, (x, z, current) per
     wire; a length that is not a whole number of triples raises
@@ -187,11 +189,11 @@ def integrate(x0, z0, vx0, vz0, t0, duration, wires, alpha,
     t, x, z, vx, vz of the last row, their derivative's ax and az, the next
     step's h, then the event state in the layout of ``events``, without a
     closure and with the drift before its division by |E0|. Every other run
-    returns None. With the same other arguments, ``resume=snapshot`` runs
-    on from there as the fresh run does: its rows are the fresh run's after
-    the turn run's, bitwise, and its counters count only its own work,
-    against ``max_steps`` too, so with the turn run's they add up to the
-    fresh run's. A snapshot of any other length raises ``ValueError``, and
+    returns None. With the same other arguments and the snapshot as
+    ``resume``, a run goes on from there as the fresh run does: its rows
+    are the fresh run's after the turn run's, bitwise, and its counters
+    count only its own work, against ``max_steps`` too, so with the turn
+    run's they add up to the fresh run's. A snapshot of any other length raises ``ValueError``, and
     an object that is no bytes-like buffer ``TypeError``.
     """
     w = memoryview(wires).cast("B")

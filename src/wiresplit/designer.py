@@ -47,8 +47,8 @@ from .integrator import (
     StepControl,
     StiffnessError,
     Trajectory,
+    _mirrored,
     _resumed,
-    mirror_trajectory,
     simulate,
 )
 from .model import (
@@ -524,6 +524,10 @@ def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
             Wire(dx_w, -dz_w, current),
         )
 
+    # each wire's z-mirror partner in wires_for's layout: the splitting wire
+    # on the axis is its own, and the deflectors swap
+    mirror = (0, 2, 1)
+
     logger.debug("%s seed current: %.6e A", spec.scheme, seed)
     current, miss, top = _shoot(trial, seed, _SHOOT_BUDGET,
                                 spec.closure_tolerance, power=power)
@@ -559,7 +563,7 @@ def design_trajectories(spec: DesignSpec, medium: Medium | None = None,
     # twice the top branch's height, largest at its located apex
     max_separation = 2.0 * top.events.apex.z
     top = replace(top, events=replace(top.events, separation_max=max_separation))
-    bottom = mirror_trajectory(top, wires)
+    bottom = _mirrored(top, mirror)
 
     result = DesignResult(
         wires=wires,

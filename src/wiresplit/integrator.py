@@ -256,30 +256,15 @@ def simulate(initial: PacketState, wires, medium: Medium, duration: float,
     return Trajectory(t=t, states=states, events=events, stats=stats)
 
 
-def mirror_trajectory(traj: Trajectory, wires) -> Trajectory:
-    """The z -> -z mirror image of ``traj``, a run through ``wires``.
+def _mirrored(traj: Trajectory, partner) -> Trajectory:
+    """The z -> -z mirror image of ``traj``, a run through a z-symmetric
+    wire array in which wire i's mirror partner is ``partner[i]``.
 
-    ``wires`` must be z-symmetric: each wire i has a mirror partner, a wire
-    at (x_i, -z_i) with the same |current| (i itself when z_i = 0), else
-    ``ValueError``. The mirror run passes wire i where ``traj`` passed its
-    partner, so periapsis entry i of the result is the partner's entry,
-    flipped, under wire index i.
+    The mirror run passes wire i where ``traj`` passed its partner, so
+    periapsis entry i of the result is the partner's entry, flipped, under
+    wire index i.
     """
-    wires = tuple(wires)
     ev = traj.events
-    if len(ev.periapsis_per_wire) != len(wires):
-        raise ValueError(f"got {len(wires)} wires for a run that has "
-                         f"{len(ev.periapsis_per_wire)} periapsis entries")
-    partner = []
-    for i, w in enumerate(wires):
-        mates = [j for j, m in enumerate(wires)
-                 if (m.x, m.z, abs(m.current)) == (w.x, -w.z, abs(w.current))]
-        if not mates:
-            raise ValueError(
-                f"wire array is not z-symmetric: wire {i} at ({w.x:g}, "
-                f"{w.z:g}) m has no mirror partner at z = {-w.z:g} m")
-        partner.append(mates[0])
-
     # z and vz, columns 1 and 3, are the odd entries of the flat rows
     flat = array("d", traj.states.tobytes())
     flat[1::2] = array("d", [-v for v in flat[1::2]])

@@ -25,6 +25,10 @@ class InfeasibleDesignError(ValueError):
 
 
 def _require_finite(name: str, value: float) -> float:
+    # float() would parse a numeric string, which the caller then stores
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(
+            f"{name} must be a real number, not {type(value).__name__}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

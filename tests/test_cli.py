@@ -73,6 +73,23 @@ class TestDesignCommand:
         assert rows[0] == list(TRAJECTORY_CSV_COLUMNS)
         assert float(rows[1][1]) == pytest.approx(-300e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["triangular", "inverse"])
+    def test_bottom_csv_is_the_mirrored_top_csv(self, tmp_path, scheme):
+        # row by row, t, x and vx as in the top CSV and z and vz negated;
+        # compared through float.hex, so that 0.0 and -0.0 differ
+        cfg = _write(tmp_path, "job.json", dict(DESIGN_CFG, scheme=scheme))
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+        top, bottom = (
+            [[float(v) for v in row] for row in
+             csv.reader((out / name).read_text().splitlines()[1:])]
+            for name in ("trajectory_top.csv", "trajectory_bottom.csv"))
+        assert len(bottom) == len(top) > 1
+        for top_row, bottom_row in zip(top, bottom):
+            t, x, z, vx, vz = top_row
+            assert [v.hex() for v in bottom_row] == [
+                v.hex() for v in (t, x, -z, vx, -vz)]
+
     def test_empty_config_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, "job.json", {})
         assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 2

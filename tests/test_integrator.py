@@ -10,11 +10,10 @@ from wiresplit import (
     StepControl,
     Wire,
     analytic_orbit,
-    mirror_trajectory,
     simulate,
     stiffness_k,
 )
-from wiresplit.integrator import event_log_dict
+from wiresplit.integrator import _mirrored, event_log_dict
 
 
 LAUNCH_X = -300e-6
@@ -92,29 +91,13 @@ def test_apex_event_is_global_extremum(medium):
 
 
 def test_mirror_trajectory_flips_z(medium):
-    top, wires = _scattering(medium, duration=0.02)
-    bot = mirror_trajectory(top, wires)
+    top, _ = _scattering(medium, duration=0.02)
+    bot = _mirrored(top, (0,))  # the one wire on the axis is its own mirror
     top_s, bot_s = np.asarray(top.states), np.asarray(bot.states)
     assert np.array_equal(bot_s[:, 1], -top_s[:, 1])
     assert np.array_equal(bot_s[:, 3], -top_s[:, 3])
     assert np.array_equal(bot_s[:, 0], top_s[:, 0])
     assert bot.events.apex.z == -top.events.apex.z
-
-
-@pytest.mark.parametrize("wires, given, match", [
-    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0)), None, "not z-symmetric"),
-    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0),
-      Wire(-150e-6, -20e-6, 1.1)), None, "not z-symmetric"),
-    ((Wire(0.0, 0.0, 2.0), Wire(-150e-6, 20e-6, 1.0),
-      Wire(-140e-6, -20e-6, 1.0)), None, "not z-symmetric"),
-    ((Wire(0.0, 0.0, 2.0),), (), "got 0 wires for a run that has 1"),
-], ids=["no_partner", "other_current", "other_x", "other_wire_count"])
-def test_mirror_trajectory_rejects_wires_it_cannot_map(medium, wires, given,
-                                                       match):
-    initial = PacketState(x=LAUNCH_X, z=0.5e-6, vx=0.01, vz=0.0)
-    traj = simulate(initial, wires, medium, 0.001)
-    with pytest.raises(ValueError, match=match):
-        mirror_trajectory(traj, wires if given is None else given)
 
 
 def test_event_log_dict_schema(medium):

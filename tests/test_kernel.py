@@ -527,6 +527,14 @@ def test_backends_reject_wires_that_are_not_triples(medium, compiled_kernel):
             kernel.integrate(*args[:6], [[0.0, 0.0, 2.0]], *args[7:])
 
 
+def test_backends_take_positional_arguments_only(medium, compiled_kernel):
+    # even resume, the one optional argument, is no keyword on either backend
+    args, _ = _bitwise_case("three_wire", medium)
+    for kernel in (compiled_kernel, _kernel_py):
+        with pytest.raises(TypeError):
+            kernel.integrate(*args, resume=None)
+
+
 def _reference_energy_drift(traj, wires, medium):
     """The energy drift as ``simulate`` once computed it from the samples,
     with numpy: the kernels must return it bitwise."""

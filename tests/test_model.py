@@ -86,6 +86,18 @@ def test_nonfinite_fields_rejected():
         PacketState(0.0, 0.0, float("nan"), 0.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: Wire(0.0, 0.0, "2.0"), "current"),
+    (lambda: PacketState(-300e-6, b"0.5e-6", 0.01, 0.0), "z"),
+    (lambda: ScatteringInputs(v0="0.01", b=0.5e-6, x0=300e-6, tau=0.1), "v0"),
+    (lambda: make_medium(bytearray(b"-6.2e-9")), "chi_m"),
+], ids=["wire", "packet_state", "scattering_inputs", "make_medium"])
+def test_numeric_strings_rejected(build, field):
+    # float() parses them, but the types would keep the string itself
+    with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        build()
+
+
 def test_scattering_inputs_validation():
     ScatteringInputs(v0=0.01, b=0.5e-6, x0=300e-6, tau=0.1)
     with pytest.raises(ValueError):
